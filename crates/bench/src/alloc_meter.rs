@@ -1,5 +1,5 @@
-//! Process-wide allocation metering behind the bench harness's
-//! `bytes_per_peer` column.
+//! Process-wide allocation metering behind the repo benchmark's
+//! `peak_heap_mb` and `bytes_per_peer` metrics (`benchmark/README.md`).
 //!
 //! A [`GlobalAlloc`] wrapper around [`System`] keeps two relaxed
 //! atomics: the bytes currently allocated and the high-water mark since
@@ -10,8 +10,8 @@
 //!
 //! The counters are process-global: a measurement taken while other
 //! threads allocate attributes their traffic to the measured region.
-//! `repro bench` runs its workloads serially on the main thread, which
-//! is the only place peak deltas are read.
+//! The benchmark runs its workloads one at a time and reads peak deltas
+//! on the main thread only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

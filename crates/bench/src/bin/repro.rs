@@ -3,10 +3,9 @@
 //! Usage:
 //!
 //! ```text
-//! repro all [--quick] [--jobs N] [--threads N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
-//! repro <experiment> [<experiment> ...] [--quick] [--jobs N] [--threads N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
-//! repro scenario <name>|all [--quick] [--jobs N] [--threads N] [--metrics-threshold N] [--out <dir>] [--json]
-//! repro bench [--quick] [--iters N] [--only <workload>]... [--threads N[,N...]] [--out <dir>]
+//! repro all [--quick] [--jobs N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
+//! repro <experiment> [<experiment> ...] [--quick] [--jobs N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
+//! repro scenario <name>|all [--quick] [--jobs N] [--metrics-threshold N] [--out <dir>] [--json]
 //! repro --trace <path> [--engine guess|gossip] [--quick]
 //! repro --list
 //! ```
@@ -23,14 +22,6 @@
 //! point carries its own RNG seed, so the reports are byte-identical at
 //! any `--jobs` level; only wall-clock time changes.
 //!
-//! `--threads N` sets the worker-thread budget for the engines'
-//! lane-partitioned parallel kernel (carried on [`Ctx`] like
-//! `--metrics-threshold`). Lane-mode output is a pure function of
-//! `(seed, lanes)`, so any `N` yields the same bytes for the same
-//! config; `repro bench --threads` takes a comma-separated list and
-//! emits one `<workload>@t<N>` row per `N > 1` — the thread-scaling
-//! curve.
-//!
 //! `--shard i/m` keeps only every `m`-th selected experiment starting
 //! at index `i` — the grid split into `m` independently runnable work
 //! units (separate machines, separate invocations). Seed-addressed
@@ -42,21 +33,115 @@
 //! JSON Lines (schema in EXPERIMENTS.md), then reconciles the trace
 //! totals against the run's own report before exiting. `--engine`
 //! selects which simulator is traced: `guess` (default) or `gossip`.
+//!
+//! An argument starting with `--` that is not listed above is an error
+//! (exit 2), never silently dropped. Performance is measured by the
+//! repo benchmark, a package of its own: see `benchmark/README.md`.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use guess_bench::experiments::{self, Experiment};
+use guess_bench::experiments;
 use guess_bench::report::Report;
 use guess_bench::runner::Ctx;
 use guess_bench::scale::Scale;
 use simkit::sim::Runnable;
 
+/// The parsed command line: every flag `repro` knows, plus the
+/// positional experiment or scenario names.
+struct Cli<'a> {
+    quick: bool,
+    json: bool,
+    jobs: usize,
+    metrics_threshold: Option<usize>,
+    shard: Option<(usize, usize)>,
+    out_dir: Option<PathBuf>,
+    trace: Option<PathBuf>,
+    engine: &'a str,
+    names: Vec<&'a str>,
+}
+
+/// Parses `args` in one walk. Flags that take a value consume the next
+/// argument, so `--out DIR`'s DIR is never taken for a name; an
+/// unrecognised `--flag` is an error rather than a silent no-op.
+/// `scenario` is the `repro scenario …` form, which has no shards and
+/// no traced run.
+fn parse_cli(args: &[String], scenario: bool) -> Result<Cli<'_>, String> {
+    let mut cli = Cli {
+        quick: false,
+        json: false,
+        jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        metrics_threshold: None,
+        shard: None,
+        out_dir: None,
+        trace: None,
+        engine: "guess",
+        names: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--shard" | "--trace" | "--engine" if scenario => {
+                return Err(format!("{arg} does not apply to `repro scenario`"));
+            }
+            "--quick" => cli.quick = true,
+            "--json" => cli.json = true,
+            "--jobs" => {
+                cli.jobs = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .ok_or("--jobs needs a positive integer")?;
+            }
+            "--metrics-threshold" => {
+                let n = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .ok_or("--metrics-threshold needs a non-negative integer")?;
+                cli.metrics_threshold = Some(n);
+            }
+            "--shard" => {
+                let spec = it
+                    .next()
+                    .and_then(|v| parse_shard(v))
+                    .ok_or("--shard needs i/m with 0 <= i < m (e.g. --shard 0/4)")?;
+                cli.shard = Some(spec);
+            }
+            "--out" => {
+                cli.out_dir = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?));
+            }
+            "--trace" => {
+                cli.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a file path")?));
+            }
+            "--engine" => match it.next().map(String::as_str) {
+                Some(name @ ("guess" | "gossip")) => cli.engine = name,
+                Some(other) => {
+                    return Err(format!(
+                        "unknown --engine '{other}' (expected guess or gossip)"
+                    ));
+                }
+                None => return Err("--engine needs a value (guess or gossip)".to_string()),
+            },
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            name => cli.names.push(name),
+        }
+    }
+    if cli.json && cli.out_dir.is_none() {
+        return Err("--json needs --out <dir> to know where to write the files".to_string());
+    }
+    Ok(cli)
+}
+
+/// Reports a command-line error with the usage text and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}\n\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        print_usage();
+        println!("{USAGE}");
         return;
     }
     if args.iter().any(|a| a == "--list") {
@@ -68,153 +153,78 @@ fn main() {
         for s in guess_bench::scenarios::all() {
             println!("  {:<14} [{}] {}", s.name, s.engine, s.description);
         }
-        println!("\nbench workloads (repro bench --only <name>):");
-        for w in guess_bench::bench::workload_names(false) {
-            println!("  {w}");
-        }
-        println!(
-            "\nbench --threads N[,N...] repeats guess/gossip workloads on the\n\
-             lane-partitioned parallel kernel ({} lanes) as <workload>@t<N> rows;\n\
-             gnutella has no lane decomposition and keeps its serial row only",
-            guess_bench::bench::BENCH_LANES
-        );
         return;
     }
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
-    if args.first().map(String::as_str) == Some("bench") {
-        run_bench(&args[1..]);
-        return;
+    if args[0] == "bench" {
+        usage_error("`bench` is not a repro command; the repo benchmark is benchmark/README.md");
     }
-    if args.first().map(String::as_str) == Some("scenario") {
-        run_scenarios(&args[1..], scale);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--trace") {
-        let Some(path) = args.get(i + 1) else {
-            eprintln!("--trace needs a file path");
-            std::process::exit(2);
-        };
-        let engine = match args.iter().position(|a| a == "--engine") {
-            Some(j) => match args.get(j + 1).map(String::as_str) {
-                Some(name @ ("guess" | "gossip")) => name,
-                Some(other) => {
-                    eprintln!("unknown --engine '{other}' (expected guess or gossip)");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--engine needs a value (guess or gossip)");
-                    std::process::exit(2);
-                }
-            },
-            None => "guess",
-        };
-        match engine {
-            "gossip" => run_traced_gossip(Path::new(path), scale),
-            _ => run_traced(Path::new(path), scale),
+    let scenario = args[0] == "scenario";
+    let cli =
+        parse_cli(&args[usize::from(scenario)..], scenario).unwrap_or_else(|msg| usage_error(&msg));
+    let scale = if cli.quick { Scale::Quick } else { Scale::Full };
+    if let Some(path) = &cli.trace {
+        match cli.engine {
+            "gossip" => run_traced_gossip(path, scale),
+            _ => run_traced(path, scale),
         }
         return;
     }
-    let json = args.iter().any(|a| a == "--json");
-    let out_dir: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    if json && out_dir.is_none() {
-        eprintln!("--json needs --out <dir> to know where to write the files");
-        std::process::exit(2);
-    }
-    let jobs: usize = match args.iter().position(|a| a == "--jobs") {
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) => n,
-            _ => {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    };
-    let metrics_threshold = match parse_metrics_threshold(&args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let threads = match parse_threads(&args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let shard: Option<(usize, usize)> = match args.iter().position(|a| a == "--shard") {
-        Some(i) => match args.get(i + 1).map(|v| parse_shard(v)) {
-            Some(Some(spec)) => Some(spec),
-            _ => {
-                eprintln!("--shard needs i/m with 0 <= i < m (e.g. --shard 0/4)");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = &cli.out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create output directory {}: {e}", dir.display());
             std::process::exit(1);
         }
     }
-    // Strip flag values so `--out DIR`'s DIR is not taken for a name.
-    let mut names: Vec<&String> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--out"
-            || a == "--jobs"
-            || a == "--trace"
-            || a == "--engine"
-            || a == "--shard"
-            || a == "--metrics-threshold"
-            || a == "--threads"
-        {
-            skip_next = true;
-        } else if !a.starts_with("--") {
-            names.push(a);
-        }
-    }
-
-    let selected: Vec<experiments::Experiment> = if names.iter().any(|n| n.as_str() == "all") {
-        experiments::all()
+    let ctx = Ctx::new(scale, cli.jobs).with_metrics_threshold(cli.metrics_threshold);
+    if scenario {
+        run_scenarios(&cli, &ctx);
     } else {
-        let mut picked = Vec::new();
-        for name in &names {
-            match experiments::find(name) {
-                Some(e) => picked.push(e),
-                None => {
-                    eprintln!("unknown experiment '{name}' (try --list)");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if picked.is_empty() {
-            print_usage();
-            std::process::exit(2);
-        }
-        picked
-    };
+        run_experiments(&cli, &ctx);
+    }
+}
+
+/// Resolves the positional `names` against one catalog: `all` selects
+/// everything, an unknown name or an empty selection exits 2.
+fn select<T>(
+    names: &[&str],
+    kind: &str,
+    all: fn() -> Vec<T>,
+    find: fn(&str) -> Option<T>,
+) -> Vec<T> {
+    if names.contains(&"all") {
+        return all();
+    }
+    let picked: Vec<T> = names
+        .iter()
+        .map(|name| {
+            find(name).unwrap_or_else(|| {
+                eprintln!("unknown {kind} '{name}' (try --list)");
+                std::process::exit(2);
+            })
+        })
+        .collect();
+    if picked.is_empty() {
+        usage_error(&format!("no {kind} named"));
+    }
+    picked
+}
+
+/// `repro all|<experiment>... [--quick] [--jobs N] [--shard i/m] [--out DIR] [--json]`
+/// — runs the selected experiments, printing reports in selection order.
+fn run_experiments(cli: &Cli<'_>, ctx: &Ctx) {
+    let scale = ctx.scale();
+    let selected = select(
+        &cli.names,
+        "experiment",
+        experiments::all,
+        experiments::find,
+    );
     // Shard by position in the selection: experiment `k` belongs to
     // shard `k % m`. Every experiment seeds its own RNG streams, so each
     // work unit is addressed by its own seeds and renders the same
     // report inside any shard — the union of per-shard `--out` files is
     // byte-identical to the unsharded run's.
-    let selected: Vec<experiments::Experiment> = match shard {
+    let selected: Vec<experiments::Experiment> = match cli.shard {
         Some((i, m)) => selected
             .into_iter()
             .enumerate()
@@ -223,7 +233,7 @@ fn main() {
             .collect(),
         None => selected,
     };
-    if let Some((i, m)) = shard {
+    if let Some((i, m)) = cli.shard {
         println!(
             "shard {i}/{m}: {} experiment(s) [{}]",
             selected.len(),
@@ -238,24 +248,15 @@ fn main() {
         }
     }
 
-    let ctx = Ctx::new(scale, jobs)
-        .with_metrics_threshold(metrics_threshold)
-        .with_threads(threads);
     let overall = Instant::now();
     if ctx.jobs() == 1 {
         // Serial: run and print each experiment in turn, as the original
         // driver did, so per-experiment timings stay meaningful.
         for e in &selected {
             let started = Instant::now();
-            let report = (e.run)(&ctx);
-            emit(
-                e,
-                &report,
-                started.elapsed().as_secs_f64(),
-                out_dir.as_deref(),
-                json,
-                scale,
-            );
+            let report = (e.run)(ctx);
+            let secs = started.elapsed().as_secs_f64();
+            emit(e.name, e.description, &report, secs, cli, scale);
         }
     } else {
         // Parallel: one thread per experiment; each simulation inside
@@ -265,7 +266,6 @@ fn main() {
         std::thread::scope(|s| {
             for (i, e) in selected.iter().enumerate() {
                 let tx = tx.clone();
-                let ctx = &ctx;
                 s.spawn(move || {
                     let started = Instant::now();
                     let report = (e.run)(ctx);
@@ -283,14 +283,8 @@ fn main() {
                     let Some((report, secs)) = ready[next].take() else {
                         break;
                     };
-                    emit(
-                        &selected[next],
-                        &report,
-                        secs,
-                        out_dir.as_deref(),
-                        json,
-                        scale,
-                    );
+                    let e = &selected[next];
+                    emit(e.name, e.description, &report, secs, cli, scale);
                     next += 1;
                 }
             }
@@ -304,256 +298,43 @@ fn main() {
     );
 }
 
-/// `repro bench [--quick] [--iters N] [--only WORKLOAD]... [--out DIR]`
-/// — the wall-clock benchmark harness. Runs fixed-seed engine
-/// workloads, prints min/median wall time and events/sec, and appends
-/// the next `BENCH_<n>.json` to the perf trajectory in DIR. The default
-/// DIR is the repo root — the canonical home of the trajectory, where
-/// the committed baselines already live — so an unqualified
-/// `repro bench` continues the sequence they start (the `BENCH_*.json`
-/// gitignore pattern keeps ad-hoc runs untracked; baselines are
-/// force-added). `--only` is repeatable and restricts the run to the
-/// named workloads, so a single engine can be gated on its own.
-fn run_bench(args: &[String]) {
-    let mut only: Vec<String> = Vec::new();
-    let mut threads: Vec<usize> = vec![1];
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => i += 1,
-            flag @ ("--iters" | "--out" | "--only" | "--threads") => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                };
-                if flag == "--only" {
-                    only.push(value.clone());
-                }
-                if flag == "--threads" {
-                    match parse_threads_list(value) {
-                        Some(list) => threads = list,
-                        None => {
-                            eprintln!(
-                                "--threads needs a comma-separated list of positive \
-                                 integers (e.g. --threads 1,2,4,8)"
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown bench argument: {other}");
-                eprintln!(
-                    "usage: repro bench [--quick] [--iters N] [--only WORKLOAD]... \
-                     [--threads N[,N...]] [--out DIR]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let iters: usize = match args.iter().position(|a| a == "--iters") {
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) if n > 0 => n,
-            _ => {
-                eprintln!("--iters needs a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None => 5,
-    };
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| std::path::PathBuf::from("."), std::path::PathBuf::from);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create output directory {}: {e}", out_dir.display());
-        std::process::exit(1);
-    }
-    let matrix = if quick {
-        "quick workloads"
-    } else {
-        "quick+full workloads"
-    };
-    if only.is_empty() {
-        println!("bench: {matrix}, {iters} iteration(s) each");
-    } else {
-        println!(
-            "bench: {matrix} filtered to [{}], {iters} iteration(s) each",
-            only.join(", ")
-        );
-    }
-    let started = Instant::now();
-    let results = match guess_bench::bench::run_workloads(quick, iters, &only, &threads) {
-        Ok(results) => results,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let report = guess_bench::bench::build_report(&results);
-    print!("\n{}", report.render_text());
-    let n = guess_bench::bench::next_bench_index(&out_dir);
-    let path = out_dir.join(format!("BENCH_{n}.json"));
-    let doc = report.render_json(
-        "bench",
-        "fixed-seed engine workloads: min/median wall time and events/sec",
-        if quick { "Quick" } else { "Full" },
-    );
-    if let Err(e) = std::fs::write(&path, doc) {
-        eprintln!("failed to write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!(
-        "\nwrote {} ({} workloads in {:.1}s)",
-        path.display(),
-        results.len(),
-        started.elapsed().as_secs_f64()
-    );
-}
-
 /// `repro scenario <name>... [--quick] [--jobs N] [--out DIR] [--json]`
 /// — runs named scenarios from the catalog (see `--list`), each one a
 /// baseline-vs-intervened pair over the same seed.
-fn run_scenarios(args: &[String], scale: Scale) {
+fn run_scenarios(cli: &Cli<'_>, ctx: &Ctx) {
     use guess_bench::scenarios;
 
-    let json = args.iter().any(|a| a == "--json");
-    let out_dir: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    if json && out_dir.is_none() {
-        eprintln!("--json needs --out <dir> to know where to write the files");
-        std::process::exit(2);
-    }
-    let jobs: usize = match args.iter().position(|a| a == "--jobs") {
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) => n,
-            _ => {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    };
-    if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create output directory {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    let metrics_threshold = match parse_metrics_threshold(args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let threads = match parse_threads(args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let mut names: Vec<&String> = Vec::new();
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--out" || a == "--jobs" || a == "--metrics-threshold" || a == "--threads" {
-            skip_next = true;
-        } else if !a.starts_with("--") {
-            names.push(a);
-        }
-    }
-    let selected: Vec<scenarios::ScenarioExperiment> = if names.iter().any(|n| n.as_str() == "all")
-    {
-        scenarios::all()
-    } else {
-        let mut picked = Vec::new();
-        for name in &names {
-            match scenarios::find(name) {
-                Some(s) => picked.push(s),
-                None => {
-                    eprintln!("unknown scenario '{name}' (try --list)");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if picked.is_empty() {
-            eprintln!("usage: repro scenario <name>|all [--quick] [--jobs N] [--out DIR] [--json]");
-            std::process::exit(2);
-        }
-        picked
-    };
-    let ctx = Ctx::new(scale, jobs)
-        .with_metrics_threshold(metrics_threshold)
-        .with_threads(threads);
+    let selected = select(&cli.names, "scenario", scenarios::all, scenarios::find);
     let overall = Instant::now();
     for s in &selected {
         let started = Instant::now();
-        let report = (s.run)(&ctx);
-        emit_named(
-            s.name,
-            s.description,
-            &report,
-            started.elapsed().as_secs_f64(),
-            out_dir.as_deref(),
-            json,
-            scale,
-        );
+        let report = (s.run)(ctx);
+        let secs = started.elapsed().as_secs_f64();
+        emit(s.name, s.description, &report, secs, cli, ctx.scale());
     }
     println!(
         "ran {} scenario(s) at {:?} scale in {:.1}s",
         selected.len(),
-        scale,
+        ctx.scale(),
         overall.elapsed().as_secs_f64()
     );
 }
 
-/// Prints one finished experiment in the standard frame and writes its
-/// `--out` artifacts.
-fn emit(
-    e: &Experiment,
-    report: &Report,
-    secs: f64,
-    out_dir: Option<&Path>,
-    json: bool,
-    scale: Scale,
-) {
-    emit_named(e.name, e.description, report, secs, out_dir, json, scale);
-}
-
-/// The shared emit frame behind experiments and scenarios.
-fn emit_named(
-    name: &str,
-    description: &str,
-    report: &Report,
-    secs: f64,
-    out_dir: Option<&Path>,
-    json: bool,
-    scale: Scale,
-) {
+/// Prints one finished experiment or scenario in the standard frame and
+/// writes its `--out` artifacts.
+fn emit(name: &str, description: &str, report: &Report, secs: f64, cli: &Cli<'_>, scale: Scale) {
     println!("==============================================================");
     println!("== {name} — {description}");
     println!("==============================================================");
     let text = report.render_text();
     println!("{text}");
     println!("[{name} completed in {secs:.1}s]\n");
-    if let Some(dir) = out_dir {
+    if let Some(dir) = &cli.out_dir {
         let path = dir.join(format!("{name}.txt"));
         if let Err(err) = std::fs::write(&path, &text) {
             eprintln!("failed to write {}: {err}", path.display());
         }
-        if json {
+        if cli.json {
             let path = dir.join(format!("{name}.json"));
             let doc = report.render_json(name, description, &format!("{scale:?}"));
             if let Err(err) = std::fs::write(&path, doc) {
@@ -571,7 +352,7 @@ fn run_traced(path: &Path, scale: Scale) {
     use guess_bench::scale::base_config;
     use guess_bench::tracefile::JsonlSink;
 
-    let mut cfg = base_config(scale, 0x7Ace);
+    let mut cfg = base_config(scale, 0x7ACE);
     // Zero warm-up: the report then covers every query in the trace, so
     // the reconciliation below must match exactly.
     cfg.run.warmup = simkit::time::SimDuration::from_secs(0.0);
@@ -674,7 +455,7 @@ fn run_traced_gossip(path: &Path, scale: Scale) {
     // Zero warm-up (set inside `traced_config`): the report then covers
     // every query in the trace, so the reconciliation below must match
     // exactly.
-    let cfg = gossip_tradeoff::traced_config(scale, 0x7Ace);
+    let cfg = gossip_tradeoff::traced_config(scale, 0x7ACE);
     let sim = match GossipSim::new(cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -758,48 +539,6 @@ fn run_traced_gossip(path: &Path, scale: Scale) {
     }
 }
 
-/// Parses `--metrics-threshold N` if present. The value overrides
-/// `metrics_sample_threshold` in the configs of experiments that honor
-/// it (see [`Ctx::metrics_threshold`]): populations above `N` sample
-/// their periodic metric sweeps instead of walking every slot.
-fn parse_metrics_threshold(args: &[String]) -> Result<Option<usize>, String> {
-    match args.iter().position(|a| a == "--metrics-threshold") {
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) => Ok(Some(n)),
-            _ => Err("--metrics-threshold needs a non-negative integer".to_string()),
-        },
-        None => Ok(None),
-    }
-}
-
-/// Parses `--threads N` if present (default 1): the worker-thread
-/// budget for the engines' lane-partitioned parallel kernel, carried on
-/// [`Ctx::threads`]. Lane-mode output is a pure function of
-/// `(seed, lanes)`, so the flag changes wall-clock only, never bytes.
-fn parse_threads(args: &[String]) -> Result<usize, String> {
-    match args.iter().position(|a| a == "--threads") {
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(n)) if n >= 1 => Ok(n),
-            _ => Err("--threads needs a positive integer".to_string()),
-        },
-        None => Ok(1),
-    }
-}
-
-/// Parses the bench form of `--threads`: a comma-separated list of
-/// positive thread counts, e.g. `1,2,4,8`.
-fn parse_threads_list(spec: &str) -> Option<Vec<usize>> {
-    let mut out = Vec::new();
-    for part in spec.split(',') {
-        let n: usize = part.trim().parse().ok()?;
-        if n == 0 {
-            return None;
-        }
-        out.push(n);
-    }
-    (!out.is_empty()).then_some(out)
-}
-
 /// Parses a `--shard` spec of the form `i/m` with `0 <= i < m`.
 fn parse_shard(spec: &str) -> Option<(usize, usize)> {
     let (i, m) = spec.split_once('/')?;
@@ -807,30 +546,22 @@ fn parse_shard(spec: &str) -> Option<(usize, usize)> {
     (m >= 1 && i < m).then_some((i, m))
 }
 
-fn print_usage() {
-    println!(
-        "repro — regenerate every table and figure of the ICDCS'04 GUESS paper\n\n\
-         usage:\n  repro all [--quick] [--jobs N] [--threads N] [--shard i/m] [--out <dir>] [--json]\n  \
-         repro <experiment>... [--quick] [--jobs N] [--threads N] [--shard i/m] [--out <dir>] [--json]\n  \
-         repro scenario <name>|all [--quick] [--jobs N] [--threads N] [--out <dir>] [--json]\n  \
-         repro bench [--quick] [--iters N] [--only <workload>]... [--threads N[,N...]] [--out <dir>]\n  \
-         repro --trace <path> [--engine guess|gossip] [--quick]\n  repro --list\n\n\
-         --quick   shrunk grids/durations (shape check, ~1-2 min)\n\
-         --jobs N  at most N simulations in flight (default: all cores);\n          \
-         reports are byte-identical at any N\n\
-         --threads N  worker threads for the lane-partitioned parallel\n          \
-         kernel; lane-mode output depends only on (seed, lanes), so any\n          \
-         N yields the same bytes. bench takes a list (--threads 1,2,4,8)\n          \
-         and adds one <workload>@t<N> row per N > 1\n\
-         --shard i/m  run every m-th selected experiment starting at i;\n          \
-         per-shard outputs merge byte-identically to the unsharded run\n\
-         --metrics-threshold N  populations above N stride-sample their\n          \
-         periodic metric sweeps instead of walking every slot\n\
-         --out DIR also write each report to DIR/<name>.txt\n\
-         --json    with --out, also write structured DIR/<name>.json\n\
-         --trace F run one traced simulation, write JSONL to F,\n          \
-         and reconcile the trace against the run report\n\
-         --engine  which simulator --trace runs: guess (default) or gossip\n\
-         default   full paper grids (several minutes)"
-    );
-}
+const USAGE: &str = "repro — regenerate every table and figure of the ICDCS'04 GUESS paper\n\n\
+     usage:\n  repro all [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]\n  \
+     repro <experiment>... [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]\n  \
+     repro scenario <name>|all [--quick] [--jobs N] [--out <dir>] [--json]\n  \
+     repro --trace <path> [--engine guess|gossip] [--quick]\n  repro --list\n\n\
+     --quick   shrunk grids/durations (shape check, ~1-2 min)\n\
+     --jobs N  at most N simulations in flight (default: all cores);\n          \
+     reports are byte-identical at any N\n\
+     --shard i/m  run every m-th selected experiment starting at i;\n          \
+     per-shard outputs merge byte-identically to the unsharded run\n\
+     --metrics-threshold N  populations above N stride-sample their\n          \
+     periodic metric sweeps instead of walking every slot\n\
+     --out DIR also write each report to DIR/<name>.txt\n\
+     --json    with --out, also write structured DIR/<name>.json\n\
+     --trace F run one traced simulation, write JSONL to F,\n          \
+     and reconcile the trace against the run report\n\
+     --engine  which simulator --trace runs: guess (default) or gossip\n\
+     default   full paper grids (several minutes)\n\
+     \nperformance is measured by the repo benchmark: see benchmark/README.md";

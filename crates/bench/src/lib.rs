@@ -22,7 +22,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod alloc_meter;
-pub mod bench;
 pub mod experiments;
 pub mod report;
 pub mod runner;
@@ -30,15 +29,3 @@ pub mod scale;
 pub mod scenarios;
 pub mod table;
 pub mod tracefile;
-
-/// Reads `--jobs N` from the process arguments, defaulting to the
-/// machine's available parallelism — the shared knob of the scratch
-/// binaries (`repro` parses its richer CLI itself).
-#[must_use]
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.iter().position(|a| a == "--jobs") {
-        Some(i) => args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(1),
-        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    }
-}

@@ -65,7 +65,6 @@ pub struct Ctx {
     scale: Scale,
     jobs: usize,
     metrics_threshold: Option<usize>,
-    threads: usize,
     sem: Semaphore,
     shared: Mutex<simkit::hash::FxHashMap<String, SharedSlot>>,
 }
@@ -89,7 +88,6 @@ impl Ctx {
             scale,
             jobs,
             metrics_threshold: None,
-            threads: 1,
             sem: Semaphore::new(jobs),
             // Pre-sized for the experiment catalog: at most one memo
             // slot per figure module ever lands here.
@@ -123,23 +121,6 @@ impl Ctx {
     #[must_use]
     pub fn metrics_threshold(&self) -> Option<usize> {
         self.metrics_threshold
-    }
-
-    /// Sets the worker-thread budget for the lane-partitioned parallel
-    /// kernel (`--threads`). Clamped to ≥ 1; `1` — the default — keeps
-    /// every run on the serial path. Lane-mode output is a pure
-    /// function of `(seed, lanes)`, so this knob changes wall-clock
-    /// only, never bytes.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The intra-run worker-thread budget.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Runs one unit of simulation work under a concurrency permit.

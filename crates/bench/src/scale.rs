@@ -1,7 +1,7 @@
 //! Experiment scale control.
 //!
 //! Every experiment can run at `Full` scale (the paper's parameter grids)
-//! or `Quick` scale (shrunk grids and durations for CI and criterion).
+//! or `Quick` scale (shrunk grids and durations for CI and the goldens).
 
 use simkit::time::SimDuration;
 

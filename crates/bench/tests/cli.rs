@@ -1,0 +1,66 @@
+//! `repro` command-line contract: bad input is refused with exit 2
+//! before any simulation starts, and `--list` shows exactly the two
+//! catalogs.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn unknown_flags_are_rejected_not_swallowed() {
+    // `--quik` used to be dropped, so this ran the full multi-minute
+    // grid; a retired `--threads 4` would read `4` as an experiment.
+    for args in [
+        &["all", "--quik"][..],
+        &["fig3", "--quick", "--threads", "4"],
+        &["scenario", "all", "--quik"],
+        &["scenario", "all", "--shard", "0/2"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("usage:"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+}
+
+#[test]
+fn bench_points_at_the_repo_benchmark() {
+    let out = repro(&["bench", "--quick"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("benchmark/README.md"));
+}
+
+#[test]
+fn bad_jobs_value_is_rejected() {
+    for args in [&["fig3", "--jobs", "abc"][..], &["fig3", "--jobs"]] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("--jobs needs a positive integer"));
+    }
+}
+
+#[test]
+fn list_prints_experiments_and_scenarios_only() {
+    let out = repro(&["--list"]);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).expect("utf-8");
+    let headers: Vec<&str> = text.lines().filter(|l| l.ends_with(':')).collect();
+    assert_eq!(
+        headers,
+        [
+            "experiments (repro <name>):",
+            "scenarios (repro scenario <name>):"
+        ]
+    );
+    let entries = text.lines().filter(|l| l.starts_with("  ")).count();
+    assert_eq!(entries, 30 + 7);
+}

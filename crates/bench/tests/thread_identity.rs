@@ -1,8 +1,9 @@
 //! Parallel-kernel identity gates.
 //!
-//! Two contracts protect the goldens and the thread-scaling bench:
+//! Two contracts protect the goldens and the `guess-lanes` benchmark
+//! workload:
 //!
-//! 1. `lanes = 1` routes every engine's `run_lanes` to the ordinary
+//! 1. `lanes = 1` routes GUESS's and gossip's `run_lanes` to the ordinary
 //!    serial run — byte-identical reports, so the 30 quick goldens and
 //!    7 scenario goldens are unchanged by construction.
 //! 2. With `lanes > 1`, the report is a pure function of
@@ -16,6 +17,10 @@ use guess_bench::scale::{base_config, Scale};
 
 /// Seeds for the lanes=1 property check — arbitrary but fixed.
 const SEEDS: [u64; 3] = [0x11, 0x22, 0x33];
+
+/// Lane count of the quick-scale gate (the `guess-lanes` benchmark
+/// workload runs the same count).
+const LANES: usize = 8;
 
 #[test]
 fn guess_lanes_one_is_byte_identical_to_serial() {
@@ -40,20 +45,6 @@ fn gossip_lanes_one_is_byte_identical_to_serial() {
 }
 
 #[test]
-fn gnutella_run_lanes_is_the_serial_engine() {
-    for seed in SEEDS {
-        let cfg = gnutella::GnutellaConfig::default()
-            .with_network_size(150)
-            .with_duration(simkit::time::SimDuration::from_secs(200.0))
-            .with_warmup(simkit::time::SimDuration::from_secs(50.0))
-            .with_seed(seed);
-        let serial = cfg.clone().build().expect("valid config").run();
-        let laned = gnutella::run_lanes(cfg, 4).expect("valid config");
-        assert_eq!(serial, laned, "gnutella seed {seed}");
-    }
-}
-
-#[test]
 fn small_scale_lane_runs_are_thread_count_invariant() {
     let mut gcfg = guess::config::Config::small_test(7);
     gcfg.run.duration = simkit::time::SimDuration::from_secs(200.0);
@@ -69,15 +60,14 @@ fn small_scale_lane_runs_are_thread_count_invariant() {
     assert_eq!(s1, s4, "gossip lane run must not depend on threads");
 }
 
-/// The quick-scale cross-thread gate over the bench configs (the same
-/// configs the golden registry and BENCH rows run): `--threads 1` and
-/// `--threads 4` must produce byte-identical reports at the bench lane
-/// count. Release-only (run by `scripts/verify.sh`).
+/// The quick-scale cross-thread gate over the golden registry's base
+/// configs: 1 and 4 worker threads must produce byte-identical reports
+/// at [`LANES`] lanes. Release-only (run by `scripts/verify.sh`).
 #[test]
 #[ignore = "quick-scale; release-run by scripts/verify.sh"]
 fn quick_scale_lane_runs_are_thread_count_invariant() {
     let mut gcfg = base_config(Scale::Quick, 0xBE7C);
-    gcfg.run.lanes = guess_bench::bench::BENCH_LANES;
+    gcfg.run.lanes = LANES;
     let g1 = guess::run_lanes(gcfg.clone(), 1).expect("valid config");
     let g4 = guess::run_lanes(gcfg, 4).expect("valid config");
     assert_eq!(g1, g4, "guess quick lane run must not depend on threads");
@@ -86,7 +76,7 @@ fn quick_scale_lane_runs_are_thread_count_invariant() {
         .with_seed(0xBE7C)
         .with_duration(Scale::Quick.duration())
         .with_warmup(Scale::Quick.warmup())
-        .with_lanes(guess_bench::bench::BENCH_LANES);
+        .with_lanes(LANES);
     let s1 = gossip::run_lanes(scfg.clone(), 1).expect("valid config");
     let s4 = gossip::run_lanes(scfg, 4).expect("valid config");
     assert_eq!(s1, s4, "gossip quick lane run must not depend on threads");

@@ -39,26 +39,6 @@ mod types;
 use flood::FloodState;
 pub use types::{GnutellaConfig, GnutellaReport, InvalidGnutellaConfig};
 
-/// Lane-partitioned entry point, mirroring `guess::run_lanes` and
-/// `gossip::run_lanes` so the bench harness can drive all three engines
-/// through one surface.
-///
-/// Gnutella floods traverse a *shared* overlay graph — a single hop may
-/// touch any slot, and repair rewires edges between arbitrary slots —
-/// so no lane decomposition offers useful lookahead. This validates the
-/// config and runs the serial engine regardless of `threads`; callers
-/// get the exact serial bytes.
-///
-/// # Errors
-///
-/// Returns [`InvalidGnutellaConfig`] for inconsistent parameters.
-pub fn run_lanes(
-    cfg: GnutellaConfig,
-    _threads: usize,
-) -> Result<GnutellaReport, InvalidGnutellaConfig> {
-    Ok(GnutellaSim::new(cfg)?.run())
-}
-
 /// The runtime side of the config/state split: the knobs a
 /// [`simkit::scenario::Scenario`] may legally flip mid-run. Initialized
 /// from the validated [`GnutellaConfig`] at build time and mutated only

@@ -8,9 +8,11 @@
 //! * **iterative deepening** — coarse-grained flexible extent: re-flood
 //!   with growing TTLs until satisfied ([`iterative`]).
 //!
-//! Both run over explicit overlay [`topology`] graphs with true flooding
-//! semantics ([`flood()`][flood::flood]), against the same content [`population`] the
-//! GUESS simulator uses, so the comparison isolates the search mechanism.
+//! Floods run over explicit overlay [`topology`] graphs — iterative
+//! deepening through [`Topology::bfs_within`], the [`dynamic`] engine hop
+//! by hop through [`wavefront`] — against the same content [`population`]
+//! the GUESS simulator uses, so the comparison isolates the search
+//! mechanism.
 //!
 //! # Example
 //!
@@ -32,16 +34,14 @@
 
 pub mod dynamic;
 pub mod fixed;
-pub mod flood;
 pub mod fragmentation;
 pub mod iterative;
 pub mod population;
 pub mod topology;
 pub mod wavefront;
 
-pub use dynamic::{run_lanes, GnutellaConfig, GnutellaReport, GnutellaSim};
+pub use dynamic::{GnutellaConfig, GnutellaReport, GnutellaSim};
 pub use fixed::FixedExtentCurve;
-pub use flood::{flood, FloodOutcome};
 pub use fragmentation::{attack, AttackOutcome, AttackStrategy};
 pub use iterative::{iterative_deepening, DeepeningOutcome, DeepeningPolicy};
 pub use population::Population;

@@ -27,8 +27,8 @@ pub struct GossipReport {
     /// Event counters (pushes, pulls, dedup drops, rounds, deaths, …).
     pub counters: CounterSet,
     /// Kernel events processed over the whole run (including warm-up).
-    /// Wall-clock throughput denominator for `repro bench`; not part of
-    /// any rendered report.
+    /// The numerator of the benchmark's `events_per_s`
+    /// (`benchmark/README.md`); not part of any rendered report.
     pub events_processed: u64,
 }
 

@@ -35,7 +35,7 @@
 //!
 //! A run with `threads = 1` executes the very same window/barrier
 //! schedule on the calling thread; byte-identical output across
-//! `--threads 1..N` is checked by tests at every layer above.
+//! `threads = 1..N` is checked by tests at every layer above.
 //!
 //! The lane kernel does not support scenario timelines (a
 //! [`Scenario`](crate::scenario::Scenario) intervenes on global state,

@@ -61,7 +61,7 @@ use crate::trace::{NullSink, ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
 /// — each has its own validated config — but once built they all run
 /// the same way: consume `self`, drive the kernel to the horizon, and
 /// return the engine's aggregate report. This trait pins that shape so
-/// driver code (`repro`, the bench harness, cross-engine tests) can
+/// driver code (`repro`, the repo benchmark, cross-engine tests) can
 /// dispatch engines generically instead of tracking per-engine method
 /// names.
 ///
@@ -111,7 +111,8 @@ pub trait Runnable: Sized {
 /// independent of the engine's domain metrics.
 pub trait SimReport {
     /// Kernel events processed over the whole run (warm-up included) —
-    /// the throughput denominator of `repro bench`.
+    /// the numerator of the benchmark's `events_per_s`
+    /// (`benchmark/README.md`).
     fn events_processed(&self) -> u64;
 }
 
@@ -407,51 +408,12 @@ impl<E, T: TraceSink> Kernel<E, T> {
     where
         S: Simulation<T, Event = E>,
     {
-        if !self.started {
-            self.started = true;
-            if let Some(interval) = self.params.sample_interval {
-                self.queue
-                    .schedule(self.queue.now() + interval, KernelEvent::Sample);
-            }
-        }
-        while let Some((now, event)) = self.queue.pop() {
-            if now > self.params.end {
-                break;
-            }
-            match event {
-                KernelEvent::User(ev) => {
-                    let mut ctx = SimCtx {
-                        queue: &mut self.queue,
-                        warmup_end: self.params.warmup_end,
-                        sink: &mut self.sink,
-                    };
-                    sim.handle(now, ev, &mut ctx);
-                }
-                KernelEvent::Sample => {
-                    if now >= self.params.warmup_end {
-                        sim.sample(now);
-                    }
-                    if self.sink.enabled() {
-                        self.sink.record(
-                            now,
-                            TraceRecord::Sample {
-                                live: sim.live_peers(),
-                            },
-                        );
-                    }
-                    let interval = self
-                        .params
-                        .sample_interval
-                        .expect("sample tick only exists when sampling is on");
-                    self.queue.schedule(now + interval, KernelEvent::Sample);
-                }
-                KernelEvent::Control(generation) => {
-                    // Plain runs never schedule control events; one here
-                    // means a caller mixed `run` into a scenario run.
-                    debug_assert!(false, "control event {generation} popped by a plain run");
-                }
-            }
-        }
+        let Ok(()) = self.dispatch(sim, |_, _, generation, _| {
+            // Plain runs never schedule control events; one here
+            // means a caller mixed `run` into a scenario run.
+            debug_assert!(false, "control event {generation} popped by a plain run");
+            Ok::<(), std::convert::Infallible>(())
+        });
     }
 
     /// As [`Kernel::run`], but first schedules one control event per
@@ -477,6 +439,22 @@ impl<E, T: TraceSink> Kernel<E, T> {
                 self.queue.schedule(entry.at, KernelEvent::Control(stamp));
             }
         }
+        self.dispatch(sim, |sim, now, generation, ctx| {
+            sim.intervene(now, &compiled[generation as usize].action, ctx)
+        })
+    }
+
+    /// The one serial event loop behind [`Kernel::run`] and
+    /// [`Kernel::run_scenario`]; they differ only in what a popped
+    /// [`KernelEvent::Control`] does, which `control` supplies.
+    fn dispatch<S, X>(
+        &mut self,
+        sim: &mut S,
+        mut control: impl FnMut(&mut S, SimTime, u32, &mut SimCtx<'_, E, T>) -> Result<(), X>,
+    ) -> Result<(), X>
+    where
+        S: Simulation<T, Event = E>,
+    {
         if !self.started {
             self.started = true;
             if let Some(interval) = self.params.sample_interval {
@@ -516,13 +494,12 @@ impl<E, T: TraceSink> Kernel<E, T> {
                     self.queue.schedule(now + interval, KernelEvent::Sample);
                 }
                 KernelEvent::Control(generation) => {
-                    let action = compiled[generation as usize].action;
                     let mut ctx = SimCtx {
                         queue: &mut self.queue,
                         warmup_end: self.params.warmup_end,
                         sink: &mut self.sink,
                     };
-                    sim.intervene(now, &action, &mut ctx)?;
+                    control(sim, now, generation, &mut ctx)?;
                 }
             }
         }

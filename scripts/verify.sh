@@ -47,93 +47,18 @@ cargo run --release -p guess-bench --bin repro -- \
 diff "$out/maint-j1/maintenance.txt" "$out/maint-j4/maintenance.txt"
 echo "maintenance gate: quick report byte-identical at --jobs 1 and 4"
 
-# Parallel-kernel gates. The lanes=1 serial-identity properties run in
+# Parallel-kernel gate. The lanes=1 serial-identity properties run in
 # the plain workspace suite above; here the quick-scale contract gets
 # its release run: with lanes > 1 the report must be byte-identical at
-# --threads 1 and 4 on the bench configs (output is a pure function of
-# (seed, lanes), never of the worker count).
+# 1 and 4 worker threads (output is a pure function of (seed, lanes),
+# never of the worker count).
 cargo test -q --release -p guess-bench --test thread_identity -- --ignored
 
-# Threaded bench smoke: --threads through the CLI produces both the
-# serial row and the lane-mode @tN row, with the threads column wired.
-rm -rf "$out/bench-threads"
-cargo run --release -p guess-bench --bin repro -- \
-    bench --quick --iters 1 --only guess-quick --threads 1,4 --out "$out/bench-threads"
-python3 - "$out/bench-threads/BENCH_0.json" <<'EOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-table = next(b for b in doc["blocks"] if b.get("type") == "table")
-cols = table["columns"]
-for needed in ("workload", "threads", "cores"):
-    assert needed in cols, f"{needed} column missing: {cols}"
-w, t = cols.index("workload"), cols.index("threads")
-rows = {row[w]: int(row[t]) for row in table["rows"]}
-assert rows == {"guess-quick": 1, "guess-quick@t4": 4}, f"unexpected rows: {rows}"
-print("bench gate: --threads 1,4 emitted serial and @t4 rows")
-EOF
-
-# Bench smoke gate: the quick workload matrix completes under a generous
-# ceiling, emits valid BENCH JSON, and no quick workload's median has
-# regressed by more than 2x against the committed baseline (BENCH_2 —
-# the post-wavefront trajectory point).
-cargo test -q --release -p guess-bench --test bench_smoke -- --ignored
-rm -rf "$out/bench"
-cargo run --release -p guess-bench --bin repro -- bench --quick --iters 3 --out "$out/bench"
-python3 - "$out/bench/BENCH_0.json" BENCH_2.json <<'EOF'
-import json, sys
-
-def medians(path):
-    doc = json.load(open(path))
-    table = next(b for b in doc["blocks"] if b.get("type") == "table")
-    cols = table["columns"]
-    w, m = cols.index("workload"), cols.index("median_s")
-    return {row[w]: row[m] for row in table["rows"]}
-
-fresh, base = medians(sys.argv[1]), medians(sys.argv[2])
-bad = []
-for name, got in fresh.items():
-    want = base.get(name)
-    assert want is not None, f"workload {name} missing from committed baseline"
-    print(f"bench gate: {name:<16} committed {want:.4f}s  fresh {got:.4f}s")
-    if got > 2.0 * want:
-        bad.append(f"{name}: {got:.4f}s vs committed {want:.4f}s (>2x)")
-assert not bad, "bench medians regressed:\n" + "\n".join(bad)
-
-# Memory accounting: every fresh row must carry a positive
-# bytes_per_peer figure from the counting allocator.
-doc = json.load(open(sys.argv[1]))
-table = next(b for b in doc["blocks"] if b.get("type") == "table")
-cols = table["columns"]
-assert "bytes_per_peer" in cols, f"bytes_per_peer column missing: {cols}"
-b = cols.index("bytes_per_peer")
-for row in table["rows"]:
-    assert int(row[b]) > 0, f"non-positive bytes_per_peer in row {row}"
-print(f"bench gate: bytes_per_peer present on {len(table['rows'])} row(s)")
-EOF
-
-# Per-engine gate through the --only filter: the gnutella wavefront path
-# is checked in isolation so a regression there cannot hide behind the
-# aggregate matrix (and the filter plumbing itself stays exercised).
-rm -rf "$out/bench-gnutella"
-cargo run --release -p guess-bench --bin repro -- \
-    bench --quick --iters 3 --only gnutella-quick --out "$out/bench-gnutella"
-python3 - "$out/bench-gnutella/BENCH_0.json" BENCH_2.json <<'EOF'
-import json, sys
-
-def medians(path):
-    doc = json.load(open(path))
-    table = next(b for b in doc["blocks"] if b.get("type") == "table")
-    cols = table["columns"]
-    w, m = cols.index("workload"), cols.index("median_s")
-    return {row[w]: row[m] for row in table["rows"]}
-
-fresh, base = medians(sys.argv[1]), medians(sys.argv[2])
-assert set(fresh) == {"gnutella-quick"}, f"--only filter leaked: {sorted(fresh)}"
-got, want = fresh["gnutella-quick"], base["gnutella-quick"]
-print(f"bench gate: gnutella-quick (solo) committed {want:.4f}s  fresh {got:.4f}s")
-assert got <= 2.0 * want, f"gnutella-quick regressed: {got:.4f}s vs {want:.4f}s (>2x)"
-EOF
+# The repo benchmark (benchmark/, declared by BENCHMARK.json) still
+# builds against the crates, passes its self-tests, and completes every
+# workload, layer driver and output check at smoke scale.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 cargo run --release -p guess-bench --bin repro -- \
     table3 fig9 --quick --jobs 2 --json --out "$out"
