@@ -3,9 +3,9 @@
 //! Two contracts protect the goldens and the `guess-lanes` benchmark
 //! workload:
 //!
-//! 1. `lanes = 1` routes GUESS's and gossip's `run_lanes` to the ordinary
-//!    serial run — byte-identical reports, so the 30 quick goldens and
-//!    7 scenario goldens are unchanged by construction.
+//! 1. `lanes = 1` routes `guess::run_lanes` (the only lane runner) to
+//!    the ordinary serial run — byte-identical reports, so the 30 quick
+//!    goldens and 7 scenario goldens are unchanged by construction.
 //! 2. With `lanes > 1`, the report is a pure function of
 //!    `(seed, lanes)`: any worker-thread count produces the same
 //!    bytes. The quick-scale variant of this check runs in release
@@ -35,16 +35,6 @@ fn guess_lanes_one_is_byte_identical_to_serial() {
 }
 
 #[test]
-fn gossip_lanes_one_is_byte_identical_to_serial() {
-    for seed in SEEDS {
-        let cfg = gossip::Config::small_test(seed);
-        let serial = cfg.clone().build().expect("valid config").run();
-        let laned = gossip::run_lanes(cfg, 4).expect("valid config");
-        assert_eq!(serial, laned, "gossip seed {seed}");
-    }
-}
-
-#[test]
 fn small_scale_lane_runs_are_thread_count_invariant() {
     let mut gcfg = guess::config::Config::small_test(7);
     gcfg.run.duration = simkit::time::SimDuration::from_secs(200.0);
@@ -53,11 +43,6 @@ fn small_scale_lane_runs_are_thread_count_invariant() {
     let g1 = guess::run_lanes(gcfg.clone(), 1).expect("valid config");
     let g4 = guess::run_lanes(gcfg, 4).expect("valid config");
     assert_eq!(g1, g4, "guess lane run must not depend on threads");
-
-    let scfg = gossip::Config::small_test(7).with_lanes(4);
-    let s1 = gossip::run_lanes(scfg.clone(), 1).expect("valid config");
-    let s4 = gossip::run_lanes(scfg, 4).expect("valid config");
-    assert_eq!(s1, s4, "gossip lane run must not depend on threads");
 }
 
 /// The quick-scale cross-thread gate over the golden registry's base
@@ -71,13 +56,4 @@ fn quick_scale_lane_runs_are_thread_count_invariant() {
     let g1 = guess::run_lanes(gcfg.clone(), 1).expect("valid config");
     let g4 = guess::run_lanes(gcfg, 4).expect("valid config");
     assert_eq!(g1, g4, "guess quick lane run must not depend on threads");
-
-    let scfg = gossip::Config::default()
-        .with_seed(0xBE7C)
-        .with_duration(Scale::Quick.duration())
-        .with_warmup(Scale::Quick.warmup())
-        .with_lanes(LANES);
-    let s1 = gossip::run_lanes(scfg.clone(), 1).expect("valid config");
-    let s4 = gossip::run_lanes(scfg, 4).expect("valid config");
-    assert_eq!(s1, s4, "gossip quick lane run must not depend on threads");
 }

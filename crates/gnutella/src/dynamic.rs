@@ -359,14 +359,13 @@ impl<T: TraceSink> Simulation<T> for GnutellaSim {
     }
 }
 
-impl GnutellaSim {
-    /// The one driver both run surfaces share: `scenario: None` is the
-    /// plain run, `Some` routes through [`Kernel::run_scenario`]. The
-    /// two paths are byte-identical for an empty timeline.
-    fn run_inner<T: TraceSink>(
+impl Runnable for GnutellaSim {
+    type Report = GnutellaReport;
+
+    fn run_scenario_traced<T: TraceSink>(
         mut self,
+        scenario: &simkit::scenario::Scenario,
         sink: T,
-        scenario: Option<&simkit::scenario::Scenario>,
     ) -> Result<(GnutellaReport, T), simkit::scenario::ScenarioError> {
         let mut params = KernelParams::new(self.cfg.duration).with_warmup(self.cfg.warmup);
         if let Some(interval) = self.cfg.sample_interval {
@@ -374,10 +373,7 @@ impl GnutellaSim {
         }
         let mut kernel = Kernel::new(params, sink);
         self.schedule_initial(&mut kernel.ctx());
-        match scenario {
-            None => kernel.run(&mut self),
-            Some(s) => kernel.run_scenario(&mut self, s)?,
-        }
+        kernel.run_scenario(&mut self, scenario)?;
         let report = GnutellaReport {
             queries: self.queries,
             unsatisfied: self.unsatisfied,
@@ -387,23 +383,6 @@ impl GnutellaSim {
             events_processed: kernel.events_processed(),
         };
         Ok((report, kernel.into_sink()))
-    }
-}
-
-impl Runnable for GnutellaSim {
-    type Report = GnutellaReport;
-
-    fn run_traced<T: TraceSink>(self, sink: T) -> (GnutellaReport, T) {
-        self.run_inner(sink, None)
-            .expect("runs without a scenario cannot fail")
-    }
-
-    fn run_scenario_traced<T: TraceSink>(
-        self,
-        scenario: &simkit::scenario::Scenario,
-        sink: T,
-    ) -> Result<(GnutellaReport, T), simkit::scenario::ScenarioError> {
-        self.run_inner(sink, Some(scenario))
     }
 }
 

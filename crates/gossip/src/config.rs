@@ -38,13 +38,6 @@ pub struct Config {
     /// Cadence of the kernel's sample tick (live-peer snapshots in the
     /// trace); `None` — the default — schedules no tick events at all.
     pub sample_interval: Option<SimDuration>,
-    /// Lane count for the conservative parallel kernel
-    /// ([`crate::engine::run_lanes`]). `1` (the default) is the serial
-    /// path — byte-identical to every committed golden. With `n > 1`
-    /// the population is split into `n` seed-addressed lanes whose
-    /// output is a pure function of `(seed, lanes)`, independent of how
-    /// many worker threads execute them.
-    pub lanes: usize,
 }
 
 impl Default for Config {
@@ -63,7 +56,6 @@ impl Default for Config {
             warmup: SimDuration::from_secs(600.0),
             seed: 0x9055,
             sample_interval: None,
-            lanes: 1,
         }
     }
 }
@@ -93,9 +85,6 @@ pub enum GossipConfigError {
     WarmupTooLong,
     /// Catalog parameters rejected by the shared content model.
     BadCatalog,
-    /// `lanes` was zero, or left some lane with too few peers to host
-    /// the configured fanout.
-    BadLanes,
 }
 
 impl std::fmt::Display for GossipConfigError {
@@ -114,9 +103,6 @@ impl std::fmt::Display for GossipConfigError {
             GossipConfigError::BadRoundInterval => "round interval must be finite and positive",
             GossipConfigError::WarmupTooLong => "warm-up must be shorter than the run duration",
             GossipConfigError::BadCatalog => "catalog parameters are invalid",
-            GossipConfigError::BadLanes => {
-                "lanes must be positive and leave each lane more peers than the fanout"
-            }
         };
         f.write_str(s)
     }
@@ -160,9 +146,6 @@ impl Config {
         }
         if self.warmup >= self.duration {
             return Err(GossipConfigError::WarmupTooLong);
-        }
-        if self.lanes == 0 || (self.lanes > 1 && self.network_size / self.lanes <= self.fanout) {
-            return Err(GossipConfigError::BadLanes);
         }
         Ok(())
     }
@@ -253,13 +236,6 @@ impl Config {
         self
     }
 
-    /// Sets the lane count for the parallel kernel.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
     /// Validates the configuration and builds the simulator — the same
     /// construction surface the guess and gnutella configs expose.
     ///
@@ -332,14 +308,6 @@ mod tests {
 
         let bad = Config::default().with_warmup(Config::default().duration);
         assert_eq!(bad.validate(), Err(GossipConfigError::WarmupTooLong));
-
-        let bad = Config::default().with_lanes(0);
-        assert_eq!(bad.validate(), Err(GossipConfigError::BadLanes));
-
-        // 10 peers over 4 lanes leaves 2-peer lanes — too few for
-        // fanout 3.
-        let bad = Config::default().with_network_size(10).with_lanes(4);
-        assert_eq!(bad.validate(), Err(GossipConfigError::BadLanes));
     }
 
     #[test]
@@ -382,7 +350,6 @@ mod tests {
             GossipConfigError::BadRoundInterval,
             GossipConfigError::WarmupTooLong,
             GossipConfigError::BadCatalog,
-            GossipConfigError::BadLanes,
         ]
         .iter()
         .map(ToString::to_string)

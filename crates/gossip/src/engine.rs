@@ -29,10 +29,7 @@ use workload::query::{QueryModel, QueryTarget, QueryWorkload};
 use crate::config::{Config, GossipConfigError};
 use crate::report::GossipReport;
 
-mod lanes;
 mod scenario_ops;
-
-pub use lanes::run_lanes;
 
 /// The engine's event alphabet (public because it is the
 /// [`Simulation::Event`] associated type).
@@ -45,18 +42,6 @@ pub enum Event {
     Death { slot: u32, incarnation: u64 },
     /// One gossip round of a live rumor.
     Round { query: u64 },
-    /// Lane mode only: a push from lane `src_lane`'s rumor `query`
-    /// lands on local `slot`, looking for `target`. Never scheduled on
-    /// the serial path, so serial runs are byte-identical.
-    RemotePush {
-        query: u64,
-        src_lane: u32,
-        slot: u32,
-        target: QueryTarget,
-    },
-    /// Lane mode only: a [`Event::RemotePush`] found a result; credit
-    /// rumor `query` in its origin lane.
-    RemoteHit { query: u64 },
 }
 
 struct Node {
@@ -120,48 +105,6 @@ impl Runtime {
     }
 }
 
-/// Where a lane sits in the global population (lane mode only).
-///
-/// Slots are numbered globally: lane `i` owns a contiguous range of
-/// `base` (+1 for the first `rem` lanes) slots. Fanout targets are
-/// drawn over the *global* range so a spreader is as likely to push
-/// across a lane boundary as within it.
-#[derive(Debug, Clone)]
-struct LaneEnv {
-    /// This lane's index.
-    lane: u32,
-    /// Global index of this lane's first slot.
-    offset: usize,
-    /// Total population across all lanes.
-    total: usize,
-    /// Floor of slots per lane (`total / lanes`).
-    base: usize,
-    /// Number of leading lanes holding one extra slot (`total % lanes`).
-    rem: usize,
-}
-
-impl LaneEnv {
-    /// Global slot index of lane `i`'s first slot.
-    fn offset_of(base: usize, rem: usize, i: usize) -> usize {
-        if i < rem {
-            i * (base + 1)
-        } else {
-            rem * (base + 1) + (i - rem) * base
-        }
-    }
-
-    /// Maps a global slot index to `(lane, local slot)`.
-    fn locate(&self, g: usize) -> (u32, u32) {
-        let big = self.rem * (self.base + 1);
-        if g < big {
-            ((g / (self.base + 1)) as u32, (g % (self.base + 1)) as u32)
-        } else {
-            let g2 = g - big;
-            ((self.rem + g2 / self.base) as u32, (g2 % self.base) as u32)
-        }
-    }
-}
-
 /// The push/pull epidemic search simulator.
 ///
 /// # Examples
@@ -197,13 +140,6 @@ pub struct GossipSim {
     /// replacing a linear `Vec::contains` scan per push.
     active_stamp: Vec<u64>,
     active_token: u64,
-    /// `Some` when this sim is one lane of a [`run_lanes`] run: fanout
-    /// targets are then drawn over the global population. `None` — the
-    /// serial path — is untouched by lane mode.
-    lane_env: Option<LaneEnv>,
-    /// Cross-lane pushes staged by `on_round`, drained into the lane
-    /// kernel's boundary batches by the lane wrapper after each event.
-    lane_out: Vec<(u32, Event)>,
 }
 
 impl GossipSim {
@@ -247,8 +183,6 @@ impl GossipSim {
             next_query: 0,
             active_stamp: vec![0; network_size],
             active_token: 0,
-            lane_env: None,
-            lane_out: Vec::new(),
         };
         sim.populate();
         Ok(sim)
@@ -438,46 +372,11 @@ impl GossipSim {
                 continue;
             }
             for _ in 0..self.rt.fanout {
-                let t = if let Some(env) = &self.lane_env {
-                    // Lane mode: uniform over the *global* population,
-                    // excluding the spreader's own global index — a
-                    // spreader is as likely to push across a lane
-                    // boundary as within it.
-                    let me = env.offset + s;
-                    let mut g = self.rng.below(env.total);
-                    while g == me {
-                        g = self.rng.below(env.total);
-                    }
-                    if g < env.offset || g >= env.offset + n {
-                        // Cross-lane push: counted here, delivered to
-                        // the owning lane one round later. The remote
-                        // peer answers but is not infected — it cannot
-                        // spread a rumor whose state lives elsewhere.
-                        rumor.messages += 1;
-                        self.counters.incr("pushes");
-                        self.counters.incr("cross_lane_pushes");
-                        let (dst_lane, dst_slot) = env.locate(g);
-                        self.lane_out.push((
-                            dst_lane,
-                            Event::RemotePush {
-                                query: qid,
-                                src_lane: env.lane,
-                                slot: dst_slot,
-                                target: rumor.target,
-                            },
-                        ));
-                        continue;
-                    }
-                    g - env.offset
-                } else {
-                    // Uniform random contact, excluding the spreader
-                    // itself.
-                    let mut t = self.rng.below(n);
-                    while t == s {
-                        t = self.rng.below(n);
-                    }
-                    t
-                };
+                // Uniform random contact, excluding the spreader itself.
+                let mut t = self.rng.below(n);
+                while t == s {
+                    t = self.rng.below(n);
+                }
                 rumor.messages += 1;
                 self.counters.incr("pushes");
                 if let Some(groups) = self.rt.partition {
@@ -620,18 +519,6 @@ impl GossipSim {
         }
         satisfied
     }
-
-    /// A cross-lane push found a result (lane mode only): credit the
-    /// rumor if it is still in flight; a hit landing after settlement
-    /// is counted but dropped, like a reply outliving its query.
-    fn on_remote_hit(&mut self, query: u64) {
-        if let Some(rumor) = self.rumors.get_mut(&query) {
-            rumor.results += 1;
-            self.counters.incr("remote_hits");
-        } else {
-            self.counters.incr("late_remote_hits");
-        }
-    }
 }
 
 impl<T: TraceSink> Simulation<T> for GossipSim {
@@ -646,11 +533,6 @@ impl<T: TraceSink> Simulation<T> for GossipSim {
                 self.on_burst(slot as usize, incarnation, now, ctx);
             }
             Event::Round { query } => self.on_round(query, now, ctx),
-            Event::RemotePush { .. } | Event::RemoteHit { .. } => {
-                // Intercepted by the lane runner before delegation; a
-                // serial kernel never schedules them.
-                debug_assert!(false, "remote events reached the serial handler");
-            }
         }
     }
 
@@ -661,18 +543,16 @@ impl<T: TraceSink> Simulation<T> for GossipSim {
     }
 }
 
-impl GossipSim {
-    /// The one driver both run surfaces share: `scenario: None` is the
-    /// plain run, `Some` routes through [`Kernel::run_scenario`]. The
-    /// two paths are byte-identical for an empty timeline.
-    ///
+impl Runnable for GossipSim {
+    type Report = GossipReport;
+
     /// Rumors still in flight at the horizon are settled (and their
     /// `QueryEnd` records emitted) at the end instant, so a trace always
     /// contains exactly one `query_end` per `query_start`.
-    fn run_inner<T: TraceSink>(
+    fn run_scenario_traced<T: TraceSink>(
         mut self,
+        scenario: &simkit::scenario::Scenario,
         sink: T,
-        scenario: Option<&simkit::scenario::Scenario>,
     ) -> Result<(GossipReport, T), simkit::scenario::ScenarioError> {
         let mut params = KernelParams::new(self.cfg.duration).with_warmup(self.cfg.warmup);
         if let Some(interval) = self.cfg.sample_interval {
@@ -680,10 +560,7 @@ impl GossipSim {
         }
         let mut kernel = Kernel::new(params, sink);
         self.schedule_initial(&mut kernel.ctx());
-        match scenario {
-            None => kernel.run(&mut self),
-            Some(s) => kernel.run_scenario(&mut self, s)?,
-        }
+        kernel.run_scenario(&mut self, scenario)?;
         let events_processed = kernel.events_processed();
         let mut sink = kernel.into_sink();
         // Flush in-flight rumors at the horizon, in query order.
@@ -716,23 +593,6 @@ impl GossipSim {
             events_processed,
         };
         Ok((report, sink))
-    }
-}
-
-impl Runnable for GossipSim {
-    type Report = GossipReport;
-
-    fn run_traced<T: TraceSink>(self, sink: T) -> (GossipReport, T) {
-        self.run_inner(sink, None)
-            .expect("runs without a scenario cannot fail")
-    }
-
-    fn run_scenario_traced<T: TraceSink>(
-        self,
-        scenario: &simkit::scenario::Scenario,
-        sink: T,
-    ) -> Result<(GossipReport, T), simkit::scenario::ScenarioError> {
-        self.run_inner(sink, Some(scenario))
     }
 }
 

@@ -41,6 +41,6 @@ pub mod engine;
 pub mod report;
 
 pub use config::{Config, GossipConfigError};
-pub use engine::{run_lanes, Event, GossipSim};
+pub use engine::{Event, GossipSim};
 pub use report::GossipReport;
 pub use simkit::sim::{Runnable, SimReport};

@@ -291,7 +291,9 @@ pub struct RunParams {
     /// path — byte-identical to every committed golden. With `n > 1`
     /// the population is split into `n` seed-addressed lanes whose
     /// output is a pure function of `(seed, lanes)`, independent of how
-    /// many worker threads execute them.
+    /// many worker threads execute them. Only `run_lanes` reads this
+    /// field: `Runnable::run*` on the same config is the serial engine
+    /// whatever its value.
     pub lanes: usize,
 }
 
@@ -668,8 +670,10 @@ impl Config {
         self
     }
 
-    /// Sets the lane count for the conservative parallel kernel; `1`
-    /// keeps the serial path (see [`RunParams::lanes`]).
+    /// Sets the lane count [`crate::engine::run_lanes`] partitions the
+    /// run into; `1` keeps the serial path. Nothing else reads it — a
+    /// simulator built from this config runs serially (see
+    /// [`RunParams::lanes`]).
     #[must_use]
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.run.lanes = lanes;

@@ -1141,24 +1141,20 @@ impl<T: TraceSink> Simulation<T> for GuessSim {
     }
 }
 
-impl GuessSim {
-    /// The one driver both run surfaces share: `scenario: None` is the
-    /// plain run, `Some` routes through [`Kernel::run_scenario`]. The
-    /// two paths are byte-identical for an empty timeline.
-    fn run_inner<T: TraceSink>(
+impl Runnable for GuessSim {
+    type Report = RunReport;
+
+    fn run_scenario_traced<T: TraceSink>(
         mut self,
+        scenario: &simkit::scenario::Scenario,
         sink: T,
-        scenario: Option<&simkit::scenario::Scenario>,
     ) -> Result<(RunReport, T), simkit::scenario::ScenarioError> {
         let params = KernelParams::new(self.cfg.run.duration)
             .with_warmup(self.cfg.run.warmup)
             .with_sampling(self.cfg.run.sample_interval);
         let mut kernel = Kernel::new(params, sink);
         self.schedule_initial(&mut kernel.ctx());
-        match scenario {
-            None => kernel.run(&mut self),
-            Some(s) => kernel.run_scenario(&mut self, s)?,
-        }
+        kernel.run_scenario(&mut self, scenario)?;
         // Loads of peers still alive at the end of the run.
         for &addr in &self.slots {
             let p = &self.peers[addr.index()];
@@ -1170,23 +1166,6 @@ impl GuessSim {
         let mut report = self.metrics.finish();
         report.events_processed = events_processed;
         Ok((report, kernel.into_sink()))
-    }
-}
-
-impl Runnable for GuessSim {
-    type Report = RunReport;
-
-    fn run_traced<T: TraceSink>(self, sink: T) -> (RunReport, T) {
-        self.run_inner(sink, None)
-            .expect("runs without a scenario cannot fail")
-    }
-
-    fn run_scenario_traced<T: TraceSink>(
-        self,
-        scenario: &simkit::scenario::Scenario,
-        sink: T,
-    ) -> Result<(RunReport, T), simkit::scenario::ScenarioError> {
-        self.run_inner(sink, Some(scenario))
     }
 }
 

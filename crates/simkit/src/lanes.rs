@@ -8,12 +8,21 @@
 //! each lane owns its own calendar queue, trace sink, and (engine-side)
 //! RNG streams. Lanes execute in **bounded time windows** sized by the
 //! minimum cross-lane event latency (the *lookahead*: a cross-lane
-//! probe RTT, a gossip round interval); within a window lanes share
-//! nothing, so any number of worker threads may process them in any
-//! order. Cross-lane events are staged in per-lane outboxes and
-//! exchanged at the window barrier as one **sorted boundary batch**,
-//! merged on a single thread in `(dst lane, time, src lane, emission
-//! order)` order before the next window opens.
+//! probe round-trip); within a window lanes share nothing, so any
+//! number of worker threads may process them in any order. Cross-lane
+//! events are staged in per-lane outboxes and exchanged when the window
+//! closes as one **sorted boundary batch**, merged on the calling
+//! thread in `(dst lane, time, src lane, emission order)` order before
+//! the next window opens.
+//!
+//! There is one window loop ([`LaneKernel::run`]). Per window it splits
+//! the lanes into `threads` contiguous chunks, runs the first chunk on
+//! the calling thread and each other chunk on a thread scoped to that
+//! window, and merges once the scope has joined them. `threads = 1` is
+//! the same loop with nothing to spawn. The scope hands each worker an
+//! exclusive `&mut` to its chunk, so there are no locks and no barrier,
+//! and a lane handler that panics unwinds out of `run` instead of
+//! leaving other threads waiting for it.
 //!
 //! # Determinism contract
 //!
@@ -29,28 +38,26 @@
 //!   sorted by `(dst, time)` before insertion, so destination-queue
 //!   sequence numbers — and therefore same-instant tie-breaks — are
 //!   identical no matter which worker ran which lane;
-//! * the window schedule itself (`w_k = k·window`) is computed from
-//!   `k` by multiplication, never by accumulation, so every thread
-//!   agrees on the exact boundary instants.
+//! * the window schedule itself (`w_k = k·window`) is computed once
+//!   per window on the calling thread, from `k` by multiplication,
+//!   never by accumulation, so the boundary instants are a function of
+//!   `k` alone.
 //!
-//! A run with `threads = 1` executes the very same window/barrier
-//! schedule on the calling thread; byte-identical output across
-//! `threads = 1..N` is checked by tests at every layer above.
+//! Byte-identical output across `threads = 1..N` is checked by tests at
+//! every layer above.
 //!
 //! The lane kernel does not support scenario timelines (a
 //! [`Scenario`](crate::scenario::Scenario) intervenes on global state,
 //! which has no lane-local meaning); engines keep scenarios on the
 //! serial path.
 
-use std::sync::{Barrier, Mutex};
-
 use crate::event::EventQueue;
-use crate::sim::{KernelEvent, KernelParams, SimCtx};
+use crate::sim::{sample_tick, KernelEvent, KernelParams, SimCtx};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{NullSink, TraceRecord, TraceSink};
+use crate::trace::{NullSink, TraceSink};
 
-/// A cross-lane event staged in a lane's outbox until the next window
-/// barrier.
+/// A cross-lane event staged in a lane's outbox until its window
+/// closes.
 #[derive(Debug)]
 struct Boundary<E> {
     dst: u32,
@@ -240,13 +247,14 @@ impl<E, T: TraceSink> LaneKernel<E, T> {
     }
 
     /// Drives every lane to the horizon in lockstep windows, using up
-    /// to `threads` worker threads (clamped to the lane count; `1`
-    /// runs the same schedule on the calling thread). `sims[i]` is
-    /// lane `i`'s engine. Output is independent of `threads`.
+    /// to `threads` threads (clamped to the lane count), the calling
+    /// thread included. `sims[i]` is lane `i`'s engine. Output is
+    /// independent of `threads`.
     ///
     /// # Panics
     ///
-    /// Panics when `sims` does not have exactly one engine per lane.
+    /// Panics when `sims` does not have exactly one engine per lane,
+    /// and when a lane's handler panics (on whichever thread ran it).
     pub fn run<S>(&mut self, sims: &mut [S], threads: usize)
     where
         S: LaneSimulation<T, Event = E> + Send,
@@ -264,119 +272,43 @@ impl<E, T: TraceSink> LaneKernel<E, T> {
                 }
             }
         }
-        let threads = threads.clamp(1, self.lanes.len());
-        if threads == 1 {
-            self.run_windows_serial(sims);
-        } else {
-            self.run_windows_threaded(sims, threads);
-        }
-    }
-
-    /// Start instant of window `k`, computed by multiplication so every
-    /// thread agrees on the exact boundary (no accumulation drift).
-    fn window_start(&self, k: u64) -> SimTime {
-        SimTime::ZERO + self.window * k as f64
-    }
-
-    /// The single-thread window loop: same window schedule, same merge,
-    /// no synchronization.
-    fn run_windows_serial<S>(&mut self, sims: &mut [S])
-    where
-        S: LaneSimulation<T, Event = E>,
-    {
-        let (lane_count, params, window) = (self.lanes.len() as u32, self.params, self.window);
+        let (lane_count, params, window) = (self.lanes.len(), self.params, self.window);
+        // Contiguous lanes per worker; the last worker's chunk may be short.
+        let per_worker = lane_count.div_ceil(threads.clamp(1, lane_count));
         let mut batch: Vec<Boundary<E>> = Vec::new();
         let mut k = 0u64;
         loop {
-            let w_start = self.window_start(k);
+            // Computed by multiplication so the boundary instants carry
+            // no accumulation drift.
+            let w_start = SimTime::ZERO + window * k as f64;
             if w_start > params.end {
                 break;
             }
             let w_end = w_start + window;
-            for (i, (state, sim)) in self.lanes.iter_mut().zip(sims.iter_mut()).enumerate() {
-                process_window(i as u32, lane_count, state, sim, w_end, &params);
-            }
+            let run_chunk = |first: usize, lanes: &mut [LaneState<E, T>], sims: &mut [S]| {
+                for (i, (state, sim)) in lanes.iter_mut().zip(sims).enumerate() {
+                    let lane = (first + i) as u32;
+                    process_window(lane, lane_count as u32, state, sim, w_end, &params);
+                }
+            };
+            std::thread::scope(|scope| {
+                let mut chunks = self
+                    .lanes
+                    .chunks_mut(per_worker)
+                    .zip(sims.chunks_mut(per_worker))
+                    .enumerate();
+                let (_, (own_lanes, own_sims)) = chunks.next().expect("at least one lane");
+                for (c, (lanes, sims)) in chunks {
+                    scope.spawn(move || run_chunk(c * per_worker, lanes, sims));
+                }
+                run_chunk(0, own_lanes, own_sims);
+            });
             for state in &mut self.lanes {
                 batch.append(&mut state.outbox);
             }
             merge_batch(&mut batch, &mut self.lanes);
             k += 1;
         }
-    }
-
-    /// The multi-thread window loop: persistent scoped workers, two
-    /// barrier waits per window (lanes done; merge done), with the
-    /// boundary merge on the main thread between them.
-    fn run_windows_threaded<S>(&mut self, sims: &mut [S], threads: usize)
-    where
-        S: LaneSimulation<T, Event = E> + Send,
-        E: Send,
-        T: Send,
-    {
-        let lane_count = self.lanes.len() as u32;
-        let params = self.params;
-        let window = self.window;
-        let window_start = |k: u64| SimTime::ZERO + window * k as f64;
-        // One mutex per lane. Never contended: worker `w` locks only
-        // lanes `w, w+threads, …` strictly inside a window, and the
-        // main thread locks only between the two barriers, while every
-        // worker is parked. The mutexes exist to move `&mut` access
-        // across the scope boundary, not to arbitrate.
-        let cells: Vec<Mutex<(&mut LaneState<E, T>, &mut S)>> = self
-            .lanes
-            .iter_mut()
-            .zip(sims.iter_mut())
-            .map(Mutex::new)
-            .collect();
-        let barrier = Barrier::new(threads + 1);
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let cells = &cells;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut k = 0u64;
-                    loop {
-                        let w_start = window_start(k);
-                        if w_start > params.end {
-                            break;
-                        }
-                        let w_end = w_start + window;
-                        for i in (w..cells.len()).step_by(threads) {
-                            let mut cell = cells[i].lock().expect("lane mutex");
-                            let inner = &mut *cell;
-                            let (state, sim) = (&mut *inner.0, &mut *inner.1);
-                            process_window(i as u32, lane_count, state, sim, w_end, &params);
-                        }
-                        barrier.wait(); // lanes of window k done
-                        barrier.wait(); // main merged the boundary batch
-                        k += 1;
-                    }
-                });
-            }
-            let mut batch: Vec<Boundary<E>> = Vec::new();
-            let mut k = 0u64;
-            loop {
-                let w_start = window_start(k);
-                if w_start > params.end {
-                    break;
-                }
-                barrier.wait(); // workers finished window k
-                for cell in &cells {
-                    let mut c = cell.lock().expect("lane mutex");
-                    batch.append(&mut c.0.outbox);
-                }
-                // Stable sort + per-destination insertion; identical to
-                // the serial path except the destination queue is
-                // reached through its (idle) mutex.
-                batch.sort_by_key(|b| (b.dst, b.at));
-                for b in batch.drain(..) {
-                    let mut c = cells[b.dst as usize].lock().expect("lane mutex");
-                    c.0.queue.schedule(b.at, KernelEvent::User(b.event));
-                }
-                barrier.wait(); // open window k + 1
-                k += 1;
-            }
-        });
     }
 }
 
@@ -425,23 +357,15 @@ fn process_window<E, T, S>(
                 };
                 sim.handle(now, ev, &mut ctx);
             }
-            KernelEvent::Sample => {
-                if now >= params.warmup_end {
-                    sim.sample(now);
-                }
-                if state.sink.enabled() {
-                    state.sink.record(
-                        now,
-                        TraceRecord::Sample {
-                            live: sim.live_peers(),
-                        },
-                    );
-                }
-                let interval = params
-                    .sample_interval
-                    .expect("sample tick only exists when sampling is on");
-                state.queue.schedule(now + interval, KernelEvent::Sample);
-            }
+            KernelEvent::Sample => sample_tick(
+                now,
+                params,
+                &mut state.queue,
+                &mut state.sink,
+                sim,
+                S::sample,
+                S::live_peers,
+            ),
             KernelEvent::Control(generation) => {
                 // The lane kernel never schedules control events;
                 // scenarios stay on the serial path.
@@ -526,12 +450,20 @@ mod tests {
 
     #[test]
     fn identical_across_thread_counts() {
-        let baseline = run_bounce(4, 1);
-        for threads in 2..=6 {
-            assert_eq!(run_bounce(4, threads), baseline, "threads = {threads}");
+        // 5 lanes do not divide by 2, 3 or 4 workers: the last
+        // contiguous chunk is short (or, at 4, there are only 3 chunks).
+        for lanes in [4, 5] {
+            let baseline = run_bounce(lanes, 1);
+            for threads in 2..=6 {
+                assert_eq!(
+                    run_bounce(lanes, threads),
+                    baseline,
+                    "lanes = {lanes}, threads = {threads}"
+                );
+            }
+            // The hop crossed a lane boundary every simulated second.
+            assert!(baseline.iter().map(|&(_, r, _)| r).sum::<u64>() > 0);
         }
-        // The hop crossed a lane boundary every simulated second.
-        assert!(baseline.iter().map(|&(_, r, _)| r).sum::<u64>() > 0);
     }
 
     #[test]
@@ -588,9 +520,9 @@ mod tests {
         assert_eq!(kernel.events_processed(), 27);
     }
 
-    #[test]
-    #[should_panic(expected = "violates the lookahead window")]
-    fn early_cross_lane_send_panics() {
+    /// A lane that sends below the lookahead; lane 0 runs on the
+    /// calling thread at any `threads`.
+    fn eager_send(threads: usize) {
         struct Eager;
         impl<T: TraceSink> LaneSimulation<T> for Eager {
             type Event = ();
@@ -603,6 +535,20 @@ mod tests {
         let params = KernelParams::new(SimDuration::from_secs(5.0));
         let mut kernel = LaneKernel::new(params, SimDuration::from_secs(1.0), vec![NullSink; 2]);
         kernel.ctx(0).schedule(SimTime::ZERO, ());
-        kernel.run(&mut [Eager, Eager], 1);
+        kernel.run(&mut [Eager, Eager], threads);
+    }
+
+    #[test]
+    #[should_panic(expected = "violates the lookahead window")]
+    fn early_cross_lane_send_panics() {
+        eager_send(1);
+    }
+
+    /// With a helper thread alive the panic must still surface (a
+    /// barrier-synchronized loop would strand the other threads).
+    #[test]
+    #[should_panic(expected = "violates the lookahead window")]
+    fn early_cross_lane_send_panics_threaded() {
+        eager_send(2);
     }
 }

@@ -65,26 +65,18 @@ use crate::trace::{NullSink, ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
 /// dispatch engines generically instead of tracking per-engine method
 /// names.
 ///
-/// `run_traced` is the required method; `run` is the untraced
-/// convenience that every engine gets for free (a [`NullSink`]
-/// monomorphizes the traced body down to the bare loop).
+/// `run_scenario_traced` is the one required method: a plain run is the
+/// empty timeline (byte-identical by construction — an empty scenario
+/// schedules no control event), and the untraced forms pass a
+/// [`NullSink`], which monomorphizes the traced body down to the bare
+/// loop.
 pub trait Runnable: Sized {
     /// Aggregated results of a completed run.
     type Report;
 
-    /// Runs to completion with a caller-provided trace sink, returning
-    /// both the report and the sink for inspection.
-    fn run_traced<T: TraceSink>(self, sink: T) -> (Self::Report, T);
-
-    /// Runs to completion untraced.
-    #[must_use]
-    fn run(self) -> Self::Report {
-        self.run_traced(NullSink).0
-    }
-
     /// Runs to completion under a [`Scenario`] timeline with a
-    /// caller-provided trace sink. The empty scenario is guaranteed
-    /// byte-identical to [`Runnable::run_traced`].
+    /// caller-provided trace sink, returning both the report and the
+    /// sink for inspection.
     ///
     /// # Errors
     ///
@@ -96,6 +88,19 @@ pub trait Runnable: Sized {
         scenario: &Scenario,
         sink: T,
     ) -> Result<(Self::Report, T), ScenarioError>;
+
+    /// Runs to completion with a caller-provided trace sink and no
+    /// scenario.
+    fn run_traced<T: TraceSink>(self, sink: T) -> (Self::Report, T) {
+        self.run_scenario_traced(&Scenario::new(), sink)
+            .expect("an empty timeline cannot fail")
+    }
+
+    /// Runs to completion untraced.
+    #[must_use]
+    fn run(self) -> Self::Report {
+        self.run_traced(NullSink).0
+    }
 
     /// Runs to completion under a [`Scenario`] timeline, untraced.
     ///
@@ -328,6 +333,37 @@ impl<'a, E, T: TraceSink> SimCtx<'a, E, T> {
     }
 }
 
+/// One popped sample tick — the rule the serial loop and the lane
+/// windows ([`crate::lanes`]) must agree on: `sample` fires only after
+/// warm-up, the trace sees every tick, and the tick reschedules itself.
+/// `sample` and `live_peers` are the driving trait's methods
+/// ([`Simulation`] or [`LaneSimulation`](crate::lanes::LaneSimulation)).
+pub(crate) fn sample_tick<E, T: TraceSink, S>(
+    now: SimTime,
+    params: &KernelParams,
+    queue: &mut EventQueue<KernelEvent<E>>,
+    sink: &mut T,
+    sim: &mut S,
+    sample: impl FnOnce(&mut S, SimTime),
+    live_peers: impl FnOnce(&S) -> u64,
+) {
+    if now >= params.warmup_end {
+        sample(sim, now);
+    }
+    if sink.enabled() {
+        sink.record(
+            now,
+            TraceRecord::Sample {
+                live: live_peers(sim),
+            },
+        );
+    }
+    let interval = params
+        .sample_interval
+        .expect("sample tick only exists when sampling is on");
+    queue.schedule(now + interval, KernelEvent::Sample);
+}
+
 /// An engine the kernel can drive, generic over the trace sink so the
 /// disabled path monomorphizes away.
 pub trait Simulation<T: TraceSink> {
@@ -475,24 +511,15 @@ impl<E, T: TraceSink> Kernel<E, T> {
                     };
                     sim.handle(now, ev, &mut ctx);
                 }
-                KernelEvent::Sample => {
-                    if now >= self.params.warmup_end {
-                        sim.sample(now);
-                    }
-                    if self.sink.enabled() {
-                        self.sink.record(
-                            now,
-                            TraceRecord::Sample {
-                                live: sim.live_peers(),
-                            },
-                        );
-                    }
-                    let interval = self
-                        .params
-                        .sample_interval
-                        .expect("sample tick only exists when sampling is on");
-                    self.queue.schedule(now + interval, KernelEvent::Sample);
-                }
+                KernelEvent::Sample => sample_tick(
+                    now,
+                    &self.params,
+                    &mut self.queue,
+                    &mut self.sink,
+                    sim,
+                    S::sample,
+                    S::live_peers,
+                ),
                 KernelEvent::Control(generation) => {
                     let mut ctx = SimCtx {
                         queue: &mut self.queue,

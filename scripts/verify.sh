@@ -47,18 +47,20 @@ cargo run --release -p guess-bench --bin repro -- \
 diff "$out/maint-j1/maintenance.txt" "$out/maint-j4/maintenance.txt"
 echo "maintenance gate: quick report byte-identical at --jobs 1 and 4"
 
-# Parallel-kernel gate. The lanes=1 serial-identity properties run in
-# the plain workspace suite above; here the quick-scale contract gets
-# its release run: with lanes > 1 the report must be byte-identical at
-# 1 and 4 worker threads (output is a pure function of (seed, lanes),
-# never of the worker count).
-cargo test -q --release -p guess-bench --test thread_identity -- --ignored
+# Parallel-kernel gate (GUESS is the only engine with a lane mode). The
+# lanes=1 serial-identity property runs in the plain workspace suite
+# above; here the quick-scale contract gets its release run: with
+# lanes > 1 the report must be byte-identical at 1 and 4 worker threads
+# (output is a pure function of (seed, lanes), never of the worker
+# count). This gate and the benchmark's run threads, so each is under
+# `timeout`: a hang fails verify instead of blocking it.
+timeout 900 cargo test -q --release -p guess-bench --test thread_identity -- --ignored
 
 # The repo benchmark (benchmark/, declared by BENCHMARK.json) still
 # builds against the crates, passes its self-tests, and completes every
 # workload, layer driver and output check at smoke scale.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+timeout 900 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+timeout 900 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 cargo run --release -p guess-bench --bin repro -- \
     table3 fig9 --quick --jobs 2 --json --out "$out"
