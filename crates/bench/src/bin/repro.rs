@@ -3,9 +3,9 @@
 //! Usage:
 //!
 //! ```text
-//! repro all [--quick] [--jobs N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
-//! repro <experiment> [<experiment> ...] [--quick] [--jobs N] [--shard i/m] [--metrics-threshold N] [--out <dir>] [--json]
-//! repro scenario <name>|all [--quick] [--jobs N] [--metrics-threshold N] [--out <dir>] [--json]
+//! repro all [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]
+//! repro <experiment> [<experiment> ...] [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]
+//! repro scenario <name>|all [--quick] [--jobs N] [--out <dir>] [--json]
 //! repro --trace <path> [--engine guess|gossip] [--quick]
 //! repro --list
 //! ```
@@ -54,7 +54,6 @@ struct Cli<'a> {
     quick: bool,
     json: bool,
     jobs: usize,
-    metrics_threshold: Option<usize>,
     shard: Option<(usize, usize)>,
     out_dir: Option<PathBuf>,
     trace: Option<PathBuf>,
@@ -72,7 +71,6 @@ fn parse_cli(args: &[String], scenario: bool) -> Result<Cli<'_>, String> {
         quick: false,
         json: false,
         jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        metrics_threshold: None,
         shard: None,
         out_dir: None,
         trace: None,
@@ -92,13 +90,6 @@ fn parse_cli(args: &[String], scenario: bool) -> Result<Cli<'_>, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--jobs needs a positive integer")?;
-            }
-            "--metrics-threshold" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--metrics-threshold needs a non-negative integer")?;
-                cli.metrics_threshold = Some(n);
             }
             "--shard" => {
                 let spec = it
@@ -175,7 +166,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let ctx = Ctx::new(scale, cli.jobs).with_metrics_threshold(cli.metrics_threshold);
+    let ctx = Ctx::new(scale, cli.jobs);
     if scenario {
         run_scenarios(&cli, &ctx);
     } else {
@@ -556,8 +547,6 @@ const USAGE: &str = "repro — regenerate every table and figure of the ICDCS'04
      reports are byte-identical at any N\n\
      --shard i/m  run every m-th selected experiment starting at i;\n          \
      per-shard outputs merge byte-identically to the unsharded run\n\
-     --metrics-threshold N  populations above N stride-sample their\n          \
-     periodic metric sweeps instead of walking every slot\n\
      --out DIR also write each report to DIR/<name>.txt\n\
      --json    with --out, also write structured DIR/<name>.json\n\
      --trace F run one traced simulation, write JSONL to F,\n          \

@@ -18,12 +18,12 @@
 //! units and run alongside it.
 
 use gnutella::iterative::{evaluate as iterative_evaluate, DeepeningPolicy};
-use gnutella::population::Population;
 use gnutella::{FixedExtentCurve, Topology};
 use guess::engine::GuessSim;
 use guess::policy::SelectionPolicy;
 use guess::RunReport;
 use simkit::rng::RngStream;
+use workload::population::Population;
 
 use crate::report::{Cell, Report, TableBlock};
 use crate::runner::Ctx;
@@ -39,7 +39,15 @@ enum Piece {
     Guess(RunReport),
 }
 
-fn gnutella_piece(scale: Scale, n: usize, seed: u64) -> Piece {
+/// The fixed-extent table of Figure 8 (the gossip tradeoff places its
+/// points next to the same one), with what the rest of the figure goes
+/// on to use: the curve, the population, and the `"fig8"` stream left
+/// where the curve evaluation ends.
+pub(crate) fn fixed_extent(
+    scale: Scale,
+    n: usize,
+    seed: u64,
+) -> (TableBlock, FixedExtentCurve, Population, RngStream) {
     let pop = Population::generate(n, workload::content::CatalogParams::default(), seed)
         .expect("valid population");
     let mut rng = RngStream::from_seed(seed, "fig8");
@@ -56,6 +64,11 @@ fn gnutella_piece(scale: Scale, n: usize, seed: u64) -> Piece {
             Cell::float(curve.unsatisfaction_at(e), 3),
         ]);
     }
+    (fixed, curve, pop, rng)
+}
+
+fn gnutella_piece(scale: Scale, n: usize, seed: u64) -> Piece {
+    let (fixed, curve, pop, mut rng) = fixed_extent(scale, n, seed);
     let mut notes = format!(
         "unsatisfiable floor (whole network): {:.3}\n",
         curve.unsatisfiable_fraction()

@@ -14,13 +14,11 @@
 //! seed and runs as an independent work unit alongside the fixed-extent
 //! curve and the two GUESS runs.
 
-use gnutella::population::Population;
-use gnutella::FixedExtentCurve;
 use gossip::{Config as GossipConfig, GossipReport, GossipSim};
 use guess::engine::GuessSim;
 use guess::policy::SelectionPolicy;
 use guess::RunReport;
-use simkit::rng::{derive_seed, RngStream};
+use simkit::rng::derive_seed;
 use simkit::time::SimDuration;
 
 use crate::report::{Cell, Report, TableBlock};
@@ -74,26 +72,6 @@ fn gossip_points(scale: Scale) -> Vec<(usize, u32, f64)> {
     points
 }
 
-fn fixed_piece(scale: Scale, n: usize) -> Piece {
-    let pop = Population::generate(n, workload::content::CatalogParams::default(), SEED)
-        .expect("valid population");
-    let mut rng = RngStream::from_seed(SEED, "fig8");
-    let curve = FixedExtentCurve::evaluate(&pop, scale.curve_queries(), &mut rng);
-    let mut fixed = TableBlock::new("fixed_extent", vec!["extent (probes)", "unsatisfied"]);
-    let extents: Vec<usize> = [1, 2, 5, 10, 17, 50, 99, 200, 540, 1000]
-        .iter()
-        .copied()
-        .filter(|&e| e <= n)
-        .collect();
-    for &e in &extents {
-        fixed.row(vec![
-            Cell::size(e),
-            Cell::float(curve.unsatisfaction_at(e), 3),
-        ]);
-    }
-    Piece::Fixed(fixed)
-}
-
 fn gossip_piece(scale: Scale, n: usize, idx: u64, fanout: usize, ttl: u32, pull: f64) -> Piece {
     let cfg = GossipConfig::default()
         .with_network_size(n)
@@ -130,7 +108,7 @@ pub fn run(ctx: &Ctx) -> Report {
         });
     }
     let pieces = ctx.map(work, |w| match w {
-        Work::Fixed => fixed_piece(scale, n),
+        Work::Fixed => Piece::Fixed(super::fig8_tradeoff::fixed_extent(scale, n, SEED).0),
         Work::GuessRandom => Piece::Guess(
             GuessSim::new(base_config(scale, SEED).with_network_size(n))
                 .expect("valid config")

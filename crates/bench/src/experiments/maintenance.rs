@@ -49,10 +49,6 @@ fn network_for(scale: Scale) -> usize {
 fn regime_config(ctx: &Ctx, multiplier: f64, seed: u64) -> Config {
     let mut cfg = base_config(ctx.scale(), seed).with_network_size(network_for(ctx.scale()));
     cfg.system.lifespan_multiplier = multiplier;
-    if let Some(threshold) = ctx.metrics_threshold() {
-        let size = cfg.run.metrics_sample_size;
-        cfg = cfg.with_metrics_sampling(threshold, size);
-    }
     cfg
 }
 

@@ -64,7 +64,6 @@ type SharedSlot = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 pub struct Ctx {
     scale: Scale,
     jobs: usize,
-    metrics_threshold: Option<usize>,
     sem: Semaphore,
     shared: Mutex<simkit::hash::FxHashMap<String, SharedSlot>>,
 }
@@ -87,7 +86,6 @@ impl Ctx {
         Ctx {
             scale,
             jobs,
-            metrics_threshold: None,
             sem: Semaphore::new(jobs),
             // Pre-sized for the experiment catalog: at most one memo
             // slot per figure module ever lands here.
@@ -105,22 +103,6 @@ impl Ctx {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Overrides the population size above which the engines' periodic
-    /// metric sweeps switch from exhaustive to stride sampling
-    /// (`--metrics-threshold`). `None` leaves every config's own
-    /// threshold in place, which is what keeps default runs golden.
-    #[must_use]
-    pub fn with_metrics_threshold(mut self, threshold: Option<usize>) -> Self {
-        self.metrics_threshold = threshold;
-        self
-    }
-
-    /// The metrics-sampling threshold override, if the CLI set one.
-    #[must_use]
-    pub fn metrics_threshold(&self) -> Option<usize> {
-        self.metrics_threshold
     }
 
     /// Runs one unit of simulation work under a concurrency permit.

@@ -411,10 +411,6 @@ fn run_push_storm(ctx: &Ctx) -> Report {
     // Strained churn keeps the interest registry full of entries worth
     // invalidating when the wave hits.
     cfg.system.lifespan_multiplier = 0.2;
-    if let Some(threshold) = ctx.metrics_threshold() {
-        let size = cfg.run.metrics_sample_size;
-        cfg = cfg.with_metrics_sampling(threshold, size);
-    }
     let (base, scen) = run_guess_pair(ctx, cfg, &scenario);
     let mut table = guess_table(&base, &scen);
     table.row(vec![

@@ -22,6 +22,7 @@ fn unknown_flags_are_rejected_not_swallowed() {
     for args in [
         &["all", "--quik"][..],
         &["fig3", "--quick", "--threads", "4"],
+        &["fig3", "--quick", "--metrics-threshold", "5"],
         &["scenario", "all", "--quik"],
         &["scenario", "all", "--shard", "0/2"],
     ] {

@@ -21,14 +21,12 @@
 //! so the two mechanisms face identical workloads.
 
 use simkit::rng::RngStream;
-use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
+use simkit::sim::{Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
 use simkit::stats::{CounterSet, Summary};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
-use workload::content::{Catalog, CatalogParams, LibraryArena, LibraryHandle};
-use workload::files::FileCountModel;
-use workload::lifetime::LifetimeModel;
-use workload::query::{QueryModel, QueryWorkload};
+use workload::content::CatalogParams;
+use workload::population::{Clocks, Population};
 
 use crate::wavefront::VisitTable;
 
@@ -38,37 +36,6 @@ mod types;
 
 use flood::FloodState;
 pub use types::{GnutellaConfig, GnutellaReport, InvalidGnutellaConfig};
-
-/// The runtime side of the config/state split: the knobs a
-/// [`simkit::scenario::Scenario`] may legally flip mid-run. Initialized
-/// from the validated [`GnutellaConfig`] at build time and mutated only
-/// by [`simkit::scenario::Intervenable::intervene`]; `cfg` itself stays
-/// immutable after `GnutellaSim::new`. Hot-path reads of these knobs go
-/// through here, so an intervention-free run reads exactly the
-/// configured values.
-#[derive(Debug, Clone)]
-struct Runtime {
-    /// Current per-peer query rate (mirrors the workload).
-    query_rate: f64,
-    /// Flood TTL in hops.
-    ttl: usize,
-    /// Degree the overlay repairs toward.
-    target_degree: usize,
-    /// Active partition: slots in different `slot % groups` classes
-    /// drop each other's messages. `None` means fully connected.
-    partition: Option<u32>,
-}
-
-impl Runtime {
-    fn from_config(cfg: &GnutellaConfig) -> Self {
-        Runtime {
-            query_rate: cfg.query_rate,
-            ttl: cfg.ttl,
-            target_degree: cfg.target_degree,
-            partition: None,
-        }
-    }
-}
 
 /// The engine's event alphabet (public because it is the
 /// [`Simulation::Event`] associated type).
@@ -91,14 +58,6 @@ pub enum Event {
     },
 }
 
-struct Node {
-    incarnation: u64,
-    /// Handle into the engine's [`LibraryArena`]; freed and rebuilt at
-    /// every in-place rebirth, so churn recycles blocks instead of
-    /// leaking dead `Vec`s.
-    library: LibraryHandle,
-}
-
 /// The dynamic Gnutella simulator.
 ///
 /// # Examples
@@ -112,19 +71,19 @@ struct Node {
 /// # Ok::<(), gnutella::dynamic::InvalidGnutellaConfig>(())
 /// ```
 pub struct GnutellaSim {
+    /// The validated configuration. Scenario parameter flips install a
+    /// re-validated copy, so every read sees the current value.
     cfg: GnutellaConfig,
-    rt: Runtime,
-    nodes: Vec<Node>,
-    /// Every node's library items, shared contiguous storage.
-    libs: LibraryArena,
+    /// Active partition: slots in different `slot % groups` classes
+    /// drop each other's messages. `None` means fully connected.
+    partition: Option<u32>,
+    pop: Population,
+    clocks: Clocks,
     /// Slot-indexed adjacency: `adj[u]` lists `u`'s open connections.
-    /// Kept dense and separate from [`Node`] so a flood hop can borrow
-    /// the whole overlay as neighbor slices without touching peer state.
+    /// Kept dense and separate from the population so a flood hop can
+    /// borrow the whole overlay as neighbor slices without touching
+    /// peer state.
     adj: Vec<Vec<u32>>,
-    qmodel: QueryModel,
-    files: FileCountModel,
-    churn: ChurnDriver<LifetimeModel>,
-    workload: QueryWorkload,
     rng: RngStream,
     floods: Vec<FloodState>,
     free_floods: Vec<u32>,
@@ -137,7 +96,6 @@ pub struct GnutellaSim {
     messages: Summary,
     peers_reached: Summary,
     counters: CounterSet,
-    next_incarnation: u64,
     next_query: u64,
 }
 
@@ -149,25 +107,19 @@ impl GnutellaSim {
     /// Returns [`InvalidGnutellaConfig`] for inconsistent parameters.
     pub fn new(cfg: GnutellaConfig) -> Result<Self, InvalidGnutellaConfig> {
         cfg.validate()?;
-        let catalog = Catalog::new(cfg.catalog).map_err(|_| InvalidGnutellaConfig::BadCatalog)?;
-        let qmodel = QueryModel::new(catalog);
-        let files = FileCountModel::gnutella_like();
-        let lifetimes = LifetimeModel::saroiu_like(cfg.lifespan_multiplier);
-        let workload = QueryWorkload::with_rate(cfg.query_rate)
-            .map_err(|_| InvalidGnutellaConfig::BadQueryRate)?;
+        let mut rng = RngStream::from_seed(cfg.seed, "gnutella");
         let n = cfg.network_size;
-        let rt = Runtime::from_config(&cfg);
+        let pop = Population::generate_from(n, cfg.catalog, &mut rng)
+            .map_err(|_| InvalidGnutellaConfig::BadCatalog)?;
+        let clocks = Clocks::new(cfg.lifespan_multiplier, cfg.query_rate)
+            .map_err(|_| InvalidGnutellaConfig::BadQueryRate)?;
         let mut sim = GnutellaSim {
-            rng: RngStream::from_seed(cfg.seed, "gnutella"),
+            rng,
             cfg,
-            rt,
-            nodes: Vec::new(),
-            libs: LibraryArena::new(),
+            partition: None,
+            pop,
+            clocks,
             adj: vec![Vec::new(); n],
-            qmodel,
-            files,
-            churn: ChurnDriver::new(lifetimes),
-            workload,
             floods: Vec::new(),
             free_floods: Vec::new(),
             settle_queue: std::collections::VecDeque::new(),
@@ -177,66 +129,33 @@ impl GnutellaSim {
             messages: Summary::new(),
             peers_reached: Summary::new(),
             counters: CounterSet::new(),
-            next_incarnation: 0,
             next_query: 0,
         };
-        sim.populate();
+        // Initial wiring: every peer opens target_degree connections.
+        for slot in 0..n {
+            sim.top_up_connections(slot);
+        }
         Ok(sim)
     }
 
-    fn fresh_library(&mut self) -> LibraryHandle {
-        let count = self.files.sample_file_count(&mut self.rng);
-        self.qmodel
-            .catalog()
-            .build_library_in(count, &mut self.rng, &mut self.libs)
-    }
-
-    /// Creates the initial population and wires the overlay. Event
-    /// scheduling happens in [`GnutellaSim::schedule_initial`], once the
-    /// kernel exists; the RNG draw order across both phases is unchanged,
-    /// so runs stay byte-identical.
-    fn populate(&mut self) {
-        let n = self.cfg.network_size;
-        for _ in 0..n {
-            let library = self.fresh_library();
-            let incarnation = self.next_incarnation;
-            self.next_incarnation += 1;
-            self.nodes.push(Node {
-                incarnation,
-                library,
-            });
-        }
-        // Initial wiring: every peer opens target_degree connections.
-        for slot in 0..n {
-            self.top_up_connections(slot);
-        }
-    }
-
-    /// Schedules every initial peer's death and burst into the kernel's
-    /// queue. The lifetime draw happens inside [`ChurnDriver::spawn`],
-    /// at the same position in the stream it always occupied.
-    fn schedule_initial<T: TraceSink>(&mut self, ctx: &mut SimCtx<'_, Event, T>) {
-        for slot in 0..self.nodes.len() {
-            let incarnation = self.nodes[slot].incarnation;
-            self.churn.spawn(
-                ctx,
-                &mut self.rng,
-                SimTime::ZERO,
-                incarnation,
-                Event::Death {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-            let gap = self.workload.sample_burst_gap(&mut self.rng);
-            ctx.schedule(
-                SimTime::ZERO + gap,
-                Event::Burst {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-        }
+    /// Starts the clocks of `slot`'s current occupant (for the initial
+    /// peers, once the kernel exists).
+    fn start_clocks<T: TraceSink>(
+        &mut self,
+        slot: usize,
+        now: SimTime,
+        ctx: &mut SimCtx<'_, Event, T>,
+    ) {
+        let incarnation = self.pop.incarnation(slot);
+        let slot = slot as u32;
+        self.clocks.start(
+            ctx,
+            &mut self.rng,
+            now,
+            incarnation,
+            Event::Death { slot, incarnation },
+            Event::Burst { slot, incarnation },
+        );
     }
 
     /// Opens connections until `slot` reaches its target degree (each
@@ -244,15 +163,15 @@ impl GnutellaSim {
     /// active partition, handshakes to the other side fail — the
     /// candidate is burned but no connection opens.
     fn top_up_connections(&mut self, slot: usize) {
-        let n = self.nodes.len();
+        let n = self.pop.len();
         let mut guard = 0;
-        while self.adj[slot].len() < self.rt.target_degree && guard < 20 * n {
+        while self.adj[slot].len() < self.cfg.target_degree && guard < 20 * n {
             guard += 1;
             let other = self.rng.below(n);
             if other == slot || self.adj[slot].contains(&(other as u32)) {
                 continue;
             }
-            if let Some(groups) = self.rt.partition {
+            if let Some(groups) = self.partition {
                 if slot as u32 % groups != other as u32 % groups {
                     continue;
                 }
@@ -270,10 +189,10 @@ impl GnutellaSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.nodes[slot].incarnation != incarnation {
+        if !self.pop.is_current(slot, incarnation) {
             return;
         }
-        self.churn.died(ctx, now, incarnation);
+        self.clocks.churn.died(ctx, now, incarnation);
         self.counters.incr("deaths");
         // The departing peer's connections drop; every ex-neighbor
         // notices (open TCP connections fail fast) and repairs.
@@ -282,34 +201,13 @@ impl GnutellaSim {
             self.adj[nb as usize].retain(|&x| x != slot as u32);
         }
         // Rebirth in place, as in the GUESS simulator: constant population.
-        self.nodes[slot].incarnation = self.next_incarnation;
-        self.next_incarnation += 1;
-        self.libs.free(self.nodes[slot].library);
-        self.nodes[slot].library = self.fresh_library();
+        self.pop.rebirth(slot, &mut self.rng);
         self.top_up_connections(slot);
         for nb in ex_neighbors {
             self.counters.incr("repairs");
             self.top_up_connections(nb as usize);
         }
-        let new_inc = self.nodes[slot].incarnation;
-        self.churn.spawn(
-            ctx,
-            &mut self.rng,
-            now,
-            new_inc,
-            Event::Death {
-                slot: slot as u32,
-                incarnation: new_inc,
-            },
-        );
-        let gap = self.workload.sample_burst_gap(&mut self.rng);
-        ctx.schedule(
-            now + gap,
-            Event::Burst {
-                slot: slot as u32,
-                incarnation: new_inc,
-            },
-        );
+        self.start_clocks(slot, now, ctx);
     }
 
     fn on_burst<T: TraceSink>(
@@ -319,14 +217,14 @@ impl GnutellaSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.nodes[slot].incarnation != incarnation {
+        if !self.pop.is_current(slot, incarnation) {
             return;
         }
-        let burst = self.workload.sample_burst_size(&mut self.rng);
+        let burst = self.clocks.workload.sample_burst_size(&mut self.rng);
         for _ in 0..burst {
             self.flood_query(slot, now, ctx);
         }
-        let gap = self.workload.sample_burst_gap(&mut self.rng);
+        let gap = self.clocks.workload.sample_burst_gap(&mut self.rng);
         ctx.schedule(
             now + gap,
             Event::Burst {
@@ -355,7 +253,7 @@ impl<T: TraceSink> Simulation<T> for GnutellaSim {
     fn live_peers(&self) -> u64 {
         // Rebirth is in place and immediate, so every slot always holds
         // a live peer — the constant-population invariant.
-        self.nodes.len() as u64
+        self.pop.len() as u64
     }
 }
 
@@ -372,7 +270,10 @@ impl Runnable for GnutellaSim {
             params = params.with_sampling(interval);
         }
         let mut kernel = Kernel::new(params, sink);
-        self.schedule_initial(&mut kernel.ctx());
+        let mut ctx = kernel.ctx();
+        for slot in 0..self.pop.len() {
+            self.start_clocks(slot, SimTime::ZERO, &mut ctx);
+        }
         kernel.run_scenario(&mut self, scenario)?;
         let report = GnutellaReport {
             queries: self.queries,

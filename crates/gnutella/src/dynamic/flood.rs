@@ -61,13 +61,13 @@ impl GnutellaSim {
                 now,
                 TraceRecord::QueryStart {
                     query: qid,
-                    origin: self.nodes[src].incarnation,
+                    origin: self.pop.incarnation(src),
                 },
             );
         }
-        let target = self.qmodel.sample_target(&mut self.rng);
-        let ttl = self.rt.ttl as u32;
-        let n = self.nodes.len();
+        let target = self.pop.sample_target(&mut self.rng);
+        let ttl = self.cfg.ttl as u32;
+        let n = self.pop.len();
         let flood = if let Some(slot) = self.free_floods.pop() {
             let st = &mut self.floods[slot as usize];
             st.qid = qid;
@@ -128,12 +128,10 @@ impl GnutellaSim {
             // Disjoint field borrows: the hop reads adjacency, peer
             // libraries, and the query model while mutating this
             // flood's visit table and frontier buffers.
-            let partition = self.rt.partition;
+            let partition = self.partition;
             let GnutellaSim {
                 ref adj,
-                ref nodes,
-                ref libs,
-                ref qmodel,
+                ref pop,
                 ref mut floods,
                 ref mut probe_scratch,
                 ..
@@ -165,9 +163,8 @@ impl GnutellaSim {
                     neighbors,
                     edge_ok,
                     |v, first| {
-                        let node = &nodes[v as usize];
                         probe_scratch.push((
-                            node.incarnation,
+                            pop.incarnation(v as usize),
                             if first {
                                 ProbeOutcome::Good
                             } else {
@@ -176,7 +173,7 @@ impl GnutellaSim {
                         ));
                         if first {
                             hop_reached += 1;
-                            if qmodel.answers_in(libs, node.library, target) {
+                            if pop.answers(v as usize, target) {
                                 hop_results += 1;
                             }
                         }
@@ -193,7 +190,7 @@ impl GnutellaSim {
                     |v, first| {
                         if first {
                             hop_reached += 1;
-                            if qmodel.answers_in(libs, nodes[v as usize].library, target) {
+                            if pop.answers(v as usize, target) {
                                 hop_results += 1;
                             }
                         }

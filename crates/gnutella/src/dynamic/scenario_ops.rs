@@ -2,13 +2,13 @@
 //!
 //! Split out like `flood`; this is still the same `GnutellaSim`. Every
 //! intervention routes through the engine's existing machinery — joins
-//! through the populate/top-up path, leaves through `on_death`, flash
-//! crowds through `flood_query`, parameter flips through
-//! [`GnutellaConfig::validate`] — and mutates only the
-//! [`super::Runtime`] side of the config/state split. `self.cfg` is
-//! never written after `GnutellaSim::new`.
+//! through the population's join + top-up path, leaves through
+//! `on_death`, flash crowds through `flood_query` — and a parameter
+//! flip installs a copy of the config only after
+//! [`GnutellaConfig::validate`] has accepted it.
 
 use simkit::scenario::{Intervenable, Intervention, Param, ScenarioError};
+use workload::query::QueryWorkload;
 
 use super::*;
 
@@ -23,34 +23,10 @@ impl GnutellaSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..count {
-            let slot = self.nodes.len();
-            let library = self.fresh_library();
-            let incarnation = self.next_incarnation;
-            self.next_incarnation += 1;
-            self.nodes.push(Node {
-                incarnation,
-                library,
-            });
+            let slot = self.pop.join(&mut self.rng);
             self.adj.push(Vec::new());
             self.top_up_connections(slot);
-            self.churn.spawn(
-                ctx,
-                &mut self.rng,
-                now,
-                incarnation,
-                Event::Death {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-            let gap = self.workload.sample_burst_gap(&mut self.rng);
-            ctx.schedule(
-                now + gap,
-                Event::Burst {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
+            self.start_clocks(slot, now, ctx);
         }
     }
 
@@ -64,11 +40,10 @@ impl GnutellaSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..count {
-            let slot = self.rng.below(self.nodes.len());
-            let incarnation = self.nodes[slot].incarnation;
+            let slot = self.rng.below(self.pop.len());
             // The victim's originally scheduled death event becomes
             // stale and is ignored by the incarnation guard.
-            self.on_death(slot, incarnation, now, ctx);
+            self.on_death(slot, self.pop.incarnation(slot), now, ctx);
         }
     }
 
@@ -81,24 +56,20 @@ impl GnutellaSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..queries {
-            let src = self.rng.below(self.nodes.len());
+            let src = self.rng.below(self.pop.len());
             self.flood_query(src, now, ctx);
         }
     }
 
-    /// Applies a parameter flip: overlays the current runtime values
-    /// plus the flip onto a copy of the immutable config, re-validates
-    /// through [`GnutellaConfig::validate`], and only then installs the
-    /// new value into the runtime state.
+    /// Applies a parameter flip to a copy of the config, re-validates
+    /// the copy through [`GnutellaConfig::validate`], and only then
+    /// installs it: a rejected flip changes nothing.
     fn param_flip(&mut self, param: &Param) -> Result<(), ScenarioError> {
-        let mut probe = self.cfg.clone();
-        probe.query_rate = self.rt.query_rate;
-        probe.ttl = self.rt.ttl;
-        probe.target_degree = self.rt.target_degree;
+        let mut flipped = self.cfg.clone();
         match *param {
-            Param::QueryRate(r) => probe.query_rate = r,
-            Param::FloodTtl(t) => probe.ttl = t,
-            Param::TargetDegree(d) => probe.target_degree = d,
+            Param::QueryRate(r) => flipped.query_rate = r,
+            Param::FloodTtl(t) => flipped.ttl = t,
+            Param::TargetDegree(d) => flipped.target_degree = d,
             _ => {
                 return Err(ScenarioError::Unsupported {
                     engine: "gnutella",
@@ -106,16 +77,14 @@ impl GnutellaSim {
                 })
             }
         }
-        probe
+        flipped
             .validate()
             .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
-        if probe.query_rate != self.rt.query_rate {
-            self.workload = QueryWorkload::with_rate(probe.query_rate)
-                .map_err(|_| ScenarioError::InvalidParam("bad query rate".into()))?;
+        if flipped.query_rate != self.cfg.query_rate {
+            self.clocks.workload = QueryWorkload::with_rate(flipped.query_rate)
+                .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
         }
-        self.rt.query_rate = probe.query_rate;
-        self.rt.ttl = probe.ttl;
-        self.rt.target_degree = probe.target_degree;
+        self.cfg = flipped;
         Ok(())
     }
 }
@@ -133,13 +102,8 @@ impl<T: TraceSink> Intervenable<T> for GnutellaSim {
             Intervention::MassLeave { count } => self.mass_leave(count, now, ctx),
             Intervention::FlashCrowd { queries } => self.flash_crowd(queries, now, ctx),
             Intervention::ParamFlip(ref param) => self.param_flip(param)?,
-            Intervention::Partition { groups } => {
-                if groups < 2 {
-                    return Err(ScenarioError::BadPartition { groups });
-                }
-                self.rt.partition = Some(groups);
-            }
-            Intervention::Heal => self.rt.partition = None,
+            Intervention::Partition { groups } => self.partition = Some(groups),
+            Intervention::Heal => self.partition = None,
         }
         Ok(())
     }

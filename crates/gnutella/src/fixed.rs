@@ -12,7 +12,7 @@
 
 use simkit::rng::RngStream;
 
-use crate::population::Population;
+use workload::population::Population;
 
 /// The cost/quality curve of a fixed-extent mechanism.
 #[derive(Debug, Clone)]

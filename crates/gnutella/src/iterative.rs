@@ -9,8 +9,8 @@
 use simkit::rng::RngStream;
 use workload::query::QueryTarget;
 
-use crate::population::Population;
 use crate::topology::Topology;
+use workload::population::Population;
 
 /// The outcome of one iteratively-deepened query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,23 +10,24 @@
 //!
 //! Floods run over explicit overlay [`topology`] graphs — iterative
 //! deepening through [`Topology::bfs_within`], the [`dynamic`] engine hop
-//! by hop through [`wavefront`] — against the same content [`population`]
-//! the GUESS simulator uses, so the comparison isolates the search
-//! mechanism.
+//! by hop through [`wavefront`] — against the one content
+//! [`workload::population`] built from the catalog, file-count and
+//! lifetime models the GUESS simulator uses, so the comparison isolates
+//! the search mechanism.
 //!
 //! # Example
 //!
 //! ```
 //! use gnutella::fixed::FixedExtentCurve;
-//! use gnutella::population::Population;
 //! use simkit::rng::RngStream;
 //! use workload::content::CatalogParams;
+//! use workload::population::Population;
 //!
 //! let pop = Population::generate(200, CatalogParams::default(), 1)?;
 //! let mut rng = RngStream::from_seed(1, "doc");
 //! let curve = FixedExtentCurve::evaluate(&pop, 100, &mut rng);
 //! assert!(curve.unsatisfaction_at(200) <= curve.unsatisfaction_at(10));
-//! # Ok::<(), gnutella::population::BuildPopulationError>(())
+//! # Ok::<(), workload::population::BuildPopulationError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -36,7 +37,6 @@ pub mod dynamic;
 pub mod fixed;
 pub mod fragmentation;
 pub mod iterative;
-pub mod population;
 pub mod topology;
 pub mod wavefront;
 
@@ -44,6 +44,5 @@ pub use dynamic::{GnutellaConfig, GnutellaReport, GnutellaSim};
 pub use fixed::FixedExtentCurve;
 pub use fragmentation::{attack, AttackOutcome, AttackStrategy};
 pub use iterative::{iterative_deepening, DeepeningOutcome, DeepeningPolicy};
-pub use population::Population;
 pub use simkit::sim::{Runnable, SimReport};
 pub use topology::Topology;

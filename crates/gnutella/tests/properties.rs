@@ -5,11 +5,11 @@
 
 use gnutella::fixed::FixedExtentCurve;
 use gnutella::iterative::{iterative_deepening, DeepeningPolicy};
-use gnutella::population::Population;
 use gnutella::topology::Topology;
 use gnutella::wavefront::{advance, VisitTable};
 use simkit::rng::RngStream;
 use workload::content::CatalogParams;
+use workload::population::Population;
 
 fn small_catalog() -> CatalogParams {
     CatalogParams {

@@ -17,14 +17,12 @@
 
 use simkit::hash::{self, FxHashMap};
 use simkit::rng::RngStream;
-use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
+use simkit::sim::{Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
 use simkit::stats::{CounterSet, Summary};
 use simkit::time::SimTime;
 use simkit::trace::{ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
-use workload::content::{Catalog, LibraryArena, LibraryHandle};
-use workload::files::FileCountModel;
-use workload::lifetime::LifetimeModel;
-use workload::query::{QueryModel, QueryTarget, QueryWorkload};
+use workload::population::{Clocks, Population};
+use workload::query::QueryTarget;
 
 use crate::config::{Config, GossipConfigError};
 use crate::report::GossipReport;
@@ -42,14 +40,6 @@ pub enum Event {
     Death { slot: u32, incarnation: u64 },
     /// One gossip round of a live rumor.
     Round { query: u64 },
-}
-
-struct Node {
-    incarnation: u64,
-    /// Handle into the engine's [`LibraryArena`]; freed and rebuilt at
-    /// every in-place rebirth, so churn recycles blocks instead of
-    /// leaking dead `Vec`s.
-    library: LibraryHandle,
 }
 
 /// "This slot never heard the rumor" sentinel in [`Rumor::infected`].
@@ -78,33 +68,6 @@ struct Rumor {
     measured: bool,
 }
 
-/// Runtime-mutable knobs, split from the immutable [`Config`] so
-/// scenario interventions have a legal mutation surface. Initialised
-/// from the config and rewritten only by validated parameter flips
-/// (or partition/heal); `cfg` itself is never written after
-/// [`GossipSim::new`].
-struct Runtime {
-    query_rate: f64,
-    fanout: usize,
-    round_ttl: u32,
-    pull_probability: f64,
-    /// Active partition: slots in different `slot % groups` classes
-    /// cannot exchange pushes. `None` means fully connected.
-    partition: Option<u32>,
-}
-
-impl Runtime {
-    fn from_config(cfg: &Config) -> Self {
-        Runtime {
-            query_rate: cfg.query_rate,
-            fanout: cfg.fanout,
-            round_ttl: cfg.round_ttl,
-            pull_probability: cfg.pull_probability,
-            partition: None,
-        }
-    }
-}
-
 /// The push/pull epidemic search simulator.
 ///
 /// # Examples
@@ -117,15 +80,14 @@ impl Runtime {
 /// # Ok::<(), gossip::GossipConfigError>(())
 /// ```
 pub struct GossipSim {
+    /// The validated configuration. Scenario parameter flips install a
+    /// re-validated copy, so every read sees the current value.
     cfg: Config,
-    rt: Runtime,
-    nodes: Vec<Node>,
-    /// Every node's library items, shared contiguous storage.
-    libs: LibraryArena,
-    qmodel: QueryModel,
-    files: FileCountModel,
-    churn: ChurnDriver<LifetimeModel>,
-    workload: QueryWorkload,
+    /// Active partition: slots in different `slot % groups` classes
+    /// cannot exchange pushes. `None` means fully connected.
+    partition: Option<u32>,
+    pop: Population,
+    clocks: Clocks,
     rng: RngStream,
     rumors: FxHashMap<u64, Rumor>,
     queries: u64,
@@ -134,7 +96,6 @@ pub struct GossipSim {
     peers_reached: Summary,
     response_time: Summary,
     counters: CounterSet,
-    next_incarnation: u64,
     next_query: u64,
     /// Round-scoped dedup stamps for `next_active` (one entry per slot),
     /// replacing a linear `Vec::contains` scan per push.
@@ -150,11 +111,10 @@ impl GossipSim {
     /// Returns a [`GossipConfigError`] for inconsistent parameters.
     pub fn new(cfg: Config) -> Result<Self, GossipConfigError> {
         cfg.validate()?;
-        let catalog = Catalog::new(cfg.catalog).map_err(|_| GossipConfigError::BadCatalog)?;
-        let qmodel = QueryModel::new(catalog);
-        let files = FileCountModel::gnutella_like();
-        let lifetimes = LifetimeModel::saroiu_like(cfg.lifespan_multiplier);
-        let workload = QueryWorkload::with_rate(cfg.query_rate)
+        let mut rng = RngStream::from_seed(cfg.seed, "gossip");
+        let pop = Population::generate_from(cfg.network_size, cfg.catalog, &mut rng)
+            .map_err(|_| GossipConfigError::BadCatalog)?;
+        let clocks = Clocks::new(cfg.lifespan_multiplier, cfg.query_rate)
             .map_err(|_| GossipConfigError::BadQueryRate)?;
         // Pre-size the rumor map for the expected number of in-flight
         // rumors: network-wide arrival rate times the longest a rumor
@@ -162,16 +122,12 @@ impl GossipSim {
         let max_rumor_secs = cfg.round_interval.as_secs() * f64::from(cfg.round_ttl);
         let inflight = (cfg.query_rate * cfg.network_size as f64 * max_rumor_secs).ceil() as usize;
         let network_size = cfg.network_size;
-        let mut sim = GossipSim {
-            rng: RngStream::from_seed(cfg.seed, "gossip"),
-            rt: Runtime::from_config(&cfg),
+        Ok(GossipSim {
+            rng,
             cfg,
-            nodes: Vec::new(),
-            libs: LibraryArena::new(),
-            qmodel,
-            files,
-            churn: ChurnDriver::new(lifetimes),
-            workload,
+            partition: None,
+            pop,
+            clocks,
             rumors: hash::map_with_capacity(inflight.clamp(16, 4096)),
             queries: 0,
             unsatisfied: 0,
@@ -179,63 +135,31 @@ impl GossipSim {
             peers_reached: Summary::new(),
             response_time: Summary::new(),
             counters: CounterSet::new(),
-            next_incarnation: 0,
             next_query: 0,
             active_stamp: vec![0; network_size],
             active_token: 0,
-        };
-        sim.populate();
-        Ok(sim)
+        })
     }
 
-    fn fresh_library(&mut self) -> LibraryHandle {
-        let count = self.files.sample_file_count(&mut self.rng);
-        self.qmodel
-            .catalog()
-            .build_library_in(count, &mut self.rng, &mut self.libs)
-    }
-
-    /// Creates the initial population. Event scheduling happens in
-    /// [`GossipSim::schedule_initial`], once the kernel exists; the RNG
-    /// draw order across both phases is fixed, so runs stay
-    /// byte-identical.
-    fn populate(&mut self) {
-        for _ in 0..self.cfg.network_size {
-            let library = self.fresh_library();
-            let incarnation = self.next_incarnation;
-            self.next_incarnation += 1;
-            self.nodes.push(Node {
-                incarnation,
-                library,
-            });
-        }
-    }
-
-    /// Schedules every initial peer's death and burst into the kernel's
-    /// queue.
-    fn schedule_initial<T: TraceSink>(&mut self, ctx: &mut SimCtx<'_, Event, T>) {
-        for slot in 0..self.nodes.len() {
-            let incarnation = self.nodes[slot].incarnation;
-            self.counters.incr("births");
-            self.churn.spawn(
-                ctx,
-                &mut self.rng,
-                SimTime::ZERO,
-                incarnation,
-                Event::Death {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-            let gap = self.workload.sample_burst_gap(&mut self.rng);
-            ctx.schedule(
-                SimTime::ZERO + gap,
-                Event::Burst {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-        }
+    /// Counts the birth of `slot`'s current occupant and starts its
+    /// clocks (for the initial peers, once the kernel exists).
+    fn start_clocks<T: TraceSink>(
+        &mut self,
+        slot: usize,
+        now: SimTime,
+        ctx: &mut SimCtx<'_, Event, T>,
+    ) {
+        self.counters.incr("births");
+        let incarnation = self.pop.incarnation(slot);
+        let slot = slot as u32;
+        self.clocks.start(
+            ctx,
+            &mut self.rng,
+            now,
+            incarnation,
+            Event::Death { slot, incarnation },
+            Event::Burst { slot, incarnation },
+        );
     }
 
     fn on_death<T: TraceSink>(
@@ -245,39 +169,17 @@ impl GossipSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.nodes[slot].incarnation != incarnation {
+        if !self.pop.is_current(slot, incarnation) {
             return;
         }
-        self.churn.died(ctx, now, incarnation);
+        self.clocks.churn.died(ctx, now, incarnation);
         self.counters.incr("deaths");
         // Rebirth in place, as in the GUESS and Gnutella simulators:
         // constant population. Rumor knowledge is *not* carried over —
         // infected maps hold the old incarnation, which no longer
         // matches.
-        self.nodes[slot].incarnation = self.next_incarnation;
-        self.next_incarnation += 1;
-        self.libs.free(self.nodes[slot].library);
-        self.nodes[slot].library = self.fresh_library();
-        let new_inc = self.nodes[slot].incarnation;
-        self.counters.incr("births");
-        self.churn.spawn(
-            ctx,
-            &mut self.rng,
-            now,
-            new_inc,
-            Event::Death {
-                slot: slot as u32,
-                incarnation: new_inc,
-            },
-        );
-        let gap = self.workload.sample_burst_gap(&mut self.rng);
-        ctx.schedule(
-            now + gap,
-            Event::Burst {
-                slot: slot as u32,
-                incarnation: new_inc,
-            },
-        );
+        self.pop.rebirth(slot, &mut self.rng);
+        self.start_clocks(slot, now, ctx);
     }
 
     fn on_burst<T: TraceSink>(
@@ -287,14 +189,14 @@ impl GossipSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.nodes[slot].incarnation != incarnation {
+        if !self.pop.is_current(slot, incarnation) {
             return;
         }
-        let burst = self.workload.sample_burst_size(&mut self.rng);
+        let burst = self.clocks.workload.sample_burst_size(&mut self.rng);
         for _ in 0..burst {
             self.start_query(slot, now, ctx);
         }
-        let gap = self.workload.sample_burst_gap(&mut self.rng);
+        let gap = self.clocks.workload.sample_burst_gap(&mut self.rng);
         ctx.schedule(
             now + gap,
             Event::Burst {
@@ -320,13 +222,13 @@ impl GossipSim {
                 now,
                 TraceRecord::QueryStart {
                     query: qid,
-                    origin: self.nodes[src].incarnation,
+                    origin: self.pop.incarnation(src),
                 },
             );
         }
-        let target = self.qmodel.sample_target(&mut self.rng);
-        let mut infected = vec![NEVER_HEARD; self.nodes.len()];
-        infected[src] = self.nodes[src].incarnation;
+        let target = self.pop.sample_target(&mut self.rng);
+        let mut infected = vec![NEVER_HEARD; self.pop.len()];
+        infected[src] = self.pop.incarnation(src);
         let rumor = Rumor {
             target,
             started: now,
@@ -349,7 +251,7 @@ impl GossipSim {
             return;
         };
         self.counters.incr("rounds");
-        let n = self.nodes.len();
+        let n = self.pop.len();
         // A mass join may have grown the population since this rumor
         // started; newcomers have never heard it.
         if rumor.infected.len() < n {
@@ -366,12 +268,12 @@ impl GossipSim {
             let s = s as usize;
             // A spreader that died (and was replaced) since it was
             // activated takes its rumor knowledge to the grave.
-            let still_informed = rumor.infected[s] == self.nodes[s].incarnation;
+            let still_informed = self.pop.is_current(s, rumor.infected[s]);
             if !still_informed {
                 self.counters.incr("spreaders_lost");
                 continue;
             }
-            for _ in 0..self.rt.fanout {
+            for _ in 0..self.cfg.fanout {
                 // Uniform random contact, excluding the spreader itself.
                 let mut t = self.rng.below(n);
                 while t == s {
@@ -379,7 +281,7 @@ impl GossipSim {
                 }
                 rumor.messages += 1;
                 self.counters.incr("pushes");
-                if let Some(groups) = self.rt.partition {
+                if let Some(groups) = self.partition {
                     if s as u32 % groups != t as u32 % groups {
                         // The push was sent (and counted) but the
                         // partition eats it in transit: no infection,
@@ -390,7 +292,7 @@ impl GossipSim {
                                 now,
                                 TraceRecord::Probe {
                                     query: qid,
-                                    target: self.nodes[t].incarnation,
+                                    target: self.pop.incarnation(t),
                                     kind: ProbeKind::Push,
                                     outcome: ProbeOutcome::Refused,
                                 },
@@ -399,7 +301,7 @@ impl GossipSim {
                         continue;
                     }
                 }
-                let t_inc = self.nodes[t].incarnation;
+                let t_inc = self.pop.incarnation(t);
                 let known = rumor.infected[t];
                 if known == t_inc {
                     // Duplicate: suppressed, but the receiver may pull
@@ -416,7 +318,7 @@ impl GossipSim {
                             },
                         );
                     }
-                    if self.rng.chance(self.rt.pull_probability) {
+                    if self.rng.chance(self.cfg.pull_probability) {
                         rumor.messages += 1;
                         self.counters.incr("pulls");
                         if self.active_stamp[t] != token {
@@ -449,10 +351,7 @@ impl GossipSim {
                         self.active_stamp[t] = token;
                         next_active.push(t as u32);
                     }
-                    if self
-                        .qmodel
-                        .answers_in(&self.libs, self.nodes[t].library, rumor.target)
-                    {
+                    if self.pop.answers(t, rumor.target) {
                         rumor.results += 1;
                     }
                     if ctx.tracing() {
@@ -474,7 +373,7 @@ impl GossipSim {
         let done = if rumor.results >= self.cfg.num_desired_results {
             self.counters.incr("satisfied_early");
             true
-        } else if rumor.round >= self.rt.round_ttl {
+        } else if rumor.round >= self.cfg.round_ttl {
             self.counters.incr("ttl_exhausted");
             true
         } else if rumor.active.is_empty() {
@@ -539,7 +438,7 @@ impl<T: TraceSink> Simulation<T> for GossipSim {
     fn live_peers(&self) -> u64 {
         // Rebirth is in place and immediate, so every slot always holds
         // a live peer — the constant-population invariant.
-        self.nodes.len() as u64
+        self.pop.len() as u64
     }
 }
 
@@ -559,7 +458,10 @@ impl Runnable for GossipSim {
             params = params.with_sampling(interval);
         }
         let mut kernel = Kernel::new(params, sink);
-        self.schedule_initial(&mut kernel.ctx());
+        let mut ctx = kernel.ctx();
+        for slot in 0..self.pop.len() {
+            self.start_clocks(slot, SimTime::ZERO, &mut ctx);
+        }
         kernel.run_scenario(&mut self, scenario)?;
         let events_processed = kernel.events_processed();
         let mut sink = kernel.into_sink();

@@ -2,13 +2,13 @@
 //!
 //! Split out like the guess and gnutella counterparts; this is still
 //! the same `GossipSim`. Every intervention routes through the engine's
-//! existing machinery — joins through the populate/spawn path, leaves
-//! through `on_death`, flash crowds through `start_query`, parameter
-//! flips through [`Config::validate`] — and mutates only the
-//! [`super::Runtime`] side of the config/state split. `self.cfg` is
-//! never written after `GossipSim::new`.
+//! existing machinery — joins through the population's join path,
+//! leaves through `on_death`, flash crowds through `start_query` — and
+//! a parameter flip installs a copy of the config only after
+//! [`Config::validate`] has accepted it.
 
 use simkit::scenario::{Intervenable, Intervention, Param, ScenarioError};
+use workload::query::QueryWorkload;
 
 use super::*;
 
@@ -25,34 +25,9 @@ impl GossipSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..count {
-            let slot = self.nodes.len();
-            let library = self.fresh_library();
-            let incarnation = self.next_incarnation;
-            self.next_incarnation += 1;
-            self.nodes.push(Node {
-                incarnation,
-                library,
-            });
+            let slot = self.pop.join(&mut self.rng);
             self.active_stamp.push(0);
-            self.counters.incr("births");
-            self.churn.spawn(
-                ctx,
-                &mut self.rng,
-                now,
-                incarnation,
-                Event::Death {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
-            let gap = self.workload.sample_burst_gap(&mut self.rng);
-            ctx.schedule(
-                now + gap,
-                Event::Burst {
-                    slot: slot as u32,
-                    incarnation,
-                },
-            );
+            self.start_clocks(slot, now, ctx);
         }
     }
 
@@ -66,11 +41,10 @@ impl GossipSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..count {
-            let slot = self.rng.below(self.nodes.len());
-            let incarnation = self.nodes[slot].incarnation;
+            let slot = self.rng.below(self.pop.len());
             // The victim's originally scheduled death event becomes
             // stale and is ignored by the incarnation guard.
-            self.on_death(slot, incarnation, now, ctx);
+            self.on_death(slot, self.pop.incarnation(slot), now, ctx);
         }
     }
 
@@ -83,26 +57,21 @@ impl GossipSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..queries {
-            let src = self.rng.below(self.nodes.len());
+            let src = self.rng.below(self.pop.len());
             self.start_query(src, now, ctx);
         }
     }
 
-    /// Applies a parameter flip: overlays the current runtime values
-    /// plus the flip onto a copy of the immutable config, re-validates
-    /// through [`Config::validate`], and only then installs the new
-    /// value into the runtime state.
+    /// Applies a parameter flip to a copy of the config, re-validates
+    /// the copy through [`Config::validate`], and only then installs
+    /// it: a rejected flip changes nothing.
     fn param_flip(&mut self, param: &Param) -> Result<(), ScenarioError> {
-        let mut probe = self.cfg.clone();
-        probe.query_rate = self.rt.query_rate;
-        probe.fanout = self.rt.fanout;
-        probe.round_ttl = self.rt.round_ttl;
-        probe.pull_probability = self.rt.pull_probability;
+        let mut flipped = self.cfg.clone();
         match *param {
-            Param::QueryRate(r) => probe.query_rate = r,
-            Param::Fanout(f) => probe.fanout = f,
-            Param::RoundTtl(t) => probe.round_ttl = t,
-            Param::PullProbability(p) => probe.pull_probability = p,
+            Param::QueryRate(r) => flipped.query_rate = r,
+            Param::Fanout(f) => flipped.fanout = f,
+            Param::RoundTtl(t) => flipped.round_ttl = t,
+            Param::PullProbability(p) => flipped.pull_probability = p,
             _ => {
                 return Err(ScenarioError::Unsupported {
                     engine: "gossip",
@@ -110,17 +79,14 @@ impl GossipSim {
                 })
             }
         }
-        probe
+        flipped
             .validate()
             .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
-        if probe.query_rate != self.rt.query_rate {
-            self.workload = QueryWorkload::with_rate(probe.query_rate)
-                .map_err(|_| ScenarioError::InvalidParam("bad query rate".into()))?;
+        if flipped.query_rate != self.cfg.query_rate {
+            self.clocks.workload = QueryWorkload::with_rate(flipped.query_rate)
+                .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
         }
-        self.rt.query_rate = probe.query_rate;
-        self.rt.fanout = probe.fanout;
-        self.rt.round_ttl = probe.round_ttl;
-        self.rt.pull_probability = probe.pull_probability;
+        self.cfg = flipped;
         Ok(())
     }
 }
@@ -138,13 +104,8 @@ impl<T: TraceSink> Intervenable<T> for GossipSim {
             Intervention::MassLeave { count } => self.mass_leave(count, now, ctx),
             Intervention::FlashCrowd { queries } => self.flash_crowd(queries, now, ctx),
             Intervention::ParamFlip(ref param) => self.param_flip(param)?,
-            Intervention::Partition { groups } => {
-                if groups < 2 {
-                    return Err(ScenarioError::BadPartition { groups });
-                }
-                self.rt.partition = Some(groups);
-            }
-            Intervention::Heal => self.rt.partition = None,
+            Intervention::Partition { groups } => self.partition = Some(groups),
+            Intervention::Heal => self.partition = None,
         }
         Ok(())
     }

@@ -54,44 +54,6 @@ const FABRICATED_POOL_SIZE: usize = 40;
 /// results-trusting policies rank them first.
 const POISON_NUM_RES: u32 = 50;
 
-/// The runtime side of the config/state split: the knobs a
-/// [`simkit::scenario::Scenario`] may legally flip mid-run. Initialized
-/// from the validated [`Config`] at build time and mutated *only* by
-/// [`simkit::scenario::Intervenable::intervene`]; the `Config` itself
-/// stays immutable after `GuessSim::new`. Every hot-path read of one of
-/// these knobs goes through here, so a run with no interventions reads
-/// exactly the configured values and stays byte-identical.
-#[derive(Debug, Clone)]
-struct Runtime {
-    /// Current per-peer query rate (queries/sec); mirrors the workload.
-    query_rate: f64,
-    /// Fraction of newborns that are malicious.
-    bad_peer_fraction: f64,
-    /// Ping interval assigned to newborns.
-    ping_interval: simkit::time::SimDuration,
-    /// Walk width for honest queries.
-    parallel_probes: usize,
-    /// Active network partition: peers in different `slot % groups`
-    /// classes cannot reach each other. `None` means fully connected.
-    partition: Option<u32>,
-    /// How link caches are kept fresh: pull-only (the paper's protocol),
-    /// push invalidations + refreshes, or the hybrid of both.
-    maintenance: MaintenanceMode,
-}
-
-impl Runtime {
-    fn from_config(cfg: &Config) -> Self {
-        Runtime {
-            query_rate: cfg.system.query_rate,
-            bad_peer_fraction: cfg.system.bad_peer_fraction,
-            ping_interval: cfg.protocol.ping_interval,
-            parallel_probes: cfg.protocol.parallel_probes,
-            partition: None,
-            maintenance: cfg.protocol.maintenance_mode,
-        }
-    }
-}
-
 /// The engine's event alphabet (public because it is the
 /// [`Simulation::Event`] associated type). The periodic metrics snapshot
 /// that used to be a fourth variant is now the kernel's own sample tick.
@@ -166,8 +128,12 @@ pub enum RemoteOutcome {
 /// ```
 #[derive(Debug)]
 pub struct GuessSim {
+    /// The validated configuration. Scenario parameter flips install a
+    /// re-validated copy, so every read sees the current value.
     cfg: Config,
-    rt: Runtime,
+    /// Active network partition: peers in different `slot % groups`
+    /// classes cannot reach each other. `None` means fully connected.
+    partition: Option<u32>,
     peers: Vec<PeerState>,
     slots: Vec<PeerAddr>,
     /// Every live peer's link-cache block; dead peers' blocks are freed
@@ -231,10 +197,9 @@ impl GuessSim {
         let network_size = cfg.system.network_size;
         let cache_size = cfg.protocol.cache_size;
         let interest_cap = cfg.protocol.push.interest_cap;
-        let rt = Runtime::from_config(&cfg);
         let mut sim = GuessSim {
             cfg,
-            rt,
+            partition: None,
             peers: Vec::new(),
             slots: Vec::new(),
             caches: CacheArena::with_peer_capacity(cache_size, network_size),
@@ -327,7 +292,7 @@ impl GuessSim {
     fn birth_peer(&mut self, slot: SlotId, now: SimTime) -> PeerAddr {
         let addr = self.alloc.allocate();
         debug_assert_eq!(addr.index(), self.peers.len());
-        let bad = self.rng_churn.chance(self.rt.bad_peer_fraction);
+        let bad = self.rng_churn.chance(self.cfg.system.bad_peer_fraction);
         let (behavior, advertised, library) = if bad {
             // Malicious peers advertise the largest plausible library to
             // game metadata-trusting policies, but hold nothing.
@@ -354,7 +319,7 @@ impl GuessSim {
             self.caches.alloc(),
             self.cfg.system.max_probes_per_second,
         );
-        peer.set_ping_interval(self.rt.ping_interval);
+        peer.set_ping_interval(self.cfg.protocol.ping_interval);
         if let Some(pp) = self.cfg.protocol.probe_payments {
             peer.open_account(crate::payments::ProbeAccount::new(pp, now));
         }
@@ -390,7 +355,7 @@ impl GuessSim {
         );
         // Stagger the first ping uniformly within one interval so the
         // network's pings do not arrive in lockstep.
-        let base = self.effective_ping_interval(self.rt.ping_interval);
+        let base = self.effective_ping_interval(self.cfg.protocol.ping_interval);
         let ping_phase = if initial {
             base * self.rng_churn.f64()
         } else {
@@ -414,7 +379,7 @@ impl GuessSim {
     /// Callers must check liveness first: fabricated dead stubs carry a
     /// meaningless slot.
     fn reachable(&self, a: PeerAddr, b: PeerAddr) -> bool {
-        match self.rt.partition {
+        match self.partition {
             None => true,
             Some(groups) => {
                 let g = groups as usize;
@@ -485,7 +450,7 @@ impl GuessSim {
         // keeps the registry clean for the slot's next occupant (a no-op
         // take of an empty list in pull mode).
         let watchers = self.push.take_interest(slot);
-        if self.rt.maintenance != MaintenanceMode::Pull && !watchers.is_empty() {
+        if self.cfg.protocol.maintenance_mode != MaintenanceMode::Pull && !watchers.is_empty() {
             self.disseminate(
                 UpdateKind::Invalidate,
                 addr,
@@ -574,7 +539,7 @@ impl GuessSim {
         // entries' TS, so the stretched (rarer) pings audit stalest-first:
         // they converge on dead entries — the one job pushes can't do —
         // instead of re-touching what refreshes already keep fresh.
-        let probe_policy = if self.rt.maintenance == MaintenanceMode::Push {
+        let probe_policy = if self.cfg.protocol.maintenance_mode == MaintenanceMode::Push {
             SelectionPolicy::Lru
         } else {
             self.cfg.protocol.ping_probe
@@ -867,7 +832,7 @@ impl GuessSim {
         &self,
         base: simkit::time::SimDuration,
     ) -> simkit::time::SimDuration {
-        if self.rt.maintenance == MaintenanceMode::Push {
+        if self.cfg.protocol.maintenance_mode == MaintenanceMode::Push {
             base * self.cfg.protocol.push.ping_stretch
         } else {
             base
@@ -881,7 +846,7 @@ impl GuessSim {
     /// skipped when the subject cannot serve pushes — dead, malicious,
     /// or unreachable.
     fn push_register(&mut self, watcher: PeerAddr, subject: PeerAddr) {
-        if self.rt.maintenance == MaintenanceMode::Pull {
+        if self.cfg.protocol.maintenance_mode == MaintenanceMode::Pull {
             return;
         }
         let s = &self.peers[subject.index()];
@@ -912,7 +877,9 @@ impl GuessSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if self.rt.maintenance != MaintenanceMode::Push || self.push.interest(slot).is_empty() {
+        if self.cfg.protocol.maintenance_mode != MaintenanceMode::Push
+            || self.push.interest(slot).is_empty()
+        {
             return;
         }
         if self.push.request_refresh(slot) {
@@ -938,7 +905,9 @@ impl GuessSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         self.push.clear_refresh(slot);
-        if self.rt.maintenance != MaintenanceMode::Push || !self.is_current(slot, addr) {
+        if self.cfg.protocol.maintenance_mode != MaintenanceMode::Push
+            || !self.is_current(slot, addr)
+        {
             return;
         }
         let list = self.push.interest(slot);
@@ -969,7 +938,7 @@ impl GuessSim {
         let Some(job) = self.push.take_job(id) else {
             return;
         };
-        if self.rt.maintenance == MaintenanceMode::Pull {
+        if self.cfg.protocol.maintenance_mode == MaintenanceMode::Pull {
             self.metrics
                 .counters_mut()
                 .add("push_dropped", job.share.len() as u64);

@@ -101,7 +101,8 @@ impl GuessLane {
         let ex = self.sim.execute_query_core(prober, now, lctx.inner());
         let local_response = ex.rounds.ceil() * self.sim.cfg.protocol.probe_interval.as_secs();
         let lanes = lctx.lane_count();
-        let spill_width = self.sim.rt.parallel_probes.min(lanes as usize - 1);
+        let walk_width = self.sim.cfg.protocol.parallel_probes;
+        let spill_width = walk_width.min(lanes as usize - 1);
         if ex.results >= ex.desired || spill_width == 0 {
             self.sim
                 .conclude_query(&ex, now, local_response, measured, lctx.inner());

@@ -92,7 +92,7 @@ impl GuessSim {
         let mut k = if selfish {
             self.cfg.system.selfish_parallelism
         } else {
-            self.rt.parallel_probes
+            self.cfg.protocol.parallel_probes
         };
         let mut resultless_streak = 0u32;
 

@@ -4,10 +4,8 @@
 //! the same `GuessSim`. Every intervention routes through the engine's
 //! existing machinery — joins and leaves through the churn paths
 //! ([`GuessSim::birth_peer`] / `on_death`), flash crowds through
-//! [`GuessSim::execute_query`], parameter flips through
-//! [`Config::validate`] — and mutates only the [`super::Runtime`] side
-//! of the config/state split. `self.cfg` is never written after
-//! `GuessSim::new`.
+//! [`GuessSim::execute_query`] — and a parameter flip installs a copy
+//! of the config only after [`Config::validate`] has accepted it.
 
 use simkit::scenario::{Intervenable, Intervention, Param, ScenarioError};
 
@@ -90,23 +88,17 @@ impl GuessSim {
         }
     }
 
-    /// Applies a parameter flip: overlays the current runtime values
-    /// plus the flip onto a copy of the immutable config, re-validates
-    /// through [`Config::validate`], and only then installs the new
-    /// value into the runtime state.
+    /// Applies a parameter flip to a copy of the config, re-validates
+    /// the copy through [`Config::validate`], and only then installs
+    /// it: a rejected flip changes nothing.
     fn param_flip(&mut self, param: &Param) -> Result<(), ScenarioError> {
-        let mut probe = self.cfg.clone();
-        probe.system.query_rate = self.rt.query_rate;
-        probe.system.bad_peer_fraction = self.rt.bad_peer_fraction;
-        probe.protocol.ping_interval = self.rt.ping_interval;
-        probe.protocol.parallel_probes = self.rt.parallel_probes;
-        probe.protocol.maintenance_mode = self.rt.maintenance;
+        let mut flipped = self.cfg.clone();
         match *param {
-            Param::QueryRate(r) => probe.system.query_rate = r,
-            Param::BadPeerFraction(f) => probe.system.bad_peer_fraction = f,
-            Param::PingInterval(i) => probe.protocol.ping_interval = i,
-            Param::ParallelProbes(k) => probe.protocol.parallel_probes = k,
-            Param::MaintenanceMode(m) => probe.protocol.maintenance_mode = m,
+            Param::QueryRate(r) => flipped.system.query_rate = r,
+            Param::BadPeerFraction(f) => flipped.system.bad_peer_fraction = f,
+            Param::PingInterval(i) => flipped.protocol.ping_interval = i,
+            Param::ParallelProbes(k) => flipped.protocol.parallel_probes = k,
+            Param::MaintenanceMode(m) => flipped.protocol.maintenance_mode = m,
             _ => {
                 return Err(ScenarioError::Unsupported {
                     engine: "guess",
@@ -114,18 +106,14 @@ impl GuessSim {
                 })
             }
         }
-        probe
+        flipped
             .validate()
             .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
-        if probe.system.query_rate != self.rt.query_rate {
-            self.workload = QueryWorkload::with_rate(probe.system.query_rate)
+        if flipped.system.query_rate != self.cfg.system.query_rate {
+            self.workload = QueryWorkload::with_rate(flipped.system.query_rate)
                 .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
         }
-        self.rt.query_rate = probe.system.query_rate;
-        self.rt.bad_peer_fraction = probe.system.bad_peer_fraction;
-        self.rt.ping_interval = probe.protocol.ping_interval;
-        self.rt.parallel_probes = probe.protocol.parallel_probes;
-        self.rt.maintenance = probe.protocol.maintenance_mode;
+        self.cfg = flipped;
         Ok(())
     }
 }
@@ -143,13 +131,8 @@ impl<T: TraceSink> Intervenable<T> for GuessSim {
             Intervention::MassLeave { count } => self.mass_leave(count, now, ctx),
             Intervention::FlashCrowd { queries } => self.flash_crowd(queries, now, ctx),
             Intervention::ParamFlip(ref param) => self.param_flip(param)?,
-            Intervention::Partition { groups } => {
-                if groups < 2 {
-                    return Err(ScenarioError::BadPartition { groups });
-                }
-                self.rt.partition = Some(groups);
-            }
-            Intervention::Heal => self.rt.partition = None,
+            Intervention::Partition { groups } => self.partition = Some(groups),
+            Intervention::Heal => self.partition = None,
         }
         Ok(())
     }
@@ -284,18 +267,18 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_flip_installs_and_invalid_flip_leaves_runtime_untouched() {
+    fn flip_installs_and_rejected_flip_installs_nothing() {
         let mut sim = GuessSim::new(tiny(44)).unwrap();
-        assert_eq!(sim.rt.maintenance, MaintenanceMode::Pull);
+        assert_eq!(sim.cfg.protocol.maintenance_mode, MaintenanceMode::Pull);
         sim.param_flip(&Param::MaintenanceMode(MaintenanceMode::Hybrid))
             .unwrap();
-        assert_eq!(sim.rt.maintenance, MaintenanceMode::Hybrid);
-        // A rejected flip must not install anything: the probe config
-        // fails validation before any runtime field is written.
+        assert_eq!(sim.cfg.protocol.maintenance_mode, MaintenanceMode::Hybrid);
+        // A rejected flip must not install anything: the flipped copy
+        // fails validation before `cfg` is written.
         let err = sim.param_flip(&Param::QueryRate(-3.0)).unwrap_err();
         assert!(matches!(err, ScenarioError::InvalidParam(_)));
-        assert_eq!(sim.rt.maintenance, MaintenanceMode::Hybrid);
-        assert_eq!(sim.rt.query_rate, tiny(44).system.query_rate);
+        assert_eq!(sim.cfg.protocol.maintenance_mode, MaintenanceMode::Hybrid);
+        assert_eq!(sim.cfg.system.query_rate, tiny(44).system.query_rate);
     }
 
     #[test]

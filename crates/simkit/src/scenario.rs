@@ -23,14 +23,19 @@
 //!
 //! # The `Intervenable` contract
 //!
-//! Engines keep their validated `Config` immutable after `build()`; the
-//! knobs a scenario may flip live in a separate runtime-state struct
-//! that [`Intervenable::intervene`] legally mutates. Interventions must
-//! reuse the engine's existing machinery — join/leave waves go through
-//! the churn paths, flash crowds through the workload query generators,
-//! parameter flips re-validate through the engine's builder validation
-//! — so a scenario can never put an engine into a state an ordinary run
-//! could not reach.
+//! An engine holds one validated `Config`. A parameter flip is applied
+//! to a clone, the clone is re-validated through the engine's builder
+//! validation, and only an accepted clone is installed — so a flip can
+//! never install a value `validate()` would reject, and a rejected flip
+//! installs nothing. Interventions must reuse the engine's existing
+//! machinery — join/leave waves go through the churn paths, flash
+//! crowds through the workload query generators — so a scenario can
+//! never put an engine into a state an ordinary run could not reach.
+//!
+//! Partition validity is a property of the timeline, not of the engine:
+//! [`crate::sim::Kernel::run_scenario`] rejects a partition into fewer
+//! than two groups over the compiled timeline, before the run starts,
+//! so engines receive only well-formed [`Intervention::Partition`]s.
 //!
 //! # Example
 //!
@@ -341,12 +346,11 @@ impl Scenario {
 
 /// An engine that accepts mid-run interventions.
 ///
-/// Implementors split construction-time config from runtime state: the
-/// validated `Config` stays immutable after `build()`, and `intervene`
-/// mutates only the runtime side, routing every action through the
-/// engine's existing churn / workload / validation machinery. Actions
-/// the engine cannot express return [`ScenarioError`]; the kernel
-/// aborts the run and surfaces the error.
+/// Implementors route every action through the engine's existing churn
+/// / workload machinery, and install a flipped parameter only as part
+/// of a re-validated copy of their config. Actions the engine cannot
+/// express return [`ScenarioError`]; the kernel aborts the run and
+/// surfaces the error.
 pub trait Intervenable<T: TraceSink>: Simulation<T> {
     /// Applies one intervention at instant `now`. Follow-up scheduling
     /// and trace emission go through `ctx`, exactly as in
@@ -355,8 +359,7 @@ pub trait Intervenable<T: TraceSink>: Simulation<T> {
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] when the action names a knob the
-    /// engine does not have, fails the engine's config re-validation,
-    /// or carries a malformed partition spec.
+    /// engine does not have or fails the engine's config re-validation.
     fn intervene(
         &mut self,
         now: SimTime,

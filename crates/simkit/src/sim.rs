@@ -51,7 +51,7 @@
 
 use crate::event::{EventHandle, EventQueue};
 use crate::rng::RngStream;
-use crate::scenario::{Intervenable, Scenario, ScenarioError};
+use crate::scenario::{Intervenable, Intervention, Scenario, ScenarioError};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{NullSink, ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
 
@@ -462,13 +462,23 @@ impl<E, T: TraceSink> Kernel<E, T> {
     ///
     /// # Errors
     ///
-    /// Aborts the run and returns the first [`ScenarioError`] an
-    /// intervention raises.
+    /// Returns [`ScenarioError::BadPartition`] before anything is
+    /// scheduled or run if any timeline entry — past the horizon or
+    /// not — partitions into fewer than two groups. Otherwise aborts
+    /// the run and returns the first [`ScenarioError`] an intervention
+    /// raises.
     pub fn run_scenario<S>(&mut self, sim: &mut S, scenario: &Scenario) -> Result<(), ScenarioError>
     where
         S: Intervenable<T, Event = E>,
     {
         let compiled = scenario.compile();
+        for entry in &compiled {
+            if let Intervention::Partition { groups } = entry.action {
+                if groups < 2 {
+                    return Err(ScenarioError::BadPartition { groups });
+                }
+            }
+        }
         for (generation, entry) in compiled.iter().enumerate() {
             if entry.at <= self.params.end {
                 let stamp = u32::try_from(generation).expect("timeline fits u32");
@@ -754,6 +764,42 @@ mod tests {
         );
         assert!(sim.handled >= 2, "ran up to the failing control event");
         assert!(sim.handled < 6, "aborted before the horizon");
+    }
+
+    /// An engine that must never be reached.
+    struct Untouchable;
+
+    impl<T: TraceSink> Simulation<T> for Untouchable {
+        type Event = ();
+
+        fn handle(&mut self, _: SimTime, (): (), _: &mut SimCtx<'_, (), T>) {
+            panic!("an event ran under a malformed timeline");
+        }
+    }
+
+    impl<T: TraceSink> Intervenable<T> for Untouchable {
+        fn intervene(
+            &mut self,
+            _: SimTime,
+            action: &Intervention,
+            _: &mut SimCtx<'_, (), T>,
+        ) -> Result<(), ScenarioError> {
+            panic!("{} was delivered from a malformed timeline", action.label());
+        }
+    }
+
+    #[test]
+    fn bad_partition_is_rejected_before_anything_runs() {
+        // On the timeline proper, and past the horizon where the control
+        // event would never have been scheduled.
+        for at in [5.0, 50.0] {
+            let mut kernel = Kernel::new(KernelParams::new(SimDuration::from_secs(10.0)), NullSink);
+            kernel.ctx().schedule(SimTime::ZERO, ());
+            let scenario = Scenario::new().at(at).partition(1);
+            let err = kernel.run_scenario(&mut Untouchable, &scenario);
+            assert_eq!(err, Err(ScenarioError::BadPartition { groups: 1 }));
+            assert_eq!(kernel.events_processed(), 0);
+        }
     }
 
     #[test]

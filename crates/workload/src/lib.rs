@@ -17,7 +17,11 @@
 //! * [`content::Catalog`] / [`content::PeerLibrary`] — a Zipf item universe
 //!   and per-peer collections;
 //! * [`query::QueryModel`] / [`query::QueryWorkload`] — query targets and
-//!   the bursty Poisson arrival process.
+//!   the bursty Poisson arrival process;
+//! * [`population::Population`] / [`population::Clocks`] — the churning
+//!   content population the forwarding baselines share (slots,
+//!   arena-backed libraries, incarnations) and its lifetime + burst
+//!   clocks.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,6 +29,7 @@
 pub mod content;
 pub mod files;
 pub mod lifetime;
+pub mod population;
 pub mod query;
 
 pub use content::{Catalog, CatalogParams, ItemId, PeerLibrary};

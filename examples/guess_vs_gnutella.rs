@@ -10,7 +10,6 @@
 //! ```
 
 use guess_suite::gnutella::iterative::{evaluate, DeepeningPolicy};
-use guess_suite::gnutella::population::Population;
 use guess_suite::gnutella::{FixedExtentCurve, Topology};
 use guess_suite::guess::config::Config;
 use guess_suite::guess::engine::GuessSim;
@@ -18,6 +17,7 @@ use guess_suite::guess::policy::SelectionPolicy;
 use guess_suite::prelude::Runnable;
 use guess_suite::simkit::rng::RngStream;
 use guess_suite::workload::content::CatalogParams;
+use guess_suite::workload::population::Population;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1000;

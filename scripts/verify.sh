@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI-style verification: lint, build, test, then smoke-run the repro
 # driver in parallel with JSON output and a traced run, checking that
-# every artifact exists and parses.
+# every artifact exists and parses. `cargo test --workspace` runs every
+# doctest as well, so there is no separate `--doc` pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,7 +12,6 @@ cargo fmt --all -- --check
 cargo clippy --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
-cargo test --doc --workspace -q
 
 # Determinism gates (gossip included) and the quick-scale golden guard:
 # every experiment's quick report must stay byte-identical to the

@@ -2,7 +2,6 @@
 //! on the same content model (the Figure 8 comparison, small scale).
 
 use guess_suite::gnutella::iterative::{evaluate, DeepeningPolicy};
-use guess_suite::gnutella::population::Population;
 use guess_suite::gnutella::{FixedExtentCurve, Topology};
 use guess_suite::guess::config::Config;
 use guess_suite::guess::engine::GuessSim;
@@ -10,6 +9,7 @@ use guess_suite::guess::policy::SelectionPolicy;
 use guess_suite::simkit::rng::RngStream;
 use guess_suite::simkit::time::SimDuration;
 use guess_suite::workload::content::CatalogParams;
+use guess_suite::workload::population::Population;
 use simkit::sim::Runnable;
 
 const N: usize = 300;
