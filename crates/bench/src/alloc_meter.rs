@@ -1,12 +1,14 @@
 //! Process-wide allocation metering behind the repo benchmark's
 //! `peak_heap_mb` and `bytes_per_peer` metrics (`benchmark/README.md`).
 //!
-//! A [`GlobalAlloc`] wrapper around [`System`] keeps two relaxed
-//! atomics: the bytes currently allocated and the high-water mark since
-//! the last [`reset_peak`]. The overhead is two uncontended atomic ops
-//! per allocation — far below the noise floor of the wall-clock numbers
-//! the harness reports — so the meter is installed unconditionally for
-//! every binary and test that links this crate.
+//! A [`GlobalAlloc`] wrapper around [`System`] keeps three relaxed
+//! atomics: the bytes currently allocated, the high-water mark since
+//! the last [`reset_peak`], and the number of allocation calls made
+//! (`crates/bench/tests/alloc_steady.rs` gates the probe path on it).
+//! The overhead is three uncontended atomic ops per allocation — far
+//! below the noise floor of the wall-clock numbers the harness reports —
+//! so the meter is installed unconditionally for every binary and test
+//! that links this crate.
 //!
 //! The counters are process-global: a measurement taken while other
 //! threads allocate attributes their traffic to the measured region.
@@ -18,11 +20,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// [`System`] plus current/peak byte accounting.
 pub struct CountingAlloc;
 
 fn grow(n: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
     let now = CURRENT.fetch_add(n, Ordering::Relaxed) + n;
     PEAK.fetch_max(now, Ordering::Relaxed);
 }
@@ -76,6 +80,13 @@ pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
 
+/// Successful `alloc`, `alloc_zeroed` and `realloc` calls since process
+/// start. Monotonic; callers difference two readings.
+#[must_use]
+pub fn alloc_calls() -> usize {
+    CALLS.load(Ordering::Relaxed)
+}
+
 /// Rebases the high-water mark to the current allocation level, so the
 /// next [`peak_bytes`] reading covers only what happens after this call.
 pub fn reset_peak() {
@@ -102,5 +113,17 @@ mod tests {
             peak_bytes() <= high,
             "reset rebases the peak to the (lower) current level"
         );
+    }
+
+    #[test]
+    fn alloc_calls_counts_allocations_and_growth() {
+        let before = alloc_calls();
+        let mut v: Vec<u64> = Vec::with_capacity(4);
+        v.extend(0..64); // at least one realloc
+        assert!(
+            alloc_calls() >= before + 2,
+            "alloc + realloc are both calls"
+        );
+        drop(v);
     }
 }

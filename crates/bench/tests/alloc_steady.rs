@@ -1,0 +1,50 @@
+//! Allocation gate for the GUESS probe path.
+//!
+//! A query at the paper's defaults is ~95 probes, each answered with a
+//! pong. Pongs and the ping pick are built in an engine-owned buffer, so
+//! what a query still allocates is its probe pool growing (a
+//! `BinaryHeap` doubling from empty, under ten calls) — not two `Vec`s per
+//! answered probe (~170 calls per query). The gate runs the same
+//! configuration for `D` and for `2D` simulated seconds and charges the
+//! extra allocation calls to the extra measured queries, so set-up cost
+//! cancels and everything that scales with simulated time (churn, metric
+//! samples, queue growth) is counted against the bound too.
+//!
+//! One test in the file: the counter is process-wide, and a second test
+//! thread's allocations would be charged to the run.
+
+use guess::Runnable;
+use guess_bench::alloc_meter::alloc_calls;
+use guess_bench::scale::{base_config, Scale};
+use simkit::time::SimDuration;
+
+/// Allocation calls one measured query may cost in steady state. The
+/// change that introduced the gate measured 7.6, its parent 168.2.
+const MAX_CALLS_PER_QUERY: f64 = 30.0;
+
+/// Runs quick-scale GUESS for `secs` simulated seconds; returns the
+/// allocation calls the run made and the queries it measured.
+fn run(secs: f64) -> (usize, u64) {
+    let mut cfg = base_config(Scale::Quick, 0xA110C);
+    cfg.run.duration = SimDuration::from_secs(secs);
+    let before = alloc_calls();
+    let report = cfg.build().expect("valid config").run();
+    (alloc_calls() - before, report.queries)
+}
+
+#[test]
+fn steady_state_queries_allocate_a_constant_not_per_probe() {
+    let warmup = Scale::Quick.warmup().as_secs();
+    let (calls_d, queries_d) = run(warmup + 150.0);
+    let (calls_2d, queries_2d) = run(warmup + 300.0);
+    assert!(
+        queries_2d > queries_d + 500,
+        "the longer run must measure more queries: {queries_d} vs {queries_2d}"
+    );
+    let per_query = (calls_2d as f64 - calls_d as f64) / (queries_2d - queries_d) as f64;
+    assert!(
+        per_query < MAX_CALLS_PER_QUERY,
+        "{per_query:.1} allocation calls per extra query (limit {MAX_CALLS_PER_QUERY}): \
+         the probe path allocates per probe again"
+    );
+}

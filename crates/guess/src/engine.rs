@@ -36,7 +36,7 @@ use crate::link_cache::{CacheArena, InsertOutcome};
 use crate::message::Pong;
 use crate::metrics::{MetricsCollector, QueryOutcome, RunReport};
 use crate::peer::{Behavior, PeerState};
-use crate::policy::{select_top_k, ProbeQueue, SelectionPolicy};
+use crate::policy::{select_top_k_into, ProbeQueue, SelectionPolicy};
 use crate::push::{Interest, PushJob, PushPlane, UpdateKind};
 
 mod lanes;
@@ -176,6 +176,9 @@ pub struct GuessSim {
     /// another's" sites (query seeding, newborn cache seeding), so the
     /// per-event `to_vec` allocation is paid once per run.
     entry_scratch: Vec<CacheEntry>,
+    /// Reused pong buffer: [`GuessSim::build_pong`] takes it, the pong's
+    /// consumer hands it back, so answering a probe allocates nothing.
+    pong_scratch: Vec<CacheEntry>,
 }
 
 impl GuessSim {
@@ -222,6 +225,7 @@ impl GuessSim {
             // Pre-sized for the initial population; grows with churn.
             query_seen: vec![0; network_size],
             entry_scratch: Vec::new(),
+            pong_scratch: Vec::new(),
         };
         sim.populate();
         Ok(sim)
@@ -544,16 +548,15 @@ impl GuessSim {
         } else {
             self.cfg.protocol.ping_probe
         };
-        let picked = {
-            let h = self.peers[pinger.index()].cache();
-            select_top_k(
-                probe_policy,
-                self.caches.entries(h),
-                1,
-                &mut self.rng_policy,
-            )
-        };
-        let entry = picked.first().copied()?; // empty cache: nothing to maintain
+        let h = self.peers[pinger.index()].cache();
+        select_top_k_into(
+            probe_policy,
+            self.caches.entries(h),
+            1,
+            &mut self.rng_policy,
+            &mut self.pong_scratch,
+        );
+        let entry = self.pong_scratch.first().copied()?; // empty cache: nothing to maintain
         let dst = entry.addr();
         self.metrics.counters_mut().incr("pings_sent");
         if !self.peers[dst.index()].is_alive() || !self.reachable(pinger, dst) {
@@ -568,7 +571,6 @@ impl GuessSim {
                     },
                 );
             }
-            let h = self.peers[pinger.index()].cache();
             self.caches.remove(h, dst);
             if self.cfg.protocol.distrust_pongs {
                 self.note_dead_entry(pinger, dst);
@@ -588,7 +590,6 @@ impl GuessSim {
             );
         }
         // The neighbor answers: refresh our TS for it and absorb its pong.
-        let h = self.peers[pinger.index()].cache();
         self.caches.touch(h, dst, now);
         if self.cfg.protocol.distrust_pongs {
             self.peers[pinger.index()].reputation_mut().note_alive(dst);
@@ -598,6 +599,7 @@ impl GuessSim {
         self.caches.touch(dh, pinger, now);
         let pong = self.build_pong(dst, self.cfg.protocol.ping_pong, now);
         self.absorb_pong(pinger, dst, &pong, now, ctx);
+        self.pong_scratch = pong.entries;
         self.metrics.counters_mut().incr("pings_answered");
         Some(true)
     }
@@ -682,35 +684,43 @@ impl GuessSim {
         self.metrics.counters_mut().incr("introductions");
     }
 
-    /// Builds the pong `responder` attaches to a reply, honest or poisoned.
+    /// Builds the pong `responder` attaches to a reply, honest or poisoned,
+    /// in the engine's pong buffer. The caller puts `pong.entries` back in
+    /// `pong_scratch` once the pong is consumed.
     fn build_pong(
         &mut self,
         responder: PeerAddr,
         policy: crate::policy::SelectionPolicy,
         now: SimTime,
     ) -> Pong {
+        let mut entries = std::mem::take(&mut self.pong_scratch);
         if self.peers[responder.index()].behavior() == Behavior::Malicious {
-            return self.build_poison_pong(responder, now);
-        }
-        let entries = {
+            entries.clear();
+            self.fill_poison_pong(responder, now, &mut entries);
+        } else {
             let h = self.peers[responder.index()].cache();
-            select_top_k(
+            select_top_k_into(
                 policy,
                 self.caches.entries(h),
                 self.cfg.protocol.pong_size,
                 &mut self.rng_policy,
-            )
-        };
+                &mut entries,
+            );
+        }
         Pong { entries }
     }
 
     /// A malicious pong: dead fabricated addresses, colluder addresses, or
     /// (for the control case) real good peers — always with inflated
     /// metadata.
-    fn build_poison_pong(&mut self, attacker: PeerAddr, now: SimTime) -> Pong {
+    fn fill_poison_pong(
+        &mut self,
+        attacker: PeerAddr,
+        now: SimTime,
+        entries: &mut Vec<CacheEntry>,
+    ) {
         let k = self.cfg.protocol.pong_size;
         let inflated_files = self.files.max_files();
-        let mut entries = Vec::with_capacity(k);
         match self.cfg.system.bad_pong_behavior {
             BadPongBehavior::Dead => {
                 let slot = self.ensure_fabricated_pool(attacker, now);
@@ -750,7 +760,6 @@ impl GuessSim {
                 }
             }
         }
-        Pong { entries }
     }
 
     /// Lazily allocates `attacker`'s fabricated pool and returns the

@@ -287,6 +287,7 @@ impl GuessSim {
                     self.push_register(prober, entry.addr());
                 }
             }
+            self.pong_scratch = pong.entries;
         }
 
         QueryExec {

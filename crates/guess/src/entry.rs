@@ -17,6 +17,12 @@ use crate::addr::PeerAddr;
 
 /// One link-cache or query-cache entry.
 ///
+/// 20 bytes, 4-byte aligned: packing drops the 4 padding bytes an 8-byte
+/// aligned `ts` would cost, which pays for the address tag
+/// [`CacheArena`](crate::link_cache::CacheArena) keeps beside each slot.
+/// Every field is `Copy` and only ever read or written by value, so no
+/// reference to a packed field exists.
+///
 /// # Examples
 ///
 /// ```
@@ -31,12 +37,15 @@ use crate::addr::PeerAddr;
 /// assert_eq!(e.num_res(), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, packed(4))]
 pub struct CacheEntry {
-    addr: PeerAddr,
     ts: SimTime,
+    addr: PeerAddr,
     num_files: u32,
     num_res: u32,
 }
+
+const _: () = assert!(size_of::<CacheEntry>() == 20 && align_of::<CacheEntry>() == 4);
 
 impl CacheEntry {
     /// Creates an entry for `addr` first observed at `ts`, advertising
@@ -44,8 +53,8 @@ impl CacheEntry {
     #[must_use]
     pub fn new(addr: PeerAddr, ts: SimTime, num_files: u32) -> Self {
         CacheEntry {
-            addr,
             ts,
+            addr,
             num_files,
             num_res: 0,
         }
@@ -57,8 +66,8 @@ impl CacheEntry {
     #[must_use]
     pub fn from_pong(addr: PeerAddr, ts: SimTime, num_files: u32, num_res: u32) -> Self {
         CacheEntry {
-            addr,
             ts,
+            addr,
             num_files,
             num_res,
         }

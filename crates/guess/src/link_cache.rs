@@ -236,24 +236,52 @@ impl CacheHandle {
 /// Arena of fixed-stride link caches, one block per live peer.
 ///
 /// Every cache in a run shares the same capacity (`CacheSize` is not a
-/// scenario-flippable parameter), so blocks are uniform `stride`-entry
-/// windows into one contiguous `Vec<CacheEntry>`: allocation is a
-/// free-list pop, death returns the block for the replacement peer, and
-/// a million caches cost exactly `10^6 * stride * 24` bytes with no
+/// scenario-flippable parameter), so blocks are uniform `stride`-slot
+/// windows into two parallel vectors: the 20-byte [`CacheEntry`]s and a
+/// **tag row** holding each slot's address as a bare `u32`. Allocation is
+/// a free-list pop, death returns the block for the replacement peer, and
+/// a million caches cost exactly `10^6 * stride * (20 + 4)` bytes with no
 /// per-peer heap blocks or hash indexes.
 ///
 /// Semantics are identical to [`LinkCache`] — same entry ordering
 /// (append / swap-remove), same RNG consumption, same [`InsertOutcome`]s
-/// — the only difference is that address lookups linearly scan the block
-/// instead of consulting a hash index. The scan consumes no randomness,
-/// so a run using the arena is bit-for-bit the run using per-peer
-/// [`LinkCache`]s (property-tested below).
+/// — the only difference is that address lookups scan the block's tag row
+/// (contiguous `u32`s, compared sixteen at a time) instead of consulting
+/// a hash index. The tag row is a mirror, not an index: `tags[i]` is
+/// `entries[i].addr()` for every slot of the arena, because one private
+/// `set` is the only code that stores an entry. The scan consumes no
+/// randomness, so a run using the arena is bit-for-bit the run using
+/// per-peer [`LinkCache`]s (property-tested below).
 #[derive(Debug, Clone)]
 pub struct CacheArena {
     stride: usize,
     entries: Vec<CacheEntry>,
+    tags: Vec<u32>,
     lens: Vec<u32>,
     free: Vec<u32>,
+}
+
+/// Width of one [`find`] comparison group.
+const TAG_CHUNK: usize = 16;
+
+/// Index of the first tag equal to `addr`. Whole chunks are compared
+/// without an early exit into a bitmask, so the compiler turns each into
+/// vector compares; `trailing_zeros` then names the first hit.
+fn find(tags: &[u32], addr: u32) -> Option<usize> {
+    let mut chunks = tags.chunks_exact(TAG_CHUNK);
+    for (c, chunk) in chunks.by_ref().enumerate() {
+        let mut hits = 0u32;
+        for (i, &t) in chunk.iter().enumerate() {
+            hits |= u32::from(t == addr) << i;
+        }
+        if hits != 0 {
+            return Some(c * TAG_CHUNK + hits.trailing_zeros() as usize);
+        }
+    }
+    let tail = chunks.remainder();
+    tail.iter()
+        .position(|&t| t == addr)
+        .map(|i| tags.len() - tail.len() + i)
 }
 
 impl CacheArena {
@@ -268,6 +296,7 @@ impl CacheArena {
         CacheArena {
             stride,
             entries: Vec::new(),
+            tags: Vec::new(),
             lens: Vec::new(),
             free: Vec::new(),
         }
@@ -278,6 +307,7 @@ impl CacheArena {
     pub fn with_peer_capacity(stride: usize, peers: usize) -> Self {
         let mut a = Self::new(stride);
         a.entries.reserve(peers * stride);
+        a.tags.reserve(peers * stride);
         a.lens.reserve(peers);
         a
     }
@@ -298,8 +328,9 @@ impl CacheArena {
         assert!(h != u32::MAX, "cache arena handle space exhausted");
         self.lens.push(0);
         let filler = CacheEntry::new(PeerAddr::from_raw(u32::MAX), SimTime::ZERO, 0);
-        self.entries
-            .resize(self.entries.len() + self.stride, filler);
+        let slots = self.entries.len() + self.stride;
+        self.entries.resize(slots, filler);
+        self.tags.resize(slots, filler.addr().raw());
         CacheHandle(h)
     }
 
@@ -319,13 +350,15 @@ impl CacheArena {
         self.lens.len()
     }
 
-    fn base(&self, h: CacheHandle) -> usize {
-        h.0 as usize * self.stride
+    /// The slot range cache `h` occupies: `(base, len)`.
+    fn span(&self, h: CacheHandle) -> (usize, usize) {
+        (h.0 as usize * self.stride, self.lens[h.0 as usize] as usize)
     }
 
-    fn block(&self, h: CacheHandle) -> &[CacheEntry] {
-        let base = self.base(h);
-        &self.entries[base..base + self.lens[h.0 as usize] as usize]
+    /// Writes `entry` and its tag into arena slot `slot`.
+    fn set(&mut self, slot: usize, entry: CacheEntry) {
+        self.entries[slot] = entry;
+        self.tags[slot] = entry.addr().raw();
     }
 
     /// Current number of entries in cache `h` (≤ stride).
@@ -356,37 +389,45 @@ impl CacheArena {
         if h.is_null() {
             return &[];
         }
-        self.block(h)
+        let (base, len) = self.span(h);
+        &self.entries[base..base + len]
     }
 
+    /// The tag row of cache `h`, for the mirror invariant's tests.
+    #[cfg(test)]
+    fn tags(&self, h: CacheHandle) -> &[u32] {
+        let (base, len) = self.span(h);
+        &self.tags[base..base + len]
+    }
+
+    /// Arena slot of the entry for `addr` in cache `h`, if cached.
     fn position(&self, h: CacheHandle, addr: PeerAddr) -> Option<usize> {
-        self.block(h).iter().position(|e| e.addr() == addr)
+        if h.is_null() {
+            return None;
+        }
+        let (base, len) = self.span(h);
+        find(&self.tags[base..base + len], addr.raw()).map(|i| base + i)
     }
 
     /// Membership test by address.
     #[must_use]
     pub fn contains(&self, h: CacheHandle, addr: PeerAddr) -> bool {
-        !h.is_null() && self.position(h, addr).is_some()
+        self.position(h, addr).is_some()
     }
 
     /// Borrows the entry for `addr` in cache `h`, if cached.
     #[must_use]
     pub fn get(&self, h: CacheHandle, addr: PeerAddr) -> Option<&CacheEntry> {
-        if h.is_null() {
-            return None;
-        }
-        let base = self.base(h);
-        self.position(h, addr).map(move |i| &self.entries[base + i])
+        self.position(h, addr).map(|slot| &self.entries[slot])
     }
 
     /// Refreshes the `TS` of the entry for `addr`, if cached. Returns
     /// true if an entry was touched.
     pub fn touch(&mut self, h: CacheHandle, addr: PeerAddr, now: SimTime) -> bool {
-        let Some(i) = self.position(h, addr) else {
+        let Some(slot) = self.position(h, addr) else {
             return false;
         };
-        let base = self.base(h);
-        self.entries[base + i].touch(now);
+        self.entries[slot].touch(now);
         true
     }
 
@@ -399,11 +440,10 @@ impl CacheArena {
         now: SimTime,
         results: u32,
     ) -> bool {
-        let Some(i) = self.position(h, addr) else {
+        let Some(slot) = self.position(h, addr) else {
             return false;
         };
-        let base = self.base(h);
-        self.entries[base + i].record_results(now, results);
+        self.entries[slot].record_results(now, results);
         true
     }
 
@@ -411,11 +451,10 @@ impl CacheArena {
     /// cache `h`. Returns the removed entry, if any. Same swap-remove
     /// reordering as [`LinkCache::remove`].
     pub fn remove(&mut self, h: CacheHandle, addr: PeerAddr) -> Option<CacheEntry> {
-        let i = self.position(h, addr)?;
-        let base = self.base(h);
-        let len = self.lens[h.0 as usize] as usize;
-        let removed = self.entries[base + i];
-        self.entries[base + i] = self.entries[base + len - 1];
+        let slot = self.position(h, addr)?;
+        let (base, len) = self.span(h);
+        let removed = self.entries[slot];
+        self.set(slot, self.entries[base + len - 1]);
         self.lens[h.0 as usize] -= 1;
         Some(removed)
     }
@@ -430,29 +469,28 @@ impl CacheArena {
         rng: &mut RngStream,
     ) -> InsertOutcome {
         debug_assert!(!h.is_null(), "offer to a stub cache");
-        let base = self.base(h);
-        let len = self.lens[h.0 as usize] as usize;
-        if self.entries[base..base + len]
-            .iter()
-            .any(|e| e.addr() == entry.addr())
-        {
+        if self.contains(h, entry.addr()) {
             return InsertOutcome::AlreadyPresent;
         }
+        let (base, len) = self.span(h);
         if len < self.stride {
-            self.entries[base + len] = entry;
+            self.set(base + len, entry);
             self.lens[h.0 as usize] += 1;
             return InsertOutcome::Inserted;
         }
+        let last = base + len - 1;
         if policy == ReplacementPolicy::Random {
             let r = rng.below(len + 1);
             if r == len {
                 return InsertOutcome::Rejected;
             }
-            let victim_addr = self.entries[base + r].addr();
+            // The victim's address comes from the tag row, so the entry
+            // about to be overwritten is never loaded.
+            let victim_addr = PeerAddr::from_raw(self.tags[base + r]);
             // swap_remove(r) followed by push(entry), fused: the last
             // entry drops into slot r and the newcomer takes the tail.
-            self.entries[base + r] = self.entries[base + len - 1];
-            self.entries[base + len - 1] = entry;
+            self.set(base + r, self.entries[last]);
+            self.set(last, entry);
             return InsertOutcome::Replaced(victim_addr);
         }
         let new_key = retention_key(policy, &entry, rng);
@@ -465,9 +503,10 @@ impl CacheArena {
         if new_key <= weakest.0 {
             return InsertOutcome::Rejected;
         }
-        let victim_addr = self.entries[base + weakest.1].addr();
-        self.entries[base + weakest.1] = self.entries[base + len - 1];
-        self.entries[base + len - 1] = entry;
+        let victim = base + weakest.1;
+        let victim_addr = self.entries[victim].addr();
+        self.set(victim, self.entries[last]);
+        self.set(last, entry);
         InsertOutcome::Replaced(victim_addr)
     }
 }
@@ -618,6 +657,7 @@ mod tests {
             (2, ReplacementPolicy::Lfs),
             (3, ReplacementPolicy::Lru),
             (4, ReplacementPolicy::Lr),
+            (5, ReplacementPolicy::Mru),
         ] {
             let mut alloc = AddrAllocator::new();
             let mut drv = RngStream::from_seed(seed, "arena-driver");
@@ -672,6 +712,8 @@ mod tests {
                     }
                 }
                 assert_eq!(cache.entries(), arena.entries(h), "order diverged");
+                let addrs: Vec<u32> = arena.entries(h).iter().map(|e| e.addr().raw()).collect();
+                assert_eq!(arena.tags(h), addrs, "tag row diverged at step {step}");
                 assert_eq!(cache.len(), arena.len(h));
                 assert_eq!(cache.is_full(), arena.is_full(h));
             }
@@ -709,6 +751,60 @@ mod tests {
         assert_eq!(arena.blocks(), 2, "no growth on recycle");
         assert!(arena.is_empty(c), "recycled block starts empty");
         assert_eq!(arena.len(b), 1, "other blocks untouched");
+    }
+
+    #[test]
+    fn find_matches_a_linear_scan_at_every_chunk_boundary() {
+        for len in 0..=40usize {
+            // Distinct tags, none equal to the absent needle.
+            let tags: Vec<u32> = (0..len as u32).map(|i| 1000 + i * 7).collect();
+            assert_eq!(find(&tags, 5), None, "absent needle, len {len}");
+            for at in [0, 15, 16, 17, 31, 32, len.saturating_sub(1)] {
+                if at >= len {
+                    continue;
+                }
+                let needle = tags[at];
+                assert_eq!(
+                    find(&tags, needle),
+                    tags.iter().position(|&t| t == needle),
+                    "needle at {at}, len {len}"
+                );
+            }
+            // The first of several hits wins, as `position` does.
+            if len >= 2 {
+                let mut dup = tags.clone();
+                dup[len - 1] = dup[len / 2];
+                assert_eq!(find(&dup, dup[len / 2]), Some(len / 2));
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_block_forgets_its_previous_occupant() {
+        let mut alloc = AddrAllocator::new();
+        let mut r = rng();
+        let mut arena = CacheArena::new(4);
+        let a = arena.alloc();
+        let old: Vec<CacheEntry> = (0..4).map(|i| entry(&mut alloc, i, 0.0)).collect();
+        for &e in &old {
+            arena.offer(a, e, ReplacementPolicy::Random, &mut r);
+        }
+        arena.free(a);
+        let b = arena.alloc();
+        assert_eq!(b, a, "the block is recycled, stale tags and all");
+        let newcomer = entry(&mut alloc, 9, 1.0);
+        arena.offer(b, newcomer, ReplacementPolicy::Random, &mut r);
+        for e in &old {
+            assert!(!arena.contains(b, e.addr()));
+            assert!(!arena.touch(b, e.addr(), SimTime::from_secs(2.0)));
+            assert_eq!(arena.remove(b, e.addr()), None);
+        }
+        // A previous occupant's address is admitted afresh, not "already present".
+        assert_eq!(
+            arena.offer(b, old[3], ReplacementPolicy::Random, &mut r),
+            InsertOutcome::Inserted
+        );
+        assert_eq!(arena.entries(b), &[newcomer, old[3]]);
     }
 
     /// The PR-8 recycling invariant, asserted directly: once the startup

@@ -18,6 +18,7 @@
 use simkit::rng::RngStream;
 use simkit::time::SimTime;
 
+use crate::addr::PeerAddr;
 use crate::entry::CacheEntry;
 
 /// Preference order for probes and pong construction.
@@ -147,7 +148,8 @@ pub fn retention_key(
 /// Selects up to `k` entries from `entries` in preference order under
 /// `policy` — this is how pongs are built.
 ///
-/// Runs in O(n) for `Random` and O(n log k) otherwise.
+/// Runs in O(k) expected for a sparse `Random` pick, O(n) for a dense
+/// one, and O(n log k) at worst otherwise.
 #[must_use]
 pub fn select_top_k(
     policy: SelectionPolicy,
@@ -155,31 +157,80 @@ pub fn select_top_k(
     k: usize,
     rng: &mut RngStream,
 ) -> Vec<CacheEntry> {
-    if k == 0 || entries.is_empty() {
-        return Vec::new();
+    let mut out = Vec::new();
+    select_top_k_into(policy, entries, k, rng, &mut out);
+    out
+}
+
+/// [`select_top_k`] into a caller-owned buffer: `out` is cleared and
+/// refilled, so a buffer that has once held a pong is never reallocated.
+/// `Random` — the default, and every pong of a default run — allocates
+/// nothing; the ranked policies allocate their `k`-key heap and nothing
+/// else.
+pub fn select_top_k_into(
+    policy: SelectionPolicy,
+    entries: &[CacheEntry],
+    k: usize,
+    rng: &mut RngStream,
+    out: &mut Vec<CacheEntry>,
+) {
+    out.clear();
+    let n = entries.len();
+    let k = k.min(n);
+    if k == 0 {
+        return;
     }
     if policy == SelectionPolicy::Random {
-        return rng
-            .sample_indices(entries.len(), k)
-            .into_iter()
-            .map(|i| entries[i])
-            .collect();
+        // The draws of `RngStream::sample_indices(n, k)`, in its order,
+        // without its index vector.
+        if k * 8 <= n {
+            // Sparse: rejection sampling. A pick waits in `out` as a
+            // stand-in whose address field is the slice index, so the
+            // distinctness check needs no second buffer.
+            out.reserve(k);
+            while out.len() < k {
+                let c = rng.below(n);
+                if !out.iter().any(|p| p.addr().index() == c) {
+                    let c = u32::try_from(c).expect("slice index fits the address field");
+                    out.push(CacheEntry::new(PeerAddr::from_raw(c), SimTime::ZERO, 0));
+                }
+            }
+            for p in out.iter_mut() {
+                *p = entries[p.addr().index()];
+            }
+        } else {
+            // Dense: partial Fisher–Yates, swapping the entries themselves.
+            out.extend_from_slice(entries);
+            for i in 0..k {
+                let j = i + rng.below(n - i);
+                out.swap(i, j);
+            }
+            out.truncate(k);
+        }
+        return;
     }
-    // Keep the k best seen so far in a small min-heap (by key).
+    // Keep the k best seen so far in a small min-heap (by key). Every
+    // entry draws its tie-break in slice order; only one that beats the
+    // heap's weakest is stored.
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<((u64, u64), usize)>> = BinaryHeap::with_capacity(k + 1);
+    let mut heap: BinaryHeap<Reverse<((u64, u64), usize)>> = BinaryHeap::with_capacity(k);
     for (i, e) in entries.iter().enumerate() {
-        let key = selection_key(policy, e, rng);
-        heap.push(Reverse((key, i)));
-        if heap.len() > k {
-            heap.pop();
+        let cand = Reverse((selection_key(policy, e, rng), i));
+        if heap.len() < k {
+            heap.push(cand);
+        } else if let Some(mut weakest) = heap.peek_mut() {
+            if cand < *weakest {
+                *weakest = cand;
+            }
         }
     }
-    let mut picked: Vec<((u64, u64), usize)> = heap.into_iter().map(|Reverse(x)| x).collect();
-    // Preference order: highest key first.
-    picked.sort_by_key(|&(key, _)| Reverse(key));
-    picked.into_iter().map(|(_, i)| entries[i]).collect()
+    // Ascending `Reverse` is preference order: highest key first.
+    out.extend(
+        heap.into_sorted_vec()
+            .into_iter()
+            .map(|Reverse((_, i))| entries[i]),
+    );
 }
 
 /// Picks the index of the eviction victim under `policy` from a non-empty
@@ -212,7 +263,8 @@ pub fn eviction_victim(
 ///
 /// Keys are fixed at push time; the paper's policies rank on the metadata
 /// carried by the entry, which does not change while the entry waits in the
-/// queue.
+/// queue. The heap orders by key alone and stores the entry whole, so
+/// [`ProbeQueue::pop`] returns the pushed entry bit for bit.
 ///
 /// # Examples
 ///
@@ -236,22 +288,20 @@ pub struct ProbeQueue {
     heap: std::collections::BinaryHeap<Ranked>,
 }
 
-#[derive(Debug, PartialEq, Eq)]
+/// A waiting candidate: equal and ordered by `key` alone.
+#[derive(Debug)]
 struct Ranked {
     key: (u64, u64),
-    entry_addr_order: u64,
-    entry: RankedEntry,
+    entry: CacheEntry,
 }
 
-// CacheEntry is PartialEq but not Eq/Ord (contains SimTime floats); wrap the
-// fields we need for heap storage.
-#[derive(Debug, PartialEq, Eq)]
-struct RankedEntry {
-    addr: crate::addr::PeerAddr,
-    ts_micros: u64,
-    num_files: u32,
-    num_res: u32,
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
 }
+
+impl Eq for Ranked {}
 
 impl PartialOrd for Ranked {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -284,28 +334,12 @@ impl ProbeQueue {
     /// Adds a candidate. The caller is responsible for deduplication.
     pub fn push(&mut self, entry: CacheEntry, rng: &mut RngStream) {
         let key = selection_key(self.policy, &entry, rng);
-        self.heap.push(Ranked {
-            key,
-            entry_addr_order: entry.addr().index() as u64,
-            entry: RankedEntry {
-                addr: entry.addr(),
-                ts_micros: (entry.ts().as_secs() * 1e6) as u64,
-                num_files: entry.num_files(),
-                num_res: entry.num_res(),
-            },
-        });
+        self.heap.push(Ranked { key, entry });
     }
 
     /// Pops the most-preferred candidate.
     pub fn pop(&mut self) -> Option<CacheEntry> {
-        self.heap.pop().map(|r| {
-            CacheEntry::from_pong(
-                r.entry.addr,
-                SimTime::from_secs(r.entry.ts_micros as f64 / 1e6),
-                r.entry.num_files,
-                r.entry.num_res,
-            )
-        })
+        self.heap.pop().map(|r| r.entry)
     }
 
     /// Number of waiting candidates.
@@ -471,10 +505,138 @@ mod tests {
         let mut q = ProbeQueue::new(SelectionPolicy::Mr);
         q.push(e, &mut r);
         let back = q.pop().unwrap();
-        assert_eq!(back.addr(), e.addr());
-        assert_eq!(back.num_files(), 77);
-        assert_eq!(back.num_res(), 3);
-        assert!((back.ts().as_secs() - 12.5).abs() < 1e-5);
+        assert_eq!(back, e);
+        // A `TS` that is not a whole number of microseconds survives too.
+        let odd = CacheEntry::from_pong(alloc.allocate(), SimTime::from_secs(1.0 / 3.0), 1, 0);
+        q.push(odd, &mut r);
+        assert_eq!(q.pop().unwrap(), odd);
+    }
+
+    const SELECTION_POLICIES: [SelectionPolicy; 5] = [
+        SelectionPolicy::Random,
+        SelectionPolicy::Mru,
+        SelectionPolicy::Lru,
+        SelectionPolicy::Mfs,
+        SelectionPolicy::Mr,
+    ];
+
+    /// The queue element before it carried the `CacheEntry` whole: same
+    /// key, same key-only ordering, three more fields.
+    #[derive(PartialEq, Eq)]
+    struct OldRanked {
+        key: (u64, u64),
+        addr_order: u64,
+        addr: PeerAddr,
+        ts_us: u64,
+        num_files: u32,
+        num_res: u32,
+    }
+
+    impl PartialOrd for OldRanked {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for OldRanked {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    #[test]
+    fn probe_queue_pops_in_the_old_elements_order() {
+        for policy in SELECTION_POLICIES {
+            let (es, _) = entries(400);
+            let mut drv = RngStream::from_seed(17, "queue-driver");
+            let mut r_new = rng();
+            let mut r_old = rng();
+            let mut new = ProbeQueue::new(policy);
+            let mut old = std::collections::BinaryHeap::new();
+            let mut next = es.iter().cycle();
+            let (mut new_order, mut old_order) = (Vec::new(), Vec::new());
+            for _ in 0..1000 {
+                if new.is_empty() || drv.chance(0.6) {
+                    // Coarse keys (many ties on the primary) on purpose.
+                    let e = *next.next().unwrap();
+                    new.push(e, &mut r_new);
+                    old.push(OldRanked {
+                        key: selection_key(policy, &e, &mut r_old),
+                        addr_order: e.addr().index() as u64,
+                        addr: e.addr(),
+                        ts_us: ts_key(e.ts()),
+                        num_files: e.num_files(),
+                        num_res: e.num_res(),
+                    });
+                } else {
+                    new_order.push(new.pop().unwrap().addr());
+                    old_order.push(old.pop().unwrap().addr);
+                }
+            }
+            assert!(new_order.len() > 300, "the mix must pop, not only push");
+            assert_eq!(new_order, old_order, "{policy}: pop order moved");
+            assert_eq!(r_new.next_u64(), r_old.next_u64(), "{policy}: RNG draws");
+        }
+    }
+
+    /// `select_top_k` as it stood before `select_top_k_into`: the oracle
+    /// for picks, their order and the RNG draws.
+    fn old_select_top_k(
+        policy: SelectionPolicy,
+        entries: &[CacheEntry],
+        k: usize,
+        rng: &mut RngStream,
+    ) -> Vec<CacheEntry> {
+        use std::cmp::Reverse;
+        if k == 0 || entries.is_empty() {
+            return Vec::new();
+        }
+        if policy == SelectionPolicy::Random {
+            return rng
+                .sample_indices(entries.len(), k)
+                .into_iter()
+                .map(|i| entries[i])
+                .collect();
+        }
+        let mut heap = std::collections::BinaryHeap::with_capacity(k + 1);
+        for (i, e) in entries.iter().enumerate() {
+            heap.push(Reverse((selection_key(policy, e, rng), i)));
+            if heap.len() > k {
+                heap.pop();
+            }
+        }
+        let mut picked: Vec<((u64, u64), usize)> = heap.into_iter().map(|Reverse(x)| x).collect();
+        picked.sort_by_key(|&(key, _)| Reverse(key));
+        picked.into_iter().map(|(_, i)| entries[i]).collect()
+    }
+
+    #[test]
+    fn select_top_k_into_matches_the_old_select_top_k() {
+        for policy in SELECTION_POLICIES {
+            for n in [0usize, 1, 7, 40, 100] {
+                let (es, _) = entries(n);
+                // n=40: k=5 is the sparse `sample_indices` regime
+                // (k*8 <= n), k=n and k=n+3 the dense one.
+                for k in [0, 1, 5, n, n + 3] {
+                    let mut r_old = rng();
+                    let mut r_new = rng();
+                    let mut r_dirty = rng();
+                    let want = old_select_top_k(policy, &es, k, &mut r_old);
+                    let mut out = Vec::new();
+                    select_top_k_into(policy, &es, k, &mut r_new, &mut out);
+                    assert_eq!(out, want, "{policy} n={n} k={k}");
+                    assert_eq!(
+                        r_new.next_u64(),
+                        r_old.next_u64(),
+                        "{policy} n={n} k={k}: RNG draws"
+                    );
+                    // A dirty, over-long buffer changes nothing.
+                    let (mut dirty, _) = entries(n + k + 9);
+                    select_top_k_into(policy, &es, k, &mut r_dirty, &mut dirty);
+                    assert_eq!(dirty, want, "{policy} n={n} k={k}: dirty out");
+                }
+            }
+        }
     }
 
     #[test]
