@@ -99,14 +99,17 @@ mod tests {
 
     #[test]
     fn peak_tracks_a_large_allocation() {
-        reset_peak();
-        let before = peak_bytes();
-        let buf = vec![0u8; 1 << 20];
-        assert!(
-            peak_bytes() >= before + (1 << 20),
-            "1 MiB allocation must raise the peak"
-        );
-        drop(buf);
+        // The counters are process-wide and other tests run beside this
+        // one: a net free on their side inside the window hides the rise,
+        // so one clean observation in a few attempts is what is asserted.
+        let rose = (0..50).any(|_| {
+            reset_peak();
+            let before = peak_bytes();
+            let buf = vec![0u8; 1 << 20];
+            std::hint::black_box(&buf);
+            peak_bytes() >= before + (1 << 20)
+        });
+        assert!(rose, "1 MiB allocation must raise the peak");
         let high = peak_bytes();
         reset_peak();
         assert!(

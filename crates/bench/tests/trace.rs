@@ -4,8 +4,12 @@
 
 use gnutella::dynamic::{GnutellaConfig, GnutellaSim};
 use gossip::{Config as GossipConfig, GossipSim};
-use guess::{Config, GuessSim};
+use guess::{
+    AdaptiveParallelism, BadPongBehavior, Config, GuessSim, MaintenanceMode, PaymentParams,
+    PushParams, SelectionPolicy,
+};
 use guess_bench::tracefile::JsonlSink;
+use simkit::scenario::Scenario;
 use simkit::sim::Runnable;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{CountingSink, RecordingSink, TraceRecord};
@@ -185,4 +189,172 @@ fn jsonl_sink_writes_one_wellformed_line_per_record() {
         assert!(l.contains("\"type\": \""), "line has no type field: {l}");
         assert!(!l.contains('\n'));
     }
+}
+
+/// FNV-1a, 64-bit — the helper the golden manifests use.
+fn fnv1a(text: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.as_bytes() {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The full ordered record stream of one traced GUESS run under
+/// `scenario`, as JSONL: every field of every record, times at full
+/// `f64` precision.
+fn guess_trace_text(cfg: Config, scenario: &Scenario) -> String {
+    let (_, sink) = GuessSim::new(cfg)
+        .unwrap()
+        .run_scenario_traced(scenario, JsonlSink::new(Vec::new()))
+        .unwrap();
+    let (buf, _, io_error) = sink.finish();
+    assert!(io_error.is_none());
+    String::from_utf8(buf).unwrap()
+}
+
+/// The goldens pin rendered reports; this pins the trace itself — every
+/// `Probe` and `CacheEvict` record the GUESS engine emits, in order —
+/// across the message kinds and outcomes the engine's contact step
+/// distinguishes. Each case also names record fragments its stream must
+/// contain, so a case cannot silently stop covering what it is here
+/// for. To refresh after an intentional trace change, run with
+/// `--nocapture` and copy the echoed digests.
+#[test]
+fn guess_trace_streams_match_pinned_digests() {
+    const QUERY_DEAD: &str = "\"kind\": \"query\", \"outcome\": \"dead\"";
+    const QUERY_REFUSED: &str = "\"kind\": \"query\", \"outcome\": \"refused\"";
+    const PING_DEAD: &str = "\"kind\": \"ping\", \"outcome\": \"dead\"";
+    const PING_GOOD: &str = "\"kind\": \"ping\", \"outcome\": \"good\"";
+    const EVICT: &str = "\"type\": \"cache_evict\"";
+    const INVALIDATE_GOOD: &str = "\"kind\": \"invalidate\", \"outcome\": \"good\"";
+    const INVALIDATE_DEAD: &str = "\"kind\": \"invalidate\", \"outcome\": \"dead\"";
+    const PUSH_REFUSED: &str = "\"kind\": \"invalidate\", \"outcome\": \"refused\"";
+    const REFRESH_GOOD: &str = "\"kind\": \"refresh\", \"outcome\": \"good\"";
+
+    let churny = |seed| {
+        let mut cfg = guess_cfg(seed);
+        cfg.run.duration = SimDuration::from_secs(250.0);
+        cfg.run.warmup = SimDuration::from_secs(50.0);
+        cfg.with_lifespan_multiplier(0.2)
+    };
+    let no_backoff = |mut cfg: Config| {
+        cfg.protocol.do_backoff = false;
+        cfg
+    };
+    // The default 300 s coalesce window outlasts these runs; shorten it
+    // so refresh flushes (and their relay trees) actually fire.
+    let pushy = |cfg: Config| {
+        cfg.with_maintenance_mode(MaintenanceMode::Push)
+            .with_push_params(PushParams {
+                coalesce_window: SimDuration::from_secs(20.0),
+                ..PushParams::default()
+            })
+    };
+    let plain = Scenario::new();
+    let cases: [(&str, Config, Scenario, &[&str], u64); 8] = [
+        (
+            "pull",
+            churny(61),
+            plain.clone(),
+            &[QUERY_DEAD, PING_DEAD, PING_GOOD, EVICT],
+            0x3ffc_6aa3_b6ba_fd7c,
+        ),
+        (
+            "hybrid",
+            churny(62).with_maintenance_mode(MaintenanceMode::Hybrid),
+            plain.clone(),
+            &[INVALIDATE_GOOD, INVALIDATE_DEAD, EVICT],
+            0xe85e_dd73_7423_c9fa,
+        ),
+        (
+            "push",
+            pushy(churny(63)).with_max_probes_per_second(Some(1)),
+            plain.clone(),
+            &[
+                INVALIDATE_GOOD,
+                REFRESH_GOOD,
+                PUSH_REFUSED,
+                PING_DEAD,
+                EVICT,
+            ],
+            0xd3b5_8dcd_9562_9aa8,
+        ),
+        (
+            "distrust-dead-pongs",
+            churny(64)
+                .with_bad_peers(0.2, BadPongBehavior::Dead)
+                .with_uniform_policy(SelectionPolicy::Mfs)
+                .with_distrust_pongs(true),
+            plain.clone(),
+            &[QUERY_DEAD, PING_DEAD, EVICT],
+            0x0c2e_aecb_c05e_5c65,
+        ),
+        (
+            "refusals-no-backoff",
+            no_backoff(
+                churny(65)
+                    .with_max_probes_per_second(Some(1))
+                    .with_uniform_policy(SelectionPolicy::Mfs),
+            ),
+            plain.clone(),
+            &[QUERY_REFUSED, QUERY_DEAD, EVICT],
+            0x6723_d5a6_dc03_22d2,
+        ),
+        (
+            "parallel-5",
+            churny(66).with_parallel_probes(5),
+            plain.clone(),
+            &[QUERY_DEAD, EVICT],
+            0x0fea_cb49_7ddd_23e7,
+        ),
+        (
+            "payments-adaptive-selfish",
+            churny(68)
+                .with_selfish(0.3, 40)
+                .with_adaptive_parallelism(Some(AdaptiveParallelism::default()))
+                .with_probe_payments(Some(PaymentParams {
+                    initial_balance: 20.0,
+                    allowance_per_sec: 0.3,
+                    max_balance: 60.0,
+                    earn_per_answer: 0.5,
+                })),
+            plain,
+            &[QUERY_DEAD, EVICT],
+            0x412a_6ede_ed68_a2ac,
+        ),
+        (
+            "partition-join-heal",
+            pushy(churny(67)),
+            Scenario::new()
+                .at(60.0)
+                .partition(2)
+                .at(90.0)
+                .mass_join(10)
+                .at(130.0)
+                .heal(),
+            &[QUERY_DEAD, PING_DEAD, INVALIDATE_DEAD, REFRESH_GOOD, EVICT],
+            0xae92_65f1_7188_be7d,
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, cfg, scenario, needles, expected) in cases {
+        let text = guess_trace_text(cfg, &scenario);
+        for needle in needles {
+            assert!(text.contains(needle), "{name}: no record with {needle}");
+        }
+        let got = fnv1a(&text);
+        println!("{name}  0x{got:016x}");
+        if got != expected {
+            mismatches.push(format!(
+                "{name}: expected 0x{expected:016x}, got 0x{got:016x}"
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "trace streams drifted:\n{}",
+        mismatches.join("\n")
+    );
 }

@@ -328,6 +328,19 @@ mod tests {
     }
 
     #[test]
+    fn zero_sample_interval_is_rejected() {
+        // The snapshot tick would reschedule itself at `now + 0` forever.
+        assert_eq!(
+            small()
+                .with_sample_interval(Some(SimDuration::ZERO))
+                .build()
+                .err(),
+            Some(InvalidGnutellaConfig::ZeroSampleInterval)
+        );
+        assert!(small().with_sample_interval(None).build().is_ok());
+    }
+
+    #[test]
     fn runs_and_reports() {
         let report = small().build().unwrap().run();
         assert!(report.queries > 0);

@@ -190,6 +190,9 @@ impl GnutellaConfig {
         if self.warmup >= self.duration {
             return Err(InvalidGnutellaConfig::WarmupTooLong);
         }
+        if self.sample_interval.is_some_and(SimDuration::is_zero) {
+            return Err(InvalidGnutellaConfig::ZeroSampleInterval);
+        }
         Ok(())
     }
 
@@ -222,6 +225,9 @@ pub enum InvalidGnutellaConfig {
     WarmupTooLong,
     /// Content-catalog parameters are inconsistent.
     BadCatalog,
+    /// `sample_interval` was `Some(0)`: the snapshot tick would never
+    /// advance.
+    ZeroSampleInterval,
 }
 
 impl std::fmt::Display for InvalidGnutellaConfig {
@@ -239,6 +245,7 @@ impl std::fmt::Display for InvalidGnutellaConfig {
             }
             InvalidGnutellaConfig::WarmupTooLong => "warmup must end before duration",
             InvalidGnutellaConfig::BadCatalog => "catalog parameters are inconsistent",
+            InvalidGnutellaConfig::ZeroSampleInterval => "sample_interval must be positive",
         };
         write!(f, "gnutella config: {msg}")
     }

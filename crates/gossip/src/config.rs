@@ -85,6 +85,9 @@ pub enum GossipConfigError {
     WarmupTooLong,
     /// Catalog parameters rejected by the shared content model.
     BadCatalog,
+    /// `sample_interval` was `Some(0)`: the snapshot tick would never
+    /// advance.
+    ZeroSampleInterval,
 }
 
 impl std::fmt::Display for GossipConfigError {
@@ -103,6 +106,7 @@ impl std::fmt::Display for GossipConfigError {
             GossipConfigError::BadRoundInterval => "round interval must be finite and positive",
             GossipConfigError::WarmupTooLong => "warm-up must be shorter than the run duration",
             GossipConfigError::BadCatalog => "catalog parameters are invalid",
+            GossipConfigError::ZeroSampleInterval => "sample interval must be positive",
         };
         f.write_str(s)
     }
@@ -146,6 +150,9 @@ impl Config {
         }
         if self.warmup >= self.duration {
             return Err(GossipConfigError::WarmupTooLong);
+        }
+        if self.sample_interval.is_some_and(SimDuration::is_zero) {
+            return Err(GossipConfigError::ZeroSampleInterval);
         }
         Ok(())
     }
@@ -311,6 +318,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_sample_interval_is_rejected() {
+        // The snapshot tick would reschedule itself at `now + 0` forever.
+        let bad = Config::default().with_sample_interval(Some(SimDuration::ZERO));
+        assert_eq!(bad.validate(), Err(GossipConfigError::ZeroSampleInterval));
+        assert!(Config::default()
+            .with_sample_interval(None)
+            .validate()
+            .is_ok());
+    }
+
+    #[test]
     fn builders_set_the_named_fields() {
         let c = Config::default()
             .with_seed(0xbeef)
@@ -350,6 +368,7 @@ mod tests {
             GossipConfigError::BadRoundInterval,
             GossipConfigError::WarmupTooLong,
             GossipConfigError::BadCatalog,
+            GossipConfigError::ZeroSampleInterval,
         ]
         .iter()
         .map(ToString::to_string)

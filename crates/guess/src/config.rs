@@ -353,7 +353,8 @@ pub enum ConfigError {
     SeedTooLarge,
     /// `selfish_fraction` outside `[0,1)` or zero `selfish_parallelism`.
     BadSelfishParams,
-    /// Adaptive ping bounds inverted or factors on the wrong side of 1.
+    /// Adaptive ping bounds inverted, a zero `min_interval`, or factors
+    /// on the wrong side of 1.
     BadAdaptivePing,
     /// Adaptive parallelism with a zero window or `max_k` of zero.
     BadAdaptiveParallelism,
@@ -366,6 +367,13 @@ pub enum ConfigError {
     BadPushParams,
     /// `lanes` was zero, or left fewer than two peers per lane.
     BadLanes,
+    /// `ping_interval` was zero: every ping would reschedule itself at
+    /// the same instant and the run would never advance.
+    ZeroPingInterval,
+    /// `sample_interval` was zero: the snapshot tick would never advance.
+    ZeroSampleInterval,
+    /// Catalog parameters rejected by the shared content model.
+    BadCatalog,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -386,7 +394,7 @@ impl std::fmt::Display for ConfigError {
                 "selfish fraction must be within [0, 1) with positive parallelism"
             }
             ConfigError::BadAdaptivePing => {
-                "adaptive ping needs min <= max, on_dead in (0,1], on_alive >= 1"
+                "adaptive ping needs 0 < min <= max, on_dead in (0,1], on_alive >= 1"
             }
             ConfigError::BadAdaptiveParallelism => {
                 "adaptive parallelism needs a positive window and max_k"
@@ -399,6 +407,9 @@ impl std::fmt::Display for ConfigError {
                 "push maintenance needs positive fan-out, ttl and interest cap, ping stretch >= 1"
             }
             ConfigError::BadLanes => "lanes must be positive and leave at least 2 peers per lane",
+            ConfigError::ZeroPingInterval => "ping interval must be positive",
+            ConfigError::ZeroSampleInterval => "sample interval must be positive",
+            ConfigError::BadCatalog => "catalog needs items > 0 and finite non-negative exponents",
         };
         f.write_str(s)
     }
@@ -440,6 +451,20 @@ impl Config {
         if self.protocol.parallel_probes == 0 {
             return Err(ConfigError::ZeroParallelProbes);
         }
+        if self.protocol.ping_interval.is_zero() {
+            return Err(ConfigError::ZeroPingInterval);
+        }
+        if self.run.sample_interval.is_zero() {
+            return Err(ConfigError::ZeroSampleInterval);
+        }
+        // The conditions `Catalog::new` checks, without building its tables.
+        let exponents = [
+            self.catalog.replication_exponent,
+            self.catalog.query_exponent,
+        ];
+        if self.catalog.items == 0 || exponents.iter().any(|e| !e.is_finite() || *e < 0.0) {
+            return Err(ConfigError::BadCatalog);
+        }
         if self.run.warmup >= self.run.duration {
             return Err(ConfigError::WarmupTooLong);
         }
@@ -461,7 +486,7 @@ impl Config {
         }
         if let Some(ap) = self.protocol.adaptive_ping {
             let factors_ok = ap.on_dead > 0.0 && ap.on_dead <= 1.0 && ap.on_alive >= 1.0;
-            if ap.min_interval > ap.max_interval || !factors_ok {
+            if ap.min_interval.is_zero() || ap.min_interval > ap.max_interval || !factors_ok {
                 return Err(ConfigError::BadAdaptivePing);
             }
         }
@@ -849,6 +874,44 @@ mod tests {
         let mut c = Config::default();
         c.protocol.push.ping_stretch = 0.5;
         assert_eq!(c.validate(), Err(ConfigError::BadPushParams));
+    }
+
+    #[test]
+    fn zero_intervals_are_rejected() {
+        // Either would reschedule its event at `now + 0` forever.
+        let c = Config::small_test(1).with_ping_interval(SimDuration::ZERO);
+        assert_eq!(c.validate(), Err(ConfigError::ZeroPingInterval));
+
+        let mut c = Config::small_test(1);
+        c.run.sample_interval = SimDuration::ZERO;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroSampleInterval));
+
+        let c = Config::small_test(1).with_adaptive_ping(Some(AdaptivePing {
+            min_interval: SimDuration::ZERO,
+            ..AdaptivePing::default()
+        }));
+        assert_eq!(c.validate(), Err(ConfigError::BadAdaptivePing));
+    }
+
+    #[test]
+    fn bad_catalog_is_reported_as_such() {
+        let mut c = Config::small_test(1);
+        c.catalog.items = 0;
+        assert_eq!(c.validate(), Err(ConfigError::BadCatalog));
+        assert_eq!(c.clone().build().err(), Some(ConfigError::BadCatalog));
+        assert_eq!(
+            crate::run_lanes(c.with_lanes(2), 1).err(),
+            Some(ConfigError::BadCatalog)
+        );
+
+        for bad in [f64::NAN, f64::INFINITY, -0.5] {
+            let mut c = Config::small_test(1);
+            c.catalog.query_exponent = bad;
+            assert_eq!(c.validate(), Err(ConfigError::BadCatalog));
+            let mut c = Config::small_test(1);
+            c.catalog.replication_exponent = bad;
+            assert_eq!(c.validate(), Err(ConfigError::BadCatalog));
+        }
     }
 
     #[test]

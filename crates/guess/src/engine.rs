@@ -4,13 +4,16 @@
 //! discrete-event loop. Three event families exist per peer — query bursts,
 //! maintenance pings, and death — plus a periodic metrics snapshot.
 //!
+//! GUESS is non-forwarding: every message is one direct contact, and
+//! every contact — ping, query probe, spill probe, pushed update — goes
+//! through the private `GuessSim::contact`, which classifies it and
+//! charges the receiver what its `Message` kind calls for.
+//!
 //! ## Fidelity notes (see DESIGN.md §5)
 //!
 //! * A query executes *atomically* at its start time, but its probes carry
 //!   timestamps spaced `probe_interval / parallel_probes` apart, so
 //!   per-second capacity meters observe the true arrival rate.
-//! * Maintenance pings bypass the capacity meter: the paper's
-//!   `MaxProbesPerSecond` governs query probes.
 //! * A refused probe looks like a timeout to the prober: the entry is
 //!   evicted ("believing it is dead", §6.3) unless `DoBackoff` is set, in
 //!   which case the entry is retained but skipped for the rest of the
@@ -19,7 +22,7 @@
 use simkit::rng::RngStream;
 use simkit::scenario::MaintenanceMode;
 use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
-use simkit::time::SimTime;
+use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{ProbeKind, ProbeOutcome, TraceRecord, TraceSink, NO_QUERY};
 use workload::content::{Catalog, LibraryArena, LibraryHandle};
 use workload::files::FileCountModel;
@@ -33,7 +36,7 @@ use crate::config::{BadPongBehavior, Config, ConfigError};
 use crate::entry::CacheEntry;
 use crate::graph::UnionFind;
 use crate::link_cache::{CacheArena, InsertOutcome};
-use crate::message::Pong;
+use crate::message::{Pong, ProbeReply};
 use crate::metrics::{MetricsCollector, QueryOutcome, RunReport};
 use crate::peer::{Behavior, PeerState};
 use crate::policy::{select_top_k_into, ProbeQueue, SelectionPolicy};
@@ -55,8 +58,7 @@ const FABRICATED_POOL_SIZE: usize = 40;
 const POISON_NUM_RES: u32 = 50;
 
 /// The engine's event alphabet (public because it is the
-/// [`Simulation::Event`] associated type). The periodic metrics snapshot
-/// that used to be a fourth variant is now the kernel's own sample tick.
+/// [`Simulation::Event`] associated type).
 #[derive(Debug, Clone, Copy)]
 #[allow(missing_docs)]
 pub enum Event {
@@ -95,21 +97,24 @@ pub enum Event {
     /// back to the origin lane.
     RemotePong {
         pending: u32,
-        outcome: RemoteOutcome,
+        reply: ProbeReply,
     },
 }
 
-/// What a cross-lane spill probe found at its randomly chosen victim.
-/// Lane-resident peers are always alive (deaths rebirth in place), so
-/// there is no `Dead` arm — the serial probe loop's fourth outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemoteOutcome {
-    /// The victim's capacity meter dropped the probe.
-    Refused,
-    /// Answered, but the library does not hold the wanted item.
-    NoHit,
-    /// Answered with a result.
-    Hit,
+/// The kind of message a contact carries: what decides how the receiver
+/// is charged and whether it can answer with results. The caller's kind
+/// picks the variant; nothing configures it.
+#[derive(Debug, Clone, Copy)]
+enum Message {
+    /// Maintenance ping: neither counted as load nor metered — the
+    /// paper's `MaxProbesPerSecond` governs query probes.
+    Ping,
+    /// Query probe for a target: counted as load, metered at honest
+    /// peers only (attackers answer everything, with nothing).
+    Query(QueryTarget),
+    /// Pushed update: first-class traffic, counted and metered whoever
+    /// receives it — CUP's rule that a push pays what a probe pays.
+    Push,
 }
 
 /// A complete GUESS network simulation.
@@ -192,7 +197,7 @@ impl GuessSim {
         let seed = cfg.run.seed;
         let lifetimes = LifetimeModel::saroiu_like(cfg.system.lifespan_multiplier);
         let files = FileCountModel::gnutella_like();
-        let catalog = Catalog::new(cfg.catalog).map_err(|_| ConfigError::EmptyNetwork)?;
+        let catalog = Catalog::new(cfg.catalog).map_err(|_| ConfigError::BadCatalog)?;
         let qmodel = QueryModel::new(catalog);
         let workload = QueryWorkload::with_rate(cfg.system.query_rate)
             .map_err(|_| ConfigError::BadQueryRate)?;
@@ -231,24 +236,6 @@ impl GuessSim {
         Ok(sim)
     }
 
-    /// The configuration this simulator runs.
-    #[must_use]
-    pub fn config(&self) -> &Config {
-        &self.cfg
-    }
-
-    /// The peer table (all instances ever born, plus fabricated stubs).
-    #[must_use]
-    pub fn peers(&self) -> &[PeerState] {
-        &self.peers
-    }
-
-    /// Addresses of the currently live peers, one per slot.
-    #[must_use]
-    pub fn live_addrs(&self) -> &[PeerAddr] {
-        &self.slots
-    }
-
     /// Creates the initial population and seeds its link caches. Event
     /// scheduling happens later, in [`GuessSim::schedule_initial`], once
     /// the kernel exists — the RNG draw order across both phases is
@@ -264,21 +251,11 @@ impl GuessSim {
         let seed_size = self.cfg.run.cache_seed_size.min(n - 1);
         for s in 0..n {
             let me = self.slots[s];
-            let mut picks = Vec::with_capacity(seed_size);
-            let raw = self.rng_churn.sample_indices(n - 1, seed_size);
-            for r in raw {
-                let other = if r >= s { r + 1 } else { r };
-                picks.push(self.slots[other]);
-            }
-            for other in picks {
+            for r in self.rng_churn.sample_indices(n - 1, seed_size) {
+                let other = self.slots[if r >= s { r + 1 } else { r }];
                 let advertised = self.peers[other.index()].advertised_files();
-                let entry = CacheEntry::new(other, SimTime::ZERO, advertised);
-                let policy = self.cfg.protocol.cache_replacement;
-                let h = self.peers[me.index()].cache();
-                let outcome = self.caches.offer(h, entry, policy, &mut self.rng_policy);
-                if !matches!(outcome, InsertOutcome::Rejected) {
-                    self.push_register(me, other);
-                }
+                // No kernel exists yet, so seeding evictions go untraced.
+                self.admit_untraced(me, CacheEntry::new(other, SimTime::ZERO, advertised));
             }
         }
     }
@@ -393,6 +370,137 @@ impl GuessSim {
     }
 
     // ------------------------------------------------------------------
+    // The contact primitive
+    // ------------------------------------------------------------------
+
+    /// One direct message `src → dst` arriving at `at`: classifies it
+    /// (timed out / refused / answered) and charges `dst` the load and
+    /// capacity that `msg` calls for. `src` is `None` for a spill probe
+    /// from another lane: its victim was just drawn from the live
+    /// slots and no partition spans lanes, so it cannot time out.
+    /// Draws nothing from any RNG stream.
+    #[inline]
+    fn contact(
+        &mut self,
+        src: Option<PeerAddr>,
+        dst: PeerAddr,
+        at: SimTime,
+        msg: Message,
+    ) -> ProbeReply {
+        if let Some(src) = src {
+            if !self.peers[dst.index()].is_alive() || !self.reachable(src, dst) {
+                return ProbeReply::TimedOutDead;
+            }
+        }
+        let peer = &mut self.peers[dst.index()];
+        let honest = peer.behavior() == Behavior::Good;
+        let (counted, metered) = match msg {
+            Message::Ping => (false, false),
+            Message::Query(_) => (true, honest),
+            Message::Push => (true, true),
+        };
+        if counted {
+            peer.note_probe_received();
+        }
+        if metered && peer.capacity_mut().admit(at) == Admission::Refused {
+            return ProbeReply::Refused;
+        }
+        let results = match msg {
+            Message::Query(want) if honest => {
+                u32::from(self.libs.contains(peer.library(), want.item))
+            }
+            _ => 0,
+        };
+        ProbeReply::Answered { results }
+    }
+
+    /// Emits the probe trace record of one contact. Free for
+    /// untraced runs: the guard folds to `false`.
+    fn trace_probe<T: TraceSink>(
+        ctx: &mut SimCtx<'_, Event, T>,
+        query: u64,
+        target: PeerAddr,
+        kind: ProbeKind,
+        reply: ProbeReply,
+        at: SimTime,
+    ) {
+        if ctx.tracing() {
+            let outcome = match reply {
+                ProbeReply::Answered { .. } => ProbeOutcome::Good,
+                ProbeReply::TimedOutDead => ProbeOutcome::Dead,
+                ProbeReply::Refused => ProbeOutcome::Refused,
+            };
+            ctx.emit(
+                at,
+                TraceRecord::Probe {
+                    query,
+                    target: target.index() as u64,
+                    kind,
+                    outcome,
+                },
+            );
+        }
+    }
+
+    /// `owner`'s cached entry for `subject` timed out: evict it and,
+    /// under `distrust_pongs`, charge the reputation of whoever shared
+    /// it — a source crossing the blacklist threshold is evicted from
+    /// `owner`'s link cache on the spot as well.
+    fn drop_dead_entry(&mut self, owner: PeerAddr, subject: PeerAddr) {
+        let h = self.peers[owner.index()].cache();
+        self.caches.remove(h, subject);
+        if !self.cfg.protocol.distrust_pongs {
+            return;
+        }
+        let reputation = self.peers[owner.index()].reputation_mut();
+        let before = reputation.blacklisted_count();
+        let source = reputation.note_dead(subject);
+        if reputation.blacklisted_count() > before {
+            self.metrics.counters_mut().incr("sources_blacklisted");
+            if let Some(source) = source {
+                self.caches.remove(h, source);
+            }
+        }
+    }
+
+    /// Offers `entry` to `owner`'s link cache under the replacement
+    /// policy and, if it landed, registers `owner`'s push interest in
+    /// the entry's subject.
+    fn admit_untraced(&mut self, owner: PeerAddr, entry: CacheEntry) -> InsertOutcome {
+        let policy = self.cfg.protocol.cache_replacement;
+        let h = self.peers[owner.index()].cache();
+        let outcome = self.caches.offer(h, entry, policy, &mut self.rng_policy);
+        if outcome != InsertOutcome::Rejected {
+            self.push_register(owner, entry.addr());
+        }
+        outcome
+    }
+
+    /// [`GuessSim::admit_untraced`] plus the [`TraceRecord::CacheEvict`]
+    /// when the offer displaced an incumbent — how every entry reaches a
+    /// link cache once the run is under way.
+    fn admit<T: TraceSink>(
+        &mut self,
+        owner: PeerAddr,
+        entry: CacheEntry,
+        now: SimTime,
+        ctx: &mut SimCtx<'_, Event, T>,
+    ) {
+        let outcome = self.admit_untraced(owner, entry);
+        if ctx.tracing() {
+            if let InsertOutcome::Replaced(victim) = outcome {
+                ctx.emit(
+                    now,
+                    TraceRecord::CacheEvict {
+                        owner: owner.index() as u64,
+                        evicted: victim.index() as u64,
+                    },
+                );
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Churn
     // ------------------------------------------------------------------
 
@@ -421,32 +529,10 @@ impl GuessSim {
         self.metrics.record_load(load);
         self.bad.remove(slot, addr);
 
-        // Constant population: a replacement is born immediately and seeds
-        // its cache with the random-friend policy — copy a live friend's
-        // link cache.
+        // Constant population: a replacement is born immediately.
         let newborn = self.birth_peer(slot, now);
         self.slots[slot.index()] = newborn;
-        if let Some(friend) = self
-            .random_live_peer(Some(newborn))
-            .filter(|&f| self.reachable(newborn, f))
-        {
-            let mut entries = std::mem::take(&mut self.entry_scratch);
-            entries.clear();
-            let fh = self.peers[friend.index()].cache();
-            entries.extend_from_slice(self.caches.entries(fh));
-            let policy = self.cfg.protocol.cache_replacement;
-            let nh = self.peers[newborn.index()].cache();
-            for &e in &entries {
-                if e.addr() != newborn {
-                    let outcome = self.caches.offer(nh, e, policy, &mut self.rng_policy);
-                    self.trace_eviction(ctx, now, newborn, outcome);
-                    if !matches!(outcome, InsertOutcome::Rejected) {
-                        self.push_register(newborn, e.addr());
-                    }
-                }
-            }
-            self.entry_scratch = entries;
-        }
+        self.seed_from_friend(newborn, now, ctx);
         self.schedule_peer_events(slot, newborn, now, false, ctx);
 
         // The departed instance pushes its own obituary: every registered
@@ -466,27 +552,30 @@ impl GuessSim {
         }
     }
 
-    /// Emits a [`TraceRecord::CacheEvict`] when a cache offer displaced
-    /// an incumbent. Free for untraced runs: the outcome is computed
-    /// anyway and the guard folds to `false`.
-    fn trace_eviction<T: TraceSink>(
-        &self,
-        ctx: &mut SimCtx<'_, Event, T>,
+    /// The random-friend bootstrap: `newborn` copies the link cache of
+    /// one uniformly drawn live peer, if the draw is reachable.
+    fn seed_from_friend<T: TraceSink>(
+        &mut self,
+        newborn: PeerAddr,
         now: SimTime,
-        owner: PeerAddr,
-        outcome: InsertOutcome,
+        ctx: &mut SimCtx<'_, Event, T>,
     ) {
-        if ctx.tracing() {
-            if let InsertOutcome::Replaced(victim) = outcome {
-                ctx.emit(
-                    now,
-                    TraceRecord::CacheEvict {
-                        owner: owner.index() as u64,
-                        evicted: victim.index() as u64,
-                    },
-                );
+        let Some(friend) = self
+            .random_live_peer(Some(newborn))
+            .filter(|&f| self.reachable(newborn, f))
+        else {
+            return;
+        };
+        let mut entries = std::mem::take(&mut self.entry_scratch);
+        entries.clear();
+        let fh = self.peers[friend.index()].cache();
+        entries.extend_from_slice(self.caches.entries(fh));
+        for &e in &entries {
+            if e.addr() != newborn {
+                self.admit(newborn, e, now, ctx);
             }
         }
+        self.entry_scratch = entries;
     }
 
     /// A uniformly random live peer, excluding `not` if given.
@@ -559,35 +648,12 @@ impl GuessSim {
         let entry = self.pong_scratch.first().copied()?; // empty cache: nothing to maintain
         let dst = entry.addr();
         self.metrics.counters_mut().incr("pings_sent");
-        if !self.peers[dst.index()].is_alive() || !self.reachable(pinger, dst) {
-            if ctx.tracing() {
-                ctx.emit(
-                    now,
-                    TraceRecord::Probe {
-                        query: NO_QUERY,
-                        target: dst.index() as u64,
-                        kind: ProbeKind::Ping,
-                        outcome: ProbeOutcome::Dead,
-                    },
-                );
-            }
-            self.caches.remove(h, dst);
-            if self.cfg.protocol.distrust_pongs {
-                self.note_dead_entry(pinger, dst);
-            }
+        let reply = self.contact(Some(pinger), dst, now, Message::Ping);
+        Self::trace_probe(ctx, NO_QUERY, dst, ProbeKind::Ping, reply, now);
+        if !reply.is_answered() {
+            self.drop_dead_entry(pinger, dst);
             self.metrics.counters_mut().incr("pings_dead");
             return Some(false);
-        }
-        if ctx.tracing() {
-            ctx.emit(
-                now,
-                TraceRecord::Probe {
-                    query: NO_QUERY,
-                    target: dst.index() as u64,
-                    kind: ProbeKind::Ping,
-                    outcome: ProbeOutcome::Good,
-                },
-            );
         }
         // The neighbor answers: refresh our TS for it and absorb its pong.
         self.caches.touch(h, dst, now);
@@ -597,8 +663,12 @@ impl GuessSim {
         self.apply_introduction(dst, pinger, now, ctx);
         let dh = self.peers[dst.index()].cache();
         self.caches.touch(dh, pinger, now);
+        // The pong is built before the source filter is consulted, so the
+        // responder's selection draws happen either way.
         let pong = self.build_pong(dst, self.cfg.protocol.ping_pong, now);
-        self.absorb_pong(pinger, dst, &pong, now, ctx);
+        if !self.pong_filtered(pinger, dst) {
+            self.absorb_pong(pinger, dst, &pong, now, ctx, |_, _| {});
+        }
         self.pong_scratch = pong.entries;
         self.metrics.counters_mut().incr("pings_answered");
         Some(true)
@@ -607,10 +677,7 @@ impl GuessSim {
     /// §6.1's runtime guidance: shrink the ping interval when probes keep
     /// hitting dead addresses, stretch it when the cache looks healthy.
     fn adapt_ping_interval(&mut self, addr: PeerAddr, outcome: Option<bool>) {
-        let Some(params) = self.cfg.protocol.adaptive_ping else {
-            return;
-        };
-        let Some(alive) = outcome else {
+        let (Some(params), Some(alive)) = (self.cfg.protocol.adaptive_ping, outcome) else {
             return;
         };
         let peer = &mut self.peers[addr.index()];
@@ -621,24 +688,7 @@ impl GuessSim {
         };
         let next = (peer.ping_interval().as_secs() * factor)
             .clamp(params.min_interval.as_secs(), params.max_interval.as_secs());
-        peer.set_ping_interval(simkit::time::SimDuration::from_secs(next));
-    }
-
-    /// Charges the reputation of whoever shared the now-dead `subject`
-    /// with `owner`; a source crossing the blacklist threshold is also
-    /// evicted from `owner`'s link cache on the spot.
-    fn note_dead_entry(&mut self, owner: PeerAddr, subject: PeerAddr) {
-        let before = self.peers[owner.index()].reputation().blacklisted_count();
-        let source = self.peers[owner.index()]
-            .reputation_mut()
-            .note_dead(subject);
-        if self.peers[owner.index()].reputation().blacklisted_count() > before {
-            self.metrics.counters_mut().incr("sources_blacklisted");
-            if let Some(source) = source {
-                let h = self.peers[owner.index()].cache();
-                self.caches.remove(h, source);
-            }
-        }
+        peer.set_ping_interval(SimDuration::from_secs(next));
     }
 
     /// A malicious peer pings a random live victim purely to trigger the
@@ -673,26 +723,14 @@ impl GuessSim {
             return; // attackers do not maintain honest caches
         }
         let advertised = self.peers[initiator.index()].advertised_files();
-        let entry = CacheEntry::new(initiator, now, advertised);
-        let policy = self.cfg.protocol.cache_replacement;
-        let h = self.peers[dst.index()].cache();
-        let outcome = self.caches.offer(h, entry, policy, &mut self.rng_policy);
-        self.trace_eviction(ctx, now, dst, outcome);
-        if !matches!(outcome, InsertOutcome::Rejected) {
-            self.push_register(dst, initiator);
-        }
+        self.admit(dst, CacheEntry::new(initiator, now, advertised), now, ctx);
         self.metrics.counters_mut().incr("introductions");
     }
 
     /// Builds the pong `responder` attaches to a reply, honest or poisoned,
     /// in the engine's pong buffer. The caller puts `pong.entries` back in
     /// `pong_scratch` once the pong is consumed.
-    fn build_pong(
-        &mut self,
-        responder: PeerAddr,
-        policy: crate::policy::SelectionPolicy,
-        now: SimTime,
-    ) -> Pong {
+    fn build_pong(&mut self, responder: PeerAddr, policy: SelectionPolicy, now: SimTime) -> Pong {
         let mut entries = std::mem::take(&mut self.pong_scratch);
         if self.peers[responder.index()].behavior() == Behavior::Malicious {
             entries.clear();
@@ -721,41 +759,25 @@ impl GuessSim {
     ) {
         let k = self.cfg.protocol.pong_size;
         let inflated_files = self.files.max_files();
+        let poison = |addr| CacheEntry::from_pong(addr, now, inflated_files, POISON_NUM_RES);
         match self.cfg.system.bad_pong_behavior {
             BadPongBehavior::Dead => {
                 let slot = self.ensure_fabricated_pool(attacker, now);
                 let pool_len = self.bad.pool(slot).len();
                 for i in self.rng_churn.sample_indices(pool_len, k) {
-                    entries.push(CacheEntry::from_pong(
-                        self.bad.pool(slot)[i],
-                        now,
-                        inflated_files,
-                        POISON_NUM_RES,
-                    ));
+                    entries.push(poison(self.bad.pool(slot)[i]));
                 }
             }
             BadPongBehavior::Bad => {
-                if !self.bad.is_empty() {
-                    let m = self.bad.len();
-                    for i in self.rng_churn.sample_indices(m, k) {
-                        entries.push(CacheEntry::from_pong(
-                            self.bad.member(i),
-                            now,
-                            inflated_files,
-                            POISON_NUM_RES,
-                        ));
-                    }
+                // (No colluders alive: zero indices, and no draw.)
+                for i in self.rng_churn.sample_indices(self.bad.len(), k) {
+                    entries.push(poison(self.bad.member(i)));
                 }
             }
             BadPongBehavior::Good => {
                 for _ in 0..k {
                     if let Some(p) = self.random_live_peer(Some(attacker)) {
-                        entries.push(CacheEntry::from_pong(
-                            p,
-                            now,
-                            inflated_files,
-                            POISON_NUM_RES,
-                        ));
+                        entries.push(poison(p));
                     }
                 }
             }
@@ -781,9 +803,24 @@ impl GuessSim {
         slot
     }
 
+    /// The pong-source reputation filter: true (and counted) when
+    /// `receiver` has blacklisted `source`, whose pongs it drops unseen.
+    fn pong_filtered(&mut self, receiver: PeerAddr, source: PeerAddr) -> bool {
+        let filtered = self.cfg.protocol.distrust_pongs
+            && self.peers[receiver.index()]
+                .reputation()
+                .is_blacklisted(source);
+        if filtered {
+            self.metrics.counters_mut().incr("pongs_filtered");
+        }
+        filtered
+    }
+
     /// The receiver of a pong merges its entries into the link cache,
-    /// honouring `ResetNumResults` (MR\*) and the pong-source reputation
-    /// filter (entries from blacklisted sources are dropped unseen).
+    /// honouring `ResetNumResults` (MR\*) and never re-admitting a
+    /// blacklisted address. `on_entry` sees each surviving entry just
+    /// *before* it is offered — the query loop feeds its probe pool
+    /// there, and both may draw from `rng_policy`, pool first.
     fn absorb_pong<T: TraceSink>(
         &mut self,
         receiver: PeerAddr,
@@ -791,16 +828,8 @@ impl GuessSim {
         pong: &Pong,
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
+        mut on_entry: impl FnMut(&mut Self, CacheEntry),
     ) {
-        if self.cfg.protocol.distrust_pongs
-            && self.peers[receiver.index()]
-                .reputation()
-                .is_blacklisted(source)
-        {
-            self.metrics.counters_mut().incr("pongs_filtered");
-            return;
-        }
-        let policy = self.cfg.protocol.cache_replacement;
         for e in &pong.entries {
             if e.addr() == receiver {
                 continue;
@@ -810,22 +839,14 @@ impl GuessSim {
                 entry.reset_num_res();
             }
             if self.cfg.protocol.distrust_pongs {
-                if self.peers[receiver.index()]
-                    .reputation()
-                    .is_blacklisted(entry.addr())
-                {
+                let reputation = self.peers[receiver.index()].reputation_mut();
+                if reputation.is_blacklisted(entry.addr()) {
                     continue; // never re-admit a known liar
                 }
-                self.peers[receiver.index()]
-                    .reputation_mut()
-                    .note_shared(source, entry.addr());
+                reputation.note_shared(source, entry.addr());
             }
-            let h = self.peers[receiver.index()].cache();
-            let outcome = self.caches.offer(h, entry, policy, &mut self.rng_policy);
-            self.trace_eviction(ctx, now, receiver, outcome);
-            if !matches!(outcome, InsertOutcome::Rejected) {
-                self.push_register(receiver, entry.addr());
-            }
+            on_entry(self, entry);
+            self.admit(receiver, entry, now, ctx);
         }
     }
 
@@ -837,10 +858,7 @@ impl GuessSim {
     /// maintenance by `ping_stretch`: refreshes ride the rarer ping
     /// cycle, so the polling bandwidth drops with it. Pull and hybrid
     /// runs pass the base interval through untouched.
-    fn effective_ping_interval(
-        &self,
-        base: simkit::time::SimDuration,
-    ) -> simkit::time::SimDuration {
+    fn effective_ping_interval(&self, base: SimDuration) -> SimDuration {
         if self.cfg.protocol.maintenance_mode == MaintenanceMode::Push {
             base * self.cfg.protocol.push.ping_stretch
         } else {
@@ -859,21 +877,15 @@ impl GuessSim {
             return;
         }
         let s = &self.peers[subject.index()];
-        if !s.is_alive() || s.behavior() != Behavior::Good {
+        if !s.is_good() || !self.reachable(watcher, subject) {
             return;
         }
-        let subject_slot = s.slot();
-        if !self.reachable(watcher, subject) {
-            return;
-        }
-        let watcher_slot = self.peers[watcher.index()].slot();
-        self.push.register(
-            subject_slot,
-            Interest {
-                slot: watcher_slot,
-                addr: watcher,
-            },
-        );
+        let slot = self.peers[watcher.index()].slot();
+        let interest = Interest {
+            slot,
+            addr: watcher,
+        };
+        self.push.register(s.slot(), interest);
     }
 
     /// Requests a refresh push of `addr`'s own entry (push mode only).
@@ -1008,9 +1020,7 @@ impl GuessSim {
         }
     }
 
-    /// Delivers one pushed update to one watcher. Pushes are first-class
-    /// traffic: they pay the same per-second capacity admission as query
-    /// probes and count toward the receiver's load. Returns whether the
+    /// Delivers one pushed update to one watcher. Returns whether the
     /// watcher accepted (and may therefore relay a share of the tree).
     fn deliver_push<T: TraceSink>(
         &mut self,
@@ -1025,44 +1035,22 @@ impl GuessSim {
             UpdateKind::Refresh => ("push_refreshes", ProbeKind::Refresh),
         };
         self.metrics.counters_mut().incr(counter);
-        let trace = |ctx: &mut SimCtx<'_, Event, T>, outcome: ProbeOutcome| {
-            if ctx.tracing() {
-                ctx.emit(
-                    now,
-                    TraceRecord::Probe {
-                        query: NO_QUERY,
-                        target: w.addr.index() as u64,
-                        kind: trace_kind,
-                        outcome,
-                    },
-                );
-            }
-        };
-        // The watcher instance must still occupy its slot; `subject` may
-        // be freshly dead (invalidations), but its slot field is intact,
-        // so the partition check is well-defined either way.
-        if !self.is_current(w.slot, w.addr) || !self.reachable(subject, w.addr) {
-            trace(ctx, ProbeOutcome::Dead);
-            self.metrics.counters_mut().incr("push_dropped");
-            return false;
-        }
-        self.peers[w.addr.index()].note_probe_received();
-        if self.peers[w.addr.index()].capacity_mut().admit(now) == Admission::Refused {
-            trace(ctx, ProbeOutcome::Refused);
-            self.metrics.counters_mut().incr("push_refused");
-            return false;
-        }
+        // `subject` may be freshly dead (invalidations), but its slot
+        // field is intact, so the partition check is well-defined.
+        let reply = self.contact(Some(subject), w.addr, now, Message::Push);
+        Self::trace_probe(ctx, NO_QUERY, w.addr, trace_kind, reply, now);
         let h = self.peers[w.addr.index()].cache();
-        match kind {
-            UpdateKind::Invalidate => {
+        match (reply, kind) {
+            (ProbeReply::TimedOutDead, _) => self.metrics.counters_mut().incr("push_dropped"),
+            (ProbeReply::Refused, _) => self.metrics.counters_mut().incr("push_refused"),
+            (ProbeReply::Answered { .. }, UpdateKind::Invalidate) => {
                 self.caches.remove(h, subject);
             }
-            UpdateKind::Refresh => {
+            (ProbeReply::Answered { .. }, UpdateKind::Refresh) => {
                 self.caches.touch(h, subject, now);
             }
         }
-        trace(ctx, ProbeOutcome::Good);
-        true
+        reply.is_answered()
     }
 
     // ------------------------------------------------------------------
@@ -1085,6 +1073,18 @@ impl GuessSim {
         }
         let gap = self.workload.sample_burst_gap(&mut self.rng_query);
         ctx.schedule(now + gap, Event::Burst { slot, addr });
+    }
+
+    /// Ends the run: books the load of every peer still alive and hands
+    /// over the collector.
+    fn into_metrics(mut self) -> MetricsCollector {
+        for &addr in &self.slots {
+            let p = &self.peers[addr.index()];
+            if p.is_alive() {
+                self.metrics.record_load(p.probes_received());
+            }
+        }
+        self.metrics
     }
 }
 
@@ -1133,16 +1133,8 @@ impl Runnable for GuessSim {
         let mut kernel = Kernel::new(params, sink);
         self.schedule_initial(&mut kernel.ctx());
         kernel.run_scenario(&mut self, scenario)?;
-        // Loads of peers still alive at the end of the run.
-        for &addr in &self.slots {
-            let p = &self.peers[addr.index()];
-            if p.is_alive() {
-                self.metrics.record_load(p.probes_received());
-            }
-        }
-        let events_processed = kernel.events_processed();
-        let mut report = self.metrics.finish();
-        report.events_processed = events_processed;
+        let mut report = self.into_metrics().finish();
+        report.events_processed = kernel.events_processed();
         Ok((report, kernel.into_sink()))
     }
 }
@@ -1158,7 +1150,6 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use crate::policy::SelectionPolicy;
-    use simkit::time::SimDuration;
 
     fn tiny(seed: u64) -> Config {
         let mut cfg = Config::small_test(seed);

@@ -21,7 +21,6 @@
 
 use simkit::lanes::{LaneCtx, LaneKernel, LaneSimulation};
 use simkit::rng::derive_seed;
-use simkit::time::SimDuration;
 use simkit::trace::NullSink;
 
 use super::query_exec::QueryExec;
@@ -138,9 +137,9 @@ impl GuessLane {
     }
 
     /// A sibling lane's spill probe arrives: probe one random resident
-    /// and send the outcome back. Lane residents are always alive
-    /// (deaths rebirth in place), so the serial loop's `Dead` outcome
-    /// cannot occur here.
+    /// and send the reply back. Lane residents are always alive (deaths
+    /// rebirth in place) and the sender has no address here, so the
+    /// contact has no `src` and cannot time out.
     fn on_remote_probe<T: TraceSink>(
         &mut self,
         src_lane: u32,
@@ -151,26 +150,12 @@ impl GuessLane {
     ) {
         let sim = &mut self.sim;
         let victim = sim.slots[sim.rng_remote.below(sim.slots.len())];
-        sim.peers[victim.index()].note_probe_received();
-        let behavior = sim.peers[victim.index()].behavior();
-        let outcome = if behavior == Behavior::Good
-            && sim.peers[victim.index()].capacity_mut().admit(now) == Admission::Refused
-        {
-            RemoteOutcome::Refused
-        } else if behavior == Behavior::Good
-            && sim
-                .libs
-                .contains(sim.peers[victim.index()].library(), target.item)
-        {
-            RemoteOutcome::Hit
-        } else {
-            RemoteOutcome::NoHit
-        };
+        let reply = sim.contact(None, victim, now, Message::Query(target));
         sim.metrics.counters_mut().incr("remote_probes");
         lctx.send(
             src_lane,
             now + self.rtt,
-            Event::RemotePong { pending, outcome },
+            Event::RemotePong { pending, reply },
         );
     }
 
@@ -179,21 +164,14 @@ impl GuessLane {
     fn on_remote_pong<T: TraceSink>(
         &mut self,
         pending: u32,
-        outcome: RemoteOutcome,
+        reply: ProbeReply,
         now: SimTime,
         lctx: &mut LaneCtx<'_, Event, T>,
     ) {
         let p = self.pending[pending as usize]
             .as_mut()
             .expect("pong for a query that is not parked");
-        match outcome {
-            RemoteOutcome::Refused => p.ex.refused += 1,
-            RemoteOutcome::NoHit => p.ex.good += 1,
-            RemoteOutcome::Hit => {
-                p.ex.good += 1;
-                p.ex.results += 1;
-            }
-        }
+        p.ex.tally(reply);
         p.received += 1;
         if p.received == p.expected {
             let p = self.pending[pending as usize].take().expect("just checked");
@@ -231,8 +209,8 @@ impl<T: TraceSink> LaneSimulation<T> for GuessLane {
                 pending,
                 target,
             } => self.on_remote_probe(src_lane, pending, target, now, lctx),
-            Event::RemotePong { pending, outcome } => {
-                self.on_remote_pong(pending, outcome, now, lctx);
+            Event::RemotePong { pending, reply } => {
+                self.on_remote_pong(pending, reply, now, lctx);
             }
             // Churn, pings, and push maintenance are lane-local: the
             // serial handlers run unmodified against this lane's state.
@@ -314,15 +292,7 @@ pub fn run_lanes(cfg: Config, threads: usize) -> Result<RunReport, ConfigError> 
     let mut collector = MetricsCollector::new();
     for (i, mut lane) in lanes.into_iter().enumerate() {
         lane.flush_pending(end, &mut kernel.ctx(i));
-        let mut sim = lane.sim;
-        let slots = std::mem::take(&mut sim.slots);
-        for &addr in &slots {
-            let p = &sim.peers[addr.index()];
-            if p.is_alive() {
-                sim.metrics.record_load(p.probes_received());
-            }
-        }
-        collector.absorb(sim.metrics);
+        collector.absorb(lane.sim.into_metrics());
     }
     collector.counters_mut().add("lanes", l as u64);
     let events_processed = kernel.events_processed();

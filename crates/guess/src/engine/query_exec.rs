@@ -26,6 +26,20 @@ pub(super) struct QueryExec {
     pub(super) rounds: f64,
 }
 
+impl QueryExec {
+    /// Books one probe's reply, local or cross-lane.
+    pub(super) fn tally(&mut self, reply: ProbeReply) {
+        match reply {
+            ProbeReply::TimedOutDead => self.dead += 1,
+            ProbeReply::Refused => self.refused += 1,
+            ProbeReply::Answered { results } => {
+                self.good += 1;
+                self.results += results;
+            }
+        }
+    }
+}
+
 impl GuessSim {
     /// Marks `addr` as considered by the query with dedup stamp `stamp`;
     /// returns true on the first visit. Addresses allocated mid-query
@@ -81,9 +95,7 @@ impl GuessSim {
             );
         }
         let want = self.qmodel.sample_target(&mut self.rng_query);
-        let desired = self.cfg.system.num_desired_results;
         let probe_gap = self.cfg.protocol.probe_interval;
-        let distrust = self.cfg.protocol.distrust_pongs;
 
         // Selfish peers blast wide volleys regardless of the protocol's
         // configured walk width (§3.3); honest peers start at the
@@ -114,193 +126,98 @@ impl GuessSim {
         }
         self.entry_scratch = seed_entries;
 
-        let mut results = 0u32;
-        let mut good = 0u32;
-        let mut dead = 0u32;
-        let mut refused = 0u32;
-        // Wall-clock rounds elapsed: each probe occupies 1/k of a round.
-        let mut rounds = 0.0f64;
+        let mut ex = QueryExec {
+            qid,
+            target: want,
+            selfish,
+            desired: self.cfg.system.num_desired_results,
+            results: 0,
+            good: 0,
+            dead: 0,
+            refused: 0,
+            // Each probe occupies 1/k of a wall-clock round.
+            rounds: 0.0,
+        };
 
-        while results < desired {
+        while ex.results < ex.desired {
             let Some(entry) = pool.pop() else {
                 break;
             };
             let dst = entry.addr();
             // Serial probes go out one timeout apart; k-parallel walks
             // share each time slot.
-            let t_probe = now + probe_gap * rounds;
-            // Probe payments: a peer that cannot afford the probe must
-            // stop searching until its allowance refills (§3.3).
-            if self.cfg.protocol.probe_payments.is_some() {
-                let broke = self.peers[prober.index()]
-                    .account_mut()
-                    .expect("accounts exist when payments are on")
-                    .pay_probe(t_probe)
-                    .is_err();
-                if broke {
+            let t_probe = now + probe_gap * ex.rounds;
+            // Probe payments (accounts exist exactly when they are on): a
+            // peer that cannot afford the probe must stop searching until
+            // its allowance refills (§3.3).
+            if let Some(account) = self.peers[prober.index()].account_mut() {
+                if account.pay_probe(t_probe).is_err() {
                     self.metrics.counters_mut().incr("probe_budget_exhausted");
                     break;
                 }
             }
-            rounds += 1.0 / k as f64;
+            ex.rounds += 1.0 / k as f64;
 
-            if !self.peers[dst.index()].is_alive() || !self.reachable(prober, dst) {
-                dead += 1;
-                if ctx.tracing() {
-                    ctx.emit(
-                        t_probe,
-                        TraceRecord::Probe {
-                            query: qid,
-                            target: dst.index() as u64,
-                            kind: ProbeKind::Query,
-                            outcome: ProbeOutcome::Dead,
-                        },
-                    );
+            let reply = self.contact(Some(prober), dst, t_probe, Message::Query(want));
+            Self::trace_probe(ctx, qid, dst, ProbeKind::Query, reply, t_probe);
+            ex.tally(reply);
+            let res = match reply {
+                ProbeReply::TimedOutDead => {
+                    self.drop_dead_entry(prober, dst);
+                    continue;
                 }
-                self.caches.remove(prober_cache, dst);
-                if distrust {
-                    self.note_dead_entry(prober, dst);
+                ProbeReply::Refused => {
+                    if !self.cfg.protocol.do_backoff {
+                        // A dropped probe times out; the prober assumes
+                        // death and evicts — the inherent throttle.
+                        self.caches.remove(prober_cache, dst);
+                    }
+                    continue;
                 }
-                continue;
-            }
-
-            self.peers[dst.index()].note_probe_received();
-
-            let dst_behavior = self.peers[dst.index()].behavior();
-            if dst_behavior == Behavior::Good
-                && self.peers[dst.index()].capacity_mut().admit(t_probe) == Admission::Refused
-            {
-                refused += 1;
-                if ctx.tracing() {
-                    ctx.emit(
-                        t_probe,
-                        TraceRecord::Probe {
-                            query: qid,
-                            target: dst.index() as u64,
-                            kind: ProbeKind::Query,
-                            outcome: ProbeOutcome::Refused,
-                        },
-                    );
-                }
-                if !self.cfg.protocol.do_backoff {
-                    // A dropped probe times out; the prober assumes
-                    // death and evicts — the inherent throttle.
-                    self.caches.remove(prober_cache, dst);
-                }
-                continue;
-            }
-
-            good += 1;
-            if ctx.tracing() {
-                ctx.emit(
-                    t_probe,
-                    TraceRecord::Probe {
-                        query: qid,
-                        target: dst.index() as u64,
-                        kind: ProbeKind::Query,
-                        outcome: ProbeOutcome::Good,
-                    },
-                );
-            }
-            if distrust {
+                ProbeReply::Answered { results } => results,
+            };
+            if self.cfg.protocol.distrust_pongs {
                 self.peers[prober.index()].reputation_mut().note_alive(dst);
             }
-            if self.cfg.protocol.probe_payments.is_some() {
-                if let Some(acct) = self.peers[dst.index()].account_mut() {
-                    acct.earn_answer(t_probe);
-                }
+            if let Some(account) = self.peers[dst.index()].account_mut() {
+                account.earn_answer(t_probe);
             }
-            let res = if dst_behavior == Behavior::Good
-                && self
-                    .libs
-                    .contains(self.peers[dst.index()].library(), want.item)
-            {
-                1u32
-            } else {
-                0u32
-            };
-            results += res;
 
             // Adaptive walk widening: double k after a run of resultless
             // probes (only honest, non-selfish queriers bother).
-            if let Some(ak) = self.cfg.protocol.adaptive_parallelism {
-                if !selfish {
-                    if res == 0 {
-                        resultless_streak += 1;
-                        if resultless_streak >= ak.escalate_after {
-                            k = (k * 2).min(ak.max_k);
-                            resultless_streak = 0;
-                        }
-                    } else {
-                        resultless_streak = 0;
-                    }
+            if let (Some(ak), false) = (self.cfg.protocol.adaptive_parallelism, selfish) {
+                resultless_streak = if res == 0 { resultless_streak + 1 } else { 0 };
+                if resultless_streak >= ak.escalate_after {
+                    k = (k * 2).min(ak.max_k);
+                    resultless_streak = 0;
                 }
             }
 
             // Both sides record the interaction (§2.1): the prober resets
             // NumRes for the target; the target refreshes TS for the
             // prober if cached, and may add the prober (introduction).
-            if !self.caches.record_results(prober_cache, dst, now, res) {
-                // Probed from the query cache: the entry is not in the
-                // link cache; nothing to update.
-            }
+            // (A no-op when `dst` was probed from the query cache and
+            // has no link-cache entry.)
+            self.caches.record_results(prober_cache, dst, now, res);
             let dst_cache = self.peers[dst.index()].cache();
             self.caches.touch(dst_cache, prober, now);
             self.apply_introduction(dst, prober, now, ctx);
 
             // The reply's pong feeds both the query cache (the probe pool)
-            // and, subject to replacement policy, the link cache. Pongs
-            // from blacklisted sources are dropped wholesale.
-            if distrust && self.peers[prober.index()].reputation().is_blacklisted(dst) {
-                self.metrics.counters_mut().incr("pongs_filtered");
+            // and, subject to replacement policy, the link cache. A
+            // filtered source's pong is not even built.
+            if self.pong_filtered(prober, dst) {
                 continue;
             }
             let pong = self.build_pong(dst, self.cfg.protocol.query_pong, now);
-            for e in &pong.entries {
-                if e.addr() == prober {
-                    continue;
+            self.absorb_pong(prober, dst, &pong, now, ctx, |sim, entry| {
+                if sim.query_first_visit(entry.addr(), stamp) {
+                    pool.push(entry, &mut sim.rng_policy);
                 }
-                let mut entry = *e;
-                if self.cfg.protocol.reset_num_results {
-                    entry.reset_num_res();
-                }
-                if distrust {
-                    if self.peers[prober.index()]
-                        .reputation()
-                        .is_blacklisted(entry.addr())
-                    {
-                        continue; // never re-admit a known liar
-                    }
-                    self.peers[prober.index()]
-                        .reputation_mut()
-                        .note_shared(dst, entry.addr());
-                }
-                if self.query_first_visit(entry.addr(), stamp) {
-                    pool.push(entry, &mut self.rng_policy);
-                }
-                let policy = self.cfg.protocol.cache_replacement;
-                let outcome = self
-                    .caches
-                    .offer(prober_cache, entry, policy, &mut self.rng_policy);
-                self.trace_eviction(ctx, now, prober, outcome);
-                if !matches!(outcome, InsertOutcome::Rejected) {
-                    self.push_register(prober, entry.addr());
-                }
-            }
+            });
             self.pong_scratch = pong.entries;
         }
-
-        QueryExec {
-            qid,
-            target: want,
-            selfish,
-            desired,
-            results,
-            good,
-            dead,
-            refused,
-            rounds,
-        }
+        ex
     }
 
     /// Concludes a query: emits the `QueryEnd` record at `now` and, when

@@ -28,29 +28,7 @@ impl GuessSim {
             self.push.grow_to(self.slots.len() + 1);
             let newborn = self.birth_peer(slot, now);
             self.slots.push(newborn);
-            // Seed the newborn's cache from a random live friend,
-            // exactly like a churn replacement.
-            if let Some(friend) = self
-                .random_live_peer(Some(newborn))
-                .filter(|&f| self.reachable(newborn, f))
-            {
-                let mut entries = std::mem::take(&mut self.entry_scratch);
-                entries.clear();
-                let fh = self.peers[friend.index()].cache();
-                entries.extend_from_slice(self.caches.entries(fh));
-                let policy = self.cfg.protocol.cache_replacement;
-                let nh = self.peers[newborn.index()].cache();
-                for &e in &entries {
-                    if e.addr() != newborn {
-                        let outcome = self.caches.offer(nh, e, policy, &mut self.rng_policy);
-                        self.trace_eviction(ctx, now, newborn, outcome);
-                        if !matches!(outcome, InsertOutcome::Rejected) {
-                            self.push_register(newborn, e.addr());
-                        }
-                    }
-                }
-                self.entry_scratch = entries;
-            }
+            self.seed_from_friend(newborn, now, ctx);
             self.schedule_peer_events(slot, newborn, now, false, ctx);
         }
     }
@@ -279,6 +257,20 @@ mod tests {
         assert!(matches!(err, ScenarioError::InvalidParam(_)));
         assert_eq!(sim.cfg.protocol.maintenance_mode, MaintenanceMode::Hybrid);
         assert_eq!(sim.cfg.system.query_rate, tiny(44).system.query_rate);
+    }
+
+    #[test]
+    fn zero_ping_interval_flip_is_rejected() {
+        // Installed, it would reschedule every ping at `now + 0`.
+        let mut sim = GuessSim::new(tiny(45)).unwrap();
+        let err = sim
+            .param_flip(&Param::PingInterval(SimDuration::ZERO))
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::InvalidParam(_)));
+        assert_eq!(
+            sim.cfg.protocol.ping_interval,
+            tiny(45).protocol.ping_interval
+        );
     }
 
     #[test]

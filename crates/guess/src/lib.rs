@@ -37,7 +37,7 @@
 //! | [`link_cache`] | the bounded neighbor cache with policy eviction |
 //! | [`policy`] | Random/MRU/LRU/MFS/MR selection + replacement mirrors |
 //! | [`capacity`] | `MaxProbesPerSecond` admission metering |
-//! | [`message`] | pings, pongs, probes, replies |
+//! | [`message`] | the pong payload and what a sender observes ([`message::ProbeReply`]) |
 //! | [`peer`] | per-peer state, honest and malicious |
 //! | [`config`] | Tables 1 & 2 parameters + run controls |
 //! | [`engine`] | the discrete-event network simulator |

@@ -312,12 +312,6 @@ impl CacheArena {
         a
     }
 
-    /// The per-cache capacity (`CacheSize`).
-    #[must_use]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Allocates an empty cache block, recycling a freed one if possible.
     pub fn alloc(&mut self) -> CacheHandle {
         if let Some(h) = self.free.pop() {

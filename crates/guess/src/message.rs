@@ -1,12 +1,11 @@
-//! GUESS wire messages and probe outcomes.
+//! GUESS wire vocabulary: the pong payload and what a sender observes.
 //!
-//! The protocol has two interaction kinds (§2): maintenance *pings*, which
-//! elicit a [`Pong`], and query *probes*, which elicit a query response
-//! bundled with a pong. Because GUESS runs over UDP, the absence of any
-//! reply within the timeout — whether the target is dead or silently
-//! dropping excess load — looks identical to the sender.
-
-use workload::query::QueryTarget;
+//! Every GUESS message (§2) is one direct contact — a maintenance ping,
+//! a query probe, a pushed update — that the sender sees answered,
+//! refused, or timed out. Because GUESS runs over UDP, the absence of
+//! any reply within the timeout — whether the target is dead or silently
+//! dropping excess load — looks identical to the sender; the simulator
+//! keeps the two apart for its accounting.
 
 use crate::entry::CacheEntry;
 
@@ -27,46 +26,32 @@ impl Pong {
     }
 }
 
-/// A query probe sent to a single target peer.
+/// What the *sender* observes after one contact. The attached [`Pong`]
+/// is not carried here: the engine builds it in a reused buffer only
+/// for the replies whose receiver absorbs one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryProbe {
-    /// What the querying peer is searching for.
-    pub target: QueryTarget,
-}
-
-/// What the *sender* observes after one probe.
-#[derive(Debug, Clone, PartialEq)]
 pub enum ProbeReply {
-    /// The target processed the query and replied.
+    /// The target processed the message and replied.
     Answered {
-        /// Results found for the query (0 or 1 under the item model).
+        /// Results found for a query probe (0 or 1 under the item
+        /// model); always 0 for pings and pushed updates.
         results: u32,
-        /// The attached pong.
-        pong: Pong,
     },
-    /// No reply before the timeout: the target is dead...
+    /// No reply before the timeout: the target is dead, or partitioned
+    /// away from the sender...
     TimedOutDead,
-    /// ...or the target was overloaded and refused the probe. In a real
-    /// deployment a refusal may carry an explicit "back off" notice; with
-    /// plain drops it is indistinguishable from death.
+    /// ...or the target was overloaded and refused the message. In a
+    /// real deployment a refusal may carry an explicit "back off"
+    /// notice; with plain drops it is indistinguishable from death.
     Refused,
 }
 
 impl ProbeReply {
-    /// True when the probe reached a live, willing responder.
+    /// True when the contact reached a live, willing responder.
     #[must_use]
     pub fn is_answered(&self) -> bool {
         matches!(self, ProbeReply::Answered { .. })
     }
-}
-
-/// A maintenance ping reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PingReply {
-    /// The neighbor is alive and shared some cache entries.
-    Alive(Pong),
-    /// No reply: the neighbor is gone (or refused under overload).
-    TimedOut,
 }
 
 #[cfg(test)]
@@ -74,7 +59,6 @@ mod tests {
     use super::*;
     use crate::addr::AddrAllocator;
     use simkit::time::SimTime;
-    use workload::content::ItemId;
 
     #[test]
     fn empty_pong_has_no_entries() {
@@ -84,21 +68,9 @@ mod tests {
 
     #[test]
     fn answered_predicate() {
-        let answered = ProbeReply::Answered {
-            results: 1,
-            pong: Pong::empty(),
-        };
-        assert!(answered.is_answered());
+        assert!(ProbeReply::Answered { results: 1 }.is_answered());
         assert!(!ProbeReply::TimedOutDead.is_answered());
         assert!(!ProbeReply::Refused.is_answered());
-    }
-
-    #[test]
-    fn probe_carries_target() {
-        let p = QueryProbe {
-            target: QueryTarget { item: ItemId(7) },
-        };
-        assert_eq!(p.target.item, ItemId(7));
     }
 
     #[test]

@@ -192,12 +192,6 @@ impl MetricsCollector {
         &mut self.counters
     }
 
-    /// Queries recorded so far.
-    #[must_use]
-    pub fn queries_recorded(&self) -> u64 {
-        self.queries
-    }
-
     /// Absorbs another collector's accumulated state — how the lane
     /// runner ([`crate::engine::run_lanes`]) folds per-lane collectors
     /// into one report, in lane-index order. Welford summaries merge

@@ -325,12 +325,6 @@ impl ProbeQueue {
         }
     }
 
-    /// The queue's ordering policy.
-    #[must_use]
-    pub fn policy(&self) -> SelectionPolicy {
-        self.policy
-    }
-
     /// Adds a candidate. The caller is responsible for deduplication.
     pub fn push(&mut self, entry: CacheEntry, rng: &mut RngStream) {
         let key = selection_key(self.policy, &entry, rng);

@@ -13,8 +13,7 @@
 //!   ([`RngStream`]);
 //! * [`dist`] — the distributions the workload models need (Zipf via alias
 //!   tables, exponential, log-normal, bounded Pareto, empirical resampling);
-//! * [`stats`] — online statistics (summaries, histograms, counters,
-//!   time series);
+//! * [`stats`] — online statistics (summaries, histograms, counters);
 //! * [`sim`] — the shared simulation kernel: the [`sim::Simulation`]
 //!   trait, the kernel-owned event-loop driver, churn, warm-up gating
 //!   and periodic sampling;

@@ -3,9 +3,7 @@
 mod counter;
 mod histogram;
 mod summary;
-mod timeseries;
 
 pub use counter::CounterSet;
 pub use histogram::Histogram;
 pub use summary::Summary;
-pub use timeseries::TimeSeries;

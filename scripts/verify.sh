@@ -11,7 +11,9 @@ out=/tmp/repro-ci
 cargo fmt --all -- --check
 cargo clippy --all-targets -- -D warnings
 cargo build --release --workspace
-cargo test -q --workspace
+# Under `timeout`, like the traced runs at the end: a run that never
+# advances its clock fails verify instead of blocking it.
+timeout 1800 cargo test -q --workspace
 
 # Determinism gates (gossip included) and the quick-scale golden guard:
 # every experiment's quick report must stay byte-identical to the
@@ -89,8 +91,8 @@ echo "shard gate: 0/2 + 1/2 merge is byte-identical to the unsharded grid"
 
 # Traced runs: the binary itself reconciles each trace against the run
 # report (exits non-zero on mismatch); then check every line is JSON.
-cargo run --release -p guess-bench --bin repro -- --trace "$out/trace.jsonl" --quick
-cargo run --release -p guess-bench --bin repro -- \
+timeout 900 cargo run --release -p guess-bench --bin repro -- --trace "$out/trace.jsonl" --quick
+timeout 900 cargo run --release -p guess-bench --bin repro -- \
     --trace "$out/gossip-trace.jsonl" --engine gossip --quick
 for trace in trace gossip-trace; do
     python3 - "$out/$trace.jsonl" <<'EOF'
