@@ -19,6 +19,8 @@
 //!   which case the entry is retained but skipped for the rest of the
 //!   query.
 
+use std::cmp::Reverse;
+
 use simkit::rng::RngStream;
 use simkit::scenario::MaintenanceMode;
 use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
@@ -184,6 +186,9 @@ pub struct GuessSim {
     /// Reused pong buffer: [`GuessSim::build_pong`] takes it, the pong's
     /// consumer hands it back, so answering a probe allocates nothing.
     pong_scratch: Vec<CacheEntry>,
+    /// Reused key buffer of the ranked selection policies, so MRU, LRU,
+    /// MFS and MR pongs and ping picks allocate nothing either.
+    rank_scratch: Vec<Reverse<((u64, u64), usize)>>,
 }
 
 impl GuessSim {
@@ -231,6 +236,7 @@ impl GuessSim {
             query_seen: vec![0; network_size],
             entry_scratch: Vec::new(),
             pong_scratch: Vec::new(),
+            rank_scratch: Vec::new(),
         };
         sim.populate();
         Ok(sim)
@@ -643,6 +649,7 @@ impl GuessSim {
             self.caches.entries(h),
             1,
             &mut self.rng_policy,
+            &mut self.rank_scratch,
             &mut self.pong_scratch,
         );
         let entry = self.pong_scratch.first().copied()?; // empty cache: nothing to maintain
@@ -742,6 +749,7 @@ impl GuessSim {
                 self.caches.entries(h),
                 self.cfg.protocol.pong_size,
                 &mut self.rng_policy,
+                &mut self.rank_scratch,
                 &mut entries,
             );
         }

@@ -15,6 +15,9 @@
 //! with the `ResetNumResults` protocol flag, which zeroes third-party
 //! `NumRes` claims at insertion time.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use simkit::rng::RngStream;
 use simkit::time::SimTime;
 
@@ -158,20 +161,19 @@ pub fn select_top_k(
     rng: &mut RngStream,
 ) -> Vec<CacheEntry> {
     let mut out = Vec::new();
-    select_top_k_into(policy, entries, k, rng, &mut out);
+    select_top_k_into(policy, entries, k, rng, &mut Vec::new(), &mut out);
     out
 }
 
-/// [`select_top_k`] into a caller-owned buffer: `out` is cleared and
-/// refilled, so a buffer that has once held a pong is never reallocated.
-/// `Random` — the default, and every pong of a default run — allocates
-/// nothing; the ranked policies allocate their `k`-key heap and nothing
-/// else.
+/// [`select_top_k`] into caller-owned buffers: `out` is cleared and
+/// refilled, and the ranked policies rank in `keys`, so buffers that have
+/// once held a pong and ranked a cache are never reallocated.
 pub fn select_top_k_into(
     policy: SelectionPolicy,
     entries: &[CacheEntry],
     k: usize,
     rng: &mut RngStream,
+    keys: &mut Vec<Reverse<((u64, u64), usize)>>,
     out: &mut Vec<CacheEntry>,
 ) {
     out.clear();
@@ -209,12 +211,12 @@ pub fn select_top_k_into(
         }
         return;
     }
-    // Keep the k best seen so far in a small min-heap (by key). Every
-    // entry draws its tie-break in slice order; only one that beats the
-    // heap's weakest is stored.
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<((u64, u64), usize)>> = BinaryHeap::with_capacity(k);
+    // Keep the k best seen so far in a small min-heap (by key), built in
+    // the caller's buffer. Every entry draws its tie-break in slice
+    // order; only one that beats the heap's weakest is stored.
+    keys.clear();
+    let mut heap = BinaryHeap::from(std::mem::take(keys));
+    heap.reserve(k);
     for (i, e) in entries.iter().enumerate() {
         let cand = Reverse((selection_key(policy, e, rng), i));
         if heap.len() < k {
@@ -226,11 +228,8 @@ pub fn select_top_k_into(
         }
     }
     // Ascending `Reverse` is preference order: highest key first.
-    out.extend(
-        heap.into_sorted_vec()
-            .into_iter()
-            .map(|Reverse((_, i))| entries[i]),
-    );
+    *keys = heap.into_sorted_vec();
+    out.extend(keys.iter().map(|&Reverse((_, i))| entries[i]));
 }
 
 /// Picks the index of the eviction victim under `policy` from a non-empty
@@ -616,17 +615,18 @@ mod tests {
                     let mut r_new = rng();
                     let mut r_dirty = rng();
                     let want = old_select_top_k(policy, &es, k, &mut r_old);
-                    let mut out = Vec::new();
-                    select_top_k_into(policy, &es, k, &mut r_new, &mut out);
+                    let (mut keys, mut out) = (Vec::new(), Vec::new());
+                    select_top_k_into(policy, &es, k, &mut r_new, &mut keys, &mut out);
                     assert_eq!(out, want, "{policy} n={n} k={k}");
                     assert_eq!(
                         r_new.next_u64(),
                         r_old.next_u64(),
                         "{policy} n={n} k={k}: RNG draws"
                     );
-                    // A dirty, over-long buffer changes nothing.
+                    // Dirty, over-long buffers change nothing.
                     let (mut dirty, _) = entries(n + k + 9);
-                    select_top_k_into(policy, &es, k, &mut r_dirty, &mut dirty);
+                    let mut dirty_keys = vec![Reverse(((7, 7), 7)); n + 9];
+                    select_top_k_into(policy, &es, k, &mut r_dirty, &mut dirty_keys, &mut dirty);
                     assert_eq!(dirty, want, "{policy} n={n} k={k}: dirty out");
                 }
             }

@@ -4,44 +4,39 @@
 //! the same instant pop in the order they were scheduled, which keeps runs
 //! bit-for-bit reproducible regardless of queue internals.
 //!
-//! Events can be cancelled cheaply via the [`EventHandle`] returned at
-//! scheduling time; cancelled events are skipped lazily at pop.
+//! Events can be cancelled via the [`EventHandle`] returned at scheduling
+//! time; a cancelled event leaves the queue at once.
 //!
 //! # Implementation: a calendar queue
 //!
-//! Internally this is a calendar queue (Brown 1988) rather than a binary
-//! heap: a ring of `NSLOTS` time buckets of `BUCKET_WIDTH_SECS` each,
-//! plus an overflow heap for events beyond the ring's horizon. Near-term
-//! scheduling and popping are O(1) amortized instead of O(log n), which
-//! matters because every simulated probe, ping, burst and death passes
-//! through here.
+//! Internally this is a calendar queue (Brown 1988): a ring of `NSLOTS`
+//! time buckets of `BUCKET_WIDTH_SECS` each, plus an overflow heap for
+//! events beyond the ring's horizon.
 //!
 //! * An event at absolute time `t` belongs to epoch `⌊t / width⌋` and
-//!   lives in slot `epoch mod NSLOTS`. Each bucket is kept sorted in
-//!   *descending* `(time, seq)` order, so the bucket's earliest event is
-//!   removable with a `Vec::pop`.
-//! * The `cursor` is the epoch of the most recently popped event. All
-//!   live ring events have epochs in `[cursor, cursor + NSLOTS)` — an
-//!   event's epoch can't be below the cursor (it would have popped
-//!   already), and events at or past the horizon wait in the overflow
-//!   heap, migrating into the ring as the cursor advances. A slot
-//!   therefore never holds two *live* epochs at once, so bucket order +
-//!   epoch order reproduce exactly the heap's global `(time, seq)`
-//!   order. Only cancelled events can linger below the cursor; they sort
-//!   first in their bucket and are discarded when met.
-//! * Popping scans forward from the cursor for the first non-empty
-//!   bucket. The scan resumes where time actually is, so total scan work
-//!   over a run is bounded by simulated-time-elapsed / bucket-width,
-//!   independent of the event count.
+//!   lives in slot `epoch mod NSLOTS`. The `cursor` is the epoch of the
+//!   most recently popped event. Ring events have epochs in
+//!   `[cursor, cursor + NSLOTS)`; overflow events lie at or past that
+//!   horizon and move into the ring whenever a pop advances the cursor.
+//!   A slot therefore holds one epoch at a time, so bucket order plus
+//!   epoch order is exactly the global `(time, seq)` order.
+//! * `schedule` appends to its bucket unsorted. A bucket is sorted once,
+//!   descending, when the forward scan of a pop or peek first reaches it,
+//!   so its earliest event comes off the back with `Vec::pop`. While it
+//!   drains, events scheduled into it are binary-inserted.
+//! * `cancel` finds the entry in the bucket named by the epoch in its
+//!   handle, or in the overflow heap, and removes it. The queue holds
+//!   live events only, so `len` is a count and pop checks no liveness.
 //!
-//! The swap is observationally invisible: the pop order is the same
-//! total order as before, `now()`/`len()`/cancel semantics are
-//! unchanged, and no RNG is involved.
+//! Costs: `schedule` is O(1) (O(bucket) into the bucket being drained,
+//! O(log n) into the overflow). `pop` is O(1) plus its share of one
+//! O(k log k) sort per bucket of k events and of a forward scan whose
+//! total over a run is simulated time / bucket width. `cancel` is a
+//! linear search of one bucket, or of the overflow for a far-future event.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use crate::hash::FxHashSet;
 use crate::time::SimTime;
 
 /// Seconds covered by one calendar bucket. Chosen so typical gaps
@@ -65,13 +60,24 @@ fn epoch(at: SimTime) -> u64 {
 
 /// An opaque handle identifying a scheduled event, used for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventHandle(u64);
+pub struct EventHandle {
+    seq: u64,
+    /// The event's calendar epoch, which tells `cancel` where it waits.
+    epoch: u64,
+}
 
 #[derive(Debug)]
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     event: E,
+}
+
+impl<E> Scheduled<E> {
+    /// The queue's total order, earliest first.
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -91,10 +97,7 @@ impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -114,23 +117,20 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The calendar ring. Each bucket is sorted descending by
-    /// `(at, seq)`, so its earliest entry pops off the back.
+    /// The calendar ring. Buckets hold their events in append order,
+    /// except the bucket of epoch `sorted`.
     ring: Vec<Vec<Scheduled<E>>>,
-    /// Entries physically in the ring, including cancelled ones not yet
-    /// reclaimed. Zero means every remaining event is in `overflow`.
+    /// Events in the ring. Zero means every pending event is in
+    /// `overflow`.
     ring_count: usize,
     /// Epoch of the most recently popped event; the ring window is
     /// `[cursor, cursor + NSLOTS)`.
     cursor: u64,
-    /// Events at or beyond the ring horizon, ordered like the old heap.
+    /// The epoch whose bucket is sorted descending by `(at, seq)`, so its
+    /// earliest event pops off the back: the bucket the last scan reached.
+    sorted: u64,
+    /// Events at or beyond the ring horizon, earliest on top.
     overflow: BinaryHeap<Scheduled<E>>,
-    /// Seqs scheduled but neither fired nor cancelled — the authority on
-    /// liveness. A stored entry whose seq is absent here was cancelled
-    /// and is reclaimed lazily on pop; a handle whose seq is absent
-    /// refers to an event that already fired (or was already cancelled)
-    /// and cannot be cancelled again.
-    pending: FxHashSet<u64>,
     next_seq: u64,
     now: SimTime,
     popped: u64,
@@ -144,8 +144,9 @@ impl<E> EventQueue<E> {
             ring: (0..NSLOTS).map(|_| Vec::new()).collect(),
             ring_count: 0,
             cursor: 0,
+            // An empty bucket is sorted.
+            sorted: 0,
             overflow: BinaryHeap::new(),
-            pending: FxHashSet::default(),
             next_seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -168,7 +169,7 @@ impl<E> EventQueue<E> {
     /// Number of live (non-cancelled) events still pending.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.ring_count + self.overflow.len()
     }
 
     /// Returns true if no live events remain.
@@ -192,124 +193,119 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
+        let epoch = epoch(at);
         let entry = Scheduled { at, seq, event };
-        if epoch(at) < self.cursor + NSLOTS as u64 {
-            self.ring_insert(entry);
+        if epoch < self.horizon() {
+            self.ring_insert(epoch, entry);
         } else {
             self.overflow.push(entry);
         }
-        EventHandle(seq)
+        EventHandle { seq, epoch }
     }
 
-    /// Inserts an entry into its ring bucket, keeping the bucket sorted
-    /// descending by `(at, seq)`.
-    fn ring_insert(&mut self, entry: Scheduled<E>) {
-        let bucket = &mut self.ring[(epoch(entry.at) & SLOT_MASK) as usize];
-        let key = (entry.at, entry.seq);
-        let idx = bucket.partition_point(|s| (s.at, s.seq) > key);
-        bucket.insert(idx, entry);
+    /// The first epoch past the ring window. Saturating: epochs of
+    /// instants beyond ~4.6e18 s all saturate to `u64::MAX` and wait in
+    /// the overflow heap, which orders them exactly.
+    fn horizon(&self) -> u64 {
+        self.cursor.saturating_add(NSLOTS as u64)
+    }
+
+    /// Adds an entry of `epoch` to its ring bucket: appended, or
+    /// binary-inserted if that bucket is the sorted one.
+    fn ring_insert(&mut self, epoch: u64, entry: Scheduled<E>) {
+        let bucket = &mut self.ring[(epoch & SLOT_MASK) as usize];
+        if epoch == self.sorted {
+            let idx = bucket.partition_point(|s| s.key() > entry.key());
+            bucket.insert(idx, entry);
+        } else {
+            bucket.push(entry);
+        }
         self.ring_count += 1;
     }
 
     /// Moves overflow events whose epoch has entered the ring window into
-    /// the ring; cancelled ones are dropped on the way.
+    /// the ring.
     fn migrate(&mut self) {
-        let horizon = self.cursor + NSLOTS as u64;
+        let horizon = self.horizon();
         while let Some(top) = self.overflow.peek() {
-            if epoch(top.at) >= horizon {
+            let epoch = epoch(top.at);
+            if epoch >= horizon {
                 break;
             }
             let entry = self.overflow.pop().expect("peeked entry exists");
-            if self.pending.contains(&entry.seq) {
-                self.ring_insert(entry);
-            }
+            self.ring_insert(epoch, entry);
         }
     }
 
-    /// Scans the ring window for the slot holding the earliest live
-    /// event, reclaiming cancelled entries met along the way. Returns
-    /// `None` if the scan emptied the ring.
-    fn earliest_live_slot(&mut self) -> Option<usize> {
-        for e in self.cursor..self.cursor + NSLOTS as u64 {
-            let slot = (e & SLOT_MASK) as usize;
-            while let Some(s) = self.ring[slot].last() {
-                if self.pending.contains(&s.seq) {
-                    return Some(slot);
-                }
-                self.ring[slot].pop();
-                self.ring_count -= 1;
-            }
-            if self.ring_count == 0 {
-                break;
-            }
+    /// Scans the ring window from the cursor for the first non-empty
+    /// bucket, sorts it if the scan has not reached it before, and returns
+    /// its slot. `None` if the ring is empty.
+    fn head_slot(&mut self) -> Option<usize> {
+        if self.ring_count == 0 {
+            return None;
         }
-        None
+        let epoch = (self.cursor..self.horizon())
+            .find(|&e| !self.ring[(e & SLOT_MASK) as usize].is_empty())
+            .expect("ring events lie inside the window");
+        let slot = (epoch & SLOT_MASK) as usize;
+        if epoch != self.sorted {
+            self.ring[slot].sort_unstable_by_key(|s| Reverse(s.key()));
+            self.sorted = epoch;
+        }
+        Some(slot)
     }
 
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the handle referred to an event that had not yet
     /// fired or been cancelled; a handle for an event that already fired
-    /// is rejected (`false`) and leaves the queue untouched. Cancellation
-    /// is O(1); the stored slot is reclaimed lazily on pop.
+    /// is rejected (`false`) and leaves the queue untouched. The event is
+    /// removed at once, found by a linear search of its bucket or, if it
+    /// still waits beyond the ring horizon, of the overflow heap.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.pending.remove(&handle.0)
+        let EventHandle { seq, epoch } = handle;
+        if epoch >= self.horizon() {
+            let before = self.overflow.len();
+            self.overflow.retain(|s| s.seq != seq);
+            return self.overflow.len() < before;
+        }
+        let bucket = &mut self.ring[(epoch & SLOT_MASK) as usize];
+        let Some(i) = bucket.iter().position(|s| s.seq == seq) else {
+            return false;
+        };
+        if epoch == self.sorted {
+            bucket.remove(i);
+        } else {
+            bucket.swap_remove(i);
+        }
+        self.ring_count -= 1;
+        true
     }
 
     /// Pops the earliest live event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            self.migrate();
-            if self.ring_count == 0 {
-                // Everything lives in the overflow heap, whose top is the
-                // global minimum.
-                let s = self.overflow.pop()?;
-                if !self.pending.remove(&s.seq) {
-                    continue; // cancelled; reclaim lazily
-                }
-                self.now = s.at;
-                self.cursor = epoch(s.at);
-                self.popped += 1;
-                return Some((s.at, s.event));
+        let s = match self.head_slot() {
+            Some(slot) => {
+                self.ring_count -= 1;
+                self.ring[slot].pop().expect("head bucket is non-empty")
             }
-            let Some(slot) = self.earliest_live_slot() else {
-                // Only cancelled entries remained; the ring is now empty.
-                continue;
-            };
-            let s = self.ring[slot].pop().expect("slot holds a live entry");
-            self.ring_count -= 1;
-            self.pending.remove(&s.seq);
-            self.now = s.at;
-            self.cursor = epoch(s.at);
-            self.popped += 1;
-            return Some((s.at, s.event));
-        }
+            // The ring is empty, so the overflow's top is the global minimum.
+            None => self.overflow.pop()?,
+        };
+        self.now = s.at;
+        self.cursor = epoch(s.at);
+        self.popped += 1;
+        self.migrate();
+        Some((s.at, s.event))
     }
 
     /// Peeks at the timestamp of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            self.migrate();
-            if self.ring_count == 0 {
-                // Drop leading cancelled entries so the peek is accurate.
-                while let Some(s) = self.overflow.peek() {
-                    if self.pending.contains(&s.seq) {
-                        return Some(s.at);
-                    }
-                    self.overflow.pop();
-                }
-                return None;
-            }
-            match self.earliest_live_slot() {
-                Some(slot) => {
-                    let s = self.ring[slot].last().expect("slot holds a live entry");
-                    return Some(s.at);
-                }
-                None => continue, // cleaning emptied the ring; check overflow
-            }
+        match self.head_slot() {
+            Some(slot) => self.ring[slot].last().map(|s| s.at),
+            None => self.overflow.peek().map(|s| s.at),
         }
     }
 }
@@ -384,7 +380,7 @@ mod tests {
     #[test]
     fn cancel_unknown_handle_is_noop() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(42)));
+        assert!(!q.cancel(EventHandle { seq: 42, epoch: 0 }));
     }
 
     #[test]
@@ -522,6 +518,21 @@ mod tests {
         assert_eq!(q.pop().map(|(at, ())| at), Some(t(far)));
     }
 
+    #[test]
+    fn instants_past_the_saturated_epoch_pop_in_order() {
+        // Epochs saturate at u64::MAX beyond ~4.6e18 s; once such an
+        // event has popped, the ring horizon must not overflow.
+        let mut q = EventQueue::new();
+        q.schedule(t(1e30), 1);
+        q.schedule(t(2e30), 3);
+        assert_eq!(q.pop(), Some((t(1e30), 1)));
+        q.schedule(t(1.5e30), 2);
+        assert_eq!(q.peek_time(), Some(t(1.5e30)));
+        assert_eq!(q.pop(), Some((t(1.5e30), 2)));
+        assert_eq!(q.pop(), Some((t(2e30), 3)));
+        assert!(q.pop().is_none());
+    }
+
     // ------------------------------------------------------------------
     // Property test: the calendar queue agrees with a reference
     // BinaryHeap implementation on randomized schedules, including
@@ -569,6 +580,16 @@ mod tests {
                 }
                 self.now = s.at;
                 return Some((s.at, s.event));
+            }
+            None
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            while let Some(s) = self.heap.peek() {
+                if self.pending.contains(&s.seq) {
+                    return Some(s.at);
+                }
+                self.heap.pop();
             }
             None
         }
@@ -634,5 +655,233 @@ mod tests {
             }
             assert!(q.is_empty());
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The same oracle at thousands of events per bucket and with the
+    // access patterns the kernels use, checking `len()` after every step.
+    // ------------------------------------------------------------------
+
+    /// The queue and the oracle driven in lockstep: every call asserts
+    /// that both agree, `len()` included. Payloads are the oracle's seqs,
+    /// which index `handles`.
+    struct Twin {
+        q: EventQueue<u64>,
+        oracle: RefQueue,
+        handles: Vec<EventHandle>,
+    }
+
+    impl Twin {
+        fn new() -> Self {
+            Twin {
+                q: EventQueue::new(),
+                oracle: RefQueue::new(),
+                handles: Vec::new(),
+            }
+        }
+
+        /// Schedules an event `gap` seconds after the clock.
+        fn schedule(&mut self, gap: f64) -> u64 {
+            let at = self.oracle.now + crate::time::SimDuration::from_secs(gap);
+            let seq = self.oracle.schedule(at);
+            self.handles.push(self.q.schedule(at, seq));
+            self.check_len();
+            seq
+        }
+
+        fn cancel(&mut self, seq: u64) -> bool {
+            let got = self.q.cancel(self.handles[seq as usize]);
+            assert_eq!(got, self.oracle.cancel(seq), "cancel({seq})");
+            self.check_len();
+            got
+        }
+
+        /// Cancels an event drawn from every handle ever issued: live,
+        /// fired or already cancelled.
+        fn cancel_any(&mut self, rng: &mut crate::rng::RngStream) -> bool {
+            let seq = rng.below(self.handles.len()) as u64;
+            self.cancel(seq)
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let got = self.q.pop();
+            assert_eq!(got, self.oracle.pop(), "pop");
+            if let Some((at, _)) = got {
+                assert_eq!(self.q.now(), at);
+            }
+            self.check_len();
+            got
+        }
+
+        fn peek(&mut self) -> Option<SimTime> {
+            let got = self.q.peek_time();
+            assert_eq!(got, self.oracle.peek_time(), "peek_time");
+            self.check_len();
+            got
+        }
+
+        fn check_len(&self) {
+            assert_eq!(self.q.len(), self.oracle.pending.len(), "len");
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            assert!(self.q.is_empty());
+        }
+    }
+
+    #[test]
+    fn thousands_per_bucket_match_the_heap_oracle() {
+        let mut rng = crate::rng::RngStream::from_seed(0xDE5E, "calendar-dense");
+        let mut twin = Twin::new();
+        // 40 000 events over 20 buckets: ~2 000 per bucket.
+        for _ in 0..40_000 {
+            twin.schedule(rng.f64() * 5.0);
+        }
+        for _ in 0..60_000 {
+            match rng.below(10) {
+                0..=4 => {
+                    twin.schedule(rng.f64() * 5.0);
+                }
+                5 => {
+                    twin.cancel_any(&mut rng);
+                }
+                _ => {
+                    twin.pop();
+                }
+            }
+        }
+        twin.drain();
+    }
+
+    #[test]
+    fn schedules_into_the_draining_bucket_match_the_heap_oracle() {
+        let mut rng = crate::rng::RngStream::from_seed(0xD7A1, "calendar-drain");
+        let mut twin = Twin::new();
+        for _ in 0..5_000 {
+            twin.schedule(rng.f64() * 2.0);
+        }
+        for _ in 0..40_000 {
+            match rng.below(10) {
+                // Gap 0 lands at the clock; a gap under one bucket width
+                // lands in the bucket being drained or the next one.
+                0 | 1 => {
+                    twin.schedule(0.0);
+                }
+                2..=4 => {
+                    twin.schedule(rng.f64() * BUCKET_WIDTH_SECS);
+                }
+                5 => {
+                    twin.schedule(rng.f64() * 2.0);
+                }
+                6 => {
+                    twin.cancel_any(&mut rng);
+                }
+                _ => {
+                    twin.pop();
+                }
+            }
+        }
+        twin.drain();
+    }
+
+    #[test]
+    fn peek_then_pop_windows_match_the_heap_oracle() {
+        // The lane kernel's loop: peek, stop at the window edge, else pop
+        // and let the handler schedule follow-ups; deliveries from other
+        // lanes arrive between windows.
+        let mut rng = crate::rng::RngStream::from_seed(0x9EE4, "calendar-peek");
+        let mut twin = Twin::new();
+        for _ in 0..10_000 {
+            twin.schedule(rng.f64() * 10.0);
+        }
+        let mut edge = 0.0;
+        for _ in 0..400 {
+            edge += rng.f64() * 2.0 * BUCKET_WIDTH_SECS;
+            while let Some(at) = twin.peek() {
+                if at.as_secs() >= edge {
+                    break;
+                }
+                twin.pop();
+                for _ in 0..rng.below(3) {
+                    let gap = match rng.below(3) {
+                        0 => 0.0,
+                        1 => rng.f64() * BUCKET_WIDTH_SECS,
+                        _ => rng.f64() * 10.0,
+                    };
+                    twin.schedule(gap);
+                }
+                if rng.below(10) == 0 {
+                    twin.cancel_any(&mut rng);
+                }
+            }
+            // Lands ahead of, inside or behind the bucket the peek reached.
+            twin.schedule(rng.f64());
+        }
+        twin.drain();
+    }
+
+    #[test]
+    fn overflow_cancels_before_and_after_migration_match_the_heap_oracle() {
+        let span = horizon_secs();
+        let mut twin = Twin::new();
+        // Past the horizon at scheduling time, so both groups start in the
+        // overflow heap; `near` enters the ring window once the clock
+        // passes 0.5 spans, `far` stays out until the clock passes 2.
+        let near: Vec<u64> = (0..3_000)
+            .map(|i| twin.schedule(span * 1.5 + f64::from(i) * 0.01))
+            .collect();
+        let far: Vec<u64> = (0..3_000)
+            .map(|i| twin.schedule(span * 3.0 + f64::from(i) * 0.01))
+            .collect();
+        for &seq in near.iter().chain(&far).step_by(3) {
+            assert!(twin.cancel(seq), "cancel before migration");
+        }
+        // March the clock to 0.75 spans.
+        while twin.oracle.now.as_secs() < span * 0.75 {
+            twin.schedule(10.0);
+            twin.pop();
+        }
+        for &seq in near.iter().chain(&far).skip(1).step_by(3) {
+            assert!(twin.cancel(seq), "cancel after migration");
+        }
+        for &seq in near.iter().chain(&far).step_by(3) {
+            assert!(!twin.cancel(seq), "second cancel");
+        }
+        twin.drain();
+    }
+
+    #[test]
+    fn cancel_after_fire_and_double_cancel_match_the_heap_oracle() {
+        let mut rng = crate::rng::RngStream::from_seed(0xF12E, "calendar-cancel");
+        let mut twin = Twin::new();
+        for _ in 0..20_000 {
+            match rng.below(6) {
+                0 | 1 => {
+                    let gap = match rng.below(4) {
+                        0 => 0.0,
+                        1 => rng.f64() * BUCKET_WIDTH_SECS,
+                        2 => rng.f64() * 50.0,
+                        _ => rng.f64() * horizon_secs() * 2.5,
+                    };
+                    twin.schedule(gap);
+                }
+                2 if !twin.handles.is_empty() => {
+                    let seq = rng.below(twin.handles.len()) as u64;
+                    if twin.cancel(seq) {
+                        assert!(!twin.cancel(seq), "double cancel of {seq}");
+                    }
+                }
+                3 => {
+                    if let Some((_, seq)) = twin.pop() {
+                        assert!(!twin.cancel(seq), "cancel after fire of {seq}");
+                    }
+                }
+                _ => {
+                    twin.pop();
+                }
+            }
+        }
+        twin.drain();
     }
 }

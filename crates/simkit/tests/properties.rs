@@ -5,8 +5,11 @@
 //! from a fixed seed, which keeps the coverage of the old property tests
 //! while staying fully deterministic.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+
 use simkit::dist::{AliasTable, ContinuousDist, DiscreteDist, EmpiricalDist, Exponential, Zipf};
-use simkit::event::EventQueue;
+use simkit::event::{EventHandle, EventQueue};
 use simkit::rng::RngStream;
 use simkit::stats::{Histogram, Summary};
 use simkit::time::SimTime;
@@ -70,6 +73,97 @@ fn event_queue_cancellation_is_exact() {
             assert_eq!(seen.contains(&i), !cancelled.contains(&i));
         }
     }
+}
+
+/// The queue and a plain `BinaryHeap` of `(time, seq)` with lazy
+/// cancellation, driven in lockstep; every pop must agree.
+struct Lockstep {
+    q: EventQueue<u64>,
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    cancelled: HashSet<u64>,
+    next_seq: u64,
+}
+
+impl Lockstep {
+    fn schedule(&mut self, at: SimTime) -> (EventHandle, u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, seq)));
+        (self.q.schedule(at, seq), seq)
+    }
+
+    fn cancel(&mut self, (handle, seq): (EventHandle, u64)) {
+        assert!(self.q.cancel(handle), "cancel of pending {seq}");
+        self.cancelled.insert(seq);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let want = loop {
+            match self.heap.pop() {
+                Some(Reverse((at, seq))) if !self.cancelled.remove(&seq) => break Some((at, seq)),
+                Some(_) => {}
+                None => break None,
+            }
+        };
+        assert_eq!(self.q.pop(), want);
+        assert_eq!(self.q.len(), self.heap.len() - self.cancelled.len());
+        want
+    }
+}
+
+/// At GUESS's scale and timer shape the calendar queue pops exactly the
+/// heap's order: ~200k pending, 30 s ping reschedules, heavy-tailed
+/// lifetimes that put a quarter of the deaths past the ring horizon, and each
+/// dead peer's pending ping cancelled. Release scale:
+/// `cargo test --release -p simkit --test properties -- --ignored`.
+#[test]
+#[ignore = "release scale"]
+fn event_queue_at_guess_scale_matches_the_heap_oracle() {
+    const PEERS: usize = 100_000;
+    const PING_SECS: f64 = 30.0;
+    let mut rng = RngStream::from_seed(0x5CA1E, "scale-oracle");
+    // Pareto lifetimes, minimum 300 s, shape 1.2: a quarter outlive the
+    // 1024 s ring window and a few outlive any run.
+    let lifetime = |rng: &mut RngStream| 300.0 / (1.0 - rng.f64()).powf(1.0 / 1.2);
+    let mut run = Lockstep {
+        q: EventQueue::new(),
+        heap: BinaryHeap::new(),
+        cancelled: HashSet::new(),
+        next_seq: 0,
+    };
+    // Per seq: the peer it belongs to, and whether it is a death.
+    let mut what: Vec<(usize, bool)> = Vec::new();
+    let mut pings = Vec::with_capacity(PEERS);
+    let at = |secs: f64| SimTime::from_secs(secs);
+    for peer in 0..PEERS {
+        pings.push(run.schedule(at(rng.f64() * PING_SECS)));
+        what.push((peer, false));
+        run.schedule(at(lifetime(&mut rng)));
+        what.push((peer, true));
+    }
+    let (mut pops, mut deaths) = (0u64, 0u64);
+    while let Some((now, seq)) = run.pop() {
+        if now.as_secs() > 2_500.0 {
+            break;
+        }
+        pops += 1;
+        let (peer, death) = what[seq as usize];
+        if death {
+            deaths += 1;
+            run.cancel(pings[peer]);
+            pings[peer] = run.schedule(at(now.as_secs() + rng.f64() * PING_SECS));
+            what.push((peer, false));
+            run.schedule(at(now.as_secs() + lifetime(&mut rng)));
+            what.push((peer, true));
+        } else {
+            pings[peer] = run.schedule(at(now.as_secs() + PING_SECS));
+            what.push((peer, false));
+        }
+    }
+    assert!(
+        pops > 5_000_000 && deaths > 10_000,
+        "{pops} pops, {deaths} deaths"
+    );
 }
 
 /// Identical (seed, label) pairs generate identical streams; the stream is

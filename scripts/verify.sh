@@ -21,6 +21,10 @@ timeout 1800 cargo test -q --workspace
 cargo test -q --release -p guess-bench --test determinism
 cargo test -q --release -p guess-bench --test quick_goldens -- --ignored
 
+# Event-queue scale oracle: ~200k pending on GUESS's timer shape, every
+# pop checked against a BinaryHeap.
+timeout 600 cargo test -q --release -p simkit --test properties -- --ignored
+
 # Scenario gates: an empty timeline is byte-identical to a plain run on
 # every engine, the seven-entry catalog (push-storm included) matches
 # its own committed manifest (tests/golden/scenarios.fnv1a.txt), and a
