@@ -2,9 +2,12 @@
 //!
 //! Every peer *instance* that ever joins the network gets a unique
 //! [`PeerAddr`] — the moral equivalent of an IP address in the paper's
-//! figures. When a peer dies its address stays allocated (and stays in
-//! other peers' caches) but resolves to a dead peer, exactly the situation
-//! GUESS cache maintenance has to cope with.
+//! figures — and occupies one [`SlotId`] of the constant population.
+//! When a peer dies its address stays allocated (and stays in other
+//! peers' caches) but no longer answers, exactly the situation GUESS
+//! cache maintenance has to cope with. The engine then remembers only
+//! which slot the address held and when it died; the address is alive
+//! exactly while it is its slot's current occupant.
 
 use std::fmt;
 

@@ -341,6 +341,9 @@ pub enum ConfigError {
     BadBadPeerFraction,
     /// `num_desired_results` was zero.
     ZeroDesiredResults,
+    /// `max_probes_per_second` was `Some(0)`: a peer that can process
+    /// nothing is a dead peer (use `None` to lift the limit instead).
+    ZeroProbeCapacity,
     /// `lifespan_multiplier` not finite/positive.
     BadLifespanMultiplier,
     /// `query_rate` not finite/positive.
@@ -385,6 +388,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadIntroProb => "introduction probability must be within [0, 1]",
             ConfigError::BadBadPeerFraction => "bad-peer fraction must be within [0, 1)",
             ConfigError::ZeroDesiredResults => "desired results must be positive",
+            ConfigError::ZeroProbeCapacity => "max probes per second must be positive when set",
             ConfigError::BadLifespanMultiplier => "lifespan multiplier must be finite and positive",
             ConfigError::BadQueryRate => "query rate must be finite and positive",
             ConfigError::ZeroParallelProbes => "parallel probe count must be positive",
@@ -441,6 +445,9 @@ impl Config {
         }
         if self.system.num_desired_results == 0 {
             return Err(ConfigError::ZeroDesiredResults);
+        }
+        if self.system.max_probes_per_second == Some(0) {
+            return Err(ConfigError::ZeroProbeCapacity);
         }
         if !self.system.lifespan_multiplier.is_finite() || self.system.lifespan_multiplier <= 0.0 {
             return Err(ConfigError::BadLifespanMultiplier);
@@ -808,6 +815,17 @@ mod tests {
         let mut c = Config::default();
         c.system.num_desired_results = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroDesiredResults));
+
+        let c = Config::small_test(1).with_max_probes_per_second(Some(0));
+        assert_eq!(c.validate(), Err(ConfigError::ZeroProbeCapacity));
+        assert_eq!(
+            c.clone().build().err(),
+            Some(ConfigError::ZeroProbeCapacity)
+        );
+        assert_eq!(
+            crate::run_lanes(c, 1).err(),
+            Some(ConfigError::ZeroProbeCapacity)
+        );
 
         let mut c = Config::default();
         c.system.lifespan_multiplier = 0.0;

@@ -40,7 +40,7 @@ use crate::graph::UnionFind;
 use crate::link_cache::{CacheArena, InsertOutcome};
 use crate::message::{Pong, ProbeReply};
 use crate::metrics::{MetricsCollector, QueryOutcome, RunReport};
-use crate::peer::{Behavior, PeerState};
+use crate::peer::{AddrRecord, Behavior, PeerState};
 use crate::policy::{select_top_k_into, ProbeQueue, SelectionPolicy};
 use crate::push::{Interest, PushJob, PushPlane, UpdateKind};
 
@@ -141,8 +141,14 @@ pub struct GuessSim {
     /// Active network partition: peers in different `slot % groups`
     /// classes cannot reach each other. `None` means fully connected.
     partition: Option<u32>,
+    /// The live peers, indexed by `SlotId::index()`: one entry per slot,
+    /// overwritten in place when a death births the replacement.
     peers: Vec<PeerState>,
-    slots: Vec<PeerAddr>,
+    /// One record per address ever minted, indexed by
+    /// `PeerAddr::index()`. Read peers through [`GuessSim::peer`], never
+    /// through a record's slot alone: a dead address's slot holds
+    /// somebody else.
+    addrs: Vec<AddrRecord>,
     /// Every live peer's link-cache block; dead peers' blocks are freed
     /// at death and recycled by their replacements, so the arena's
     /// footprint tracks the *population*, not the churn history.
@@ -213,8 +219,8 @@ impl GuessSim {
         let mut sim = GuessSim {
             cfg,
             partition: None,
-            peers: Vec::new(),
-            slots: Vec::new(),
+            peers: Vec::with_capacity(network_size),
+            addrs: Vec::with_capacity(network_size),
             caches: CacheArena::with_peer_capacity(cache_size, network_size),
             libs: LibraryArena::new(),
             alloc: AddrAllocator::new(),
@@ -249,36 +255,72 @@ impl GuessSim {
     fn populate(&mut self) {
         let n = self.cfg.system.network_size;
         for s in 0..n {
-            let slot = SlotId(s as u32);
-            let addr = self.birth_peer(slot, SimTime::ZERO);
-            self.slots.push(addr);
+            self.birth_peer(SlotId(s as u32), SimTime::ZERO);
         }
         // Seed link caches with pointers to random other initial peers.
         let seed_size = self.cfg.run.cache_seed_size.min(n - 1);
         for s in 0..n {
-            let me = self.slots[s];
+            let me = self.peers[s].addr();
             for r in self.rng_churn.sample_indices(n - 1, seed_size) {
-                let other = self.slots[if r >= s { r + 1 } else { r }];
-                let advertised = self.peers[other.index()].advertised_files();
+                let other = &self.peers[if r >= s { r + 1 } else { r }];
+                let entry = CacheEntry::new(other.addr(), SimTime::ZERO, other.advertised_files());
                 // No kernel exists yet, so seeding evictions go untraced.
-                self.admit_untraced(me, CacheEntry::new(other, SimTime::ZERO, advertised));
+                self.admit_untraced(me, entry);
             }
         }
     }
 
     /// Schedules every initial peer's events into the kernel's queue.
     fn schedule_initial<T: TraceSink>(&mut self, ctx: &mut SimCtx<'_, Event, T>) {
-        for s in 0..self.slots.len() {
-            let slot = SlotId(s as u32);
-            let addr = self.slots[s];
-            self.schedule_peer_events(slot, addr, SimTime::ZERO, true, ctx);
+        for s in 0..self.peers.len() {
+            let addr = self.peers[s].addr();
+            self.schedule_peer_events(SlotId(s as u32), addr, SimTime::ZERO, true, ctx);
         }
     }
 
-    /// Creates one peer instance (without installing it in a slot).
-    fn birth_peer(&mut self, slot: SlotId, now: SimTime) -> PeerAddr {
+    /// Mints the next address for `slot` ([`AddrRecord::FABRICATED`] for
+    /// an address no peer will ever answer at).
+    fn mint(&mut self, slot: SlotId, now: SimTime) -> PeerAddr {
         let addr = self.alloc.allocate();
-        debug_assert_eq!(addr.index(), self.peers.len());
+        debug_assert_eq!(addr.index(), self.addrs.len());
+        self.addrs.push(AddrRecord { slot, died: now });
+        addr
+    }
+
+    /// True while `addr` occupies the slot it was born into. Fabricated
+    /// addresses name no slot and are never alive.
+    fn is_alive(&self, addr: PeerAddr) -> bool {
+        let slot = self.slot_of(addr);
+        self.peers
+            .get(slot.index())
+            .is_some_and(|p| p.addr() == addr)
+    }
+
+    /// The slot `addr` occupies, or occupied before it died.
+    fn slot_of(&self, addr: PeerAddr) -> SlotId {
+        self.addrs[addr.index()].slot
+    }
+
+    /// The live peer at `addr`. The caller must know `addr` is alive: a
+    /// dead address's slot holds its replacement.
+    fn peer(&self, addr: PeerAddr) -> &PeerState {
+        let p = &self.peers[self.slot_of(addr).index()];
+        debug_assert_eq!(p.addr(), addr, "{addr} is dead");
+        p
+    }
+
+    /// [`GuessSim::peer`], mutably.
+    fn peer_mut(&mut self, addr: PeerAddr) -> &mut PeerState {
+        let slot = self.slot_of(addr);
+        let p = &mut self.peers[slot.index()];
+        debug_assert_eq!(p.addr(), addr, "{addr} is dead");
+        p
+    }
+
+    /// Births a peer into `slot`: a fresh slot at the end of the table,
+    /// or in place of the occupant that just died.
+    fn birth_peer(&mut self, slot: SlotId, now: SimTime) -> PeerAddr {
+        let addr = self.mint(slot, now);
         let bad = self.rng_churn.chance(self.cfg.system.bad_peer_fraction);
         let (behavior, advertised, library) = if bad {
             // Malicious peers advertise the largest plausible library to
@@ -298,9 +340,7 @@ impl GuessSim {
         };
         let mut peer = PeerState::new(
             addr,
-            slot,
             behavior,
-            now,
             advertised,
             library,
             self.caches.alloc(),
@@ -314,7 +354,13 @@ impl GuessSim {
             peer.set_selfish(true);
             self.metrics.counters_mut().incr("selfish_births");
         }
-        self.peers.push(peer);
+        match self.peers.get_mut(slot.index()) {
+            Some(occupant) => *occupant = peer,
+            None => {
+                debug_assert_eq!(slot.index(), self.peers.len(), "slots are dense");
+                self.peers.push(peer);
+            }
+        }
         if bad {
             self.bad.insert(slot, addr);
         }
@@ -349,7 +395,7 @@ impl GuessSim {
             base
         };
         ctx.schedule(now + ping_phase, Event::Ping { slot, addr });
-        if self.cfg.run.simulate_queries && self.peers[addr.index()].behavior() == Behavior::Good {
+        if self.cfg.run.simulate_queries && self.peer(addr).is_good() {
             let gap = self.workload.sample_burst_gap(&mut self.rng_query);
             ctx.schedule(now + gap, Event::Burst { slot, addr });
         }
@@ -357,20 +403,20 @@ impl GuessSim {
 
     /// True if the event's subject still occupies its slot.
     fn is_current(&self, slot: SlotId, addr: PeerAddr) -> bool {
-        self.slots[slot.index()] == addr
+        self.peers[slot.index()].addr() == addr
     }
 
     /// True when no active partition separates `a` from `b`. Peers in
     /// different `slot % groups` classes cannot exchange messages; to
     /// the sender the target is indistinguishable from a dead peer.
-    /// Callers must check liveness first: fabricated dead stubs carry a
+    /// Callers must check liveness first: fabricated addresses carry a
     /// meaningless slot.
     fn reachable(&self, a: PeerAddr, b: PeerAddr) -> bool {
         match self.partition {
             None => true,
             Some(groups) => {
                 let g = groups as usize;
-                self.peers[a.index()].slot().index() % g == self.peers[b.index()].slot().index() % g
+                self.slot_of(a).index() % g == self.slot_of(b).index() % g
             }
         }
     }
@@ -394,12 +440,12 @@ impl GuessSim {
         msg: Message,
     ) -> ProbeReply {
         if let Some(src) = src {
-            if !self.peers[dst.index()].is_alive() || !self.reachable(src, dst) {
+            if !self.is_alive(dst) || !self.reachable(src, dst) {
                 return ProbeReply::TimedOutDead;
             }
         }
-        let peer = &mut self.peers[dst.index()];
-        let honest = peer.behavior() == Behavior::Good;
+        let peer = self.peer_mut(dst);
+        let honest = peer.is_good();
         let (counted, metered) = match msg {
             Message::Ping => (false, false),
             Message::Query(_) => (true, honest),
@@ -411,10 +457,9 @@ impl GuessSim {
         if metered && peer.capacity_mut().admit(at) == Admission::Refused {
             return ProbeReply::Refused;
         }
+        let library = peer.library();
         let results = match msg {
-            Message::Query(want) if honest => {
-                u32::from(self.libs.contains(peer.library(), want.item))
-            }
+            Message::Query(want) if honest => u32::from(self.libs.contains(library, want.item)),
             _ => 0,
         };
         ProbeReply::Answered { results }
@@ -453,12 +498,12 @@ impl GuessSim {
     /// it — a source crossing the blacklist threshold is evicted from
     /// `owner`'s link cache on the spot as well.
     fn drop_dead_entry(&mut self, owner: PeerAddr, subject: PeerAddr) {
-        let h = self.peers[owner.index()].cache();
+        let h = self.peer(owner).cache();
         self.caches.remove(h, subject);
         if !self.cfg.protocol.distrust_pongs {
             return;
         }
-        let reputation = self.peers[owner.index()].reputation_mut();
+        let reputation = self.peer_mut(owner).reputation_mut();
         let before = reputation.blacklisted_count();
         let source = reputation.note_dead(subject);
         if reputation.blacklisted_count() > before {
@@ -474,7 +519,7 @@ impl GuessSim {
     /// the entry's subject.
     fn admit_untraced(&mut self, owner: PeerAddr, entry: CacheEntry) -> InsertOutcome {
         let policy = self.cfg.protocol.cache_replacement;
-        let h = self.peers[owner.index()].cache();
+        let h = self.peer(owner).cache();
         let outcome = self.caches.offer(h, entry, policy, &mut self.rng_policy);
         if outcome != InsertOutcome::Rejected {
             self.push_register(owner, entry.addr());
@@ -522,12 +567,9 @@ impl GuessSim {
         }
         self.churn.died(ctx, now, addr.index() as u64);
         self.metrics.counters_mut().incr("deaths");
-        let (load, cache_h, lib_h) = {
-            let p = &mut self.peers[addr.index()];
-            p.kill(now);
-            let (cache_h, lib_h) = p.release_storage();
-            (p.probes_received(), cache_h, lib_h)
-        };
+        self.addrs[addr.index()].died = now;
+        let p = self.peer(addr);
+        let (load, cache_h, lib_h) = (p.probes_received(), p.cache(), p.library());
         // The dead peer's arena blocks go straight back on the free
         // lists; its replacement (or a later newborn) recycles them.
         self.caches.free(cache_h);
@@ -535,9 +577,9 @@ impl GuessSim {
         self.metrics.record_load(load);
         self.bad.remove(slot, addr);
 
-        // Constant population: a replacement is born immediately.
+        // Constant population: a replacement is born immediately, in
+        // place of the dead peer's state.
         let newborn = self.birth_peer(slot, now);
-        self.slots[slot.index()] = newborn;
         self.seed_from_friend(newborn, now, ctx);
         self.schedule_peer_events(slot, newborn, now, false, ctx);
 
@@ -574,7 +616,7 @@ impl GuessSim {
         };
         let mut entries = std::mem::take(&mut self.entry_scratch);
         entries.clear();
-        let fh = self.peers[friend.index()].cache();
+        let fh = self.peer(friend).cache();
         entries.extend_from_slice(self.caches.entries(fh));
         for &e in &entries {
             if e.addr() != newborn {
@@ -586,12 +628,12 @@ impl GuessSim {
 
     /// A uniformly random live peer, excluding `not` if given.
     fn random_live_peer(&mut self, not: Option<PeerAddr>) -> Option<PeerAddr> {
-        let n = self.slots.len();
+        let n = self.peers.len();
         if n == 0 {
             return None;
         }
         for _ in 0..32 {
-            let cand = self.slots[self.rng_churn.below(n)];
+            let cand = self.peers[self.rng_churn.below(n)].addr();
             if Some(cand) != not {
                 return Some(cand);
             }
@@ -613,7 +655,7 @@ impl GuessSim {
         if !self.is_current(slot, addr) {
             return;
         }
-        if self.peers[addr.index()].behavior() == Behavior::Malicious {
+        if self.peer(addr).behavior() == Behavior::Malicious {
             self.malicious_ping(addr, now, ctx);
         } else {
             let outcome = self.good_ping(addr, now, ctx);
@@ -622,7 +664,7 @@ impl GuessSim {
             // cycle: watchers get a (coalesced) refresh of our entry.
             self.maybe_request_refresh(slot, addr, now, ctx);
         }
-        let interval = self.effective_ping_interval(self.peers[addr.index()].ping_interval());
+        let interval = self.effective_ping_interval(self.peer(addr).ping_interval());
         ctx.schedule(now + interval, Event::Ping { slot, addr });
     }
 
@@ -643,7 +685,7 @@ impl GuessSim {
         } else {
             self.cfg.protocol.ping_probe
         };
-        let h = self.peers[pinger.index()].cache();
+        let h = self.peer(pinger).cache();
         select_top_k_into(
             probe_policy,
             self.caches.entries(h),
@@ -665,10 +707,10 @@ impl GuessSim {
         // The neighbor answers: refresh our TS for it and absorb its pong.
         self.caches.touch(h, dst, now);
         if self.cfg.protocol.distrust_pongs {
-            self.peers[pinger.index()].reputation_mut().note_alive(dst);
+            self.peer_mut(pinger).reputation_mut().note_alive(dst);
         }
         self.apply_introduction(dst, pinger, now, ctx);
-        let dh = self.peers[dst.index()].cache();
+        let dh = self.peer(dst).cache();
         self.caches.touch(dh, pinger, now);
         // The pong is built before the source filter is consulted, so the
         // responder's selection draws happen either way.
@@ -687,7 +729,7 @@ impl GuessSim {
         let (Some(params), Some(alive)) = (self.cfg.protocol.adaptive_ping, outcome) else {
             return;
         };
-        let peer = &mut self.peers[addr.index()];
+        let peer = self.peer_mut(addr);
         let factor = if alive {
             params.on_alive
         } else {
@@ -709,7 +751,7 @@ impl GuessSim {
         let Some(dst) = self.random_live_peer(Some(pinger)) else {
             return;
         };
-        if self.peers[dst.index()].behavior() == Behavior::Good && self.reachable(pinger, dst) {
+        if self.peer(dst).is_good() && self.reachable(pinger, dst) {
             self.apply_introduction(dst, pinger, now, ctx);
         }
     }
@@ -726,10 +768,10 @@ impl GuessSim {
         if !self.rng_intro.chance(self.cfg.protocol.intro_prob) {
             return;
         }
-        if self.peers[dst.index()].behavior() == Behavior::Malicious {
+        if self.peer(dst).behavior() == Behavior::Malicious {
             return; // attackers do not maintain honest caches
         }
-        let advertised = self.peers[initiator.index()].advertised_files();
+        let advertised = self.peer(initiator).advertised_files();
         self.admit(dst, CacheEntry::new(initiator, now, advertised), now, ctx);
         self.metrics.counters_mut().incr("introductions");
     }
@@ -739,11 +781,11 @@ impl GuessSim {
     /// `pong_scratch` once the pong is consumed.
     fn build_pong(&mut self, responder: PeerAddr, policy: SelectionPolicy, now: SimTime) -> Pong {
         let mut entries = std::mem::take(&mut self.pong_scratch);
-        if self.peers[responder.index()].behavior() == Behavior::Malicious {
+        if self.peer(responder).behavior() == Behavior::Malicious {
             entries.clear();
             self.fill_poison_pong(responder, now, &mut entries);
         } else {
-            let h = self.peers[responder.index()].cache();
+            let h = self.peer(responder).cache();
             select_top_k_into(
                 policy,
                 self.caches.entries(h),
@@ -795,18 +837,14 @@ impl GuessSim {
     /// Lazily allocates `attacker`'s fabricated pool and returns the
     /// attacker's slot (the registry key the pool is stored under).
     fn ensure_fabricated_pool(&mut self, attacker: PeerAddr, now: SimTime) -> SlotId {
-        let slot = self.peers[attacker.index()].slot();
+        let slot = self.slot_of(attacker);
         debug_assert_eq!(self.bad.occupant(slot), Some(attacker));
         if !self.bad.pool(slot).is_empty() {
             return slot;
         }
-        let mut pool = Vec::with_capacity(FABRICATED_POOL_SIZE);
-        for _ in 0..FABRICATED_POOL_SIZE {
-            let fake = self.alloc.allocate();
-            debug_assert_eq!(fake.index(), self.peers.len());
-            self.peers.push(PeerState::dead_stub(fake, now));
-            pool.push(fake);
-        }
+        let pool = (0..FABRICATED_POOL_SIZE)
+            .map(|_| self.mint(AddrRecord::FABRICATED, now))
+            .collect();
         self.bad.set_pool(slot, pool);
         slot
     }
@@ -815,9 +853,7 @@ impl GuessSim {
     /// `receiver` has blacklisted `source`, whose pongs it drops unseen.
     fn pong_filtered(&mut self, receiver: PeerAddr, source: PeerAddr) -> bool {
         let filtered = self.cfg.protocol.distrust_pongs
-            && self.peers[receiver.index()]
-                .reputation()
-                .is_blacklisted(source);
+            && self.peer(receiver).reputation().is_blacklisted(source);
         if filtered {
             self.metrics.counters_mut().incr("pongs_filtered");
         }
@@ -847,7 +883,7 @@ impl GuessSim {
                 entry.reset_num_res();
             }
             if self.cfg.protocol.distrust_pongs {
-                let reputation = self.peers[receiver.index()].reputation_mut();
+                let reputation = self.peer_mut(receiver).reputation_mut();
                 if reputation.is_blacklisted(entry.addr()) {
                     continue; // never re-admit a known liar
                 }
@@ -884,16 +920,17 @@ impl GuessSim {
         if self.cfg.protocol.maintenance_mode == MaintenanceMode::Pull {
             return;
         }
-        let s = &self.peers[subject.index()];
-        if !s.is_good() || !self.reachable(watcher, subject) {
+        if !self.is_alive(subject)
+            || !self.peer(subject).is_good()
+            || !self.reachable(watcher, subject)
+        {
             return;
         }
-        let slot = self.peers[watcher.index()].slot();
         let interest = Interest {
-            slot,
+            slot: self.slot_of(watcher),
             addr: watcher,
         };
-        self.push.register(s.slot(), interest);
+        self.push.register(self.slot_of(subject), interest);
     }
 
     /// Requests a refresh push of `addr`'s own entry (push mode only).
@@ -1043,19 +1080,23 @@ impl GuessSim {
             UpdateKind::Refresh => ("push_refreshes", ProbeKind::Refresh),
         };
         self.metrics.counters_mut().incr(counter);
-        // `subject` may be freshly dead (invalidations), but its slot
-        // field is intact, so the partition check is well-defined.
+        // `subject` may be freshly dead (invalidations), but its address
+        // record keeps its slot, so the partition check is well-defined.
         let reply = self.contact(Some(subject), w.addr, now, Message::Push);
         Self::trace_probe(ctx, NO_QUERY, w.addr, trace_kind, reply, now);
-        let h = self.peers[w.addr.index()].cache();
-        match (reply, kind) {
-            (ProbeReply::TimedOutDead, _) => self.metrics.counters_mut().incr("push_dropped"),
-            (ProbeReply::Refused, _) => self.metrics.counters_mut().incr("push_refused"),
-            (ProbeReply::Answered { .. }, UpdateKind::Invalidate) => {
-                self.caches.remove(h, subject);
-            }
-            (ProbeReply::Answered { .. }, UpdateKind::Refresh) => {
-                self.caches.touch(h, subject, now);
+        match reply {
+            ProbeReply::TimedOutDead => self.metrics.counters_mut().incr("push_dropped"),
+            ProbeReply::Refused => self.metrics.counters_mut().incr("push_refused"),
+            ProbeReply::Answered { .. } => {
+                let h = self.peer(w.addr).cache();
+                match kind {
+                    UpdateKind::Invalidate => {
+                        self.caches.remove(h, subject);
+                    }
+                    UpdateKind::Refresh => {
+                        self.caches.touch(h, subject, now);
+                    }
+                }
             }
         }
         reply.is_answered()
@@ -1086,11 +1127,8 @@ impl GuessSim {
     /// Ends the run: books the load of every peer still alive and hands
     /// over the collector.
     fn into_metrics(mut self) -> MetricsCollector {
-        for &addr in &self.slots {
-            let p = &self.peers[addr.index()];
-            if p.is_alive() {
-                self.metrics.record_load(p.probes_received());
-            }
+        for p in &self.peers {
+            self.metrics.record_load(p.probes_received());
         }
         self.metrics
     }
@@ -1120,10 +1158,7 @@ impl<T: TraceSink> Simulation<T> for GuessSim {
     }
 
     fn live_peers(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter(|a| self.peers[a.index()].is_alive())
-            .count() as u64
+        self.peers.len() as u64
     }
 }
 
@@ -1184,6 +1219,87 @@ mod tests {
         assert_eq!(a.probes_per_query(), b.probes_per_query());
         assert_eq!(a.loads, b.loads);
         assert_eq!(a.counters.get("births"), b.counters.get("births"));
+    }
+
+    #[test]
+    fn death_records_the_instant_and_recycles_the_blocks() {
+        let mut sim = GuessSim::new(tiny(62)).unwrap();
+        let mut kernel = Kernel::new(
+            KernelParams::new(sim.cfg.run.duration),
+            simkit::trace::NullSink,
+        );
+        let slot = SlotId(7);
+        let dead = sim.peers[slot.index()].addr();
+        let cache = sim.peer(dead).cache();
+        let t = SimTime::from_secs(12.5);
+        sim.on_death(slot, dead, t, &mut kernel.ctx());
+
+        assert!(!sim.is_alive(dead));
+        assert_eq!(sim.addrs[dead.index()].died, t);
+        assert_eq!(sim.slot_of(dead), slot, "a dead address keeps its slot");
+        let newborn = sim.peers[slot.index()].addr();
+        assert_ne!(newborn, dead);
+        assert!(sim.is_alive(newborn));
+        assert_eq!(sim.slot_of(newborn), slot);
+        assert_eq!(sim.peers.len(), tiny(62).system.network_size);
+        // The free lists held nothing else, so the replacement's cache
+        // is the dead peer's block, recycled.
+        assert_eq!(sim.peer(newborn).cache(), cache);
+    }
+
+    #[test]
+    fn every_minted_address_is_alive_iff_it_occupies_its_slot() {
+        use simkit::scenario::Scenario;
+        let mut cfg = tiny(61).with_bad_peers(0.2, BadPongBehavior::Dead);
+        cfg.system.lifespan_multiplier = 0.1;
+        let n = cfg.system.network_size;
+        let horizon = SimTime::ZERO + cfg.run.duration;
+        let scenario = Scenario::new()
+            .at(80.0)
+            .mass_join(30)
+            .at(120.0)
+            .mass_leave(40);
+        // Driven by hand rather than through `run_scenario`, so the engine
+        // survives the run and its tables can be inspected at the horizon.
+        let params = KernelParams::new(cfg.run.duration).with_sampling(cfg.run.sample_interval);
+        let mut kernel = Kernel::new(params, simkit::trace::NullSink);
+        let mut sim = GuessSim::new(cfg).unwrap();
+        sim.schedule_initial(&mut kernel.ctx());
+        kernel.run_scenario(&mut sim, &scenario).unwrap();
+
+        assert_eq!(sim.peers.len(), n + 30);
+        assert_eq!(
+            Simulation::<simkit::trace::NullSink>::live_peers(&sim),
+            n as u64 + 30
+        );
+        assert_eq!(sim.addrs.len(), sim.alloc.allocated());
+        // Each slot's occupant is recorded as born into that slot.
+        for (s, p) in sim.peers.iter().enumerate() {
+            assert_eq!(sim.slot_of(p.addr()).index(), s, "{}", p.addr());
+        }
+        let (mut alive, mut fabricated, mut born) = (0usize, 0usize, 0u64);
+        for (i, rec) in sim.addrs.iter().enumerate() {
+            let addr = PeerAddr::from_raw(i as u32);
+            let occupant = sim.peers.get(rec.slot.index()).map(PeerState::addr);
+            assert_eq!(sim.is_alive(addr), occupant == Some(addr), "{addr}");
+            if rec.slot == AddrRecord::FABRICATED {
+                fabricated += 1;
+                assert!(!sim.is_alive(addr), "fabricated {addr} is alive");
+            } else {
+                born += 1;
+            }
+            if sim.is_alive(addr) {
+                alive += 1;
+            } else {
+                assert!(rec.died <= horizon, "{addr} died after the horizon");
+            }
+        }
+        assert_eq!(alive, sim.peers.len(), "one live address per slot");
+        assert!(
+            fabricated > 0,
+            "Dead attackers must have fabricated addresses"
+        );
+        assert_eq!(born, sim.metrics.counters_mut().get("births"));
     }
 
     #[test]

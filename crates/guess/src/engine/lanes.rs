@@ -149,7 +149,7 @@ impl GuessLane {
         lctx: &mut LaneCtx<'_, Event, T>,
     ) {
         let sim = &mut self.sim;
-        let victim = sim.slots[sim.rng_remote.below(sim.slots.len())];
+        let victim = sim.peers[sim.rng_remote.below(sim.peers.len())].addr();
         let reply = sim.contact(None, victim, now, Message::Query(target));
         sim.metrics.counters_mut().incr("remote_probes");
         lctx.send(

@@ -42,8 +42,8 @@ impl QueryExec {
 
 impl GuessSim {
     /// Marks `addr` as considered by the query with dedup stamp `stamp`;
-    /// returns true on the first visit. Addresses allocated mid-query
-    /// (fabricated stubs) land beyond the vector and grow it.
+    /// returns true on the first visit. Addresses minted mid-query
+    /// (fabricated ones) land beyond the vector and grow it.
     fn query_first_visit(&mut self, addr: PeerAddr, stamp: u64) -> bool {
         let i = addr.index();
         if i >= self.query_seen.len() {
@@ -100,7 +100,7 @@ impl GuessSim {
         // Selfish peers blast wide volleys regardless of the protocol's
         // configured walk width (§3.3); honest peers start at the
         // configured k and may widen it adaptively (§6.2 future work).
-        let selfish = self.peers[prober.index()].is_selfish();
+        let selfish = self.peer(prober).is_selfish();
         let mut k = if selfish {
             self.cfg.system.selfish_parallelism
         } else {
@@ -117,7 +117,7 @@ impl GuessSim {
         self.query_first_visit(prober, stamp);
         let mut seed_entries = std::mem::take(&mut self.entry_scratch);
         seed_entries.clear();
-        let prober_cache = self.peers[prober.index()].cache();
+        let prober_cache = self.peer(prober).cache();
         seed_entries.extend_from_slice(self.caches.entries(prober_cache));
         for &e in &seed_entries {
             if self.query_first_visit(e.addr(), stamp) {
@@ -150,7 +150,7 @@ impl GuessSim {
             // Probe payments (accounts exist exactly when they are on): a
             // peer that cannot afford the probe must stop searching until
             // its allowance refills (§3.3).
-            if let Some(account) = self.peers[prober.index()].account_mut() {
+            if let Some(account) = self.peer_mut(prober).account_mut() {
                 if account.pay_probe(t_probe).is_err() {
                     self.metrics.counters_mut().incr("probe_budget_exhausted");
                     break;
@@ -177,9 +177,9 @@ impl GuessSim {
                 ProbeReply::Answered { results } => results,
             };
             if self.cfg.protocol.distrust_pongs {
-                self.peers[prober.index()].reputation_mut().note_alive(dst);
+                self.peer_mut(prober).reputation_mut().note_alive(dst);
             }
-            if let Some(account) = self.peers[dst.index()].account_mut() {
+            if let Some(account) = self.peer_mut(dst).account_mut() {
                 account.earn_answer(t_probe);
             }
 
@@ -199,7 +199,7 @@ impl GuessSim {
             // (A no-op when `dst` was probed from the query cache and
             // has no link-cache entry.)
             self.caches.record_results(prober_cache, dst, now, res);
-            let dst_cache = self.peers[dst.index()].cache();
+            let dst_cache = self.peer(dst).cache();
             self.caches.touch(dst_cache, prober, now);
             self.apply_introduction(dst, prober, now, ctx);
 

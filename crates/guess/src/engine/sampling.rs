@@ -19,7 +19,7 @@ impl GuessSim {
     /// exhaustive sweep. Draws the phase from the metrics stream only
     /// when sampling engages.
     fn metrics_stride(&mut self) -> Option<(usize, usize)> {
-        let n = self.slots.len();
+        let n = self.peers.len();
         if n <= self.cfg.run.metrics_sample_threshold {
             return None;
         }
@@ -38,12 +38,11 @@ impl GuessSim {
         let mut stale_sum = 0.0;
         let mut entries_n = 0usize;
         let mut peers_n = 0usize;
-        let n = self.slots.len();
+        let n = self.peers.len();
         let mut i = phase;
         while i < n {
-            let addr = self.slots[i];
+            let p = &self.peers[i];
             i += stride;
-            let p = &self.peers[addr.index()];
             if !p.is_good() {
                 continue;
             }
@@ -54,10 +53,10 @@ impl GuessSim {
             let mut good_entries = 0usize;
             for e in self.caches.entries(h) {
                 entries_n += 1;
-                let t = &self.peers[e.addr().index()];
-                if t.is_alive() {
+                let t = e.addr();
+                if self.is_alive(t) {
                     live += 1;
-                    if t.behavior() == Behavior::Good {
+                    if self.peer(t).is_good() {
                         good_entries += 1;
                     }
                 } else {
@@ -66,7 +65,7 @@ impl GuessSim {
                     // time since its death afterwards. This coherence lag
                     // is what push invalidations buy down — the quantity
                     // the maintenance experiment trades bandwidth against.
-                    stale_sum += now.saturating_since(t.died_at()).as_secs();
+                    stale_sum += now.saturating_since(self.addrs[t.index()].died).as_secs();
                 }
             }
             if total > 0 {
@@ -100,7 +99,7 @@ impl GuessSim {
     }
 
     pub(super) fn sample_connectivity(&mut self) {
-        let n = self.slots.len();
+        let n = self.peers.len();
         let plan = self.metrics_stride();
         let mut uf = UnionFind::new(n);
         let (phase, stride) = plan.unwrap_or((0, 1));
@@ -108,17 +107,12 @@ impl GuessSim {
         while i < n {
             let slot = i;
             i += stride;
-            let p = &self.peers[self.slots[slot].index()];
-            if !p.is_alive() {
-                continue;
-            }
-            for e in self.caches.entries(p.cache()) {
+            for e in self.caches.entries(self.peers[slot].cache()) {
                 // A live peer is by definition the current occupant of
                 // its slot, so its SlotId is its dense index — no
                 // addr→index map needed.
-                let t = &self.peers[e.addr().index()];
-                if t.is_alive() {
-                    uf.union(slot, t.slot().index());
+                if self.is_alive(e.addr()) {
+                    uf.union(slot, self.slot_of(e.addr()).index());
                 }
             }
         }

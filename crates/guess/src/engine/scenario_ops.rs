@@ -23,11 +23,10 @@ impl GuessSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..count {
-            let slot = SlotId(self.slots.len() as u32);
-            self.bad.grow_to(self.slots.len() + 1);
-            self.push.grow_to(self.slots.len() + 1);
+            let slot = SlotId(self.peers.len() as u32);
+            self.bad.grow_to(self.peers.len() + 1);
+            self.push.grow_to(self.peers.len() + 1);
             let newborn = self.birth_peer(slot, now);
-            self.slots.push(newborn);
             self.seed_from_friend(newborn, now, ctx);
             self.schedule_peer_events(slot, newborn, now, false, ctx);
         }
@@ -43,9 +42,9 @@ impl GuessSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..count {
-            let s = self.rng_churn.below(self.slots.len());
+            let s = self.rng_churn.below(self.peers.len());
             let slot = SlotId(s as u32);
-            let addr = self.slots[s];
+            let addr = self.peers[s].addr();
             // The victim's originally scheduled death event becomes
             // stale and is ignored by the `is_current` guard.
             self.on_death(slot, addr, now, ctx);
@@ -61,7 +60,7 @@ impl GuessSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         for _ in 0..queries {
-            let src = self.slots[self.rng_query.below(self.slots.len())];
+            let src = self.peers[self.rng_query.below(self.peers.len())].addr();
             self.execute_query(src, now, ctx);
         }
     }

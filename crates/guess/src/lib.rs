@@ -38,7 +38,7 @@
 //! | [`policy`] | Random/MRU/LRU/MFS/MR selection + replacement mirrors |
 //! | [`capacity`] | `MaxProbesPerSecond` admission metering |
 //! | [`message`] | the pong payload and what a sender observes ([`message::ProbeReply`]) |
-//! | [`peer`] | per-peer state, honest and malicious |
+//! | [`peer`] | live per-slot peer state, honest and malicious |
 //! | [`config`] | Tables 1 & 2 parameters + run controls |
 //! | [`engine`] | the discrete-event network simulator |
 //! | [`metrics`] | run reports: every number the figures plot |

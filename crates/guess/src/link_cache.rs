@@ -218,7 +218,7 @@ impl LinkCache {
 ///
 /// 4 bytes of peer state instead of an owned [`LinkCache`] (a `Vec`
 /// header, a hash index, and their heap blocks). [`CacheHandle::NULL`]
-/// marks peers that never cache anything (fabricated dead stubs).
+/// names no block: reads through it see an empty cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheHandle(u32);
 

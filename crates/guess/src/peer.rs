@@ -1,12 +1,19 @@
 //! Per-peer simulation state.
 //!
-//! Bulk storage — the library item ids and the link-cache entries — does
-//! not live here: `PeerState` holds arena *handles*
-//! ([`workload::content::LibraryHandle`], [`crate::link_cache::CacheHandle`])
-//! into engine-owned arenas. A dead peer's record stays in the peer table
-//! forever (so stale cache entries still resolve), but its arena blocks
-//! are released at death and recycled by the replacement peer, which is
-//! what keeps long churny runs at a flat bytes-per-peer cost.
+//! The engine keeps one [`PeerState`] per network slot, describing the
+//! slot's live occupant, and overwrites it in place when a death births
+//! the replacement. Bulk storage — the library item ids and the
+//! link-cache entries — does not live here: `PeerState` holds arena
+//! *handles* ([`workload::content::LibraryHandle`],
+//! [`crate::link_cache::CacheHandle`]) into engine-owned arenas, freed at
+//! death and recycled by the replacement.
+//!
+//! A dead address survives only as a pointer in other peers' caches
+//! (GUESS peers leave silently, §3.2), and all the engine ever asks of it
+//! is whether it is alive, which slot it held and when it died. So every
+//! address ever minted — including the fabricated dead addresses
+//! malicious peers hand out — keeps just an [`AddrRecord`]; no
+//! `PeerState` is ever built for a dead or fabricated address.
 
 use simkit::time::{SimDuration, SimTime};
 use workload::content::LibraryHandle;
@@ -28,20 +35,35 @@ pub enum Behavior {
     Malicious,
 }
 
-/// The complete state of one peer instance.
-///
-/// A `PeerState` is created at birth and never removed: after death it
-/// remains in the peer table (flagged dead) so stale cache entries held by
-/// others still resolve to *something* — namely, a peer that will never
-/// answer a probe.
+/// What the engine keeps per minted address: the slot the address was
+/// born into and the instant it died. An address is alive exactly while
+/// it is its slot's current occupant, so no liveness flag is stored.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AddrRecord {
+    /// The slot the address occupies or occupied;
+    /// [`AddrRecord::FABRICATED`] for an address that never had one.
+    pub(crate) slot: SlotId,
+    /// When the address died; meaningful only once it is dead. A
+    /// fabricated address counts as dead from its minting: its pointers
+    /// are stale information from the moment they first circulate.
+    pub(crate) died: SimTime,
+}
+
+impl AddrRecord {
+    /// The slot of a fabricated address. No network reaches `u32::MAX`
+    /// slots, so it is never occupied.
+    pub(crate) const FABRICATED: SlotId = SlotId(u32::MAX);
+}
+
+// Millions of addresses are minted over a long churny run: the record
+// must stay a slot id plus a timestamp.
+const _: () = assert!(std::mem::size_of::<AddrRecord>() <= 16);
+
+/// The complete state of one live peer.
 #[derive(Debug, Clone)]
 pub struct PeerState {
     addr: PeerAddr,
-    slot: SlotId,
     behavior: Behavior,
-    alive: bool,
-    born: SimTime,
-    died: SimTime,
     /// Advertised shared-file count. Honest peers advertise the truth;
     /// malicious peers inflate it to game metadata-trusting policies.
     advertised_files: u32,
@@ -56,14 +78,11 @@ pub struct PeerState {
 }
 
 impl PeerState {
-    /// Creates a live peer owning the given arena blocks.
+    /// Creates a newborn peer owning the given arena blocks.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         addr: PeerAddr,
-        slot: SlotId,
         behavior: Behavior,
-        born: SimTime,
         advertised_files: u32,
         library: LibraryHandle,
         cache: CacheHandle,
@@ -71,42 +90,11 @@ impl PeerState {
     ) -> Self {
         PeerState {
             addr,
-            slot,
             behavior,
-            alive: true,
-            born,
-            died: born,
             advertised_files,
             library,
             cache,
             capacity: CapacityMeter::with_limit(probe_limit),
-            probes_received: 0,
-            selfish: false,
-            ping_interval: SimDuration::from_secs(30.0),
-            reputation: ReputationTracker::new(ReputationParams::default()),
-            account: None,
-        }
-    }
-
-    /// Creates a dead placeholder for a fabricated address (the dead IPs
-    /// malicious peers hand out in poisoned pongs). Stubs own no arena
-    /// blocks: the library handle is empty and the cache handle is null —
-    /// nothing ever probes *through* a stub.
-    #[must_use]
-    pub fn dead_stub(addr: PeerAddr, born: SimTime) -> Self {
-        PeerState {
-            addr,
-            slot: SlotId(u32::MAX),
-            behavior: Behavior::Malicious,
-            alive: false,
-            born,
-            // A fabricated address was never live: its pointers are stale
-            // information from the moment they first circulate.
-            died: born,
-            advertised_files: 0,
-            library: LibraryHandle::EMPTY,
-            cache: CacheHandle::NULL,
-            capacity: CapacityMeter::with_limit(None),
             probes_received: 0,
             selfish: false,
             ping_interval: SimDuration::from_secs(30.0),
@@ -121,34 +109,16 @@ impl PeerState {
         self.addr
     }
 
-    /// The network slot this peer occupies (or occupied).
-    #[must_use]
-    pub fn slot(&self) -> SlotId {
-        self.slot
-    }
-
     /// Honest or malicious.
     #[must_use]
     pub fn behavior(&self) -> Behavior {
         self.behavior
     }
 
-    /// True until the peer leaves the network.
-    #[must_use]
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
-    /// True for live peers that follow the protocol.
+    /// True for peers that follow the protocol.
     #[must_use]
     pub fn is_good(&self) -> bool {
-        self.alive && self.behavior == Behavior::Good
-    }
-
-    /// Birth instant.
-    #[must_use]
-    pub fn born(&self) -> SimTime {
-        self.born
+        self.behavior == Behavior::Good
     }
 
     /// The file count this peer advertises in introductions and pongs.
@@ -174,8 +144,8 @@ impl PeerState {
         &mut self.capacity
     }
 
-    /// Total probes that have arrived at this peer while alive (including
-    /// refused ones — a refusal still costs the receiver work).
+    /// Total probes that have arrived at this peer (including refused
+    /// ones — a refusal still costs the receiver work).
     #[must_use]
     pub fn probes_received(&self) -> u64 {
         self.probes_received
@@ -184,33 +154,6 @@ impl PeerState {
     /// Records an arriving probe for load accounting.
     pub fn note_probe_received(&mut self) {
         self.probes_received += 1;
-    }
-
-    /// Marks the peer as departed at `now`. GUESS peers leave silently
-    /// (§3.2): no notification is sent; others discover the death via
-    /// failed probes. The instant is kept so the staleness sweep can
-    /// measure how long cache entries keep pointing at the corpse.
-    pub fn kill(&mut self, now: SimTime) {
-        self.alive = false;
-        self.died = now;
-    }
-
-    /// When the peer left the network. Meaningful only once
-    /// [`is_alive`](Self::is_alive) is false; dead stubs report their
-    /// creation instant.
-    #[must_use]
-    pub fn died_at(&self) -> SimTime {
-        self.died
-    }
-
-    /// Surrenders the peer's arena blocks at death: returns the handles
-    /// (for the engine to free) and leaves the record holding inert
-    /// null/empty handles so any later read sees an empty cache/library.
-    pub fn release_storage(&mut self) -> (CacheHandle, LibraryHandle) {
-        let released = (self.cache, self.library);
-        self.cache = CacheHandle::NULL;
-        self.library = LibraryHandle::EMPTY;
-        released
     }
 
     /// Whether this (honest) peer games the system with huge probe
@@ -270,9 +213,7 @@ mod tests {
         let mut alloc = AddrAllocator::new();
         PeerState::new(
             alloc.allocate(),
-            SlotId(0),
             Behavior::Good,
-            SimTime::ZERO,
             42,
             LibraryHandle::EMPTY,
             arena.alloc(),
@@ -288,48 +229,11 @@ mod tests {
     fn newborn_is_alive_and_good() {
         let mut arena = CacheArena::new(10);
         let p = peer_in(&mut arena);
-        assert!(p.is_alive());
         assert!(p.is_good());
         assert_eq!(p.advertised_files(), 42);
         assert_eq!(p.probes_received(), 0);
         assert!(!p.cache().is_null());
         assert_eq!(arena.len(p.cache()), 0);
-    }
-
-    #[test]
-    fn kill_marks_dead_and_records_the_instant() {
-        let mut p = peer();
-        p.kill(SimTime::from_secs(12.5));
-        assert!(!p.is_alive());
-        assert!(!p.is_good());
-        assert_eq!(p.died_at(), SimTime::from_secs(12.5));
-    }
-
-    #[test]
-    fn release_storage_leaves_inert_handles() {
-        let mut arena = CacheArena::new(10);
-        let mut p = peer_in(&mut arena);
-        let original = p.cache();
-        p.kill(SimTime::ZERO);
-        let (cache, library) = p.release_storage();
-        assert_eq!(cache, original);
-        assert!(library.is_empty());
-        arena.free(cache);
-        assert!(p.cache().is_null(), "record keeps only the null handle");
-        assert!(p.library().is_empty());
-        assert_eq!(arena.alloc(), original, "block is recycled");
-    }
-
-    #[test]
-    fn dead_stub_is_dead_from_birth() {
-        let mut alloc = AddrAllocator::new();
-        let s = PeerState::dead_stub(alloc.allocate(), SimTime::from_secs(5.0));
-        assert!(!s.is_alive());
-        assert!(!s.is_good());
-        assert_eq!(s.born(), SimTime::from_secs(5.0));
-        assert_eq!(s.died_at(), SimTime::from_secs(5.0));
-        assert!(s.library().is_empty());
-        assert!(s.cache().is_null());
     }
 
     #[test]
@@ -370,15 +274,12 @@ mod tests {
         let mut alloc = AddrAllocator::new();
         let p = PeerState::new(
             alloc.allocate(),
-            SlotId(1),
             Behavior::Malicious,
-            SimTime::ZERO,
             5000,
             LibraryHandle::EMPTY,
             CacheHandle::NULL,
             None,
         );
-        assert!(p.is_alive());
         assert!(!p.is_good());
         assert_eq!(p.behavior(), Behavior::Malicious);
     }
