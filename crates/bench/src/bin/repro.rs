@@ -6,7 +6,7 @@
 //! repro all [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]
 //! repro <experiment> [<experiment> ...] [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]
 //! repro scenario <name>|all [--quick] [--jobs N] [--out <dir>] [--json]
-//! repro --trace <path> [--engine guess|gossip] [--quick]
+//! repro --trace <path> [--engine guess|gossip|gnutella] [--quick]
 //! repro --list
 //! ```
 //!
@@ -32,7 +32,8 @@
 //! structured trace layer on, streaming every record to `<path>` as
 //! JSON Lines (schema in EXPERIMENTS.md), then reconciles the trace
 //! totals against the run's own report before exiting. `--engine`
-//! selects which simulator is traced: `guess` (default) or `gossip`.
+//! selects which simulator is traced: `guess` (default), `gossip` or
+//! `gnutella` (dynamic flooding).
 //!
 //! An argument starting with `--` that is not listed above is an error
 //! (exit 2), never silently dropped. Performance is measured by the
@@ -47,6 +48,8 @@ use guess_bench::report::Report;
 use guess_bench::runner::Ctx;
 use guess_bench::scale::Scale;
 use simkit::sim::Runnable;
+use simkit::time::SimDuration;
+use simkit::trace::CountingSink;
 
 /// The parsed command line: every flag `repro` knows, plus the
 /// positional experiment or scenario names.
@@ -105,13 +108,15 @@ fn parse_cli(args: &[String], scenario: bool) -> Result<Cli<'_>, String> {
                 cli.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a file path")?));
             }
             "--engine" => match it.next().map(String::as_str) {
-                Some(name @ ("guess" | "gossip")) => cli.engine = name,
+                Some(name @ ("guess" | "gossip" | "gnutella")) => cli.engine = name,
                 Some(other) => {
                     return Err(format!(
-                        "unknown --engine '{other}' (expected guess or gossip)"
+                        "unknown --engine '{other}' (expected guess, gossip or gnutella)"
                     ));
                 }
-                None => return Err("--engine needs a value (guess or gossip)".to_string()),
+                None => {
+                    return Err("--engine needs a value (guess, gossip or gnutella)".to_string())
+                }
             },
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             name => cli.names.push(name),
@@ -156,7 +161,8 @@ fn main() {
     if let Some(path) = &cli.trace {
         match cli.engine {
             "gossip" => run_traced_gossip(path, scale),
-            _ => run_traced(path, scale),
+            "gnutella" => run_traced_gnutella(path, scale),
+            _ => run_traced_guess(path, scale),
         }
         return;
     }
@@ -335,32 +341,26 @@ fn emit(name: &str, description: &str, report: &Report, secs: f64, cli: &Cli<'_>
     }
 }
 
-/// Runs one base-configuration GUESS simulation with tracing on, writes
-/// the JSONL stream to `path`, and reconciles the trace totals against
-/// the run's report. Exits non-zero on I/O failure or mismatch.
-fn run_traced(path: &Path, scale: Scale) {
-    use guess::engine::GuessSim;
-    use guess_bench::scale::base_config;
+/// Runs one simulation with tracing on, streaming its JSONL to `path`,
+/// and returns the run's report with the trace's tallies. `engine` names
+/// the simulator in the summary line. Exits 1 on an invalid config or an
+/// I/O failure.
+fn write_trace<S: Runnable, E: std::fmt::Display>(
+    sim: Result<S, E>,
+    path: &Path,
+    engine: &str,
+    scale: Scale,
+) -> (S::Report, CountingSink) {
     use guess_bench::tracefile::JsonlSink;
 
-    let mut cfg = base_config(scale, 0x7ACE);
-    // Zero warm-up: the report then covers every query in the trace, so
-    // the reconciliation below must match exactly.
-    cfg.run.warmup = simkit::time::SimDuration::from_secs(0.0);
-    let sim = match GuessSim::new(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("invalid trace config: {e}");
-            std::process::exit(1);
-        }
-    };
-    let file = match std::fs::File::create(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot create {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
+    let sim = sim.unwrap_or_else(|e| {
+        eprintln!("invalid trace config: {e}");
+        std::process::exit(1);
+    });
+    let file = std::fs::File::create(path).unwrap_or_else(|e| {
+        eprintln!("cannot create {}: {e}", path.display());
+        std::process::exit(1);
+    });
     let started = Instant::now();
     let sink = JsonlSink::new(std::io::BufWriter::new(file));
     let (report, sink) = sim.run_traced(sink);
@@ -370,18 +370,45 @@ fn run_traced(path: &Path, scale: Scale) {
         std::process::exit(1);
     }
     println!(
-        "traced GUESS run ({scale:?} scale) -> {} in {:.1}s",
+        "traced {engine} run ({scale:?} scale) -> {} in {:.1}s",
         path.display(),
         started.elapsed().as_secs_f64()
     );
     println!("  records: {}", counts.total());
+    (report, counts)
+}
 
-    // Reconcile the trace against the run's own aggregates. The report's
-    // probe total comes back through a Welford running mean, so round —
-    // `sum()` is `mean * count`, exact only up to f64 rounding.
-    let probes_in_report = report.total_probes.sum().round() as u64;
-    let unsatisfied_in_trace = counts.query_ends - counts.satisfied;
-    let checks = [
+/// Prints one line per `(what, report value, trace value)` check and
+/// exits 1 unless every pair is equal.
+fn reconcile(checks: &[(&str, u64, u64)]) {
+    let mut ok = true;
+    for &(what, in_report, in_trace) in checks {
+        let mark = if in_report == in_trace { "ok " } else { "FAIL" };
+        println!("  [{mark}] {what}: report={in_report} trace={in_trace}");
+        ok &= in_report == in_trace;
+    }
+    if !ok {
+        eprintln!("trace does not reconcile with the run report");
+        std::process::exit(1);
+    }
+}
+
+/// Traces one base-configuration GUESS run to `path` and reconciles the
+/// trace totals against the run's report.
+fn run_traced_guess(path: &Path, scale: Scale) {
+    use guess::engine::GuessSim;
+    use guess_bench::scale::base_config;
+
+    let mut cfg = base_config(scale, 0x7ACE);
+    // Zero warm-up: the report then covers every query in the trace, so
+    // the reconciliation below must match exactly.
+    cfg.run.warmup = SimDuration::ZERO;
+    let (report, counts) = write_trace(GuessSim::new(cfg), path, "GUESS", scale);
+    // The report's probe total comes back through a Welford running
+    // mean, so round — `sum()` is `mean * count`, exact only up to f64
+    // rounding. The same holds for the other engines' message totals.
+    let probes = report.total_probes.sum().round() as u64;
+    reconcile(&[
         (
             "queries == query_end records",
             report.queries,
@@ -395,16 +422,12 @@ fn run_traced(path: &Path, scale: Scale) {
         (
             "unsatisfied queries",
             report.unsatisfied,
-            unsatisfied_in_trace,
+            counts.query_ends - counts.satisfied,
         ),
-        (
-            "total probes == probe records",
-            probes_in_report,
-            counts.query_probes,
-        ),
+        ("total probes == probe records", probes, counts.query_probes),
         (
             "total probes == query_end sums",
-            probes_in_report,
+            probes,
             counts.query_end_probes,
         ),
         (
@@ -422,66 +445,19 @@ fn run_traced(path: &Path, scale: Scale) {
             report.counters.get("pings_sent"),
             counts.ping_probes,
         ),
-    ];
-    let mut ok = true;
-    for (what, in_report, in_trace) in checks {
-        let mark = if in_report == in_trace { "ok " } else { "FAIL" };
-        println!("  [{mark}] {what}: report={in_report} trace={in_trace}");
-        ok &= in_report == in_trace;
-    }
-    if !ok {
-        eprintln!("trace does not reconcile with the run report");
-        std::process::exit(1);
-    }
+    ]);
 }
 
-/// Runs one traced gossip simulation, writes the JSONL stream to
-/// `path`, and reconciles the trace totals against the run's report.
-/// Exits non-zero on I/O failure or mismatch.
+/// Traces one gossip run to `path` and reconciles it as above.
 fn run_traced_gossip(path: &Path, scale: Scale) {
     use gossip::GossipSim;
     use guess_bench::experiments::gossip_tradeoff;
-    use guess_bench::tracefile::JsonlSink;
 
-    // Zero warm-up (set inside `traced_config`): the report then covers
-    // every query in the trace, so the reconciliation below must match
-    // exactly.
+    // Zero warm-up is set inside `traced_config`.
     let cfg = gossip_tradeoff::traced_config(scale, 0x7ACE);
-    let sim = match GossipSim::new(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("invalid trace config: {e}");
-            std::process::exit(1);
-        }
-    };
-    let file = match std::fs::File::create(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot create {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let started = Instant::now();
-    let sink = JsonlSink::new(std::io::BufWriter::new(file));
-    let (report, sink) = sim.run_traced(sink);
-    let (_, counts, io_error) = sink.finish();
-    if let Some(e) = io_error {
-        eprintln!("trace write to {} failed: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!(
-        "traced gossip run ({scale:?} scale) -> {} in {:.1}s",
-        path.display(),
-        started.elapsed().as_secs_f64()
-    );
-    println!("  records: {}", counts.total());
-
-    // The report's message total comes back through a Welford running
-    // mean, so round — `sum()` is `mean * count`, exact only up to f64
-    // rounding.
-    let messages_in_report = report.messages.sum().round() as u64;
-    let unsatisfied_in_trace = counts.query_ends - counts.satisfied;
-    let checks = [
+    let (report, counts) = write_trace(GossipSim::new(cfg), path, "gossip", scale);
+    let messages = report.messages.sum().round() as u64;
+    reconcile(&[
         (
             "queries == query_end records",
             report.queries,
@@ -495,16 +471,16 @@ fn run_traced_gossip(path: &Path, scale: Scale) {
         (
             "unsatisfied queries",
             report.unsatisfied,
-            unsatisfied_in_trace,
+            counts.query_ends - counts.satisfied,
         ),
         (
             "total messages == push+pull probe records",
-            messages_in_report,
+            messages,
             counts.push_probes + counts.pull_probes,
         ),
         (
             "total messages == query_end sums",
-            messages_in_report,
+            messages,
             counts.query_end_probes,
         ),
         (
@@ -517,17 +493,57 @@ fn run_traced_gossip(path: &Path, scale: Scale) {
             report.counters.get("deaths"),
             counts.deaths,
         ),
-    ];
-    let mut ok = true;
-    for (what, in_report, in_trace) in checks {
-        let mark = if in_report == in_trace { "ok " } else { "FAIL" };
-        println!("  [{mark}] {what}: report={in_report} trace={in_trace}");
-        ok &= in_report == in_trace;
-    }
-    if !ok {
-        eprintln!("trace does not reconcile with the run report");
-        std::process::exit(1);
-    }
+    ]);
+}
+
+/// Traces one dynamic Gnutella run to `path`, with zero warm-up, and
+/// reconciles it as above. Every flooded message is one probe record.
+fn run_traced_gnutella(path: &Path, scale: Scale) {
+    use gnutella::dynamic::GnutellaConfig;
+
+    let n = match scale {
+        Scale::Full => 500,
+        Scale::Quick => 200,
+    };
+    let cfg = GnutellaConfig::default()
+        .with_network_size(n)
+        .with_duration(scale.duration())
+        .with_warmup(SimDuration::ZERO)
+        .with_seed(0x7ACE);
+    let (report, counts) = write_trace(cfg.build(), path, "Gnutella", scale);
+    let messages = report.messages.sum().round() as u64;
+    reconcile(&[
+        (
+            "queries == query_end records",
+            report.queries,
+            counts.query_ends,
+        ),
+        (
+            "queries == query_start records",
+            report.queries,
+            counts.query_starts,
+        ),
+        (
+            "unsatisfied queries",
+            report.unsatisfied,
+            counts.query_ends - counts.satisfied,
+        ),
+        (
+            "total messages == flood probe records",
+            messages,
+            counts.flood_probes,
+        ),
+        (
+            "total messages == query_end sums",
+            messages,
+            counts.query_end_probes,
+        ),
+        (
+            "deaths == death records",
+            report.counters.get("deaths"),
+            counts.deaths,
+        ),
+    ]);
 }
 
 /// Parses a `--shard` spec of the form `i/m` with `0 <= i < m`.
@@ -541,7 +557,7 @@ const USAGE: &str = "repro — regenerate every table and figure of the ICDCS'04
      usage:\n  repro all [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]\n  \
      repro <experiment>... [--quick] [--jobs N] [--shard i/m] [--out <dir>] [--json]\n  \
      repro scenario <name>|all [--quick] [--jobs N] [--out <dir>] [--json]\n  \
-     repro --trace <path> [--engine guess|gossip] [--quick]\n  repro --list\n\n\
+     repro --trace <path> [--engine guess|gossip|gnutella] [--quick]\n  repro --list\n\n\
      --quick   shrunk grids/durations (shape check, ~1-2 min)\n\
      --jobs N  at most N simulations in flight (default: all cores);\n          \
      reports are byte-identical at any N\n\
@@ -551,6 +567,7 @@ const USAGE: &str = "repro — regenerate every table and figure of the ICDCS'04
      --json    with --out, also write structured DIR/<name>.json\n\
      --trace F run one traced simulation, write JSONL to F,\n          \
      and reconcile the trace against the run report\n\
-     --engine  which simulator --trace runs: guess (default) or gossip\n\
+     --engine  which simulator --trace runs: guess (default), gossip\n          \
+     or gnutella\n\
      default   full paper grids (several minutes)\n\
      \nperformance is measured by the repo benchmark: see benchmark/README.md";

@@ -50,6 +50,25 @@ fn bad_jobs_value_is_rejected() {
 }
 
 #[test]
+fn trace_engine_names_are_checked() {
+    for args in [
+        &["--trace", "t.jsonl", "--engine", "flood"][..],
+        &["--trace", "t.jsonl", "--engine"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains("guess, gossip or gnutella"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+    let out = repro(&["--help"]);
+    let usage = String::from_utf8(out.stdout).expect("utf-8");
+    assert!(usage.contains("[--engine guess|gossip|gnutella]"));
+}
+
+#[test]
 fn list_prints_experiments_and_scenarios_only() {
     let out = repro(&["--list"]);
     assert!(out.status.success());

@@ -30,6 +30,60 @@ fn tracing_does_not_change_the_guess_run() {
     assert_eq!(untraced, traced, "attaching a sink changed the simulation");
 }
 
+/// The dynamic Gnutella runs both Gnutella trace tests cover: the plain
+/// small configuration, a query that needs several results, heavy churn,
+/// and a partition (filtered edges) with a join wave (visit tables grown
+/// mid-run) before the heal.
+fn gnutella_cases() -> [(&'static str, GnutellaConfig, Scenario); 4] {
+    let cfg = |seed| {
+        GnutellaConfig::small_test(seed)
+            .with_duration(SimDuration::from_secs(250.0))
+            .with_warmup(SimDuration::from_secs(50.0))
+    };
+    [
+        ("small", cfg(71), Scenario::new()),
+        (
+            "desired-3",
+            cfg(72).with_desired_results(3),
+            Scenario::new(),
+        ),
+        (
+            "churn",
+            cfg(73).with_lifespan_multiplier(0.1),
+            Scenario::new(),
+        ),
+        (
+            "partition-join-heal",
+            cfg(74),
+            Scenario::new()
+                .at(80.0)
+                .partition(2)
+                .at(120.0)
+                .mass_join(10)
+                .at(180.0)
+                .heal(),
+        ),
+    ]
+}
+
+#[test]
+fn tracing_does_not_change_the_gnutella_run() {
+    for (name, cfg, scenario) in gnutella_cases() {
+        let untraced = GnutellaSim::new(cfg.clone())
+            .unwrap()
+            .run_scenario(&scenario)
+            .unwrap();
+        let (traced, _) = GnutellaSim::new(cfg)
+            .unwrap()
+            .run_scenario_traced(&scenario, CountingSink::new())
+            .unwrap();
+        assert_eq!(
+            untraced, traced,
+            "{name}: attaching a sink changed the simulation"
+        );
+    }
+}
+
 #[test]
 fn guess_trace_reconciles_with_run_report() {
     let cfg = guess_cfg(6);
@@ -342,6 +396,46 @@ fn guess_trace_streams_match_pinned_digests() {
     for (name, cfg, scenario, needles, expected) in cases {
         let text = guess_trace_text(cfg, &scenario);
         for needle in needles {
+            assert!(text.contains(needle), "{name}: no record with {needle}");
+        }
+        let got = fnv1a(&text);
+        println!("{name}  0x{got:016x}");
+        if got != expected {
+            mismatches.push(format!(
+                "{name}: expected 0x{expected:016x}, got 0x{got:016x}"
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "trace streams drifted:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// The Gnutella twin of the test above: every flood `Probe` record, and
+/// the exact `results` of every `QueryEnd`, pinned per case. Refresh as
+/// there, with `--nocapture`.
+#[test]
+fn gnutella_trace_streams_match_pinned_digests() {
+    const FLOOD_DUPLICATE: &str = "\"kind\": \"flood\", \"outcome\": \"duplicate\"";
+    const FLOOD_GOOD: &str = "\"kind\": \"flood\", \"outcome\": \"good\"";
+    let expected = [
+        0x06cd_91e2_25fa_5cc5,
+        0x7f77_704e_7c5e_d1bf,
+        0x1f04_d3c7_8718_774d,
+        0x11a7_41df_4263_f40d,
+    ];
+    let mut mismatches = Vec::new();
+    for ((name, cfg, scenario), expected) in gnutella_cases().into_iter().zip(expected) {
+        let (_, sink) = GnutellaSim::new(cfg)
+            .unwrap()
+            .run_scenario_traced(&scenario, JsonlSink::new(Vec::new()))
+            .unwrap();
+        let (buf, _, io_error) = sink.finish();
+        assert!(io_error.is_none());
+        let text = String::from_utf8(buf).unwrap();
+        for needle in [FLOOD_DUPLICATE, FLOOD_GOOD] {
             assert!(text.contains(needle), "{name}: no record with {needle}");
         }
         let got = fnv1a(&text);

@@ -3,15 +3,21 @@
 //! read independently (a child module sees the engine's private state).
 //!
 //! A flood is not executed inline: [`GnutellaSim::flood_query`] stamps
-//! the origin into the shared [`VisitTable`], parks the query's state in
-//! a slab slot, and schedules one [`Event::FloodHop`] at the current
-//! instant. Each hop event advances the frontier one TTL step via
-//! [`crate::wavefront::advance`] and reschedules itself (same instant,
-//! later sequence number) until the TTL is spent or the frontier dies
-//! out, then settles the query's metrics. Because same-instant events
-//! pop before anything strictly later, the whole flood completes before
-//! the next burst or death — exactly the old inline semantics, at a
-//! fraction of the per-message cost.
+//! the origin into the flood's own [`VisitTable`], parks the query's
+//! state in a slab slot, and schedules one [`Event::FloodHop`] at the
+//! current instant. Each hop event advances the frontier one TTL step
+//! with a single [`crate::wavefront::advance_filtered`] call, whose hook
+//! only records probes when a trace sink is attached. The hop's new
+//! frontier is then checked against the query in one pass — untraced,
+//! that pass stops as soon as the flood holds `desired_results`
+//! results, so a flood's `results` saturates there; the report reads it
+//! only as `results >= desired` and cannot tell. A traced flood counts
+//! every result for its `QueryEnd` record. The hop reschedules itself
+//! (same instant, later sequence number) until the TTL is spent or the
+//! frontier dies out, then settles the query's metrics. Because
+//! same-instant events pop before anything strictly later, the whole
+//! flood completes before the next burst or death — exactly the inline
+//! semantics, with one kernel event per hop.
 
 use workload::query::QueryTarget;
 
@@ -35,8 +41,11 @@ pub(super) struct FloodState {
     token: u64,
     hops_left: u32,
     messages: u64,
+    /// Peers reached that answer the query. Exact when traced; untraced,
+    /// counting stops at `desired_results`.
     results: u32,
-    /// Distinct peers reached, origin excluded (first visits only).
+    /// Distinct peers reached, origin excluded: the sum of the hops'
+    /// frontier sizes.
     reached: u64,
     /// Completed but not yet settled (waiting for older floods).
     done: bool,
@@ -111,9 +120,9 @@ impl GnutellaSim {
     }
 
     /// Advances one hop of flood `flood`: every frontier peer forwards
-    /// to all neighbors, first-time receivers are checked against the
-    /// query and form the next frontier. Reschedules itself while TTL
-    /// and frontier remain, otherwise settles the query.
+    /// to all neighbors, and first-time receivers form the next frontier
+    /// and are then checked against the query in one pass. Reschedules
+    /// itself while TTL and frontier remain, otherwise settles the query.
     pub(super) fn on_flood_hop<T: TraceSink>(
         &mut self,
         flood: u32,
@@ -121,9 +130,14 @@ impl GnutellaSim {
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
         let idx = flood as usize;
-        let mut hop_results = 0u32;
-        let mut hop_reached = 0u64;
-        let hop_messages;
+        let tracing = ctx.tracing();
+        // Untraced, the report only asks whether `desired_results` were
+        // found; `QueryEnd.results` needs the exact count.
+        let wanted = if tracing {
+            u32::MAX
+        } else {
+            u32::try_from(self.cfg.desired_results).unwrap_or(u32::MAX)
+        };
         {
             // Disjoint field borrows: the hop reads adjacency, peer
             // libraries, and the query model while mutating this
@@ -136,74 +150,41 @@ impl GnutellaSim {
                 ref mut probe_scratch,
                 ..
             } = *self;
-            let FloodState {
-                target,
-                token,
-                ref mut visits,
-                ref frontier,
-                ref mut next,
-                ..
-            } = floods[idx];
-            next.clear();
-            let neighbors = |u: u32| adj[u as usize].as_slice();
+            let st = &mut floods[idx];
+            st.next.clear();
+            probe_scratch.clear();
             // An active partition drops cross-group transmissions:
             // never sent, never counted, never traced. The adjacency
             // itself is untouched, so a heal restores the old links.
-            let edge_ok = move |u: u32, v: u32| match partition {
-                None => true,
-                Some(groups) => u % groups == v % groups,
-            };
-            if ctx.tracing() {
-                probe_scratch.clear();
-                hop_messages = wavefront::advance_filtered(
-                    frontier,
-                    next,
-                    visits,
-                    token,
-                    neighbors,
-                    edge_ok,
-                    |v, first| {
-                        probe_scratch.push((
-                            pop.incarnation(v as usize),
-                            if first {
-                                ProbeOutcome::Good
-                            } else {
-                                ProbeOutcome::Duplicate
-                            },
-                        ));
-                        if first {
-                            hop_reached += 1;
-                            if pop.answers(v as usize, target) {
-                                hop_results += 1;
-                            }
-                        }
-                    },
-                );
-            } else {
-                hop_messages = wavefront::advance_filtered(
-                    frontier,
-                    next,
-                    visits,
-                    token,
-                    neighbors,
-                    edge_ok,
-                    |v, first| {
-                        if first {
-                            hop_reached += 1;
-                            if pop.answers(v as usize, target) {
-                                hop_results += 1;
-                            }
-                        }
-                    },
-                );
+            st.messages += wavefront::advance_filtered(
+                &st.frontier,
+                &mut st.next,
+                &mut st.visits,
+                st.token,
+                |u| adj[u as usize].as_slice(),
+                |u, v| partition.is_none_or(|groups| u % groups == v % groups),
+                |v, first| {
+                    if tracing {
+                        let outcome = if first {
+                            ProbeOutcome::Good
+                        } else {
+                            ProbeOutcome::Duplicate
+                        };
+                        probe_scratch.push((pop.incarnation(v as usize), outcome));
+                    }
+                },
+            );
+            st.reached += st.next.len() as u64;
+            for &v in &st.next {
+                if st.results >= wanted {
+                    break;
+                }
+                st.results += u32::from(pop.answers(v as usize, st.target));
             }
         }
         let qid = self.floods[idx].qid;
         ctx.emit_probes(now, qid, ProbeKind::Flood, &self.probe_scratch);
         let st = &mut self.floods[idx];
-        st.messages += hop_messages;
-        st.results += hop_results;
-        st.reached += hop_reached;
         st.hops_left -= 1;
         std::mem::swap(&mut st.frontier, &mut st.next);
         if st.hops_left > 0 && !st.frontier.is_empty() {

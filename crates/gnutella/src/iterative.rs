@@ -10,6 +10,7 @@ use simkit::rng::RngStream;
 use workload::query::QueryTarget;
 
 use crate::topology::Topology;
+use crate::wavefront::{self, VisitTable};
 use workload::population::Population;
 
 /// The outcome of one iteratively-deepened query.
@@ -102,23 +103,42 @@ pub fn iterative_deepening(
 ) -> DeepeningOutcome {
     assert_eq!(topo.len(), pop.len(), "topology and population must agree");
     assert!(desired > 0, "desired results must be positive");
+    assert!(src < topo.len(), "source out of range");
+    // Each step's horizon contains the previous one's, so one flood grown
+    // hop by hop serves the whole schedule: at TTL `t` it has reached
+    // exactly the peers within `t` hops.
+    let mut visits = VisitTable::new(topo.len());
+    let token = visits.token();
+    visits.visit(src as u32, token);
+    let (mut frontier, mut next) = (vec![src as u32], Vec::new());
+    let (mut depth, mut reached, mut results) = (0usize, 0usize, 0usize);
     let mut cost = 0usize;
-    let mut iterations = 0usize;
-    let mut results = 0usize;
-    for &ttl in policy.ttls() {
-        iterations += 1;
-        let reached = topo.bfs_within(src, ttl);
+    for (step, &ttl) in policy.ttls().iter().enumerate() {
+        while depth < ttl && !frontier.is_empty() {
+            next.clear();
+            wavefront::advance(
+                &frontier,
+                &mut next,
+                &mut visits,
+                token,
+                |u| topo.neighbors(u as usize),
+                |_, _| {},
+            );
+            reached += next.len();
+            results += next
+                .iter()
+                .filter(|&&v| pop.answers(v as usize, target))
+                .count();
+            std::mem::swap(&mut frontier, &mut next);
+            depth += 1;
+        }
         // Every delivery in this iteration is charged, including peers the
         // previous iteration already covered — that is the coarseness.
-        cost += reached.len().saturating_sub(1);
-        results = reached
-            .iter()
-            .filter(|&&(u, _)| u != src && pop.answers(u, target))
-            .count();
+        cost += reached;
         if results >= desired {
             return DeepeningOutcome {
                 probe_cost: cost,
-                iterations,
+                iterations: step + 1,
                 results,
                 satisfied: true,
             };
@@ -126,7 +146,7 @@ pub fn iterative_deepening(
     }
     DeepeningOutcome {
         probe_cost: cost,
-        iterations,
+        iterations: policy.ttls().len(),
         results,
         satisfied: false,
     }

@@ -8,9 +8,9 @@
 //! * **iterative deepening** — coarse-grained flexible extent: re-flood
 //!   with growing TTLs until satisfied ([`iterative`]).
 //!
-//! Floods run over explicit overlay [`topology`] graphs — iterative
-//! deepening through [`Topology::bfs_within`], the [`dynamic`] engine hop
-//! by hop through [`wavefront`] — against the one content
+//! Floods run over explicit overlay [`topology`] graphs, hop by hop
+//! through [`wavefront`] — in iterative deepening and in the [`dynamic`]
+//! engine alike — against the one content
 //! [`workload::population`] built from the catalog, file-count and
 //! lifetime models the GUESS simulator uses, so the comparison isolates
 //! the search mechanism.

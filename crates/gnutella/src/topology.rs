@@ -157,6 +157,8 @@ impl Topology {
 
     /// Peers reachable from `src` within `ttl` hops (the flood horizon),
     /// including `src` itself, in BFS order, paired with their hop count.
+    /// Floods themselves run through [`crate::wavefront`]; this is their
+    /// test oracle and the reach test of [`Topology::is_connected`].
     ///
     /// # Panics
     ///

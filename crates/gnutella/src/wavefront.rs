@@ -11,12 +11,20 @@
 //!   (the slab/stamp idiom from the perf pass);
 //! * [`advance`] — one frontier expansion over slot-indexed adjacency
 //!   slices, reporting every transmission to a caller hook so trace
-//!   emission and result counting stay outside the loop structure.
+//!   emission stays outside the loop structure.
 //!
 //! The expansion visits frontier peers in order and each peer's
 //! neighbors in adjacency order, so the discovery sequence is exactly
 //! the breadth-first order the old per-message loop produced — that is
 //! what keeps report aggregates and trace records byte-identical.
+//!
+//! The inner loop has no data-dependent branch: the visit stamp is
+//! written unconditionally, and every receiver is written at the end of
+//! `next` (sized once per hop) while the cursor advances only past first
+//! visits. Callers that need per-receiver work — the dynamic engine's
+//! answer check, iterative deepening's result count — run it afterwards
+//! over the hop's new `next` entries, which are the first visits in
+//! discovery order.
 
 /// A dense visited set over peer slots with O(1) whole-set reset.
 ///
@@ -64,12 +72,11 @@ impl VisitTable {
     #[inline]
     pub fn visit(&mut self, slot: u32, token: u64) -> bool {
         let stamp = &mut self.stamps[slot as usize];
-        if *stamp == token {
-            false
-        } else {
-            *stamp = token;
-            true
-        }
+        // Compare, then store unconditionally: re-writing a duplicate's
+        // stamp is harmless and leaves no branch to mispredict.
+        let first = *stamp != token;
+        *stamp = token;
+        first
     }
 
     /// True iff `slot` has been visited under `token`.
@@ -147,6 +154,16 @@ where
     F: FnMut(u32, u32) -> bool,
     P: FnMut(u32, bool),
 {
+    // Size `next` once for the hop, then write every receiver at the
+    // cursor and advance the cursor only past first visits: no branch
+    // and no capacity check per transmission. A hop cannot find more
+    // first visits than there are slots, so the bound caps the buffer
+    // at N + 1 even where the fan-out is far larger; the + 1 is the
+    // slot a transmission after the last possible first visit writes.
+    let start = next.len();
+    let fan_out: usize = frontier.iter().map(|&u| neighbors(u).len()).sum();
+    next.resize(start + fan_out.min(visits.len() + 1), 0);
+    let mut end = start;
     let mut messages = 0u64;
     for &u in frontier {
         for &v in neighbors(u) {
@@ -156,11 +173,11 @@ where
             messages += 1;
             let first = visits.visit(v, token);
             on_probe(v, first);
-            if first {
-                next.push(v);
-            }
+            next[end] = v;
+            end += usize::from(first);
         }
     }
+    next.truncate(end);
     messages
 }
 
@@ -277,6 +294,101 @@ mod tests {
         assert!(visits.visit(3, token), "new slot is first-visit");
         visits.grow_to(3);
         assert_eq!(visits.len(), 4, "shrinking is a no-op");
+    }
+
+    /// The complete graph K_n, adjacency in index order.
+    fn complete(n: u32) -> Vec<Vec<u32>> {
+        (0..n)
+            .map(|u| (0..n).filter(|&v| v != u).collect())
+            .collect()
+    }
+
+    #[test]
+    fn appends_after_existing_next_in_discovery_order() {
+        let adj = cycle5();
+        let mut visits = VisitTable::new(5);
+        let token = visits.token();
+        visits.visit(0, token);
+        visits.visit(1, token);
+        let mut next = vec![99, 98];
+        let messages = advance(
+            &[1, 0],
+            &mut next,
+            &mut visits,
+            token,
+            |u| adj[u as usize].as_slice(),
+            |_, _| {},
+        );
+        // 1 sends to {0, 2}, then 0 sends to {1, 4}: 2 and 4 are new.
+        assert_eq!(next, vec![99, 98, 2, 4], "old contents kept, new appended");
+        assert_eq!(messages, 4);
+    }
+
+    #[test]
+    fn dense_hop_keeps_exactly_the_unvisited_receivers() {
+        // On K_64 an 8-peer frontier sends 8 * 63 = 504 messages to 64
+        // slots: the fan-out is far above N, and the buffer must end
+        // holding the 56 first visits and nothing past them.
+        let adj = complete(64);
+        let mut visits = VisitTable::new(64);
+        let token = visits.token();
+        let frontier: Vec<u32> = (0..8).collect();
+        for &u in &frontier {
+            visits.visit(u, token);
+        }
+        let mut next = vec![7];
+        let mut firsts = 0;
+        let messages = advance(
+            &frontier,
+            &mut next,
+            &mut visits,
+            token,
+            |u| adj[u as usize].as_slice(),
+            |_, first| firsts += usize::from(first),
+        );
+        assert_eq!(messages, 8 * 63);
+        assert_eq!(firsts, 56);
+        let expected: Vec<u32> = std::iter::once(7).chain(8..64).collect();
+        assert_eq!(next, expected, "no stale tail after the truncate");
+
+        // Everyone is visited now: a second hop is all duplicates and
+        // leaves `next` exactly as long as it started.
+        let frontier = next.split_off(1);
+        let messages = advance(
+            &frontier,
+            &mut next,
+            &mut visits,
+            token,
+            |u| adj[u as usize].as_slice(),
+            |_, first| assert!(!first),
+        );
+        assert_eq!(messages, 56 * 63);
+        assert_eq!(next, vec![7]);
+    }
+
+    #[test]
+    fn filtered_dense_hop_counts_only_the_edges_it_sends() {
+        // K_64 split into even and odd slots: peer 0 reaches the 31
+        // other even slots, and its 32 cross-group edges send nothing.
+        let adj = complete(64);
+        let mut visits = VisitTable::new(64);
+        let token = visits.token();
+        visits.visit(0, token);
+        let mut next = Vec::new();
+        let mut probes = 0;
+        let messages = advance_filtered(
+            &[0],
+            &mut next,
+            &mut visits,
+            token,
+            |u| adj[u as usize].as_slice(),
+            |u, v| u % 2 == v % 2,
+            |_, _| probes += 1,
+        );
+        assert_eq!(messages, 31);
+        assert_eq!(probes, 31);
+        assert_eq!(next, (2..64).step_by(2).collect::<Vec<u32>>());
+        assert!((1..64).step_by(2).all(|v| !visits.seen(v, token)));
     }
 
     #[test]

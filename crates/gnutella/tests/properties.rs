@@ -4,7 +4,7 @@
 //! each test runs many randomized cases from a fixed seed.
 
 use gnutella::fixed::FixedExtentCurve;
-use gnutella::iterative::{iterative_deepening, DeepeningPolicy};
+use gnutella::iterative::{iterative_deepening, DeepeningOutcome, DeepeningPolicy};
 use gnutella::topology::Topology;
 use gnutella::wavefront::{advance, VisitTable};
 use simkit::rng::RngStream;
@@ -166,6 +166,82 @@ fn stamp_reuse_matches_fresh_tables() {
             assert_eq!(reused, from_fresh, "query {q}: recycled stamps leaked");
         }
     }
+}
+
+/// Iterative deepening as a fresh `bfs_within` flood per TTL step —
+/// the oracle the wavefront formulation must match.
+fn deepening_oracle(
+    topo: &Topology,
+    pop: &Population,
+    policy: &DeepeningPolicy,
+    src: usize,
+    target: workload::query::QueryTarget,
+    desired: usize,
+) -> DeepeningOutcome {
+    let mut out = DeepeningOutcome {
+        probe_cost: 0,
+        iterations: 0,
+        results: 0,
+        satisfied: false,
+    };
+    for &ttl in policy.ttls() {
+        let reached = topo.bfs_within(src, ttl);
+        out.iterations += 1;
+        out.probe_cost += reached.len() - 1;
+        out.results = reached
+            .iter()
+            .filter(|&&(u, _)| u != src && pop.answers(u, target))
+            .count();
+        out.satisfied = out.results >= desired;
+        if out.satisfied {
+            break;
+        }
+    }
+    out
+}
+
+/// The wavefront deepening returns exactly the oracle's outcome on every
+/// generator family, for random schedules, sources and result targets
+/// (TTLs past the graph's depth included).
+#[test]
+fn deepening_matches_bfs_oracle() {
+    let mut gen = RngStream::from_seed(0x38, "cases");
+    let mut outcomes = [0usize; 2];
+    for case in 0..36 {
+        let n = 20 + gen.below(130);
+        let seed = gen.next_u64();
+        let mut rng = RngStream::from_seed(seed, "prop");
+        let topo = match case % 3 {
+            0 => Topology::random_regular(n, 1 + gen.below(3), &mut rng),
+            1 => Topology::erdos_renyi(n, 0.03, &mut rng),
+            _ => Topology::preferential_attachment(n, 2, &mut rng),
+        };
+        let pop = Population::generate(n, small_catalog(), seed).unwrap();
+        let mut ttls = Vec::new();
+        let mut ttl = 0;
+        for _ in 0..1 + gen.below(4) {
+            ttl += 1 + gen.below(4);
+            ttls.push(ttl);
+        }
+        let policy = DeepeningPolicy::new(ttls).unwrap();
+        for _ in 0..4 {
+            let src = gen.below(n);
+            let target = pop.sample_target(&mut rng);
+            let desired = 1 + gen.below(4);
+            let out = iterative_deepening(&topo, &pop, &policy, src, target, desired);
+            assert_eq!(
+                out,
+                deepening_oracle(&topo, &pop, &policy, src, target, desired),
+                "case {case}: src {src}, schedule {:?}, desired {desired}",
+                policy.ttls()
+            );
+            outcomes[usize::from(out.satisfied)] += 1;
+        }
+    }
+    assert!(
+        outcomes.iter().all(|&k| k > 0),
+        "cases must cover satisfied and unsatisfied queries: {outcomes:?}"
+    );
 }
 
 /// Iterative deepening never reports success without enough results, and

@@ -98,7 +98,9 @@ echo "shard gate: 0/2 + 1/2 merge is byte-identical to the unsharded grid"
 timeout 900 cargo run --release -p guess-bench --bin repro -- --trace "$out/trace.jsonl" --quick
 timeout 900 cargo run --release -p guess-bench --bin repro -- \
     --trace "$out/gossip-trace.jsonl" --engine gossip --quick
-for trace in trace gossip-trace; do
+timeout 900 cargo run --release -p guess-bench --bin repro -- \
+    --trace "$out/gnutella-trace.jsonl" --engine gnutella --quick
+for trace in trace gossip-trace gnutella-trace; do
     python3 - "$out/$trace.jsonl" <<'EOF'
 import json, sys
 n = 0
