@@ -15,12 +15,11 @@ use std::fmt;
 ///
 /// Addresses are allocated monotonically by [`AddrAllocator`] and never
 /// reused, so an address held in a stale cache entry always identifies the
-/// same (possibly long-dead) peer. Addresses are 32-bit: a [`CacheEntry`]
-/// (`crate::entry::CacheEntry`) stays 20 bytes (24 with its arena tag)
-/// and peer tables stay dense even at 10^6 slots; u32 still leaves room
-/// for ~4.3 billion peer
-/// instances over a run's lifetime, far beyond any churn schedule the
-/// simulators can execute.
+/// same (possibly long-dead) peer. Addresses are 32-bit: a
+/// [`CacheEntry`](crate::entry::CacheEntry) stays 20 bytes (24 with its
+/// arena tag) and peer tables stay dense even at 10^6 slots; u32 still
+/// leaves room for ~4.3 billion peer instances over a run's lifetime,
+/// far beyond any churn schedule the simulators can execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeerAddr(u32);
 

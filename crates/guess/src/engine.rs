@@ -195,6 +195,9 @@ pub struct GuessSim {
     /// Reused key buffer of the ranked selection policies, so MRU, LRU,
     /// MFS and MR pongs and ping picks allocate nothing either.
     rank_scratch: Vec<Reverse<((u64, u64), usize)>>,
+    /// Reused query probe pool: each query resets it, so its heap stops
+    /// growing once it has held the largest pool of the run.
+    probe_pool: ProbeQueue,
 }
 
 impl GuessSim {
@@ -243,6 +246,7 @@ impl GuessSim {
             entry_scratch: Vec::new(),
             pong_scratch: Vec::new(),
             rank_scratch: Vec::new(),
+            probe_pool: ProbeQueue::new(SelectionPolicy::Random),
         };
         sim.populate();
         Ok(sim)

@@ -3,6 +3,12 @@
 //! Split out of the main engine module so the event handlers and the
 //! probing algorithm can be read independently; this is still the same
 //! `GuessSim` — a child module sees the engine's private state.
+//!
+//! Most link-cache lookups of a query land on the querier's own block
+//! (each answer's `record_results`, then one `offer` per pong entry), so
+//! the loop pins that block in the arena ([`CacheArena::pin`]) and those
+//! lookups read a position index instead of scanning; the responders'
+//! blocks are scanned. The probe pool is the engine's, reset per query.
 
 use super::*;
 
@@ -111,13 +117,18 @@ impl GuessSim {
         // The probe pool: link-cache entries first, then everything the
         // query cache accumulates from pongs. The engine-owned stamp
         // vector enforces at-most-one probe per address per query
-        // without a per-query set allocation.
+        // without a per-query set allocation, and the pool itself is the
+        // engine's, reset rather than rebuilt.
         let stamp = qid + 1;
-        let mut pool = ProbeQueue::new(self.cfg.protocol.query_probe);
+        let policy = self.cfg.protocol.query_probe;
+        let mut pool = std::mem::replace(&mut self.probe_pool, ProbeQueue::new(policy));
+        pool.reset(policy);
         self.query_first_visit(prober, stamp);
         let mut seed_entries = std::mem::take(&mut self.entry_scratch);
         seed_entries.clear();
+        // Most of the query's cache lookups land on this block.
         let prober_cache = self.peer(prober).cache();
+        self.caches.pin(prober_cache);
         seed_entries.extend_from_slice(self.caches.entries(prober_cache));
         for &e in &seed_entries {
             if self.query_first_visit(e.addr(), stamp) {
@@ -217,6 +228,7 @@ impl GuessSim {
             });
             self.pong_scratch = pong.entries;
         }
+        self.probe_pool = pool;
         ex
     }
 

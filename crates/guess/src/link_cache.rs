@@ -249,9 +249,19 @@ impl CacheHandle {
 /// (contiguous `u32`s, compared sixteen at a time) instead of consulting
 /// a hash index. The tag row is a mirror, not an index: `tags[i]` is
 /// `entries[i].addr()` for every slot of the arena, because one private
-/// `set` is the only code that stores an entry. The scan consumes no
-/// randomness, so a run using the arena is bit-for-bit the run using
-/// per-peer [`LinkCache`]s (property-tested below).
+/// `set` is the only code that stores an entry.
+///
+/// One block at a time may be **pinned** ([`CacheArena::pin`]): lookups
+/// in it read a position index instead of scanning, so the block a
+/// query works on answers in O(1). Neither lookup consumes randomness,
+/// so a run using the arena is bit-for-bit the run using per-peer
+/// [`LinkCache`]s (property-tested below). The index holds each pinned
+/// entry's offset in its block, indexed by `PeerAddr::index()` (4 B per
+/// minted address, grown lazily); `set` keeps it current. A read accepts
+/// an offset only if it lies in the block's live range and the tag there
+/// is the address looked up, so stale offsets — of a block pinned
+/// before, of an entry since removed — simply miss, and nothing is ever
+/// invalidated. An arena that never pins allocates no index.
 #[derive(Debug, Clone)]
 pub struct CacheArena {
     stride: usize,
@@ -259,6 +269,11 @@ pub struct CacheArena {
     tags: Vec<u32>,
     lens: Vec<u32>,
     free: Vec<u32>,
+    /// The block whose lookups go through `pos`, if any.
+    pinned: Option<CacheHandle>,
+    /// Offset of each pinned entry within the pinned block, indexed by
+    /// `PeerAddr::index()`; verified against the tag row on every read.
+    pos: Vec<u32>,
 }
 
 /// Width of one [`find`] comparison group.
@@ -299,6 +314,8 @@ impl CacheArena {
             tags: Vec::new(),
             lens: Vec::new(),
             free: Vec::new(),
+            pinned: None,
+            pos: Vec::new(),
         }
     }
 
@@ -349,10 +366,43 @@ impl CacheArena {
         (h.0 as usize * self.stride, self.lens[h.0 as usize] as usize)
     }
 
-    /// Writes `entry` and its tag into arena slot `slot`.
+    /// Writes `entry` and its tag into arena slot `slot`, and its
+    /// offset into the position index when `slot` is in the pinned block.
     fn set(&mut self, slot: usize, entry: CacheEntry) {
         self.entries[slot] = entry;
         self.tags[slot] = entry.addr().raw();
+        if let Some(p) = self.pinned {
+            let base = p.0 as usize * self.stride;
+            if (base..base + self.stride).contains(&slot) {
+                self.record_offset(entry.addr().raw(), slot - base);
+            }
+        }
+    }
+
+    /// Records `offset` as the pinned-block position of address `raw`.
+    fn record_offset(&mut self, raw: u32, offset: usize) {
+        let i = raw as usize;
+        if i >= self.pos.len() {
+            self.pos.resize(i + 1, 0);
+        }
+        self.pos[i] = u32::try_from(offset).expect("block offsets fit in u32");
+    }
+
+    /// Pins cache `h`: its lookups (`contains`, `get`, `touch`,
+    /// `record_results`, `remove`, `offer`'s duplicate check) read the
+    /// position index instead of scanning the tag row, until another
+    /// block is pinned. Costs one index write per entry of `h`, then one
+    /// per write into `h`; pinning the null handle, or the block already
+    /// pinned, does nothing. Outcomes are those of the unpinned arena.
+    pub fn pin(&mut self, h: CacheHandle) {
+        if h.is_null() || self.pinned == Some(h) {
+            return;
+        }
+        self.pinned = Some(h);
+        let (base, len) = self.span(h);
+        for offset in 0..len {
+            self.record_offset(self.tags[base + offset], offset);
+        }
     }
 
     /// Current number of entries in cache `h` (≤ stride).
@@ -400,6 +450,11 @@ impl CacheArena {
             return None;
         }
         let (base, len) = self.span(h);
+        if self.pinned == Some(h) {
+            let offset = *self.pos.get(addr.index())? as usize;
+            return (offset < len && self.tags[base + offset] == addr.raw())
+                .then_some(base + offset);
+        }
         find(&self.tags[base..base + len], addr.raw()).map(|i| base + i)
     }
 
@@ -643,7 +698,11 @@ mod tests {
     /// randomized op sequence with lock-stepped RNG streams and asserts
     /// bit-identical behavior: same outcomes, same entry order, same RNG
     /// consumption. This is the goldens-safety argument for swapping the
-    /// engine onto the arena.
+    /// engine onto the arena. At random steps the block is pinned, a
+    /// second block (holding some of the same addresses) is pinned in its
+    /// place, the pinned block is freed and re-allocated, and an address
+    /// minted beyond the position index is looked up — the pinned
+    /// lookups must answer exactly as the scan and the hash index do.
     #[test]
     fn arena_block_is_bit_identical_to_link_cache() {
         for (seed, policy) in [
@@ -657,13 +716,15 @@ mod tests {
             let mut drv = RngStream::from_seed(seed, "arena-driver");
             let mut r_cache = RngStream::from_seed(seed, "arena-ops");
             let mut r_arena = RngStream::from_seed(seed, "arena-ops");
+            let mut r_other = RngStream::from_seed(seed, "arena-other");
             let mut cache = LinkCache::new(6);
             let mut arena = CacheArena::new(6);
+            let other = arena.alloc();
             let h = arena.alloc();
             let mut known: Vec<PeerAddr> = Vec::new();
             for step in 0..2000 {
                 let now = SimTime::from_secs(step as f64);
-                let op = if known.is_empty() { 0 } else { drv.below(10) };
+                let op = if known.is_empty() { 0 } else { drv.below(14) };
                 match op {
                     // Offer (most common): fresh or already-seen address.
                     0..=5 => {
@@ -699,10 +760,33 @@ mod tests {
                             arena.record_results(h, addr, now, 1)
                         );
                     }
-                    _ => {
+                    9 => {
                         let addr = known[drv.below(known.len())];
                         assert_eq!(cache.contains(addr), arena.contains(h, addr));
                         assert_eq!(cache.get(addr), arena.get(h, addr));
+                    }
+                    10 => arena.pin(h),
+                    // The second block takes the pin and some of the
+                    // block under test's addresses, at other offsets.
+                    11 => {
+                        arena.pin(other);
+                        let addr = known[drv.below(known.len())];
+                        let e = CacheEntry::new(addr, now, 1);
+                        arena.offer(other, e, ReplacementPolicy::Random, &mut r_other);
+                    }
+                    12 => {
+                        arena.pin(h);
+                        arena.free(h);
+                        assert_eq!(arena.alloc(), h, "the pinned block is recycled");
+                        cache = LinkCache::new(6);
+                    }
+                    _ => {
+                        let addr = alloc.allocate();
+                        assert!(addr.index() >= arena.pos.len(), "minted beyond the index");
+                        assert_eq!(cache.contains(addr), arena.contains(h, addr));
+                        assert_eq!(cache.touch(addr, now), arena.touch(h, addr, now));
+                        assert_eq!(cache.remove(addr), arena.remove(h, addr));
+                        known.push(addr);
                     }
                 }
                 assert_eq!(cache.entries(), arena.entries(h), "order diverged");
@@ -710,6 +794,13 @@ mod tests {
                 assert_eq!(arena.tags(h), addrs, "tag row diverged at step {step}");
                 assert_eq!(cache.len(), arena.len(h));
                 assert_eq!(cache.is_full(), arena.is_full(h));
+                for &addr in &known {
+                    assert_eq!(
+                        cache.get(addr),
+                        arena.get(h, addr),
+                        "lookup of {addr:?} diverged at step {step}"
+                    );
+                }
             }
             assert_eq!(
                 r_cache.next_u64(),
@@ -717,6 +808,48 @@ mod tests {
                 "RNG streams stayed in lockstep"
             );
         }
+    }
+
+    /// An arena that never pins never writes the position index — block
+    /// 0 included, whose slots a wrapping "no pin" sentinel would cover.
+    #[test]
+    fn unpinned_arena_allocates_no_position_index() {
+        let mut alloc = AddrAllocator::new();
+        let mut drv = RngStream::from_seed(64, "arena-unpinned");
+        let mut r = rng();
+        let mut arena = CacheArena::new(8);
+        let blocks: Vec<CacheHandle> = (0..64).map(|_| arena.alloc()).collect();
+        assert_eq!(blocks[0], CacheHandle(0));
+        let mut known: Vec<PeerAddr> = Vec::new();
+        for step in 0..10_000 {
+            let h = blocks[drv.below(blocks.len())];
+            let now = SimTime::from_secs(step as f64);
+            match drv.below(3) {
+                0 => {
+                    let addr = alloc.allocate();
+                    known.push(addr);
+                    arena.offer(
+                        h,
+                        CacheEntry::new(addr, now, 1),
+                        ReplacementPolicy::Lru,
+                        &mut r,
+                    );
+                }
+                1 if !known.is_empty() => {
+                    arena.remove(h, known[drv.below(known.len())]);
+                }
+                _ if !known.is_empty() => {
+                    arena.touch(h, known[drv.below(known.len())], now);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(
+            arena.pos.len(),
+            0,
+            "an arena that never pins allocates no index"
+        );
+        assert_eq!(arena.pos.capacity(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! (GUESS peers leave silently, §3.2), and all the engine ever asks of it
 //! is whether it is alive, which slot it held and when it died. So every
 //! address ever minted — including the fabricated dead addresses
-//! malicious peers hand out — keeps just an [`AddrRecord`]; no
+//! malicious peers hand out — keeps just an `AddrRecord`; no
 //! `PeerState` is ever built for a dead or fabricated address.
 
 use simkit::time::{SimDuration, SimTime};

@@ -324,6 +324,14 @@ impl ProbeQueue {
         }
     }
 
+    /// Empties the queue and re-keys it for `policy`, keeping its buffer,
+    /// so a queue reused across queries stops allocating once it has
+    /// grown to the largest pool.
+    pub fn reset(&mut self, policy: SelectionPolicy) {
+        self.policy = policy;
+        self.heap.clear();
+    }
+
     /// Adds a candidate. The caller is responsible for deduplication.
     pub fn push(&mut self, entry: CacheEntry, rng: &mut RngStream) {
         let key = selection_key(self.policy, &entry, rng);
@@ -488,6 +496,28 @@ mod tests {
         }
         assert_eq!(popped, 50);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn reset_probe_queue_pops_as_a_fresh_one() {
+        let (es, _) = entries(20);
+        let mut reused = ProbeQueue::new(SelectionPolicy::Mfs);
+        let mut r = rng();
+        for e in &es[..7] {
+            reused.push(*e, &mut r);
+        }
+        reused.reset(SelectionPolicy::Mr);
+        assert!(reused.is_empty());
+        let mut fresh = ProbeQueue::new(SelectionPolicy::Mr);
+        let (mut r_reused, mut r_fresh) = (rng(), rng());
+        for e in &es {
+            reused.push(*e, &mut r_reused);
+            fresh.push(*e, &mut r_fresh);
+        }
+        while let Some(e) = fresh.pop() {
+            assert_eq!(reused.pop(), Some(e));
+        }
+        assert!(reused.is_empty());
     }
 
     #[test]

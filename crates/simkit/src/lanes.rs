@@ -161,7 +161,7 @@ pub trait LaneSimulation<T: TraceSink> {
     /// warm-up.
     fn sample(&mut self, _now: SimTime) {}
 
-    /// Live peers of this lane, reported in [`TraceRecord::Sample`]
+    /// Live peers of this lane, reported in [`crate::trace::TraceRecord::Sample`]
     /// ticks (queried only when tracing).
     fn live_peers(&self) -> u64 {
         0

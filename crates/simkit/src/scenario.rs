@@ -11,7 +11,7 @@
 //!
 //! # Event model
 //!
-//! [`Scenario::compile`] stable-sorts the timeline by instant and stamps
+//! `Scenario::compile` stable-sorts the timeline by instant and stamps
 //! each entry with its post-sort index — its *generation*. The kernel
 //! ([`crate::sim::Kernel::run_scenario`]) schedules one control event
 //! per generation **before** popping anything, so control events

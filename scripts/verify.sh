@@ -10,6 +10,8 @@ out=/tmp/repro-ci
 
 cargo fmt --all -- --check
 cargo clippy --all-targets -- -D warnings
+# Intra-doc links stay resolvable and public docs link no private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace
 # Under `timeout`, like the traced runs at the end: a run that never
 # advances its clock fails verify instead of blocking it.

@@ -58,8 +58,8 @@ pub use workload;
 
 /// The one-stop import for driving the three engines generically:
 /// each engine's config (under an engine-prefixed name), its simulator
-/// and report types, and the shared [`Runnable`] / [`SimReport`] run
-/// surface from `simkit`.
+/// and report types, and the shared [`prelude::Runnable`] /
+/// [`prelude::SimReport`] run surface from `simkit`.
 pub mod prelude {
     pub use gnutella::dynamic::{GnutellaConfig, GnutellaReport, GnutellaSim};
     pub use gossip::{Config as GossipConfig, GossipReport, GossipSim};
