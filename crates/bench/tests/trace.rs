@@ -9,7 +9,7 @@ use guess::{
     PushParams, SelectionPolicy,
 };
 use guess_bench::tracefile::JsonlSink;
-use simkit::scenario::Scenario;
+use simkit::scenario::{Param, Scenario};
 use simkit::sim::Runnable;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{CountingSink, RecordingSink, TraceRecord};
@@ -32,9 +32,10 @@ fn tracing_does_not_change_the_guess_run() {
 
 /// The dynamic Gnutella runs both Gnutella trace tests cover: the plain
 /// small configuration, a query that needs several results, heavy churn,
-/// and a partition (filtered edges) with a join wave (visit tables grown
-/// mid-run) before the heal.
-fn gnutella_cases() -> [(&'static str, GnutellaConfig, Scenario); 4] {
+/// a partition (filtered edges) with a join wave (visit tables grown
+/// mid-run) before the heal, and a timeline with every other
+/// intervention kind.
+fn gnutella_cases() -> [(&'static str, GnutellaConfig, Scenario); 5] {
     let cfg = |seed| {
         GnutellaConfig::small_test(seed)
             .with_duration(SimDuration::from_secs(250.0))
@@ -61,6 +62,21 @@ fn gnutella_cases() -> [(&'static str, GnutellaConfig, Scenario); 4] {
                 .at(120.0)
                 .mass_join(10)
                 .at(180.0)
+                .heal(),
+        ),
+        (
+            "leave-flash-flip-partition-heal",
+            cfg(75),
+            Scenario::new()
+                .at(70.0)
+                .mass_leave(20)
+                .at(90.0)
+                .partition(3)
+                .at(110.0)
+                .flash_crowd(30)
+                .at(130.0)
+                .param_flip(Param::QueryRate(0.03))
+                .at(170.0)
                 .heal(),
         ),
     ]
@@ -255,17 +271,34 @@ fn fnv1a(text: &str) -> u64 {
     hash
 }
 
-/// The full ordered record stream of one traced GUESS run under
-/// `scenario`, as JSONL: every field of every record, times at full
-/// `f64` precision.
-fn guess_trace_text(cfg: Config, scenario: &Scenario) -> String {
-    let (_, sink) = GuessSim::new(cfg)
-        .unwrap()
+/// The full ordered record stream of one traced run under `scenario`,
+/// as JSONL: every field of every record, times at full `f64` precision.
+fn trace_text(sim: impl Runnable, scenario: &Scenario) -> String {
+    let (_, sink) = sim
         .run_scenario_traced(scenario, JsonlSink::new(Vec::new()))
         .unwrap();
     let (buf, _, io_error) = sink.finish();
     assert!(io_error.is_none());
     String::from_utf8(buf).unwrap()
+}
+
+/// Checks one case's trace `text` for each of `needles` and echoes its
+/// digest; returns the mismatch against `expected`, if any.
+fn digest_drift(name: &str, text: &str, needles: &[&str], expected: u64) -> Option<String> {
+    for needle in needles {
+        assert!(text.contains(needle), "{name}: no record with {needle}");
+    }
+    let got = fnv1a(text);
+    println!("{name}  0x{got:016x}");
+    (got != expected).then(|| format!("{name}: expected 0x{expected:016x}, got 0x{got:016x}"))
+}
+
+fn assert_no_drift(drift: &[String]) {
+    assert!(
+        drift.is_empty(),
+        "trace streams drifted:\n{}",
+        drift.join("\n")
+    );
 }
 
 /// The goldens pin rendered reports; this pins the trace itself — every
@@ -307,7 +340,7 @@ fn guess_trace_streams_match_pinned_digests() {
             })
     };
     let plain = Scenario::new();
-    let cases: [(&str, Config, Scenario, &[&str], u64); 8] = [
+    let cases: [(&str, Config, Scenario, &[&str], u64); 9] = [
         (
             "pull",
             churny(61),
@@ -391,26 +424,32 @@ fn guess_trace_streams_match_pinned_digests() {
             &[QUERY_DEAD, PING_DEAD, INVALIDATE_DEAD, REFRESH_GOOD, EVICT],
             0xae92_65f1_7188_be7d,
         ),
+        (
+            "leave-flash-flip-partition-heal",
+            churny(69),
+            Scenario::new()
+                .at(60.0)
+                .mass_leave(15)
+                .at(80.0)
+                .partition(3)
+                .at(100.0)
+                .flash_crowd(40)
+                .at(120.0)
+                .param_flip(Param::QueryRate(0.03))
+                .at(160.0)
+                .heal(),
+            &[QUERY_DEAD, PING_DEAD, PING_GOOD, EVICT],
+            0x3095_b1fa_6889_f484,
+        ),
     ];
-    let mut mismatches = Vec::new();
-    for (name, cfg, scenario, needles, expected) in cases {
-        let text = guess_trace_text(cfg, &scenario);
-        for needle in needles {
-            assert!(text.contains(needle), "{name}: no record with {needle}");
-        }
-        let got = fnv1a(&text);
-        println!("{name}  0x{got:016x}");
-        if got != expected {
-            mismatches.push(format!(
-                "{name}: expected 0x{expected:016x}, got 0x{got:016x}"
-            ));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "trace streams drifted:\n{}",
-        mismatches.join("\n")
-    );
+    let drift: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(name, cfg, scenario, needles, expected)| {
+            let text = trace_text(GuessSim::new(cfg).unwrap(), &scenario);
+            digest_drift(name, &text, needles, expected)
+        })
+        .collect();
+    assert_no_drift(&drift);
 }
 
 /// The Gnutella twin of the test above: every flood `Probe` record, and
@@ -425,30 +464,64 @@ fn gnutella_trace_streams_match_pinned_digests() {
         0x7f77_704e_7c5e_d1bf,
         0x1f04_d3c7_8718_774d,
         0x11a7_41df_4263_f40d,
+        0x0453_0dd0_c57b_5e5b,
     ];
-    let mut mismatches = Vec::new();
-    for ((name, cfg, scenario), expected) in gnutella_cases().into_iter().zip(expected) {
-        let (_, sink) = GnutellaSim::new(cfg)
-            .unwrap()
-            .run_scenario_traced(&scenario, JsonlSink::new(Vec::new()))
-            .unwrap();
-        let (buf, _, io_error) = sink.finish();
-        assert!(io_error.is_none());
-        let text = String::from_utf8(buf).unwrap();
-        for needle in [FLOOD_DUPLICATE, FLOOD_GOOD] {
-            assert!(text.contains(needle), "{name}: no record with {needle}");
-        }
-        let got = fnv1a(&text);
-        println!("{name}  0x{got:016x}");
-        if got != expected {
-            mismatches.push(format!(
-                "{name}: expected 0x{expected:016x}, got 0x{got:016x}"
-            ));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "trace streams drifted:\n{}",
-        mismatches.join("\n")
-    );
+    let drift: Vec<String> = gnutella_cases()
+        .into_iter()
+        .zip(expected)
+        .filter_map(|((name, cfg, scenario), expected)| {
+            let text = trace_text(GnutellaSim::new(cfg).unwrap(), &scenario);
+            digest_drift(name, &text, &[FLOOD_DUPLICATE, FLOOD_GOOD], expected)
+        })
+        .collect();
+    assert_no_drift(&drift);
+}
+
+/// The gossip twin: every push and pull `Probe` record of a plain run
+/// and of a run through every intervention kind, pinned per case.
+/// Refresh as above, with `--nocapture`.
+#[test]
+fn gossip_trace_streams_match_pinned_digests() {
+    const PUSH_GOOD: &str = "\"kind\": \"push\", \"outcome\": \"good\"";
+    const PUSH_REFUSED: &str = "\"kind\": \"push\", \"outcome\": \"refused\"";
+    const PULL: &str = "\"kind\": \"pull\"";
+    let cfg = |seed| {
+        GossipConfig::small_test(seed)
+            .with_duration(SimDuration::from_secs(250.0))
+            .with_warmup(SimDuration::from_secs(50.0))
+    };
+    let cases: [(&str, GossipConfig, Scenario, &[&str], u64); 2] = [
+        (
+            "small",
+            cfg(81),
+            Scenario::new(),
+            &[PUSH_GOOD, PULL],
+            0x98ae_f3a5_bb05_33a0,
+        ),
+        (
+            "leave-flash-flip-partition-heal",
+            cfg(82),
+            Scenario::new()
+                .at(70.0)
+                .mass_leave(20)
+                .at(90.0)
+                .partition(3)
+                .at(110.0)
+                .flash_crowd(30)
+                .at(130.0)
+                .param_flip(Param::Fanout(2))
+                .at(170.0)
+                .heal(),
+            &[PUSH_GOOD, PUSH_REFUSED, PULL],
+            0xe06e_f266_a255_5e1c,
+        ),
+    ];
+    let drift: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(name, cfg, scenario, needles, expected)| {
+            let text = trace_text(GossipSim::new(cfg).unwrap(), &scenario);
+            digest_drift(name, &text, needles, expected)
+        })
+        .collect();
+    assert_no_drift(&drift);
 }

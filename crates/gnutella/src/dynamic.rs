@@ -21,6 +21,7 @@
 //! so the two mechanisms face identical workloads.
 
 use simkit::rng::RngStream;
+use simkit::scenario::Partition;
 use simkit::sim::{Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
 use simkit::stats::{CounterSet, Summary};
 use simkit::time::{SimDuration, SimTime};
@@ -74,9 +75,9 @@ pub struct GnutellaSim {
     /// The validated configuration. Scenario parameter flips install a
     /// re-validated copy, so every read sees the current value.
     cfg: GnutellaConfig,
-    /// Active partition: slots in different `slot % groups` classes
-    /// drop each other's messages. `None` means fully connected.
-    partition: Option<u32>,
+    /// Active partition: slots in different groups drop each other's
+    /// messages. `None` means fully connected.
+    partition: Option<Partition>,
     pop: Population,
     clocks: Clocks,
     /// Slot-indexed adjacency: `adj[u]` lists `u`'s open connections.
@@ -164,6 +165,7 @@ impl GnutellaSim {
     /// candidate is burned but no connection opens.
     fn top_up_connections(&mut self, slot: usize) {
         let n = self.pop.len();
+        let partition = self.partition;
         let mut guard = 0;
         while self.adj[slot].len() < self.cfg.target_degree && guard < 20 * n {
             guard += 1;
@@ -171,10 +173,8 @@ impl GnutellaSim {
             if other == slot || self.adj[slot].contains(&(other as u32)) {
                 continue;
             }
-            if let Some(groups) = self.partition {
-                if slot as u32 % groups != other as u32 % groups {
-                    continue;
-                }
+            if partition.is_some_and(|p| !p.same_side(slot as u32, other as u32)) {
+                continue;
             }
             self.adj[slot].push(other as u32);
             self.adj[other].push(slot as u32);

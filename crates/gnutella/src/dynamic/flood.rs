@@ -35,7 +35,8 @@ pub(super) struct FloodState {
     /// and a table shared across floods would let one generation's
     /// stamps clobber another's, re-admitting already-visited peers.
     /// Slab recycling still amortizes the allocation — a reused slot
-    /// just bumps its own generation token.
+    /// just bumps its own generation token. Every table, in flight or
+    /// free, covers the whole population (`grow_visit_tables`).
     visits: VisitTable,
     /// This flood's generation token in its visit table.
     token: u64,
@@ -81,9 +82,6 @@ impl GnutellaSim {
             let st = &mut self.floods[slot as usize];
             st.qid = qid;
             st.target = target;
-            // Mass joins may have grown the network past the size this
-            // recycled table was built with.
-            st.visits.grow_to(n);
             st.token = st.visits.token();
             st.hops_left = ttl;
             st.messages = 0;
@@ -162,7 +160,7 @@ impl GnutellaSim {
                 &mut st.visits,
                 st.token,
                 |u| adj[u as usize].as_slice(),
-                |u, v| partition.is_none_or(|groups| u % groups == v % groups),
+                |u, v| partition.is_none_or(|p| p.same_side(u, v)),
                 |v, first| {
                     if tracing {
                         let outcome = if first {
@@ -203,6 +201,18 @@ impl GnutellaSim {
             }
             self.settle_queue.pop_front();
             self.finish_flood(front, now, ctx);
+        }
+    }
+
+    /// Grows every slab visit table, in flight or free, to the current
+    /// population. A join can land between the hops of a flood — a
+    /// control at the same instant pops before the hops an earlier
+    /// control scheduled — so every table must cover every slot the
+    /// moment the slot exists, not only when a flood starts.
+    pub(super) fn grow_visit_tables(&mut self) {
+        let n = self.pop.len();
+        for st in &mut self.floods {
+            st.visits.grow_to(n);
         }
     }
 

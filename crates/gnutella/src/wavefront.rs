@@ -58,9 +58,9 @@ impl VisitTable {
     }
 
     /// Grows the table to cover `n` slots (no-op when it already does).
-    /// New slots start never-visited. Mass-join interventions add peers
-    /// past the size the table was built with; recycled slab tables
-    /// must be told about them before their next flood.
+    /// New slots start never-visited, so a table can grow under a
+    /// flood in flight: mass-join interventions add peers past the size
+    /// the table was built with.
     pub fn grow_to(&mut self, n: usize) {
         if n > self.stamps.len() {
             self.stamps.resize(n, 0);

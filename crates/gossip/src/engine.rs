@@ -17,6 +17,7 @@
 
 use simkit::hash::{self, FxHashMap};
 use simkit::rng::RngStream;
+use simkit::scenario::Partition;
 use simkit::sim::{Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
 use simkit::stats::{CounterSet, Summary};
 use simkit::time::SimTime;
@@ -83,9 +84,9 @@ pub struct GossipSim {
     /// The validated configuration. Scenario parameter flips install a
     /// re-validated copy, so every read sees the current value.
     cfg: Config,
-    /// Active partition: slots in different `slot % groups` classes
-    /// cannot exchange pushes. `None` means fully connected.
-    partition: Option<u32>,
+    /// Active partition: slots in different groups cannot exchange
+    /// pushes. `None` means fully connected.
+    partition: Option<Partition>,
     pop: Population,
     clocks: Clocks,
     rng: RngStream,
@@ -264,6 +265,7 @@ impl GossipSim {
         // preserved by the Vec itself).
         self.active_token += 1;
         let token = self.active_token;
+        let partition = self.partition;
         for s in spreaders {
             let s = s as usize;
             // A spreader that died (and was replaced) since it was
@@ -281,8 +283,8 @@ impl GossipSim {
                 }
                 rumor.messages += 1;
                 self.counters.incr("pushes");
-                if let Some(groups) = self.partition {
-                    if s as u32 % groups != t as u32 % groups {
+                if let Some(p) = partition {
+                    if !p.same_side(s as u32, t as u32) {
                         // The push was sent (and counted) but the
                         // partition eats it in transit: no infection,
                         // no pull, no dedup bookkeeping.

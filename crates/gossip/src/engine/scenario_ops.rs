@@ -1,120 +1,64 @@
-//! Scenario interventions: the [`Intervenable`] side of `GossipSim`.
-//!
-//! Split out like the guess and gnutella counterparts; this is still
-//! the same `GossipSim`. Every intervention routes through the engine's
-//! existing machinery — joins through the population's join path,
-//! leaves through `on_death`, flash crowds through `start_query` — and
-//! a parameter flip installs a copy of the config only after
-//! [`Config::validate`] has accepted it.
+//! The scenario hooks of `GossipSim`; see [`Intervenable`].
 
-use simkit::scenario::{Intervenable, Intervention, Param, ScenarioError};
+use simkit::scenario::{Intervenable, Param, Partition};
 use workload::query::QueryWorkload;
 
 use super::*;
 
-impl GossipSim {
-    /// Grows the population by `count` newborn slots: fresh library,
-    /// fresh incarnation, scheduled death and burst — the same path the
-    /// initial population takes. In-flight rumors learn about the
-    /// newcomers lazily (their infected vectors grow at the next
-    /// round), so newcomers are immediately gossipable targets.
-    fn mass_join<T: TraceSink>(
-        &mut self,
-        count: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..count {
-            let slot = self.pop.join(&mut self.rng);
-            self.active_stamp.push(0);
-            self.start_clocks(slot, now, ctx);
-        }
-    }
-
-    /// Kills `count` uniformly chosen peers through the normal death
-    /// path (in-place rebirth included: the population stays constant
-    /// and the wave's damage is the mass loss of rumor knowledge).
-    fn mass_leave<T: TraceSink>(
-        &mut self,
-        count: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..count {
-            let slot = self.rng.below(self.pop.len());
-            // The victim's originally scheduled death event becomes
-            // stale and is ignored by the incarnation guard.
-            self.on_death(slot, self.pop.incarnation(slot), now, ctx);
-        }
-    }
-
-    /// Starts `queries` extra rumors immediately, from uniformly chosen
-    /// sources, through the normal query path.
-    fn flash_crowd<T: TraceSink>(
-        &mut self,
-        queries: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..queries {
-            let src = self.rng.below(self.pop.len());
-            self.start_query(src, now, ctx);
-        }
-    }
-
-    /// Applies a parameter flip to a copy of the config, re-validates
-    /// the copy through [`Config::validate`], and only then installs
-    /// it: a rejected flip changes nothing.
-    fn param_flip(&mut self, param: &Param) -> Result<(), ScenarioError> {
-        let mut flipped = self.cfg.clone();
-        match *param {
-            Param::QueryRate(r) => flipped.query_rate = r,
-            Param::Fanout(f) => flipped.fanout = f,
-            Param::RoundTtl(t) => flipped.round_ttl = t,
-            Param::PullProbability(p) => flipped.pull_probability = p,
-            _ => {
-                return Err(ScenarioError::Unsupported {
-                    engine: "gossip",
-                    action: param.name(),
-                })
-            }
-        }
-        flipped
-            .validate()
-            .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
-        if flipped.query_rate != self.cfg.query_rate {
-            self.clocks.workload = QueryWorkload::with_rate(flipped.query_rate)
-                .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
-        }
-        self.cfg = flipped;
-        Ok(())
-    }
-}
-
 impl<T: TraceSink> Intervenable<T> for GossipSim {
-    fn intervene(
-        &mut self,
-        now: SimTime,
-        action: &Intervention,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) -> Result<(), ScenarioError> {
-        self.counters.incr("interventions");
-        match *action {
-            Intervention::MassJoin { count } => self.mass_join(count, now, ctx),
-            Intervention::MassLeave { count } => self.mass_leave(count, now, ctx),
-            Intervention::FlashCrowd { queries } => self.flash_crowd(queries, now, ctx),
-            Intervention::ParamFlip(ref param) => self.param_flip(param)?,
-            Intervention::Partition { groups } => self.partition = Some(groups),
-            Intervention::Heal => self.partition = None,
+    const ENGINE: &'static str = "gossip";
+    type Config = Config;
+
+    /// In-flight rumors learn about the newcomer lazily (their infected
+    /// vectors grow at the next round).
+    fn join_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
+        let slot = self.pop.join(&mut self.rng);
+        self.active_stamp.push(0);
+        self.start_clocks(slot, now, ctx);
+    }
+    fn kill_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
+        let slot = self.rng.below(self.pop.len());
+        self.on_death(slot, self.pop.incarnation(slot), now, ctx);
+    }
+    fn query_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
+        let src = self.rng.below(self.pop.len());
+        self.start_query(src, now, ctx);
+    }
+
+    fn config(&self) -> &Config {
+        &self.cfg
+    }
+    fn set_param(cfg: &mut Config, param: Param) -> bool {
+        match param {
+            Param::QueryRate(r) => cfg.query_rate = r,
+            Param::Fanout(f) => cfg.fanout = f,
+            Param::RoundTtl(t) => cfg.round_ttl = t,
+            Param::PullProbability(p) => cfg.pull_probability = p,
+            _ => return false,
         }
+        true
+    }
+    fn install(&mut self, cfg: Config) -> Result<(), String> {
+        cfg.validate().map_err(|e| e.to_string())?;
+        self.clocks.workload =
+            QueryWorkload::with_rate(cfg.query_rate).map_err(|e| e.to_string())?;
+        self.cfg = cfg;
         Ok(())
+    }
+
+    fn partition_mut(&mut self) -> &mut Option<Partition> {
+        &mut self.partition
+    }
+    fn counters_mut(&mut self) -> &mut CounterSet {
+        &mut self.counters
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::scenario::Scenario;
+    use simkit::scenario::{MaintenanceMode, Scenario, ScenarioError};
+    use simkit::time::SimDuration;
 
     fn small() -> Config {
         Config::small_test(0x906)
@@ -205,21 +149,45 @@ mod tests {
         let err = small().build().unwrap().run_scenario(&bad).unwrap_err();
         assert!(matches!(err, ScenarioError::InvalidParam(_)));
 
-        let unsupported = Scenario::new()
-            .at(100.0)
-            .param_flip(Param::ParallelProbes(4));
-        let err = small()
-            .build()
-            .unwrap()
-            .run_scenario(&unsupported)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ScenarioError::Unsupported {
-                engine: "gossip",
-                action: "parallel_probes",
+        for param in [
+            Param::QueryRate(0.02),
+            Param::BadPeerFraction(0.1),
+            Param::PingInterval(SimDuration::from_secs(20.0)),
+            Param::ParallelProbes(2),
+            Param::Fanout(2),
+            Param::RoundTtl(5),
+            Param::PullProbability(0.5),
+            Param::FloodTtl(3),
+            Param::TargetDegree(4),
+            Param::MaintenanceMode(MaintenanceMode::Hybrid),
+        ] {
+            // Exhaustive: a new `Param` must be sorted in or out here.
+            let supported = match param {
+                Param::QueryRate(_)
+                | Param::Fanout(_)
+                | Param::RoundTtl(_)
+                | Param::PullProbability(_) => true,
+                Param::BadPeerFraction(_)
+                | Param::PingInterval(_)
+                | Param::ParallelProbes(_)
+                | Param::FloodTtl(_)
+                | Param::TargetDegree(_)
+                | Param::MaintenanceMode(_) => false,
+            };
+            let scenario = Scenario::new().at(100.0).param_flip(param);
+            let got = small().build().unwrap().run_scenario(&scenario);
+            if supported {
+                assert!(got.is_ok(), "{}: {got:?}", param.name());
+            } else {
+                assert_eq!(
+                    got.unwrap_err(),
+                    ScenarioError::Unsupported {
+                        engine: "gossip",
+                        action: param.name(),
+                    }
+                );
             }
-        );
+        }
     }
 
     #[test]

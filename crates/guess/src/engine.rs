@@ -22,7 +22,7 @@
 use std::cmp::Reverse;
 
 use simkit::rng::RngStream;
-use simkit::scenario::MaintenanceMode;
+use simkit::scenario::{MaintenanceMode, Partition};
 use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{ProbeKind, ProbeOutcome, TraceRecord, TraceSink, NO_QUERY};
@@ -138,9 +138,9 @@ pub struct GuessSim {
     /// The validated configuration. Scenario parameter flips install a
     /// re-validated copy, so every read sees the current value.
     cfg: Config,
-    /// Active network partition: peers in different `slot % groups`
-    /// classes cannot reach each other. `None` means fully connected.
-    partition: Option<u32>,
+    /// Active network partition over slots. `None` means fully
+    /// connected.
+    partition: Option<Partition>,
     /// The live peers, indexed by `SlotId::index()`: one entry per slot,
     /// overwritten in place when a death births the replacement.
     peers: Vec<PeerState>,
@@ -411,18 +411,12 @@ impl GuessSim {
     }
 
     /// True when no active partition separates `a` from `b`. Peers in
-    /// different `slot % groups` classes cannot exchange messages; to
-    /// the sender the target is indistinguishable from a dead peer.
-    /// Callers must check liveness first: fabricated addresses carry a
-    /// meaningless slot.
+    /// different groups cannot exchange messages; to the sender the
+    /// target is indistinguishable from a dead peer. Callers must check
+    /// liveness first: fabricated addresses carry a meaningless slot.
     fn reachable(&self, a: PeerAddr, b: PeerAddr) -> bool {
-        match self.partition {
-            None => true,
-            Some(groups) => {
-                let g = groups as usize;
-                self.slot_of(a).index() % g == self.slot_of(b).index() % g
-            }
-        }
+        self.partition
+            .is_none_or(|p| p.same_side(self.slot_of(a).0, self.slot_of(b).0))
     }
 
     // ------------------------------------------------------------------

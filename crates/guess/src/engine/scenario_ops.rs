@@ -1,125 +1,66 @@
-//! Scenario interventions: the [`Intervenable`] side of `GuessSim`.
-//!
-//! Split out of the main engine module like `query_exec`; this is still
-//! the same `GuessSim`. Every intervention routes through the engine's
-//! existing machinery — joins and leaves through the churn paths
-//! ([`GuessSim::birth_peer`] / `on_death`), flash crowds through
-//! [`GuessSim::execute_query`] — and a parameter flip installs a copy
-//! of the config only after [`Config::validate`] has accepted it.
+//! The scenario hooks of `GuessSim`; see [`Intervenable`].
 
-use simkit::scenario::{Intervenable, Intervention, Param, ScenarioError};
+use simkit::scenario::{Intervenable, Param, Partition};
 
 use super::*;
 
-impl GuessSim {
-    /// Grows the network by `count` newborn slots. Each newborn goes
-    /// through the ordinary birth path (same RNG streams, same cache
-    /// seeding as a churn replacement) and gets its death / ping /
-    /// burst events scheduled.
-    fn mass_join<T: TraceSink>(
-        &mut self,
-        count: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..count {
-            let slot = SlotId(self.peers.len() as u32);
-            self.bad.grow_to(self.peers.len() + 1);
-            self.push.grow_to(self.peers.len() + 1);
-            let newborn = self.birth_peer(slot, now);
-            self.seed_from_friend(newborn, now, ctx);
-            self.schedule_peer_events(slot, newborn, now, false, ctx);
-        }
-    }
-
-    /// Kills `count` uniformly chosen live peers through the normal
-    /// death path (replacements included — the population stays
-    /// constant; the wave's damage is the mass cache cold-start).
-    fn mass_leave<T: TraceSink>(
-        &mut self,
-        count: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..count {
-            let s = self.rng_churn.below(self.peers.len());
-            let slot = SlotId(s as u32);
-            let addr = self.peers[s].addr();
-            // The victim's originally scheduled death event becomes
-            // stale and is ignored by the `is_current` guard.
-            self.on_death(slot, addr, now, ctx);
-        }
-    }
-
-    /// Injects `queries` extra queries immediately, from uniformly
-    /// chosen live sources, through the normal query executor.
-    fn flash_crowd<T: TraceSink>(
-        &mut self,
-        queries: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        for _ in 0..queries {
-            let src = self.peers[self.rng_query.below(self.peers.len())].addr();
-            self.execute_query(src, now, ctx);
-        }
-    }
-
-    /// Applies a parameter flip to a copy of the config, re-validates
-    /// the copy through [`Config::validate`], and only then installs
-    /// it: a rejected flip changes nothing.
-    fn param_flip(&mut self, param: &Param) -> Result<(), ScenarioError> {
-        let mut flipped = self.cfg.clone();
-        match *param {
-            Param::QueryRate(r) => flipped.system.query_rate = r,
-            Param::BadPeerFraction(f) => flipped.system.bad_peer_fraction = f,
-            Param::PingInterval(i) => flipped.protocol.ping_interval = i,
-            Param::ParallelProbes(k) => flipped.protocol.parallel_probes = k,
-            Param::MaintenanceMode(m) => flipped.protocol.maintenance_mode = m,
-            _ => {
-                return Err(ScenarioError::Unsupported {
-                    engine: "guess",
-                    action: param.name(),
-                })
-            }
-        }
-        flipped
-            .validate()
-            .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
-        if flipped.system.query_rate != self.cfg.system.query_rate {
-            self.workload = QueryWorkload::with_rate(flipped.system.query_rate)
-                .map_err(|e| ScenarioError::InvalidParam(e.to_string()))?;
-        }
-        self.cfg = flipped;
-        Ok(())
-    }
-}
-
 impl<T: TraceSink> Intervenable<T> for GuessSim {
-    fn intervene(
-        &mut self,
-        now: SimTime,
-        action: &Intervention,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) -> Result<(), ScenarioError> {
-        self.metrics.counters_mut().incr("interventions");
-        match *action {
-            Intervention::MassJoin { count } => self.mass_join(count, now, ctx),
-            Intervention::MassLeave { count } => self.mass_leave(count, now, ctx),
-            Intervention::FlashCrowd { queries } => self.flash_crowd(queries, now, ctx),
-            Intervention::ParamFlip(ref param) => self.param_flip(param)?,
-            Intervention::Partition { groups } => self.partition = Some(groups),
-            Intervention::Heal => self.partition = None,
+    const ENGINE: &'static str = "guess";
+    type Config = Config;
+
+    fn join_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
+        let slot = SlotId(self.peers.len() as u32);
+        self.bad.grow_to(self.peers.len() + 1);
+        self.push.grow_to(self.peers.len() + 1);
+        let newborn = self.birth_peer(slot, now);
+        self.seed_from_friend(newborn, now, ctx);
+        self.schedule_peer_events(slot, newborn, now, false, ctx);
+    }
+    fn kill_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
+        let s = self.rng_churn.below(self.peers.len());
+        self.on_death(SlotId(s as u32), self.peers[s].addr(), now, ctx);
+    }
+    fn query_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
+        let src = self.peers[self.rng_query.below(self.peers.len())].addr();
+        self.execute_query(src, now, ctx);
+    }
+
+    fn config(&self) -> &Config {
+        &self.cfg
+    }
+    fn set_param(cfg: &mut Config, param: Param) -> bool {
+        match param {
+            Param::QueryRate(r) => cfg.system.query_rate = r,
+            Param::BadPeerFraction(f) => cfg.system.bad_peer_fraction = f,
+            Param::PingInterval(i) => cfg.protocol.ping_interval = i,
+            Param::ParallelProbes(k) => cfg.protocol.parallel_probes = k,
+            Param::MaintenanceMode(m) => cfg.protocol.maintenance_mode = m,
+            _ => return false,
         }
+        true
+    }
+    fn install(&mut self, cfg: Config) -> Result<(), String> {
+        cfg.validate().map_err(|e| e.to_string())?;
+        self.workload =
+            QueryWorkload::with_rate(cfg.system.query_rate).map_err(|e| e.to_string())?;
+        self.cfg = cfg;
         Ok(())
+    }
+
+    fn partition_mut(&mut self) -> &mut Option<Partition> {
+        &mut self.partition
+    }
+    fn counters_mut(&mut self) -> &mut simkit::stats::CounterSet {
+        self.metrics.counters_mut()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::scenario::Scenario;
+    use simkit::scenario::{Scenario, ScenarioError};
     use simkit::time::SimDuration;
+    use simkit::trace::NullSink;
 
     fn tiny(seed: u64) -> Config {
         let mut cfg = Config::small_test(seed);
@@ -195,6 +136,15 @@ mod tests {
         assert_eq!(report.counters.get("interventions"), 1);
     }
 
+    /// Flips `param` the way `intervene` does, without a kernel.
+    fn flip(sim: &mut GuessSim, param: Param) -> Result<(), String> {
+        let mut cfg = sim.cfg.clone();
+        assert!(<GuessSim as Intervenable<NullSink>>::set_param(
+            &mut cfg, param
+        ));
+        <GuessSim as Intervenable<NullSink>>::install(sim, cfg)
+    }
+
     #[test]
     fn param_flip_revalidates() {
         let bad = Scenario::new().at(100.0).param_flip(Param::QueryRate(-1.0));
@@ -204,18 +154,45 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ScenarioError::InvalidParam(_)));
 
-        let unsupported = Scenario::new().at(100.0).param_flip(Param::Fanout(4));
-        let err = GuessSim::new(tiny(35))
-            .unwrap()
-            .run_scenario(&unsupported)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ScenarioError::Unsupported {
-                engine: "guess",
-                action: "fanout",
+        for param in [
+            Param::QueryRate(0.02),
+            Param::BadPeerFraction(0.1),
+            Param::PingInterval(SimDuration::from_secs(20.0)),
+            Param::ParallelProbes(2),
+            Param::Fanout(2),
+            Param::RoundTtl(5),
+            Param::PullProbability(0.5),
+            Param::FloodTtl(3),
+            Param::TargetDegree(4),
+            Param::MaintenanceMode(MaintenanceMode::Hybrid),
+        ] {
+            // Exhaustive: a new `Param` must be sorted in or out here.
+            let supported = match param {
+                Param::QueryRate(_)
+                | Param::BadPeerFraction(_)
+                | Param::PingInterval(_)
+                | Param::ParallelProbes(_)
+                | Param::MaintenanceMode(_) => true,
+                Param::Fanout(_)
+                | Param::RoundTtl(_)
+                | Param::PullProbability(_)
+                | Param::FloodTtl(_)
+                | Param::TargetDegree(_) => false,
+            };
+            let scenario = Scenario::new().at(100.0).param_flip(param);
+            let got = GuessSim::new(tiny(35)).unwrap().run_scenario(&scenario);
+            if supported {
+                assert!(got.is_ok(), "{}: {got:?}", param.name());
+            } else {
+                assert_eq!(
+                    got.unwrap_err(),
+                    ScenarioError::Unsupported {
+                        engine: "guess",
+                        action: param.name(),
+                    }
+                );
             }
-        );
+        }
     }
 
     #[test]
@@ -247,13 +224,11 @@ mod tests {
     fn flip_installs_and_rejected_flip_installs_nothing() {
         let mut sim = GuessSim::new(tiny(44)).unwrap();
         assert_eq!(sim.cfg.protocol.maintenance_mode, MaintenanceMode::Pull);
-        sim.param_flip(&Param::MaintenanceMode(MaintenanceMode::Hybrid))
-            .unwrap();
+        flip(&mut sim, Param::MaintenanceMode(MaintenanceMode::Hybrid)).unwrap();
         assert_eq!(sim.cfg.protocol.maintenance_mode, MaintenanceMode::Hybrid);
         // A rejected flip must not install anything: the flipped copy
         // fails validation before `cfg` is written.
-        let err = sim.param_flip(&Param::QueryRate(-3.0)).unwrap_err();
-        assert!(matches!(err, ScenarioError::InvalidParam(_)));
+        flip(&mut sim, Param::QueryRate(-3.0)).unwrap_err();
         assert_eq!(sim.cfg.protocol.maintenance_mode, MaintenanceMode::Hybrid);
         assert_eq!(sim.cfg.system.query_rate, tiny(44).system.query_rate);
     }
@@ -262,10 +237,7 @@ mod tests {
     fn zero_ping_interval_flip_is_rejected() {
         // Installed, it would reschedule every ping at `now + 0`.
         let mut sim = GuessSim::new(tiny(45)).unwrap();
-        let err = sim
-            .param_flip(&Param::PingInterval(SimDuration::ZERO))
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::InvalidParam(_)));
+        flip(&mut sim, Param::PingInterval(SimDuration::ZERO)).unwrap_err();
         assert_eq!(
             sim.cfg.protocol.ping_interval,
             tiny(45).protocol.ping_interval

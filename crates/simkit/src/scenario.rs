@@ -23,19 +23,22 @@
 //!
 //! # The `Intervenable` contract
 //!
-//! An engine holds one validated `Config`. A parameter flip is applied
-//! to a clone, the clone is re-validated through the engine's builder
-//! validation, and only an accepted clone is installed — so a flip can
-//! never install a value `validate()` would reject, and a rejected flip
-//! installs nothing. Interventions must reuse the engine's existing
-//! machinery — join/leave waves go through the churn paths, flash
-//! crowds through the workload query generators — so a scenario can
-//! never put an engine into a state an ordinary run could not reach.
+//! [`Intervenable::intervene`] is written once, here; an engine
+//! supplies only hooks. Join and leave waves and flash crowds call the
+//! engine's `join_one` / `kill_one` / `query_one` once per peer or
+//! query, so every draw stays interleaved with its birth, death or
+//! query exactly as in the engine's own churn and workload paths — a
+//! scenario can never put an engine into a state an ordinary run could
+//! not reach. A parameter flip is applied to a clone of the engine's
+//! config, and `install` validates the clone and rebuilds what depends
+//! on it before anything is written — so a flip can never install a
+//! value `validate()` would reject, and a rejected flip installs
+//! nothing.
 //!
 //! Partition validity is a property of the timeline, not of the engine:
 //! [`crate::sim::Kernel::run_scenario`] rejects a partition into fewer
 //! than two groups over the compiled timeline, before the run starts,
-//! so engines receive only well-formed [`Intervention::Partition`]s.
+//! through the same [`Partition::new`] rule engines install with.
 //!
 //! # Example
 //!
@@ -56,9 +59,11 @@
 //! assert_eq!(s.len(), 5);
 //! ```
 
-use crate::time::{SimDuration, SimTime};
+use std::num::NonZeroU32;
 
 use crate::sim::{SimCtx, Simulation};
+use crate::stats::CounterSet;
+use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceSink;
 
 /// How an engine keeps its cached peer state fresh.
@@ -344,14 +349,83 @@ impl Scenario {
     }
 }
 
+/// An active network partition: peer slot `i` belongs to group
+/// `i % groups`, and peers in different groups cannot exchange
+/// messages. Engines hold an `Option<Partition>`; `None` is the fully
+/// connected network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Partition {
+    groups: NonZeroU32,
+}
+
+impl Partition {
+    /// A partition into `groups` groups.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::BadPartition`] for fewer than two groups.
+    pub fn new(groups: u32) -> Result<Self, ScenarioError> {
+        match NonZeroU32::new(groups) {
+            Some(nz) if groups >= 2 => Ok(Partition { groups: nz }),
+            _ => Err(ScenarioError::BadPartition { groups }),
+        }
+    }
+
+    /// True when slots `a` and `b` are in the same group.
+    #[inline]
+    #[must_use]
+    pub fn same_side(self, a: u32, b: u32) -> bool {
+        a % self.groups == b % self.groups
+    }
+}
+
 /// An engine that accepts mid-run interventions.
 ///
-/// Implementors route every action through the engine's existing churn
-/// / workload machinery, and install a flipped parameter only as part
-/// of a re-validated copy of their config. Actions the engine cannot
-/// express return [`ScenarioError`]; the kernel aborts the run and
-/// surfaces the error.
+/// The engine supplies hooks; [`Intervenable::intervene`] is provided
+/// and turns every [`Intervention`] into hook calls (see the
+/// [module docs](self)). Actions the engine cannot express return a
+/// [`ScenarioError`]; the kernel aborts the run and surfaces the error.
 pub trait Intervenable<T: TraceSink>: Simulation<T> {
+    /// Engine name carried by [`ScenarioError::Unsupported`].
+    const ENGINE: &'static str;
+
+    /// The engine's validated configuration.
+    type Config: Clone;
+
+    /// Adds one newborn peer through the engine's birth path.
+    fn join_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Self::Event, T>);
+
+    /// Draws one live victim and kills it through the engine's death
+    /// path, replacement included where the churn model prescribes one.
+    /// The victim's own scheduled death must then be ignored as stale.
+    fn kill_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Self::Event, T>);
+
+    /// Draws one live source and starts one query from it through the
+    /// engine's query path.
+    fn query_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Self::Event, T>);
+
+    /// The installed configuration.
+    fn config(&self) -> &Self::Config;
+
+    /// Writes `param` into `cfg`; `false` when the engine has no such
+    /// knob.
+    fn set_param(cfg: &mut Self::Config, param: Param) -> bool;
+
+    /// Validates `cfg`, rebuilds whatever depends on it, and installs
+    /// it. On error nothing is installed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the engine's validation message.
+    fn install(&mut self, cfg: Self::Config) -> Result<(), String>;
+
+    /// The engine's active partition.
+    fn partition_mut(&mut self) -> &mut Option<Partition>;
+
+    /// The engine's run counters; each intervention counts once under
+    /// `interventions`.
+    fn counters_mut(&mut self) -> &mut CounterSet;
+
     /// Applies one intervention at instant `now`. Follow-up scheduling
     /// and trace emission go through `ctx`, exactly as in
     /// [`Simulation::handle`].
@@ -359,13 +433,37 @@ pub trait Intervenable<T: TraceSink>: Simulation<T> {
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] when the action names a knob the
-    /// engine does not have or fails the engine's config re-validation.
+    /// engine does not have or fails the engine's config validation.
     fn intervene(
         &mut self,
         now: SimTime,
         action: &Intervention,
         ctx: &mut SimCtx<'_, Self::Event, T>,
-    ) -> Result<(), ScenarioError>;
+    ) -> Result<(), ScenarioError> {
+        self.counters_mut().incr("interventions");
+        match *action {
+            Intervention::MassJoin { count } => (0..count).for_each(|_| self.join_one(now, ctx)),
+            Intervention::MassLeave { count } => (0..count).for_each(|_| self.kill_one(now, ctx)),
+            Intervention::FlashCrowd { queries } => {
+                (0..queries).for_each(|_| self.query_one(now, ctx));
+            }
+            Intervention::ParamFlip(param) => {
+                let mut cfg = self.config().clone();
+                if !Self::set_param(&mut cfg, param) {
+                    return Err(ScenarioError::Unsupported {
+                        engine: Self::ENGINE,
+                        action: param.name(),
+                    });
+                }
+                self.install(cfg).map_err(ScenarioError::InvalidParam)?;
+            }
+            Intervention::Partition { groups } => {
+                *self.partition_mut() = Some(Partition::new(groups)?)
+            }
+            Intervention::Heal => *self.partition_mut() = None,
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -438,6 +536,22 @@ mod tests {
         assert_eq!(MaintenanceMode::Push.name(), "push");
         assert_eq!(MaintenanceMode::Hybrid.name(), "hybrid");
         assert_eq!(MaintenanceMode::Hybrid.to_string(), "hybrid");
+    }
+
+    #[test]
+    fn partition_needs_two_groups_and_groups_by_slot_modulo() {
+        for groups in [0, 1] {
+            assert_eq!(
+                Partition::new(groups),
+                Err(ScenarioError::BadPartition { groups })
+            );
+        }
+        let p = Partition::new(3).unwrap();
+        assert!(p.same_side(1, 7));
+        assert!(p.same_side(0, 0));
+        assert!(!p.same_side(2, 3));
+        assert!(p.same_side(u32::MAX, 0), "u32::MAX is divisible by 3");
+        assert_eq!(std::mem::size_of::<Option<Partition>>(), 4);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use crate::event::{EventHandle, EventQueue};
 use crate::rng::RngStream;
-use crate::scenario::{Intervenable, Intervention, Scenario, ScenarioError};
+use crate::scenario::{Intervenable, Intervention, Partition, Scenario, ScenarioError};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{NullSink, ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
 
@@ -474,9 +474,7 @@ impl<E, T: TraceSink> Kernel<E, T> {
         let compiled = scenario.compile();
         for entry in &compiled {
             if let Intervention::Partition { groups } = entry.action {
-                if groups < 2 {
-                    return Err(ScenarioError::BadPartition { groups });
-                }
+                Partition::new(groups)?;
             }
         }
         for (generation, entry) in compiled.iter().enumerate() {
@@ -552,6 +550,8 @@ impl<E, T: TraceSink> Kernel<E, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Param;
+    use crate::stats::CounterSet;
     use crate::trace::{CountingSink, RecordingSink};
 
     /// A minimal engine: every event reschedules itself after `gap`
@@ -561,6 +561,8 @@ mod tests {
         sampled: u32,
         limit: u32,
         gap: SimDuration,
+        partition: Option<Partition>,
+        counters: CounterSet,
     }
 
     impl Echo {
@@ -570,6 +572,8 @@ mod tests {
                 sampled: 0,
                 limit,
                 gap: SimDuration::from_secs(gap_secs),
+                partition: None,
+                counters: CounterSet::new(),
             }
         }
     }
@@ -687,26 +691,38 @@ mod tests {
         assert_eq!(sink.joins, 1);
     }
 
-    impl<T: TraceSink> crate::scenario::Intervenable<T> for Echo {
-        fn intervene(
-            &mut self,
-            now: SimTime,
-            action: &crate::scenario::Intervention,
-            ctx: &mut SimCtx<'_, u32, T>,
-        ) -> Result<(), crate::scenario::ScenarioError> {
-            match action {
-                crate::scenario::Intervention::FlashCrowd { queries } => {
-                    // Inject extra engine events immediately.
-                    for _ in 0..*queries {
-                        ctx.schedule(now, 0);
-                    }
-                    Ok(())
-                }
-                other => Err(crate::scenario::ScenarioError::Unsupported {
-                    engine: "echo",
-                    action: other.label(),
-                }),
-            }
+    /// Echo has no peers and no knobs: a query is one extra engine
+    /// event, joins and leaves do nothing, and every flip is rejected.
+    impl<T: TraceSink> Intervenable<T> for Echo {
+        const ENGINE: &'static str = "echo";
+        type Config = ();
+
+        fn join_one(&mut self, _: SimTime, _: &mut SimCtx<'_, u32, T>) {}
+
+        fn kill_one(&mut self, _: SimTime, _: &mut SimCtx<'_, u32, T>) {}
+
+        fn query_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, u32, T>) {
+            ctx.schedule(now, 0);
+        }
+
+        fn config(&self) -> &() {
+            &()
+        }
+
+        fn set_param((): &mut (), _: Param) -> bool {
+            false
+        }
+
+        fn install(&mut self, (): ()) -> Result<(), String> {
+            Ok(())
+        }
+
+        fn partition_mut(&mut self) -> &mut Option<Partition> {
+            &mut self.partition
+        }
+
+        fn counters_mut(&mut self) -> &mut CounterSet {
+            &mut self.counters
         }
     }
 
@@ -721,7 +737,7 @@ mod tests {
         let mut kernel = Kernel::new(KernelParams::new(SimDuration::from_secs(5.0)), NullSink);
         kernel.ctx().schedule(SimTime::ZERO, 0);
         kernel
-            .run_scenario(&mut scen, &crate::scenario::Scenario::new())
+            .run_scenario(&mut scen, &Scenario::new())
             .expect("empty scenario cannot fail");
         assert_eq!(plain.handled, scen.handled);
     }
@@ -731,7 +747,7 @@ mod tests {
         let mut sim = Echo::new(u32::MAX, 10.0); // one self-event at t=0 only
         let mut kernel = Kernel::new(KernelParams::new(SimDuration::from_secs(5.0)), NullSink);
         kernel.ctx().schedule(SimTime::ZERO, 0);
-        let scenario = crate::scenario::Scenario::new().at(2.0).flash_crowd(3);
+        let scenario = Scenario::new().at(2.0).flash_crowd(3);
         kernel.run_scenario(&mut sim, &scenario).expect("supported");
         // t=0 seed event + 3 injected at t=2 (each reschedules at t=12,
         // past the horizon).
@@ -743,7 +759,7 @@ mod tests {
         let mut sim = Echo::new(u32::MAX, 10.0);
         let mut kernel = Kernel::new(KernelParams::new(SimDuration::from_secs(5.0)), NullSink);
         kernel.ctx().schedule(SimTime::ZERO, 0);
-        let scenario = crate::scenario::Scenario::new().at(50.0).flash_crowd(3);
+        let scenario = Scenario::new().at(50.0).flash_crowd(3);
         kernel.run_scenario(&mut sim, &scenario).expect("dropped");
         assert_eq!(sim.handled, 1, "late control event never fires");
     }
@@ -753,15 +769,20 @@ mod tests {
         let mut sim = Echo::new(u32::MAX, 1.0);
         let mut kernel = Kernel::new(KernelParams::new(SimDuration::from_secs(5.0)), NullSink);
         kernel.ctx().schedule(SimTime::ZERO, 0);
-        let scenario = crate::scenario::Scenario::new().at(2.0).heal();
+        let scenario = Scenario::new()
+            .at(2.0)
+            .param_flip(Param::Fanout(2))
+            .at(3.0)
+            .flash_crowd(1);
         let err = kernel.run_scenario(&mut sim, &scenario).unwrap_err();
         assert_eq!(
             err,
-            crate::scenario::ScenarioError::Unsupported {
+            ScenarioError::Unsupported {
                 engine: "echo",
-                action: "heal",
+                action: "fanout",
             }
         );
+        assert_eq!(sim.counters.get("interventions"), 1, "the flash never ran");
         assert!(sim.handled >= 2, "ran up to the failing control event");
         assert!(sim.handled < 6, "aborted before the horizon");
     }
@@ -778,13 +799,39 @@ mod tests {
     }
 
     impl<T: TraceSink> Intervenable<T> for Untouchable {
-        fn intervene(
-            &mut self,
-            _: SimTime,
-            action: &Intervention,
-            _: &mut SimCtx<'_, (), T>,
-        ) -> Result<(), ScenarioError> {
-            panic!("{} was delivered from a malformed timeline", action.label());
+        const ENGINE: &'static str = "untouchable";
+        type Config = ();
+
+        fn join_one(&mut self, _: SimTime, _: &mut SimCtx<'_, (), T>) {
+            panic!("a join was delivered from a malformed timeline");
+        }
+
+        fn kill_one(&mut self, _: SimTime, _: &mut SimCtx<'_, (), T>) {
+            panic!("a leave was delivered from a malformed timeline");
+        }
+
+        fn query_one(&mut self, _: SimTime, _: &mut SimCtx<'_, (), T>) {
+            panic!("a query was delivered from a malformed timeline");
+        }
+
+        fn config(&self) -> &() {
+            &()
+        }
+
+        fn set_param((): &mut (), _: Param) -> bool {
+            panic!("a flip was delivered from a malformed timeline");
+        }
+
+        fn install(&mut self, (): ()) -> Result<(), String> {
+            panic!("a flip was delivered from a malformed timeline");
+        }
+
+        fn partition_mut(&mut self) -> &mut Option<Partition> {
+            panic!("a partition was delivered from a malformed timeline");
+        }
+
+        fn counters_mut(&mut self) -> &mut CounterSet {
+            panic!("an intervention was delivered from a malformed timeline");
         }
     }
 
