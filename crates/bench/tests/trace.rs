@@ -477,27 +477,18 @@ fn gnutella_trace_streams_match_pinned_digests() {
     assert_no_drift(&drift);
 }
 
-/// The gossip twin: every push and pull `Probe` record of a plain run
-/// and of a run through every intervention kind, pinned per case.
-/// Refresh as above, with `--nocapture`.
-#[test]
-fn gossip_trace_streams_match_pinned_digests() {
-    const PUSH_GOOD: &str = "\"kind\": \"push\", \"outcome\": \"good\"";
-    const PUSH_REFUSED: &str = "\"kind\": \"push\", \"outcome\": \"refused\"";
-    const PULL: &str = "\"kind\": \"pull\"";
+/// The gossip runs both gossip trace tests cover: the plain small
+/// configuration, a timeline through every intervention kind, and a
+/// query that needs several results (untraced rounds stop checking
+/// libraries once a rumor has them).
+fn gossip_cases() -> [(&'static str, GossipConfig, Scenario); 3] {
     let cfg = |seed| {
         GossipConfig::small_test(seed)
             .with_duration(SimDuration::from_secs(250.0))
             .with_warmup(SimDuration::from_secs(50.0))
     };
-    let cases: [(&str, GossipConfig, Scenario, &[&str], u64); 2] = [
-        (
-            "small",
-            cfg(81),
-            Scenario::new(),
-            &[PUSH_GOOD, PULL],
-            0x98ae_f3a5_bb05_33a0,
-        ),
+    [
+        ("small", cfg(81), Scenario::new()),
         (
             "leave-flash-flip-partition-heal",
             cfg(82),
@@ -512,13 +503,50 @@ fn gossip_trace_streams_match_pinned_digests() {
                 .param_flip(Param::Fanout(2))
                 .at(170.0)
                 .heal(),
-            &[PUSH_GOOD, PUSH_REFUSED, PULL],
-            0xe06e_f266_a255_5e1c,
         ),
+        (
+            "desired-3",
+            cfg(83).with_num_desired_results(3),
+            Scenario::new(),
+        ),
+    ]
+}
+
+#[test]
+fn tracing_does_not_change_the_gossip_run() {
+    for (name, cfg, scenario) in gossip_cases() {
+        let untraced = GossipSim::new(cfg.clone())
+            .unwrap()
+            .run_scenario(&scenario)
+            .unwrap();
+        let (traced, _) = GossipSim::new(cfg)
+            .unwrap()
+            .run_scenario_traced(&scenario, CountingSink::new())
+            .unwrap();
+        assert_eq!(
+            untraced, traced,
+            "{name}: attaching a sink changed the simulation"
+        );
+    }
+}
+
+/// The gossip twin: every push and pull `Probe` record, and the exact
+/// `results` of every `QueryEnd`, pinned per case. Refresh as above,
+/// with `--nocapture`.
+#[test]
+fn gossip_trace_streams_match_pinned_digests() {
+    const PUSH_GOOD: &str = "\"kind\": \"push\", \"outcome\": \"good\"";
+    const PUSH_REFUSED: &str = "\"kind\": \"push\", \"outcome\": \"refused\"";
+    const PULL: &str = "\"kind\": \"pull\"";
+    let expected: [(&[&str], u64); 3] = [
+        (&[PUSH_GOOD, PULL], 0x98ae_f3a5_bb05_33a0),
+        (&[PUSH_GOOD, PUSH_REFUSED, PULL], 0xe06e_f266_a255_5e1c),
+        (&[PUSH_GOOD, PULL], 0x8e07_9067_d64b_0805),
     ];
-    let drift: Vec<String> = cases
+    let drift: Vec<String> = gossip_cases()
         .into_iter()
-        .filter_map(|(name, cfg, scenario, needles, expected)| {
+        .zip(expected)
+        .filter_map(|((name, cfg, scenario), (needles, expected))| {
             let text = trace_text(GossipSim::new(cfg).unwrap(), &scenario);
             digest_drift(name, &text, needles, expected)
         })

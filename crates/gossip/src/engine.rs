@@ -15,6 +15,8 @@
 //! peer is a fresh target (it never heard the rumor) and a dead
 //! spreader's knowledge dies with it.
 
+use std::collections::hash_map::Entry;
+
 use simkit::hash::{self, FxHashMap};
 use simkit::rng::RngStream;
 use simkit::scenario::Partition;
@@ -43,22 +45,55 @@ pub enum Event {
     Round { query: u64 },
 }
 
-/// "This slot never heard the rumor" sentinel in [`Rumor::infected`].
-/// Real incarnations are allocated from 0 and can never reach it.
-const NEVER_HEARD: u64 = u64::MAX;
+/// Initial capacity of a rumor's infection map. A rumor reaches a few
+/// hundred peers at the defaults whatever the network size, so the map
+/// starts small and grows with the epidemic, not with N.
+const INFECTED_CAPACITY: usize = 32;
+
+/// Per-message counters of one round, kept in plain integers and added
+/// to the engine's [`CounterSet`] once when the round ends.
+#[derive(Default)]
+struct RoundTally {
+    pushes: u64,
+    pulls: u64,
+    dedup_drops: u64,
+    reinfections: u64,
+    spreaders_lost: u64,
+    partition_drops: u64,
+}
+
+impl RoundTally {
+    /// Adds each nonzero tally to `counters`. A zero tally is skipped,
+    /// so the counter set gains exactly the keys per-message `incr`
+    /// calls would have created.
+    fn fold_into(self, counters: &mut CounterSet) {
+        for (name, n) in [
+            ("pushes", self.pushes),
+            ("pulls", self.pulls),
+            ("dedup_drops", self.dedup_drops),
+            ("reinfections", self.reinfections),
+            ("spreaders_lost", self.spreaders_lost),
+            ("partition_drops", self.partition_drops),
+        ] {
+            if n > 0 {
+                counters.add(name, n);
+            }
+        }
+    }
+}
 
 /// Per-query rumor state, kept until the query settles.
 struct Rumor {
     target: QueryTarget,
     started: SimTime,
     round: u32,
-    /// Per-slot incarnation that heard the rumor ([`NEVER_HEARD`] if
-    /// none), indexed by slot. Rebirth bumps the slot's incarnation past
-    /// the stored one, so churn erases rumor knowledge.
-    infected: Vec<u64>,
-    /// Distinct slots ever infected (the dense counterpart of the old
-    /// map's `len()`), including the originator.
-    heard: usize,
+    /// The incarnation of each reached slot that heard the rumor; a
+    /// missing slot never heard it. Rebirth bumps the slot's incarnation
+    /// past the stored one, so churn erases rumor knowledge. Entries are
+    /// never removed, so `len()` counts the distinct slots ever reached,
+    /// the originator included. Only the slots a rumor reaches cost
+    /// memory: a slot that joins mid-rumor is simply absent.
+    infected: FxHashMap<u32, u64>,
     /// Slots spreading in the upcoming round (u32: half the bytes of a
     /// `usize` vector, which matters when thousands of rumors are in
     /// flight over a million-slot population).
@@ -228,14 +263,13 @@ impl GossipSim {
             );
         }
         let target = self.pop.sample_target(&mut self.rng);
-        let mut infected = vec![NEVER_HEARD; self.pop.len()];
-        infected[src] = self.pop.incarnation(src);
+        let mut infected = hash::map_with_capacity(INFECTED_CAPACITY);
+        infected.insert(src as u32, self.pop.incarnation(src));
         let rumor = Rumor {
             target,
             started: now,
             round: 0,
             infected,
-            heard: 1,
             active: vec![src as u32],
             messages: 0,
             results: 0,
@@ -253,11 +287,14 @@ impl GossipSim {
         };
         self.counters.incr("rounds");
         let n = self.pop.len();
-        // A mass join may have grown the population since this rumor
-        // started; newcomers have never heard it.
-        if rumor.infected.len() < n {
-            rumor.infected.resize(n, NEVER_HEARD);
-        }
+        let tracing = ctx.tracing();
+        // Untraced, the report only asks whether the rumor found
+        // `num_desired_results`; `QueryEnd.results` needs the exact count.
+        let wanted = if tracing {
+            u32::MAX
+        } else {
+            self.cfg.num_desired_results
+        };
         let spreaders = std::mem::take(&mut rumor.active);
         let mut next_active: Vec<u32> = Vec::new();
         // A fresh stamp token per round: `active_stamp[t] == token` means
@@ -266,13 +303,18 @@ impl GossipSim {
         self.active_token += 1;
         let token = self.active_token;
         let partition = self.partition;
+        // Per-message tallies, folded into `self.counters` once per round.
+        let mut tally = RoundTally::default();
         for s in spreaders {
-            let s = s as usize;
             // A spreader that died (and was replaced) since it was
             // activated takes its rumor knowledge to the grave.
-            let still_informed = self.pop.is_current(s, rumor.infected[s]);
+            let still_informed = rumor
+                .infected
+                .get(&s)
+                .is_some_and(|&heard_by| self.pop.is_current(s as usize, heard_by));
+            let s = s as usize;
             if !still_informed {
-                self.counters.incr("spreaders_lost");
+                tally.spreaders_lost += 1;
                 continue;
             }
             for _ in 0..self.cfg.fanout {
@@ -282,14 +324,14 @@ impl GossipSim {
                     t = self.rng.below(n);
                 }
                 rumor.messages += 1;
-                self.counters.incr("pushes");
+                tally.pushes += 1;
                 if let Some(p) = partition {
                     if !p.same_side(s as u32, t as u32) {
                         // The push was sent (and counted) but the
                         // partition eats it in transit: no infection,
                         // no pull, no dedup bookkeeping.
-                        self.counters.incr("partition_drops");
-                        if ctx.tracing() {
+                        tally.partition_drops += 1;
+                        if tracing {
                             ctx.emit(
                                 now,
                                 TraceRecord::Probe {
@@ -304,12 +346,44 @@ impl GossipSim {
                     }
                 }
                 let t_inc = self.pop.incarnation(t);
-                let known = rumor.infected[t];
-                if known == t_inc {
+                let first_contact = match rumor.infected.entry(t as u32) {
+                    Entry::Occupied(mut heard) if *heard.get() != t_inc => {
+                        // Reborn since infection: the stored incarnation
+                        // is stale, so this one never heard the rumor.
+                        tally.reinfections += 1;
+                        heard.insert(t_inc);
+                        true
+                    }
+                    Entry::Occupied(_) => false,
+                    Entry::Vacant(slot) => {
+                        slot.insert(t_inc);
+                        true
+                    }
+                };
+                if first_contact {
+                    if self.active_stamp[t] != token {
+                        self.active_stamp[t] = token;
+                        next_active.push(t as u32);
+                    }
+                    if rumor.results < wanted && self.pop.answers(t, rumor.target) {
+                        rumor.results += 1;
+                    }
+                    if tracing {
+                        ctx.emit(
+                            now,
+                            TraceRecord::Probe {
+                                query: qid,
+                                target: t_inc,
+                                kind: ProbeKind::Push,
+                                outcome: ProbeOutcome::Good,
+                            },
+                        );
+                    }
+                } else {
                     // Duplicate: suppressed, but the receiver may pull
                     // itself back into dissemination.
-                    self.counters.incr("dedup_drops");
-                    if ctx.tracing() {
+                    tally.dedup_drops += 1;
+                    if tracing {
                         ctx.emit(
                             now,
                             TraceRecord::Probe {
@@ -322,12 +396,12 @@ impl GossipSim {
                     }
                     if self.rng.chance(self.cfg.pull_probability) {
                         rumor.messages += 1;
-                        self.counters.incr("pulls");
+                        tally.pulls += 1;
                         if self.active_stamp[t] != token {
                             self.active_stamp[t] = token;
                             next_active.push(t as u32);
                         }
-                        if ctx.tracing() {
+                        if tracing {
                             ctx.emit(
                                 now,
                                 TraceRecord::Probe {
@@ -339,37 +413,10 @@ impl GossipSim {
                             );
                         }
                     }
-                } else {
-                    // First contact for this incarnation: either the slot
-                    // never heard the rumor, or it was reborn since
-                    // infection (the stored incarnation is stale).
-                    if known == NEVER_HEARD {
-                        rumor.heard += 1;
-                    } else {
-                        self.counters.incr("reinfections");
-                    }
-                    rumor.infected[t] = t_inc;
-                    if self.active_stamp[t] != token {
-                        self.active_stamp[t] = token;
-                        next_active.push(t as u32);
-                    }
-                    if self.pop.answers(t, rumor.target) {
-                        rumor.results += 1;
-                    }
-                    if ctx.tracing() {
-                        ctx.emit(
-                            now,
-                            TraceRecord::Probe {
-                                query: qid,
-                                target: t_inc,
-                                kind: ProbeKind::Push,
-                                outcome: ProbeOutcome::Good,
-                            },
-                        );
-                    }
                 }
             }
         }
+        tally.fold_into(&mut self.counters);
         rumor.round += 1;
         rumor.active = next_active;
         let done = if rumor.results >= self.cfg.num_desired_results {
@@ -386,7 +433,7 @@ impl GossipSim {
         };
         if done {
             let satisfied = self.settle(&rumor, now);
-            if ctx.tracing() {
+            if tracing {
                 ctx.emit(
                     now,
                     TraceRecord::QueryEnd {
@@ -413,7 +460,7 @@ impl GossipSim {
                 self.unsatisfied += 1;
             }
             self.messages.record(rumor.messages as f64);
-            self.peers_reached.record(rumor.heard as f64 - 1.0);
+            self.peers_reached.record(rumor.infected.len() as f64 - 1.0);
             if satisfied {
                 self.response_time.record((at - rumor.started).as_secs());
             }
@@ -636,6 +683,60 @@ mod tests {
             .unwrap()
             .run_traced(CountingSink::new());
         assert_eq!(untraced, traced);
+    }
+
+    /// The round's counter fold creates exactly the keys per-message
+    /// counting did: a zero tally adds no key (no `partition_drops`
+    /// without a partition), and no tally is lost. The strings are what
+    /// per-message counting printed.
+    #[test]
+    fn counter_set_is_pinned() {
+        let plain = GossipSim::new(small()).unwrap().run();
+        assert_eq!(
+            plain.counters.to_string(),
+            "births=188 deaths=38 dedup_drops=34844 horizon_flushed=5 pulls=10346 \
+             pushes=52875 reinfections=7 rounds=1427 satisfied_early=518 spreaders_lost=1 \
+             ttl_exhausted=49"
+        );
+        let scenario = simkit::scenario::Scenario::new()
+            .at(120.0)
+            .partition(2)
+            .at(260.0)
+            .heal();
+        let parted = GossipSim::new(small())
+            .unwrap()
+            .run_scenario(&scenario)
+            .unwrap();
+        assert_eq!(
+            parted.counters.to_string(),
+            "births=185 deaths=35 dedup_drops=23951 died_out=42 horizon_flushed=1 \
+             interventions=2 partition_drops=2818 pulls=7128 pushes=41112 reinfections=5 \
+             rounds=1605 satisfied_early=468 spreaders_lost=4 ttl_exhausted=62"
+        );
+    }
+
+    /// Untraced rounds stop checking libraries once a rumor has its
+    /// results; a traced run must still count every answer it reaches,
+    /// because `QueryEnd.results` reports the exact number.
+    #[test]
+    fn traced_rounds_count_every_answer() {
+        let cfg = small();
+        let desired = cfg.num_desired_results;
+        let (_, sink) = GossipSim::new(cfg)
+            .unwrap()
+            .run_traced(RecordingSink::new());
+        let most = sink
+            .select(|r| matches!(r, TraceRecord::QueryEnd { .. }))
+            .map(|(_, r)| match r {
+                TraceRecord::QueryEnd { results, .. } => *results,
+                _ => unreachable!(),
+            })
+            .max()
+            .unwrap();
+        assert!(
+            most > desired,
+            "some rumor must overshoot {desired} results in its last round, got at most {most}"
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@ impl<T: TraceSink> Intervenable<T> for GossipSim {
     const ENGINE: &'static str = "gossip";
     type Config = Config;
 
-    /// In-flight rumors learn about the newcomer lazily (their infected
-    /// vectors grow at the next round).
+    /// In-flight rumors need no update: the newcomer is absent from
+    /// their infection maps, which reads as never having heard them.
     fn join_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
         let slot = self.pop.join(&mut self.rng);
         self.active_stamp.push(0);
