@@ -40,9 +40,11 @@ use crate::graph::UnionFind;
 use crate::link_cache::{CacheArena, InsertOutcome};
 use crate::message::{Pong, ProbeReply};
 use crate::metrics::{MetricsCollector, QueryOutcome, RunReport};
+use crate::payments::ProbeAccount;
 use crate::peer::{AddrRecord, Behavior, PeerState};
 use crate::policy::{select_top_k_into, ProbeQueue, SelectionPolicy};
 use crate::push::{Interest, PushJob, PushPlane, UpdateKind};
+use crate::reputation::{ReputationParams, ReputationTracker};
 
 mod lanes;
 mod query_exec;
@@ -119,6 +121,18 @@ enum Message {
     Push,
 }
 
+/// Stores `value` as the state of `slot` in a slot-indexed table: in
+/// place of the previous occupant's, or appended for a fresh slot.
+fn put_slot<V>(table: &mut Vec<V>, slot: SlotId, value: V) {
+    match table.get_mut(slot.index()) {
+        Some(old) => *old = value,
+        None => {
+            debug_assert_eq!(slot.index(), table.len(), "slots are dense");
+            table.push(value);
+        }
+    }
+}
+
 /// A complete GUESS network simulation.
 ///
 /// # Examples
@@ -144,6 +158,14 @@ pub struct GuessSim {
     /// The live peers, indexed by `SlotId::index()`: one entry per slot,
     /// overwritten in place when a death births the replacement.
     peers: Vec<PeerState>,
+    /// The pong-source reputation memory of each slot's occupant, indexed
+    /// like `peers` and reset at birth. Empty unless `distrust_pongs` is
+    /// on; read it through [`GuessSim::reputation_mut`].
+    reputations: Vec<ReputationTracker>,
+    /// The probe-credit account of each slot's occupant, indexed like
+    /// `peers` and opened afresh at birth. Empty unless `probe_payments`
+    /// is set; read it through [`GuessSim::account_mut`].
+    accounts: Vec<ProbeAccount>,
     /// One record per address ever minted, indexed by
     /// `PeerAddr::index()`. Read peers through [`GuessSim::peer`], never
     /// through a record's slot alone: a dead address's slot holds
@@ -223,6 +245,8 @@ impl GuessSim {
             cfg,
             partition: None,
             peers: Vec::with_capacity(network_size),
+            reputations: Vec::new(),
+            accounts: Vec::new(),
             addrs: Vec::with_capacity(network_size),
             caches: CacheArena::with_peer_capacity(cache_size, network_size),
             libs: LibraryArena::new(),
@@ -321,6 +345,22 @@ impl GuessSim {
         p
     }
 
+    /// The live peer `addr`'s pong-source reputation memory. Only under
+    /// `distrust_pongs`, which keeps one tracker per slot.
+    fn reputation_mut(&mut self, addr: PeerAddr) -> &mut ReputationTracker {
+        debug_assert!(self.is_alive(addr), "{addr} is dead");
+        let slot = self.slot_of(addr);
+        &mut self.reputations[slot.index()]
+    }
+
+    /// The live peer `addr`'s probe-credit account; `None` unless
+    /// `probe_payments` is set.
+    fn account_mut(&mut self, addr: PeerAddr) -> Option<&mut ProbeAccount> {
+        debug_assert!(self.is_alive(addr), "{addr} is dead");
+        let slot = self.slot_of(addr);
+        self.accounts.get_mut(slot.index())
+    }
+
     /// Births a peer into `slot`: a fresh slot at the end of the table,
     /// or in place of the occupant that just died.
     fn birth_peer(&mut self, slot: SlotId, now: SimTime) -> PeerAddr {
@@ -351,20 +391,18 @@ impl GuessSim {
             self.cfg.system.max_probes_per_second,
         );
         peer.set_ping_interval(self.cfg.protocol.ping_interval);
+        if self.cfg.protocol.distrust_pongs {
+            let fresh = ReputationTracker::new(ReputationParams::default());
+            put_slot(&mut self.reputations, slot, fresh);
+        }
         if let Some(pp) = self.cfg.protocol.probe_payments {
-            peer.open_account(crate::payments::ProbeAccount::new(pp, now));
+            put_slot(&mut self.accounts, slot, ProbeAccount::new(pp, now));
         }
         if behavior == Behavior::Good && self.rng_churn.chance(self.cfg.system.selfish_fraction) {
             peer.set_selfish(true);
             self.metrics.counters_mut().incr("selfish_births");
         }
-        match self.peers.get_mut(slot.index()) {
-            Some(occupant) => *occupant = peer,
-            None => {
-                debug_assert_eq!(slot.index(), self.peers.len(), "slots are dense");
-                self.peers.push(peer);
-            }
-        }
+        put_slot(&mut self.peers, slot, peer);
         if bad {
             self.bad.insert(slot, addr);
         }
@@ -501,7 +539,7 @@ impl GuessSim {
         if !self.cfg.protocol.distrust_pongs {
             return;
         }
-        let reputation = self.peer_mut(owner).reputation_mut();
+        let reputation = self.reputation_mut(owner);
         let before = reputation.blacklisted_count();
         let source = reputation.note_dead(subject);
         if reputation.blacklisted_count() > before {
@@ -705,7 +743,7 @@ impl GuessSim {
         // The neighbor answers: refresh our TS for it and absorb its pong.
         self.caches.touch(h, dst, now);
         if self.cfg.protocol.distrust_pongs {
-            self.peer_mut(pinger).reputation_mut().note_alive(dst);
+            self.reputation_mut(pinger).note_alive(dst);
         }
         self.apply_introduction(dst, pinger, now, ctx);
         let dh = self.peer(dst).cache();
@@ -851,7 +889,7 @@ impl GuessSim {
     /// `receiver` has blacklisted `source`, whose pongs it drops unseen.
     fn pong_filtered(&mut self, receiver: PeerAddr, source: PeerAddr) -> bool {
         let filtered = self.cfg.protocol.distrust_pongs
-            && self.peer(receiver).reputation().is_blacklisted(source);
+            && self.reputation_mut(receiver).is_blacklisted(source);
         if filtered {
             self.metrics.counters_mut().incr("pongs_filtered");
         }
@@ -881,7 +919,7 @@ impl GuessSim {
                 entry.reset_num_res();
             }
             if self.cfg.protocol.distrust_pongs {
-                let reputation = self.peer_mut(receiver).reputation_mut();
+                let reputation = self.reputation_mut(receiver);
                 if reputation.is_blacklisted(entry.addr()) {
                     continue; // never re-admit a known liar
                 }
@@ -1199,6 +1237,18 @@ mod tests {
         cfg
     }
 
+    /// Runs `cfg` through `scenario` by hand rather than through
+    /// `run_scenario`, so the engine survives the run and its tables can
+    /// be inspected at the horizon.
+    fn run_kept(cfg: Config, scenario: &simkit::scenario::Scenario) -> GuessSim {
+        let params = KernelParams::new(cfg.run.duration).with_sampling(cfg.run.sample_interval);
+        let mut kernel = Kernel::new(params, simkit::trace::NullSink);
+        let mut sim = GuessSim::new(cfg).unwrap();
+        sim.schedule_initial(&mut kernel.ctx());
+        kernel.run_scenario(&mut sim, scenario).unwrap();
+        sim
+    }
+
     #[test]
     fn runs_to_completion_and_reports() {
         let report = GuessSim::new(tiny(1)).unwrap().run();
@@ -1257,13 +1307,7 @@ mod tests {
             .mass_join(30)
             .at(120.0)
             .mass_leave(40);
-        // Driven by hand rather than through `run_scenario`, so the engine
-        // survives the run and its tables can be inspected at the horizon.
-        let params = KernelParams::new(cfg.run.duration).with_sampling(cfg.run.sample_interval);
-        let mut kernel = Kernel::new(params, simkit::trace::NullSink);
-        let mut sim = GuessSim::new(cfg).unwrap();
-        sim.schedule_initial(&mut kernel.ctx());
-        kernel.run_scenario(&mut sim, &scenario).unwrap();
+        let mut sim = run_kept(cfg, &scenario);
 
         assert_eq!(sim.peers.len(), n + 30);
         assert_eq!(
@@ -1611,6 +1655,102 @@ mod tests {
             report.mean_staleness.is_some(),
             "staleness is still sampled"
         );
+    }
+
+    #[test]
+    fn push_registry_is_sized_on_first_use() {
+        use simkit::scenario::{Param, Scenario};
+        let mut cfg = tiny(53);
+        cfg.system.lifespan_multiplier = 0.1; // churn so deaths trigger pushes
+
+        // A pull run, mass join included, never sizes the registry.
+        let joins = Scenario::new().at(60.0).mass_join(20);
+        let pull = run_kept(cfg.clone(), &joins);
+        assert!(
+            !pull.push.is_allocated(),
+            "a pull run allocated the registry"
+        );
+        assert_eq!(pull.push.slots(), pull.peers.len());
+        // Flipped to push mid-run, the plane sizes itself on the first
+        // registration and pushes.
+        let flip = Scenario::new()
+            .at(60.0)
+            .mass_join(20)
+            .at(80.0)
+            .param_flip(Param::MaintenanceMode(MaintenanceMode::Push));
+        let mut push = run_kept(cfg, &flip);
+        assert!(push.push.is_allocated());
+        let watched = (0..push.peers.len())
+            .filter(|&s| !push.push.interest(SlotId(s as u32)).is_empty())
+            .count();
+        assert!(watched > 0, "no subject has a registered watcher");
+        let counters = push.metrics.counters_mut();
+        assert!(
+            counters.get("push_invalidations") + counters.get("push_refreshes") > 0,
+            "push traffic must flow after the flip"
+        );
+    }
+
+    #[test]
+    fn extension_side_tables_are_empty_unless_configured() {
+        let mut cfg = tiny(54);
+        cfg.system.lifespan_multiplier = 0.1;
+        let off = run_kept(cfg.clone(), &simkit::scenario::Scenario::new());
+        assert!(off.reputations.is_empty());
+        assert!(off.accounts.is_empty());
+
+        let params = crate::payments::PaymentParams::default();
+        let cfg = cfg
+            .with_distrust_pongs(true)
+            .with_probe_payments(Some(params));
+        let mut sim = GuessSim::new(cfg).unwrap();
+        assert_eq!(sim.reputations.len(), sim.peers.len());
+        assert_eq!(sim.accounts.len(), sim.peers.len());
+        // Give slot 7's occupant a blacklist and an empty purse ...
+        let slot = SlotId(7);
+        let dead = sim.peers[slot.index()].addr();
+        let liar = teach_a_liar(&mut sim, dead);
+        assert!(sim.reputation_mut(dead).is_blacklisted(liar));
+        let t = SimTime::from_secs(3.0);
+        let account = sim.account_mut(dead).unwrap();
+        while account.pay_probe(t).is_ok() {}
+        // ... then kill it: the replacement starts with neither.
+        let mut kernel = Kernel::new(
+            KernelParams::new(sim.cfg.run.duration),
+            simkit::trace::NullSink,
+        );
+        sim.on_death(slot, dead, t, &mut kernel.ctx());
+        let newborn = sim.peers[slot.index()].addr();
+        assert_ne!(newborn, dead);
+        assert_eq!(sim.reputation_mut(newborn).blacklisted_count(), 0);
+        let opened = crate::payments::ProbeAccount::new(params, t).balance(t);
+        assert_eq!(sim.account_mut(newborn).unwrap().balance(t), opened);
+        assert_eq!(sim.reputations.len(), sim.peers.len());
+        assert_eq!(sim.accounts.len(), sim.peers.len());
+    }
+
+    /// Makes `owner` blame eight dead pointers on one source, which
+    /// blacklists it, and returns that source.
+    fn teach_a_liar(sim: &mut GuessSim, owner: PeerAddr) -> PeerAddr {
+        let mut alloc = AddrAllocator::new();
+        let liar = alloc.allocate();
+        for _ in 0..8 {
+            let fake = alloc.allocate();
+            sim.reputation_mut(owner).note_shared(liar, fake);
+            sim.reputation_mut(owner).note_dead(fake);
+        }
+        liar
+    }
+
+    #[test]
+    fn reputation_is_per_peer() {
+        let cfg = tiny(55).with_distrust_pongs(true);
+        let mut sim = GuessSim::new(cfg).unwrap();
+        let (a, b) = (sim.peers[0].addr(), sim.peers[1].addr());
+        let liar = teach_a_liar(&mut sim, a);
+        assert!(sim.reputation_mut(a).is_blacklisted(liar));
+        assert!(!sim.reputation_mut(b).is_blacklisted(liar));
+        assert_eq!(sim.reputation_mut(b).blacklisted_count(), 0);
     }
 
     #[test]

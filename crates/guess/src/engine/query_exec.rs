@@ -161,7 +161,7 @@ impl GuessSim {
             // Probe payments (accounts exist exactly when they are on): a
             // peer that cannot afford the probe must stop searching until
             // its allowance refills (§3.3).
-            if let Some(account) = self.peer_mut(prober).account_mut() {
+            if let Some(account) = self.account_mut(prober) {
                 if account.pay_probe(t_probe).is_err() {
                     self.metrics.counters_mut().incr("probe_budget_exhausted");
                     break;
@@ -188,9 +188,9 @@ impl GuessSim {
                 ProbeReply::Answered { results } => results,
             };
             if self.cfg.protocol.distrust_pongs {
-                self.peer_mut(prober).reputation_mut().note_alive(dst);
+                self.reputation_mut(prober).note_alive(dst);
             }
-            if let Some(account) = self.peer_mut(dst).account_mut() {
+            if let Some(account) = self.account_mut(dst) {
                 account.earn_answer(t_probe);
             }
 

@@ -6,7 +6,11 @@
 //! link-cache entries — does not live here: `PeerState` holds arena
 //! *handles* ([`workload::content::LibraryHandle`],
 //! [`crate::link_cache::CacheHandle`]) into engine-owned arenas, freed at
-//! death and recycled by the replacement.
+//! death and recycled by the replacement. Neither does the state of the
+//! optional extensions (the pong-source reputation tracker, the probe
+//! account): the engine keeps those in slot-indexed side tables that
+//! stay empty unless the extension is configured, so a `PeerState` is
+//! one 64-byte cache line.
 //!
 //! A dead address survives only as a pointer in other peers' caches
 //! (GUESS peers leave silently, §3.2), and all the engine ever asks of it
@@ -21,8 +25,6 @@ use workload::content::LibraryHandle;
 use crate::addr::{PeerAddr, SlotId};
 use crate::capacity::CapacityMeter;
 use crate::link_cache::CacheHandle;
-use crate::payments::ProbeAccount;
-use crate::reputation::{ReputationParams, ReputationTracker};
 
 /// Whether a peer follows the protocol or attacks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,8 +61,15 @@ impl AddrRecord {
 // must stay a slot id plus a timestamp.
 const _: () = assert!(std::mem::size_of::<AddrRecord>() <= 16);
 
-/// The complete state of one live peer.
+// The peer table is walked and probed at random across hundreds of
+// thousands of slots: one peer is exactly one cache line.
+const _: () = assert!(std::mem::size_of::<PeerState>() == 64);
+const _: () = assert!(std::mem::align_of::<PeerState>() == 64);
+
+/// The core state of one live peer. The optional extensions' per-peer
+/// state lives in the engine's side tables, indexed by slot.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 pub struct PeerState {
     addr: PeerAddr,
     behavior: Behavior,
@@ -73,8 +82,6 @@ pub struct PeerState {
     probes_received: u64,
     selfish: bool,
     ping_interval: SimDuration,
-    reputation: ReputationTracker,
-    account: Option<ProbeAccount>,
 }
 
 impl PeerState {
@@ -98,8 +105,6 @@ impl PeerState {
             probes_received: 0,
             selfish: false,
             ping_interval: SimDuration::from_secs(30.0),
-            reputation: ReputationTracker::new(ReputationParams::default()),
-            account: None,
         }
     }
 
@@ -179,28 +184,6 @@ impl PeerState {
     pub fn set_ping_interval(&mut self, interval: SimDuration) {
         self.ping_interval = interval;
     }
-
-    /// The peer's pong-source reputation memory.
-    #[must_use]
-    pub fn reputation(&self) -> &ReputationTracker {
-        &self.reputation
-    }
-
-    /// Mutable access to the reputation memory.
-    pub fn reputation_mut(&mut self) -> &mut ReputationTracker {
-        &mut self.reputation
-    }
-
-    /// Opens (or replaces) the peer's probe-credit account.
-    pub fn open_account(&mut self, account: ProbeAccount) {
-        self.account = Some(account);
-    }
-
-    /// Mutable access to the probe-credit account, if the payment economy
-    /// is enabled.
-    pub fn account_mut(&mut self) -> Option<&mut ProbeAccount> {
-        self.account.as_mut()
-    }
 }
 
 #[cfg(test)]
@@ -252,21 +235,6 @@ mod tests {
         assert!(p.is_selfish());
         p.set_ping_interval(SimDuration::from_secs(12.0));
         assert_eq!(p.ping_interval(), SimDuration::from_secs(12.0));
-    }
-
-    #[test]
-    fn reputation_is_per_peer() {
-        let mut p = peer();
-        let mut alloc = AddrAllocator::new();
-        let src = alloc.allocate();
-        let subj = alloc.allocate();
-        p.reputation_mut().note_shared(src, subj);
-        p.reputation_mut().note_dead(subj);
-        assert_eq!(
-            p.reputation().blacklisted_count(),
-            0,
-            "one strike is not enough"
-        );
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! Nothing here touches an RNG or schedules events, so a run in
 //! [`MaintenanceMode::Pull`](crate::MaintenanceMode) — where the engine
 //! never calls into the plane — is byte-identical to a build without it.
+//! The per-slot tables are sized on the first registration or refresh
+//! request, so a pull run allocates none of them either.
 
 use crate::addr::{PeerAddr, SlotId};
 
@@ -74,6 +76,10 @@ pub struct PushJob {
 #[derive(Debug)]
 pub struct PushPlane {
     cap: usize,
+    /// Network slots covered, whether or not the tables are allocated.
+    slots: usize,
+    /// Per-slot watcher lists and refresh flags: empty until the first
+    /// `register` or `request_refresh`, then `slots` long.
     interest: Vec<Vec<Interest>>,
     refresh_pending: Vec<bool>,
     jobs: Vec<Option<PushJob>>,
@@ -82,7 +88,8 @@ pub struct PushPlane {
 
 impl PushPlane {
     /// Creates a plane for `slots` network slots with per-subject interest
-    /// lists capped at `interest_cap` watchers.
+    /// lists capped at `interest_cap` watchers. The per-slot tables are
+    /// allocated on first use.
     ///
     /// # Panics
     ///
@@ -93,8 +100,9 @@ impl PushPlane {
         assert!(interest_cap > 0, "interest cap must be positive");
         PushPlane {
             cap: interest_cap,
-            interest: vec![Vec::new(); slots],
-            refresh_pending: vec![false; slots],
+            slots,
+            interest: Vec::new(),
+            refresh_pending: Vec::new(),
             jobs: Vec::new(),
             free: Vec::new(),
         }
@@ -103,16 +111,31 @@ impl PushPlane {
     /// Grows the per-slot tables to cover `slots` slots (no-op if already
     /// that large). Called when a scenario mass-join widens the network.
     pub fn grow_to(&mut self, slots: usize) {
-        if slots > self.interest.len() {
-            self.interest.resize(slots, Vec::new());
-            self.refresh_pending.resize(slots, false);
+        if slots > self.slots {
+            self.slots = slots;
+            if self.is_allocated() {
+                self.allocate();
+            }
         }
     }
 
     /// Number of slots the plane currently covers.
     #[must_use]
     pub fn slots(&self) -> usize {
-        self.interest.len()
+        self.slots
+    }
+
+    /// True once a registration or refresh request sized the per-slot
+    /// tables.
+    pub(crate) fn is_allocated(&self) -> bool {
+        !self.interest.is_empty()
+    }
+
+    /// Sizes the per-slot tables to cover every slot.
+    #[cold]
+    fn allocate(&mut self) {
+        self.interest.resize(self.slots, Vec::new());
+        self.refresh_pending.resize(self.slots, false);
     }
 
     /// Registers `watcher` on the subject occupying `subject_slot`.
@@ -121,6 +144,9 @@ impl PushPlane {
     /// list is full the oldest registration is evicted. Returns `true` if
     /// the watcher was newly added.
     pub fn register(&mut self, subject_slot: SlotId, watcher: Interest) -> bool {
+        if !self.is_allocated() {
+            self.allocate();
+        }
         let list = &mut self.interest[subject_slot.index()];
         if list.iter().any(|w| w.addr == watcher.addr) {
             return false;
@@ -135,7 +161,7 @@ impl PushPlane {
     /// The current watchers of the subject occupying `slot`.
     #[must_use]
     pub fn interest(&self, slot: SlotId) -> &[Interest] {
-        &self.interest[slot.index()]
+        self.interest.get(slot.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Drains and returns the watcher list for `slot`, leaving it empty
@@ -143,7 +169,10 @@ impl PushPlane {
     /// the final invalidation consumes the registry.
     #[must_use]
     pub fn take_interest(&mut self, slot: SlotId) -> Vec<Interest> {
-        std::mem::take(&mut self.interest[slot.index()])
+        self.interest
+            .get_mut(slot.index())
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Requests a refresh flush for `slot`.
@@ -152,6 +181,9 @@ impl PushPlane {
     /// schedule one. Returns `false` if a flush is already scheduled; the
     /// request coalesces into it.
     pub fn request_refresh(&mut self, slot: SlotId) -> bool {
+        if !self.is_allocated() {
+            self.allocate();
+        }
         let pending = &mut self.refresh_pending[slot.index()];
         if *pending {
             false
@@ -164,7 +196,9 @@ impl PushPlane {
     /// Clears the pending-refresh flag for `slot`. Called when the
     /// scheduled flush event fires (whether or not the subject survived).
     pub fn clear_refresh(&mut self, slot: SlotId) {
-        self.refresh_pending[slot.index()] = false;
+        if let Some(pending) = self.refresh_pending.get_mut(slot.index()) {
+            *pending = false;
+        }
     }
 
     /// Rotates the first `k` watchers of `slot` to the back of the list.
@@ -172,9 +206,10 @@ impl PushPlane {
     /// walk the whole tree), so successive flushes rotate through the
     /// registry and cover every watcher round-robin.
     pub fn rotate(&mut self, slot: SlotId, k: usize) {
-        let list = &mut self.interest[slot.index()];
-        let k = k.min(list.len());
-        list.rotate_left(k);
+        if let Some(list) = self.interest.get_mut(slot.index()) {
+            let k = k.min(list.len());
+            list.rotate_left(k);
+        }
     }
 
     /// Parks an in-flight dissemination job and returns its slab id, for
@@ -318,5 +353,25 @@ mod tests {
         // Shrinking is a no-op.
         p.grow_to(3);
         assert_eq!(p.slots(), 5);
+    }
+
+    #[test]
+    fn tables_are_allocated_on_first_use() {
+        let mut p = PushPlane::new(2, 3);
+        // Reads, drains and clears of an untouched plane allocate nothing.
+        assert!(p.interest(SlotId(2)).is_empty());
+        assert!(p.take_interest(SlotId(1)).is_empty());
+        p.clear_refresh(SlotId(0));
+        p.rotate(SlotId(0), 1);
+        p.grow_to(4);
+        assert!(!p.is_allocated());
+        assert_eq!(p.slots(), 4);
+        // The first registration sizes the tables for every slot.
+        assert!(p.register(SlotId(3), w(1)));
+        assert!(p.is_allocated());
+        assert_eq!(p.interest(SlotId(3)).len(), 1);
+        p.grow_to(6);
+        assert!(p.request_refresh(SlotId(5)));
+        assert!(PushPlane::new(2, 3).request_refresh(SlotId(2)));
     }
 }

@@ -89,8 +89,8 @@ impl ReputationTracker {
     /// Creates an empty tracker.
     #[must_use]
     pub fn new(params: ReputationParams) -> Self {
-        // Maps start empty (not pre-sized): one tracker is embedded in
-        // every peer, and all stay empty unless `distrust_pongs` is on.
+        // Maps start empty (not pre-sized): under `distrust_pongs` the
+        // engine keeps one tracker per slot and resets it at every birth.
         ReputationTracker {
             params,
             provenance: FxHashMap::default(),

@@ -28,11 +28,22 @@
 //!   handle, or in the overflow heap, and removes it. The queue holds
 //!   live events only, so `len` is a count and pop checks no liveness.
 //!
+//! * When the scan moves past a drained bucket that holds more than
+//!   twice its share of capacity (twice the mean bucket occupancy, at
+//!   least 8 entries), the bucket shrinks to its share. The ring's
+//!   capacity then follows the pending count instead of the largest
+//!   bucket each slot ever held.
+//!
 //! Costs: `schedule` is O(1) (O(bucket) into the bucket being drained,
 //! O(log n) into the overflow). `pop` is O(1) plus its share of one
 //! O(k log k) sort per bucket of k events and of a forward scan whose
 //! total over a run is simulated time / bucket width. `cancel` is a
 //! linear search of one bucket, or of the overflow for a far-future event.
+//! Memory is the pending events plus bounded slack: a bucket being filled
+//! holds at most twice its events (`Vec` doubling), and a drained one at
+//! most twice its share, `max(8, 2·⌈pending / NSLOTS⌉)` entries. The
+//! overflow heap keeps its largest size, and a bucket emptied by `cancel`
+//! keeps its buffer until it next drains by `pop`.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -50,6 +61,10 @@ const BUCKET_WIDTH_SECS: f64 = 0.25;
 /// heap until the window reaches them.
 const NSLOTS: usize = 4096;
 const SLOT_MASK: u64 = NSLOTS as u64 - 1;
+
+/// The least share of the ring's capacity a drained bucket keeps, so a
+/// sparse queue does not allocate on every event.
+const MIN_SHARE: usize = 8;
 
 /// The calendar epoch (bucket index before wrapping) of an instant.
 #[inline]
@@ -249,10 +264,40 @@ impl<E> EventQueue<E> {
             .expect("ring events lie inside the window");
         let slot = (epoch & SLOT_MASK) as usize;
         if epoch != self.sorted {
+            // The scan has moved on, so the previously sorted bucket has
+            // usually drained.
+            let old = (self.sorted & SLOT_MASK) as usize;
+            if self.ring[old].capacity() > 2 * MIN_SHARE {
+                self.release(old);
+            }
             self.ring[slot].sort_unstable_by_key(|s| Reverse(s.key()));
             self.sorted = epoch;
         }
         Some(slot)
+    }
+
+    /// Shrinks the bucket of `slot` to its share, twice the mean bucket
+    /// occupancy (at least [`MIN_SHARE`]), if it is empty and holds more
+    /// than twice that. Without this a slot keeps the largest buffer it
+    /// ever held, and after one ring wrap the ring costs `NSLOTS` × the
+    /// peak bucket rather than the pending count. The factor of two spares
+    /// a bucket that fills to about its share on every pass from
+    /// reallocating on every pass. Out of line: it runs once per drained
+    /// bucket, not per pop.
+    ///
+    /// The bucket gets a fresh buffer rather than `shrink_to`. With glibc
+    /// 2.36, shrinking a large buffer in place returned its pages to the
+    /// system at every drained bucket, and a hold with a million pending
+    /// read about 2 ns slower (2-core Xeon VM); a freed buffer's memory is
+    /// reused by the buckets that grow next.
+    #[cold]
+    #[inline(never)]
+    fn release(&mut self, slot: usize) {
+        let share = (2 * self.len().div_ceil(NSLOTS)).max(MIN_SHARE);
+        let bucket = &mut self.ring[slot];
+        if bucket.is_empty() && bucket.capacity() > 2 * share {
+            *bucket = Vec::with_capacity(share);
+        }
     }
 
     /// Cancels a previously scheduled event.
@@ -307,6 +352,12 @@ impl<E> EventQueue<E> {
             Some(slot) => self.ring[slot].last().map(|s| s.at),
             None => self.overflow.peek().map(|s| s.at),
         }
+    }
+
+    /// Entries the ring's buckets can hold without reallocating.
+    #[cfg(test)]
+    fn ring_capacity(&self) -> usize {
+        self.ring.iter().map(Vec::capacity).sum()
     }
 }
 
@@ -531,6 +582,42 @@ mod tests {
         assert_eq!(q.pop(), Some((t(1.5e30), 2)));
         assert_eq!(q.pop(), Some((t(2e30), 3)));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn ring_capacity_follows_pending_events() {
+        // A ping-like load: every event fires again one 30 s period
+        // later, so the events crowd into the 120 buckets of the coming
+        // period while the other slots sit drained. Without the release,
+        // each slot keeps its largest buffer, and after one ring wrap the
+        // ring holds about NSLOTS × the peak bucket.
+        const PENDING: usize = 50_000;
+        const PERIOD: f64 = 30.0;
+        let mut rng = crate::rng::RngStream::from_seed(7, "ring-capacity");
+        let mut q = EventQueue::new();
+        for i in 0..PENDING {
+            q.schedule(t(rng.f64() * PERIOD), i);
+        }
+        let bound = 4 * PENDING + 8 * NSLOTS;
+        let end = 3.5 * horizon_secs();
+        let mut next_check = 0.0;
+        let mut worst = 0;
+        while let Some((now, i)) = q.pop() {
+            if now.as_secs() >= end {
+                break;
+            }
+            q.schedule(now + crate::time::SimDuration::from_secs(PERIOD), i);
+            if now.as_secs() >= next_check {
+                worst = worst.max(q.ring_capacity());
+                next_check += 10.0;
+            }
+        }
+        assert_eq!(q.len(), PENDING - 1);
+        println!("ring capacity: worst {worst} entries for {PENDING} pending (bound {bound})");
+        assert!(
+            worst <= bound,
+            "ring capacity reached {worst} entries for {PENDING} pending; the bound is {bound}"
+        );
     }
 
     // ------------------------------------------------------------------

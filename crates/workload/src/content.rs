@@ -188,9 +188,12 @@ impl LibraryHandle {
 /// Libraries are immutable after construction (a peer's collection is
 /// fixed for its lifetime), so the arena only needs block allocation and
 /// recycling: freed blocks are kept on per-length free lists and reused
-/// for the next newborn with the same (post-dedup) item count. Because
-/// library sizes repeat heavily under the Saroiu file-count model, reuse
-/// keeps the backing vector's growth bounded through churn.
+/// for the next newborn with the same (post-dedup) item count. Exact-length
+/// reuse does not bound the backing vector's growth: a freed block waits
+/// for a newborn that draws its length, so the free lists fragment and
+/// the arena grows with churn. At strained churn (4 000 peers, cache 20,
+/// queries off, 7 800 simulated s) it holds 380 216 allocated items
+/// against 87 409 live. Nothing compacts it.
 #[derive(Debug, Clone, Default)]
 pub struct LibraryArena {
     items: Vec<u32>,

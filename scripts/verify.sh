@@ -23,8 +23,10 @@ timeout 1800 cargo test -q --workspace
 cargo test -q --release -p guess-bench --test determinism
 cargo test -q --release -p guess-bench --test quick_goldens -- --ignored
 # Gossip rumor state on optimised code: peak heap per peer stays flat
-# from 2 000 to 16 000 peers, and untraced runs equal traced ones.
-cargo test -q --release -p guess-bench --test gossip_heap --test trace
+# from 2 000 to 16 000 peers, and untraced runs equal traced ones. The
+# queue heap gate bounds peak heap per peer of a queries-off GUESS run
+# past two ring wraps of the event queue.
+cargo test -q --release -p guess-bench --test gossip_heap --test queue_heap --test trace
 
 # Event-queue scale oracle: ~200k pending on GUESS's timer shape, every
 # pop checked against a BinaryHeap.
