@@ -5,8 +5,8 @@
 use gnutella::dynamic::{GnutellaConfig, GnutellaSim};
 use gossip::{Config as GossipConfig, GossipSim};
 use guess::{
-    AdaptiveParallelism, BadPongBehavior, Config, GuessSim, MaintenanceMode, PaymentParams,
-    PushParams, SelectionPolicy,
+    AdaptiveParallelism, AdaptivePing, BadPongBehavior, Config, GuessSim, MaintenanceMode,
+    PaymentParams, PushParams, SelectionPolicy,
 };
 use guess_bench::tracefile::JsonlSink;
 use simkit::scenario::{Param, Scenario};
@@ -301,25 +301,12 @@ fn assert_no_drift(drift: &[String]) {
     );
 }
 
-/// The goldens pin rendered reports; this pins the trace itself — every
-/// `Probe` and `CacheEvict` record the GUESS engine emits, in order —
-/// across the message kinds and outcomes the engine's contact step
-/// distinguishes. Each case also names record fragments its stream must
-/// contain, so a case cannot silently stop covering what it is here
-/// for. To refresh after an intentional trace change, run with
-/// `--nocapture` and copy the echoed digests.
-#[test]
-fn guess_trace_streams_match_pinned_digests() {
-    const QUERY_DEAD: &str = "\"kind\": \"query\", \"outcome\": \"dead\"";
-    const QUERY_REFUSED: &str = "\"kind\": \"query\", \"outcome\": \"refused\"";
-    const PING_DEAD: &str = "\"kind\": \"ping\", \"outcome\": \"dead\"";
-    const PING_GOOD: &str = "\"kind\": \"ping\", \"outcome\": \"good\"";
-    const EVICT: &str = "\"type\": \"cache_evict\"";
-    const INVALIDATE_GOOD: &str = "\"kind\": \"invalidate\", \"outcome\": \"good\"";
-    const INVALIDATE_DEAD: &str = "\"kind\": \"invalidate\", \"outcome\": \"dead\"";
-    const PUSH_REFUSED: &str = "\"kind\": \"invalidate\", \"outcome\": \"refused\"";
-    const REFRESH_GOOD: &str = "\"kind\": \"refresh\", \"outcome\": \"good\"";
-
+/// The GUESS runs the digest and counter pins cover: one per message
+/// kind and outcome the engine's contact step distinguishes, one per
+/// extension hook (reputation, payments, selfish volleys, adaptive
+/// walks, adaptive ping, push), and timelines through every scenario
+/// intervention, including a mid-run flip into push mode.
+fn guess_cases() -> [(&'static str, Config, Scenario); 11] {
     let churny = |seed| {
         let mut cfg = guess_cfg(seed);
         cfg.run.duration = SimDuration::from_secs(250.0);
@@ -332,41 +319,25 @@ fn guess_trace_streams_match_pinned_digests() {
     };
     // The default 300 s coalesce window outlasts these runs; shorten it
     // so refresh flushes (and their relay trees) actually fire.
-    let pushy = |cfg: Config| {
-        cfg.with_maintenance_mode(MaintenanceMode::Push)
-            .with_push_params(PushParams {
-                coalesce_window: SimDuration::from_secs(20.0),
-                ..PushParams::default()
-            })
+    let short_coalesce = |cfg: Config| {
+        cfg.with_push_params(PushParams {
+            coalesce_window: SimDuration::from_secs(20.0),
+            ..PushParams::default()
+        })
     };
+    let pushy = |cfg: Config| short_coalesce(cfg.with_maintenance_mode(MaintenanceMode::Push));
     let plain = Scenario::new();
-    let cases: [(&str, Config, Scenario, &[&str], u64); 9] = [
-        (
-            "pull",
-            churny(61),
-            plain.clone(),
-            &[QUERY_DEAD, PING_DEAD, PING_GOOD, EVICT],
-            0x3ffc_6aa3_b6ba_fd7c,
-        ),
+    [
+        ("pull", churny(61), plain.clone()),
         (
             "hybrid",
             churny(62).with_maintenance_mode(MaintenanceMode::Hybrid),
             plain.clone(),
-            &[INVALIDATE_GOOD, INVALIDATE_DEAD, EVICT],
-            0xe85e_dd73_7423_c9fa,
         ),
         (
             "push",
             pushy(churny(63)).with_max_probes_per_second(Some(1)),
             plain.clone(),
-            &[
-                INVALIDATE_GOOD,
-                REFRESH_GOOD,
-                PUSH_REFUSED,
-                PING_DEAD,
-                EVICT,
-            ],
-            0xd3b5_8dcd_9562_9aa8,
         ),
         (
             "distrust-dead-pongs",
@@ -375,8 +346,6 @@ fn guess_trace_streams_match_pinned_digests() {
                 .with_uniform_policy(SelectionPolicy::Mfs)
                 .with_distrust_pongs(true),
             plain.clone(),
-            &[QUERY_DEAD, PING_DEAD, EVICT],
-            0x0c2e_aecb_c05e_5c65,
         ),
         (
             "refusals-no-backoff",
@@ -386,15 +355,11 @@ fn guess_trace_streams_match_pinned_digests() {
                     .with_uniform_policy(SelectionPolicy::Mfs),
             ),
             plain.clone(),
-            &[QUERY_REFUSED, QUERY_DEAD, EVICT],
-            0x6723_d5a6_dc03_22d2,
         ),
         (
             "parallel-5",
             churny(66).with_parallel_probes(5),
             plain.clone(),
-            &[QUERY_DEAD, EVICT],
-            0x0fea_cb49_7ddd_23e7,
         ),
         (
             "payments-adaptive-selfish",
@@ -407,9 +372,7 @@ fn guess_trace_streams_match_pinned_digests() {
                     max_balance: 60.0,
                     earn_per_answer: 0.5,
                 })),
-            plain,
-            &[QUERY_DEAD, EVICT],
-            0x412a_6ede_ed68_a2ac,
+            plain.clone(),
         ),
         (
             "partition-join-heal",
@@ -421,8 +384,6 @@ fn guess_trace_streams_match_pinned_digests() {
                 .mass_join(10)
                 .at(130.0)
                 .heal(),
-            &[QUERY_DEAD, PING_DEAD, INVALIDATE_DEAD, REFRESH_GOOD, EVICT],
-            0xae92_65f1_7188_be7d,
         ),
         (
             "leave-flash-flip-partition-heal",
@@ -438,18 +399,135 @@ fn guess_trace_streams_match_pinned_digests() {
                 .param_flip(Param::QueryRate(0.03))
                 .at(160.0)
                 .heal(),
+        ),
+        (
+            "adaptive-ping",
+            churny(70).with_adaptive_ping(Some(AdaptivePing::default())),
+            plain,
+        ),
+        (
+            "flip-push-and-ping-interval",
+            short_coalesce(churny(60)),
+            Scenario::new()
+                .at(80.0)
+                .param_flip(Param::MaintenanceMode(MaintenanceMode::Push))
+                .at(120.0)
+                .param_flip(Param::PingInterval(SimDuration::from_secs(10.0))),
+        ),
+    ]
+}
+
+/// The goldens pin rendered reports; this pins the trace itself — every
+/// `Probe` and `CacheEvict` record the GUESS engine emits, in order —
+/// for each of [`guess_cases`]. Each case also names record fragments
+/// its stream must contain, so a case cannot silently stop covering
+/// what it is here for. To refresh after an intentional trace change,
+/// run with `--nocapture` and copy the echoed digests.
+#[test]
+fn guess_trace_streams_match_pinned_digests() {
+    const QUERY_DEAD: &str = "\"kind\": \"query\", \"outcome\": \"dead\"";
+    const QUERY_REFUSED: &str = "\"kind\": \"query\", \"outcome\": \"refused\"";
+    const PING_DEAD: &str = "\"kind\": \"ping\", \"outcome\": \"dead\"";
+    const PING_GOOD: &str = "\"kind\": \"ping\", \"outcome\": \"good\"";
+    const EVICT: &str = "\"type\": \"cache_evict\"";
+    const INVALIDATE_GOOD: &str = "\"kind\": \"invalidate\", \"outcome\": \"good\"";
+    const INVALIDATE_DEAD: &str = "\"kind\": \"invalidate\", \"outcome\": \"dead\"";
+    const PUSH_REFUSED: &str = "\"kind\": \"invalidate\", \"outcome\": \"refused\"";
+    const REFRESH_GOOD: &str = "\"kind\": \"refresh\", \"outcome\": \"good\"";
+
+    let expected: [(&[&str], u64); 11] = [
+        (
+            &[QUERY_DEAD, PING_DEAD, PING_GOOD, EVICT],
+            0x3ffc_6aa3_b6ba_fd7c,
+        ),
+        (
+            &[INVALIDATE_GOOD, INVALIDATE_DEAD, EVICT],
+            0xe85e_dd73_7423_c9fa,
+        ),
+        (
+            &[
+                INVALIDATE_GOOD,
+                REFRESH_GOOD,
+                PUSH_REFUSED,
+                PING_DEAD,
+                EVICT,
+            ],
+            0xd3b5_8dcd_9562_9aa8,
+        ),
+        (&[QUERY_DEAD, PING_DEAD, EVICT], 0x0c2e_aecb_c05e_5c65),
+        (&[QUERY_REFUSED, QUERY_DEAD, EVICT], 0x6723_d5a6_dc03_22d2),
+        (&[QUERY_DEAD, EVICT], 0x0fea_cb49_7ddd_23e7),
+        (&[QUERY_DEAD, EVICT], 0x412a_6ede_ed68_a2ac),
+        (
+            &[QUERY_DEAD, PING_DEAD, INVALIDATE_DEAD, REFRESH_GOOD, EVICT],
+            0xae92_65f1_7188_be7d,
+        ),
+        (
             &[QUERY_DEAD, PING_DEAD, PING_GOOD, EVICT],
             0x3095_b1fa_6889_f484,
         ),
+        (&[PING_DEAD, PING_GOOD], 0x3ddc_361f_16a9_1a31),
+        (
+            &[PING_DEAD, INVALIDATE_GOOD, REFRESH_GOOD, EVICT],
+            0x5277_da43_72cc_6b52,
+        ),
     ];
-    let drift: Vec<String> = cases
+    let drift: Vec<String> = guess_cases()
         .into_iter()
-        .filter_map(|(name, cfg, scenario, needles, expected)| {
+        .zip(expected)
+        .filter_map(|((name, cfg, scenario), (needles, expected))| {
             let text = trace_text(GuessSim::new(cfg).unwrap(), &scenario);
             digest_drift(name, &text, needles, expected)
         })
         .collect();
     assert_no_drift(&drift);
+}
+
+/// Trace digests see probes and evictions, not the counters the
+/// extension hooks bump (`sources_blacklisted`, `pongs_filtered`,
+/// `probe_budget_exhausted`, `selfish_queries`, `push_coalesced`,
+/// `push_refused`, ...): pin the printed counter set of the cases that
+/// exercise them.
+#[test]
+fn counter_set_is_pinned() {
+    let expected = [
+        (
+            "distrust-dead-pongs",
+            "births=166 deaths=46 introductions=128 pings_answered=571 pings_dead=238 \
+             pings_sent=809 pongs_filtered=37 sources_blacklisted=268",
+        ),
+        (
+            "push",
+            "births=193 deaths=73 introductions=478 pings_answered=382 pings_dead=84 \
+             pings_sent=466 push_dropped=371 push_invalidations=456 push_refreshes=681 \
+             push_refused=108",
+        ),
+        (
+            "payments-adaptive-selfish",
+            "births=168 deaths=48 introductions=317 pings_answered=795 pings_dead=174 \
+             pings_sent=969 probe_budget_exhausted=133 selfish_births=46 selfish_queries=58",
+        ),
+        (
+            "adaptive-ping",
+            "births=179 deaths=59 introductions=442 pings_answered=812 pings_dead=169 \
+             pings_sent=981",
+        ),
+    ];
+    let cases = guess_cases();
+    let drift: Vec<String> = expected
+        .into_iter()
+        .filter_map(|(name, want)| {
+            let (_, cfg, scenario) = cases.iter().find(|c| c.0 == name).unwrap();
+            let report = GuessSim::new(cfg.clone())
+                .unwrap()
+                .run_scenario(scenario)
+                .unwrap();
+            let got = report.counters.to_string();
+            println!("{name}  {got}");
+            (got != want).then(|| format!("{name}: expected {want:?}, got {got:?}"))
+        })
+        .collect();
+    assert!(drift.is_empty(), "counters drifted:\n{}", drift.join("\n"));
 }
 
 /// The Gnutella twin of the test above: every flood `Probe` record, and

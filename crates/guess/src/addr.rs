@@ -116,6 +116,18 @@ impl fmt::Display for SlotId {
     }
 }
 
+/// Stores `value` as the state of `slot` in a slot-indexed table: in
+/// place of the previous occupant's, or appended for a fresh slot.
+pub(crate) fn put_slot<V>(table: &mut Vec<V>, slot: SlotId, value: V) {
+    match table.get_mut(slot.index()) {
+        Some(old) => *old = value,
+        None => {
+            debug_assert_eq!(slot.index(), table.len(), "slots are dense");
+            table.push(value);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

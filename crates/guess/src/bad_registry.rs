@@ -11,23 +11,14 @@
 //!    `BadPongBehavior::Dead` owns a lazily allocated pool of dead
 //!    addresses.
 //!
-//! These used to live in a `Vec<PeerAddr>` + two `PeerAddr`-keyed
-//! `HashMap`s. [`BadRegistry`] folds all three into one slab indexed by
-//! [`SlotId`]: the network keeps a constant population of slots, so a
-//! slot index is a perfect dense key, and the occupying [`PeerAddr`]
-//! (monotone, never reused) acts as the generation stamp that detects
-//! stale slots. Membership checks and removals become two array reads
-//! instead of a hash probe.
+//! [`BadRegistry`] keeps all three in one slab indexed by [`SlotId`], a
+//! perfect dense key; the occupying [`PeerAddr`] (never reused) is the
+//! generation stamp that detects stale slots.
 //!
-//! ## Determinism contract
-//!
-//! The dense `members` list must reproduce *exactly* the push /
-//! `swap_remove` / back-patch order of the old `live_bad` vector:
-//! `sample_indices(len, k)` draws positions into this list, so any
-//! reordering would change which colluder addresses get sampled and
-//! break the golden reports. [`insert`](BadRegistry::insert) appends and
-//! [`remove`](BadRegistry::remove) swap-removes, mirroring the old code
-//! path one-for-one.
+//! Determinism: `sample_indices(len, k)` draws positions into the dense
+//! `members` list, so its order — [`insert`](BadRegistry::insert)
+//! appends, [`remove`](BadRegistry::remove) swap-removes — is part of
+//! every golden report.
 
 use crate::addr::{PeerAddr, SlotId};
 
@@ -40,8 +31,7 @@ struct SlotEntry {
     /// Position of `occupant` in `members`; meaningless when vacant.
     pos: u32,
     /// Fabricated dead-address pool of the current occupant. Cleared on
-    /// removal so a later bad occupant of the same slot re-allocates,
-    /// exactly as the old per-address map did.
+    /// removal so a later bad occupant of the same slot re-allocates.
     fabricated: Vec<PeerAddr>,
 }
 

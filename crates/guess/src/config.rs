@@ -1,10 +1,12 @@
 //! Simulation configuration: the paper's system parameters (Table 1),
 //! protocol parameters (Table 2), and run controls.
 
+use simkit::rng::RngStream;
 use simkit::scenario::MaintenanceMode;
 use simkit::time::SimDuration;
 use workload::content::CatalogParams;
 
+use crate::peer::Behavior;
 use crate::policy::{ReplacementPolicy, SelectionPolicy};
 
 /// What a malicious peer puts in its pongs (§6.4).
@@ -121,6 +123,31 @@ impl Default for AdaptiveParallelism {
     }
 }
 
+/// One query's walk: `k` probes share each round. A selfish querier
+/// fires `selfish_parallelism` whatever the protocol says (§3.3); an
+/// honest one starts at `parallel_probes` and, under adaptive
+/// parallelism, doubles `k` up to `max_k` after `escalate_after`
+/// resultless answers in a row (§6.2).
+pub(crate) struct Walk {
+    pub(crate) k: usize,
+    resultless: u32,
+    widen: Option<AdaptiveParallelism>,
+}
+
+impl Walk {
+    /// Books the results of one answered probe.
+    pub(crate) fn answered(&mut self, results: u32) {
+        let Some(ak) = self.widen else {
+            return;
+        };
+        self.resultless = if results == 0 { self.resultless + 1 } else { 0 };
+        if self.resultless >= ak.escalate_after {
+            self.k = (self.k * 2).min(ak.max_k);
+            self.resultless = 0;
+        }
+    }
+}
+
 /// Parameters of the push-maintenance plane (the CUP-style extension:
 /// subjects push invalidations/refreshes to registered interest holders
 /// instead of waiting to be polled stale). Active only when
@@ -128,11 +155,9 @@ impl Default for AdaptiveParallelism {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PushParams {
     /// Direct deliveries a subject (or relay) makes per dissemination
-    /// step; remaining interest holders are split among those
-    /// recipients as relay lists (bounded fan-out tree). Refresh flushes
-    /// are additionally *capped* at this many deliveries (no relaying)
-    /// and rotate through the registry round-robin, so the steady-state
-    /// refresh bandwidth per subject is `fanout` messages per flush.
+    /// step; the remaining watchers are split among those recipients as
+    /// relay lists. A refresh flush makes only these deliveries (no
+    /// relaying), rotating through the registry round-robin.
     pub fanout: usize,
     /// Relay hops an update may take below the subject before the
     /// residue is dropped.
@@ -279,21 +304,15 @@ pub struct RunParams {
     pub simulate_queries: bool,
     /// Population size above which the periodic cache-health and
     /// connectivity snapshots switch from exhaustive sweeps to seeded
-    /// stride sampling. At or below the threshold the sweeps touch every
-    /// slot and draw nothing from the metrics RNG stream, so small-N
-    /// runs are byte-identical whether or not sampling is configured.
+    /// stride sampling (see the engine's `sampling` module).
     pub metrics_sample_threshold: usize,
     /// Number of slots each sampled snapshot visits once the threshold
     /// is exceeded (clamped to the population size).
     pub metrics_sample_size: usize,
-    /// Lane count for the conservative parallel kernel
-    /// ([`crate::engine::run_lanes`]). `1` (the default) is the serial
-    /// path — byte-identical to every committed golden. With `n > 1`
-    /// the population is split into `n` seed-addressed lanes whose
-    /// output is a pure function of `(seed, lanes)`, independent of how
-    /// many worker threads execute them. Only `run_lanes` reads this
-    /// field: `Runnable::run*` on the same config is the serial engine
-    /// whatever its value.
+    /// Lane count for the conservative parallel kernel, read only by
+    /// [`crate::engine::run_lanes`]: `1` (the default) is the serial
+    /// engine; `n > 1` splits the population into `n` seed-addressed
+    /// lanes whose output is a pure function of `(seed, lanes)`.
     pub lanes: usize,
 }
 
@@ -359,7 +378,8 @@ pub enum ConfigError {
     /// Adaptive ping bounds inverted, a zero `min_interval`, or factors
     /// on the wrong side of 1.
     BadAdaptivePing,
-    /// Adaptive parallelism with a zero window or `max_k` of zero.
+    /// Adaptive parallelism with a zero window, or a `max_k` below
+    /// `parallel_probes` (widening would narrow the walk).
     BadAdaptiveParallelism,
     /// Payment parameters non-finite, negative, or initial > max.
     BadPaymentParams,
@@ -373,6 +393,9 @@ pub enum ConfigError {
     /// `ping_interval` was zero: every ping would reschedule itself at
     /// the same instant and the run would never advance.
     ZeroPingInterval,
+    /// `probe_interval` was zero: lane mode's lookahead window (one
+    /// cross-lane round trip) would be empty.
+    ZeroProbeInterval,
     /// `sample_interval` was zero: the snapshot tick would never advance.
     ZeroSampleInterval,
     /// Catalog parameters rejected by the shared content model.
@@ -401,7 +424,7 @@ impl std::fmt::Display for ConfigError {
                 "adaptive ping needs 0 < min <= max, on_dead in (0,1], on_alive >= 1"
             }
             ConfigError::BadAdaptiveParallelism => {
-                "adaptive parallelism needs a positive window and max_k"
+                "adaptive parallelism needs a positive window and max_k >= parallel probes"
             }
             ConfigError::BadPaymentParams => {
                 "payment parameters must be finite, non-negative, with initial <= max"
@@ -412,6 +435,7 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadLanes => "lanes must be positive and leave at least 2 peers per lane",
             ConfigError::ZeroPingInterval => "ping interval must be positive",
+            ConfigError::ZeroProbeInterval => "probe interval must be positive",
             ConfigError::ZeroSampleInterval => "sample interval must be positive",
             ConfigError::BadCatalog => "catalog needs items > 0 and finite non-negative exponents",
         };
@@ -461,6 +485,9 @@ impl Config {
         if self.protocol.ping_interval.is_zero() {
             return Err(ConfigError::ZeroPingInterval);
         }
+        if self.protocol.probe_interval.is_zero() {
+            return Err(ConfigError::ZeroProbeInterval);
+        }
         if self.run.sample_interval.is_zero() {
             return Err(ConfigError::ZeroSampleInterval);
         }
@@ -498,7 +525,7 @@ impl Config {
             }
         }
         if let Some(ak) = self.protocol.adaptive_parallelism {
-            if ak.escalate_after == 0 || ak.max_k == 0 {
+            if ak.escalate_after == 0 || ak.max_k < self.protocol.parallel_probes {
                 return Err(ConfigError::BadAdaptiveParallelism);
             }
         }
@@ -525,6 +552,32 @@ impl Config {
             }
         }
         Ok(())
+    }
+
+    /// The behaviour of an honest newborn: selfish with probability
+    /// `selfish_fraction` (§3.3), otherwise good.
+    pub(crate) fn honest_behavior(&self, rng: &mut RngStream) -> Behavior {
+        if rng.chance(self.system.selfish_fraction) {
+            Behavior::Selfish
+        } else {
+            Behavior::Good
+        }
+    }
+
+    /// The walk a query by a peer of `behavior` starts with.
+    pub(crate) fn walk(&self, behavior: Behavior) -> Walk {
+        let (k, widen) = match behavior {
+            Behavior::Selfish => (self.system.selfish_parallelism, None),
+            _ => (
+                self.protocol.parallel_probes,
+                self.protocol.adaptive_parallelism,
+            ),
+        };
+        Walk {
+            k,
+            resultless: 0,
+            widen,
+        }
     }
 
     // ---- builder-style setters -------------------------------------
@@ -876,6 +929,18 @@ mod tests {
             ..AdaptiveParallelism::default()
         });
         assert_eq!(c.validate(), Err(ConfigError::BadAdaptiveParallelism));
+
+        let c = Config::default()
+            .with_parallel_probes(5)
+            .with_adaptive_parallelism(Some(AdaptiveParallelism {
+                max_k: 2,
+                ..AdaptiveParallelism::default()
+            }));
+        assert_eq!(c.validate(), Err(ConfigError::BadAdaptiveParallelism));
+
+        let mut c = Config::default();
+        c.protocol.probe_interval = SimDuration::ZERO;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroProbeInterval));
 
         let mut c = Config::default();
         c.protocol.push.fanout = 0;

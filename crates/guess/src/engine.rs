@@ -31,7 +31,7 @@ use workload::files::FileCountModel;
 use workload::lifetime::LifetimeModel;
 use workload::query::{QueryModel, QueryTarget, QueryWorkload};
 
-use crate::addr::{AddrAllocator, PeerAddr, SlotId};
+use crate::addr::{put_slot, AddrAllocator, PeerAddr, SlotId};
 use crate::bad_registry::BadRegistry;
 use crate::capacity::Admission;
 use crate::config::{BadPongBehavior, Config, ConfigError};
@@ -40,13 +40,14 @@ use crate::graph::UnionFind;
 use crate::link_cache::{CacheArena, InsertOutcome};
 use crate::message::{Pong, ProbeReply};
 use crate::metrics::{MetricsCollector, QueryOutcome, RunReport};
-use crate::payments::ProbeAccount;
+use crate::payments::Ledger;
 use crate::peer::{AddrRecord, Behavior, PeerState};
 use crate::policy::{select_top_k_into, ProbeQueue, SelectionPolicy};
 use crate::push::{Interest, PushJob, PushPlane, UpdateKind};
-use crate::reputation::{ReputationParams, ReputationTracker};
+use crate::reputation::Reputations;
 
 mod lanes;
+mod push_ops;
 mod query_exec;
 mod sampling;
 mod scenario_ops;
@@ -90,8 +91,7 @@ pub enum Event {
     },
     /// Lane mode only: a query from another lane spills over and probes
     /// one random peer of this lane for `target`. `pending` names the
-    /// parked query in the origin lane's slab. Never scheduled on the
-    /// serial path, so serial runs are byte-identical.
+    /// parked query in the origin lane's slab.
     RemoteProbe {
         src_lane: u32,
         pending: u32,
@@ -105,9 +105,8 @@ pub enum Event {
     },
 }
 
-/// The kind of message a contact carries: what decides how the receiver
-/// is charged and whether it can answer with results. The caller's kind
-/// picks the variant; nothing configures it.
+/// The kind of message a contact carries, which decides how the receiver
+/// is charged and whether it can answer with results.
 #[derive(Debug, Clone, Copy)]
 enum Message {
     /// Maintenance ping: neither counted as load nor metered — the
@@ -119,18 +118,6 @@ enum Message {
     /// Pushed update: first-class traffic, counted and metered whoever
     /// receives it — CUP's rule that a push pays what a probe pays.
     Push,
-}
-
-/// Stores `value` as the state of `slot` in a slot-indexed table: in
-/// place of the previous occupant's, or appended for a fresh slot.
-fn put_slot<V>(table: &mut Vec<V>, slot: SlotId, value: V) {
-    match table.get_mut(slot.index()) {
-        Some(old) => *old = value,
-        None => {
-            debug_assert_eq!(slot.index(), table.len(), "slots are dense");
-            table.push(value);
-        }
-    }
 }
 
 /// A complete GUESS network simulation.
@@ -158,14 +145,10 @@ pub struct GuessSim {
     /// The live peers, indexed by `SlotId::index()`: one entry per slot,
     /// overwritten in place when a death births the replacement.
     peers: Vec<PeerState>,
-    /// The pong-source reputation memory of each slot's occupant, indexed
-    /// like `peers` and reset at birth. Empty unless `distrust_pongs` is
-    /// on; read it through [`GuessSim::reputation_mut`].
-    reputations: Vec<ReputationTracker>,
-    /// The probe-credit account of each slot's occupant, indexed like
-    /// `peers` and opened afresh at birth. Empty unless `probe_payments`
-    /// is set; read it through [`GuessSim::account_mut`].
-    accounts: Vec<ProbeAccount>,
+    /// Pong-source reputation (§6.4's poisoning defense), per slot.
+    reputations: Reputations,
+    /// Probe payments (§3.3's counter to selfish volleys), per slot.
+    ledger: Ledger,
     /// One record per address ever minted, indexed by
     /// `PeerAddr::index()`. Read peers through [`GuessSim::peer`], never
     /// through a record's slot alone: a dead address's slot holds
@@ -190,26 +173,18 @@ pub struct GuessSim {
     rng_query: RngStream,
     rng_policy: RngStream,
     rng_intro: RngStream,
-    /// Drawn from only by the sampled measurement sweeps, and only once
-    /// the population exceeds `metrics_sample_threshold` — runs that
-    /// stay at or below the threshold never touch this stream, so their
-    /// other streams (and reports) are byte-identical with sampling
-    /// configured or not.
+    /// Drawn from only by sampled measurement sweeps, past
+    /// `metrics_sample_threshold` (see `sampling`).
     rng_metrics: RngStream,
-    /// Drawn from only by the lane runner (spill-lane selection and
-    /// remote victim picks). Serial runs never touch it, so creating the
-    /// stream cannot perturb golden outputs.
+    /// Drawn from only by the lane runner; serial runs never touch it.
     rng_remote: RngStream,
     metrics: MetricsCollector,
     next_query: u64,
-    /// Per-address "last query that considered this address" stamps —
-    /// the dense replacement for a per-query `HashSet<PeerAddr>`.
-    /// Indexed by `PeerAddr::index()`; the stamp is query id + 1, so 0
-    /// means "never seen". See `query_first_visit`.
+    /// Per-address stamp of the last query that considered the address
+    /// (query id + 1; 0 = never). See `query_first_visit`.
     query_seen: Vec<u64>,
-    /// Reused copy buffer for "iterate one peer's cache while mutating
-    /// another's" sites (query seeding, newborn cache seeding), so the
-    /// per-event `to_vec` allocation is paid once per run.
+    /// Reused copy buffer for the sites that iterate one peer's cache
+    /// while mutating another's (query and newborn cache seeding).
     entry_scratch: Vec<CacheEntry>,
     /// Reused pong buffer: [`GuessSim::build_pong`] takes it, the pong's
     /// consumer hands it back, so answering a probe allocates nothing.
@@ -240,19 +215,18 @@ impl GuessSim {
 
         let network_size = cfg.system.network_size;
         let cache_size = cfg.protocol.cache_size;
-        let interest_cap = cfg.protocol.push.interest_cap;
         let mut sim = GuessSim {
-            cfg,
             partition: None,
             peers: Vec::with_capacity(network_size),
-            reputations: Vec::new(),
-            accounts: Vec::new(),
+            reputations: Reputations::new(&cfg),
+            ledger: Ledger::new(&cfg),
             addrs: Vec::with_capacity(network_size),
             caches: CacheArena::with_peer_capacity(cache_size, network_size),
             libs: LibraryArena::new(),
             alloc: AddrAllocator::new(),
             bad: BadRegistry::new(network_size),
-            push: PushPlane::new(interest_cap, network_size),
+            push: push_ops::plane(&cfg),
+            cfg,
             churn: ChurnDriver::new(lifetimes),
             files,
             qmodel,
@@ -276,10 +250,8 @@ impl GuessSim {
         Ok(sim)
     }
 
-    /// Creates the initial population and seeds its link caches. Event
-    /// scheduling happens later, in [`GuessSim::schedule_initial`], once
-    /// the kernel exists — the RNG draw order across both phases is
-    /// unchanged, so runs stay byte-identical.
+    /// Creates the initial population and seeds its link caches; events
+    /// are scheduled once the kernel exists ([`GuessSim::schedule_initial`]).
     fn populate(&mut self) {
         let n = self.cfg.system.network_size;
         for s in 0..n {
@@ -345,22 +317,6 @@ impl GuessSim {
         p
     }
 
-    /// The live peer `addr`'s pong-source reputation memory. Only under
-    /// `distrust_pongs`, which keeps one tracker per slot.
-    fn reputation_mut(&mut self, addr: PeerAddr) -> &mut ReputationTracker {
-        debug_assert!(self.is_alive(addr), "{addr} is dead");
-        let slot = self.slot_of(addr);
-        &mut self.reputations[slot.index()]
-    }
-
-    /// The live peer `addr`'s probe-credit account; `None` unless
-    /// `probe_payments` is set.
-    fn account_mut(&mut self, addr: PeerAddr) -> Option<&mut ProbeAccount> {
-        debug_assert!(self.is_alive(addr), "{addr} is dead");
-        let slot = self.slot_of(addr);
-        self.accounts.get_mut(slot.index())
-    }
-
     /// Births a peer into `slot`: a fresh slot at the end of the table,
     /// or in place of the occupant that just died.
     fn birth_peer(&mut self, slot: SlotId, now: SimTime) -> PeerAddr {
@@ -380,7 +336,8 @@ impl GuessSim {
                 self.qmodel
                     .catalog()
                     .build_library_in(count, &mut self.rng_churn, &mut self.libs);
-            (Behavior::Good, count, library)
+            let behavior = self.cfg.honest_behavior(&mut self.rng_churn);
+            (behavior, count, library)
         };
         let mut peer = PeerState::new(
             addr,
@@ -391,28 +348,20 @@ impl GuessSim {
             self.cfg.system.max_probes_per_second,
         );
         peer.set_ping_interval(self.cfg.protocol.ping_interval);
-        if self.cfg.protocol.distrust_pongs {
-            let fresh = ReputationTracker::new(ReputationParams::default());
-            put_slot(&mut self.reputations, slot, fresh);
-        }
-        if let Some(pp) = self.cfg.protocol.probe_payments {
-            put_slot(&mut self.accounts, slot, ProbeAccount::new(pp, now));
-        }
-        if behavior == Behavior::Good && self.rng_churn.chance(self.cfg.system.selfish_fraction) {
-            peer.set_selfish(true);
-            self.metrics.counters_mut().incr("selfish_births");
-        }
         put_slot(&mut self.peers, slot, peer);
-        if bad {
-            self.bad.insert(slot, addr);
+        self.reputations.reset(slot);
+        self.ledger.open(slot, now);
+        match behavior {
+            Behavior::Malicious => self.bad.insert(slot, addr),
+            Behavior::Selfish => self.metrics.counters_mut().incr("selfish_births"),
+            Behavior::Good => {}
         }
         self.metrics.counters_mut().incr("births");
         addr
     }
 
-    /// Schedules death / ping / burst events for a (newly born) peer.
-    /// The lifetime draw happens inside [`ChurnDriver::spawn`], at the
-    /// same position in the churn stream it always occupied.
+    /// Schedules death / ping / burst events for a (newly born) peer; the
+    /// lifetime draw happens inside [`ChurnDriver::spawn`].
     fn schedule_peer_events<T: TraceSink>(
         &mut self,
         slot: SlotId,
@@ -430,7 +379,7 @@ impl GuessSim {
         );
         // Stagger the first ping uniformly within one interval so the
         // network's pings do not arrive in lockstep.
-        let base = self.effective_ping_interval(self.cfg.protocol.ping_interval);
+        let base = self.ping_interval(addr, None);
         let ping_phase = if initial {
             base * self.rng_churn.f64()
         } else {
@@ -529,24 +478,16 @@ impl GuessSim {
         }
     }
 
-    /// `owner`'s cached entry for `subject` timed out: evict it and,
-    /// under `distrust_pongs`, charge the reputation of whoever shared
-    /// it — a source crossing the blacklist threshold is evicted from
-    /// `owner`'s link cache on the spot as well.
+    /// `owner`'s cached entry for `subject` timed out: evict it, and
+    /// blame whoever shared it — a source that blame blacklists is
+    /// evicted from `owner`'s link cache on the spot as well.
     fn drop_dead_entry(&mut self, owner: PeerAddr, subject: PeerAddr) {
         let h = self.peer(owner).cache();
         self.caches.remove(h, subject);
-        if !self.cfg.protocol.distrust_pongs {
-            return;
-        }
-        let reputation = self.reputation_mut(owner);
-        let before = reputation.blacklisted_count();
-        let source = reputation.note_dead(subject);
-        if reputation.blacklisted_count() > before {
-            self.metrics.counters_mut().incr("sources_blacklisted");
-            if let Some(source) = source {
-                self.caches.remove(h, source);
-            }
+        let slot = self.slot_of(owner);
+        let counters = self.metrics.counters_mut();
+        if let Some(liar) = self.reputations.blame(slot, subject, counters) {
+            self.caches.remove(h, liar);
         }
     }
 
@@ -618,22 +559,7 @@ impl GuessSim {
         let newborn = self.birth_peer(slot, now);
         self.seed_from_friend(newborn, now, ctx);
         self.schedule_peer_events(slot, newborn, now, false, ctx);
-
-        // The departed instance pushes its own obituary: every registered
-        // watcher gets an invalidation. Draining the list unconditionally
-        // keeps the registry clean for the slot's next occupant (a no-op
-        // take of an empty list in pull mode).
-        let watchers = self.push.take_interest(slot);
-        if self.cfg.protocol.maintenance_mode != MaintenanceMode::Pull && !watchers.is_empty() {
-            self.disseminate(
-                UpdateKind::Invalidate,
-                addr,
-                watchers,
-                self.cfg.protocol.push.ttl,
-                now,
-                ctx,
-            );
-        }
+        self.push_obituary(slot, addr, now, ctx);
     }
 
     /// The random-friend bootstrap: `newborn` copies the link cache of
@@ -691,16 +617,15 @@ impl GuessSim {
         if !self.is_current(slot, addr) {
             return;
         }
-        if self.peer(addr).behavior() == Behavior::Malicious {
-            self.malicious_ping(addr, now, ctx);
+        let alive = if self.peer(addr).is_good() {
+            let alive = self.good_ping(addr, now, ctx);
+            self.request_refresh(slot, addr, now, ctx);
+            alive
         } else {
-            let outcome = self.good_ping(addr, now, ctx);
-            self.adapt_ping_interval(addr, outcome);
-            // In push mode the ping doubles as the subject's re-publication
-            // cycle: watchers get a (coalesced) refresh of our entry.
-            self.maybe_request_refresh(slot, addr, now, ctx);
-        }
-        let interval = self.effective_ping_interval(self.peer(addr).ping_interval());
+            self.malicious_ping(addr, now, ctx);
+            None
+        };
+        let interval = self.ping_interval(addr, alive);
         ctx.schedule(now + interval, Event::Ping { slot, addr });
     }
 
@@ -712,18 +637,9 @@ impl GuessSim {
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) -> Option<bool> {
-        // Under push maintenance the refresh plane keeps re-dating live
-        // entries' TS, so the stretched (rarer) pings audit stalest-first:
-        // they converge on dead entries — the one job pushes can't do —
-        // instead of re-touching what refreshes already keep fresh.
-        let probe_policy = if self.cfg.protocol.maintenance_mode == MaintenanceMode::Push {
-            SelectionPolicy::Lru
-        } else {
-            self.cfg.protocol.ping_probe
-        };
         let h = self.peer(pinger).cache();
         select_top_k_into(
-            probe_policy,
+            self.audit_policy(),
             self.caches.entries(h),
             1,
             &mut self.rng_policy,
@@ -742,38 +658,19 @@ impl GuessSim {
         }
         // The neighbor answers: refresh our TS for it and absorb its pong.
         self.caches.touch(h, dst, now);
-        if self.cfg.protocol.distrust_pongs {
-            self.reputation_mut(pinger).note_alive(dst);
-        }
         self.apply_introduction(dst, pinger, now, ctx);
         let dh = self.peer(dst).cache();
         self.caches.touch(dh, pinger, now);
         // The pong is built before the source filter is consulted, so the
         // responder's selection draws happen either way.
         let pong = self.build_pong(dst, self.cfg.protocol.ping_pong, now);
-        if !self.pong_filtered(pinger, dst) {
+        let (me, counters) = (self.slot_of(pinger), self.metrics.counters_mut());
+        if !self.reputations.filters(me, dst, counters) {
             self.absorb_pong(pinger, dst, &pong, now, ctx, |_, _| {});
         }
         self.pong_scratch = pong.entries;
         self.metrics.counters_mut().incr("pings_answered");
         Some(true)
-    }
-
-    /// §6.1's runtime guidance: shrink the ping interval when probes keep
-    /// hitting dead addresses, stretch it when the cache looks healthy.
-    fn adapt_ping_interval(&mut self, addr: PeerAddr, outcome: Option<bool>) {
-        let (Some(params), Some(alive)) = (self.cfg.protocol.adaptive_ping, outcome) else {
-            return;
-        };
-        let peer = self.peer_mut(addr);
-        let factor = if alive {
-            params.on_alive
-        } else {
-            params.on_dead
-        };
-        let next = (peer.ping_interval().as_secs() * factor)
-            .clamp(params.min_interval.as_secs(), params.max_interval.as_secs());
-        peer.set_ping_interval(SimDuration::from_secs(next));
     }
 
     /// A malicious peer pings a random live victim purely to trigger the
@@ -804,7 +701,7 @@ impl GuessSim {
         if !self.rng_intro.chance(self.cfg.protocol.intro_prob) {
             return;
         }
-        if self.peer(dst).behavior() == Behavior::Malicious {
+        if !self.peer(dst).is_good() {
             return; // attackers do not maintain honest caches
         }
         let advertised = self.peer(initiator).advertised_files();
@@ -817,7 +714,7 @@ impl GuessSim {
     /// `pong_scratch` once the pong is consumed.
     fn build_pong(&mut self, responder: PeerAddr, policy: SelectionPolicy, now: SimTime) -> Pong {
         let mut entries = std::mem::take(&mut self.pong_scratch);
-        if self.peer(responder).behavior() == Behavior::Malicious {
+        if !self.peer(responder).is_good() {
             entries.clear();
             self.fill_poison_pong(responder, now, &mut entries);
         } else {
@@ -885,22 +782,11 @@ impl GuessSim {
         slot
     }
 
-    /// The pong-source reputation filter: true (and counted) when
-    /// `receiver` has blacklisted `source`, whose pongs it drops unseen.
-    fn pong_filtered(&mut self, receiver: PeerAddr, source: PeerAddr) -> bool {
-        let filtered = self.cfg.protocol.distrust_pongs
-            && self.reputation_mut(receiver).is_blacklisted(source);
-        if filtered {
-            self.metrics.counters_mut().incr("pongs_filtered");
-        }
-        filtered
-    }
-
     /// The receiver of a pong merges its entries into the link cache,
-    /// honouring `ResetNumResults` (MR\*) and never re-admitting a
-    /// blacklisted address. `on_entry` sees each surviving entry just
-    /// *before* it is offered — the query loop feeds its probe pool
-    /// there, and both may draw from `rng_policy`, pool first.
+    /// honouring `ResetNumResults` (MR\*) and the pong-source reputation.
+    /// `on_entry` sees each surviving entry just *before* it is offered
+    /// — the query loop feeds its probe pool there, and both may draw
+    /// from `rng_policy`, pool first.
     fn absorb_pong<T: TraceSink>(
         &mut self,
         receiver: PeerAddr,
@@ -910,6 +796,7 @@ impl GuessSim {
         ctx: &mut SimCtx<'_, Event, T>,
         mut on_entry: impl FnMut(&mut Self, CacheEntry),
     ) {
+        let slot = self.slot_of(receiver);
         for e in &pong.entries {
             if e.addr() == receiver {
                 continue;
@@ -918,224 +805,12 @@ impl GuessSim {
             if self.cfg.protocol.reset_num_results {
                 entry.reset_num_res();
             }
-            if self.cfg.protocol.distrust_pongs {
-                let reputation = self.reputation_mut(receiver);
-                if reputation.is_blacklisted(entry.addr()) {
-                    continue; // never re-admit a known liar
-                }
-                reputation.note_shared(source, entry.addr());
+            if !self.reputations.admits(slot, source, &entry) {
+                continue;
             }
             on_entry(self, entry);
             self.admit(receiver, entry, now, ctx);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Push maintenance (see crate::push and DESIGN.md)
-    // ------------------------------------------------------------------
-
-    /// The ping interval actually scheduled. Push mode relaxes pull
-    /// maintenance by `ping_stretch`: refreshes ride the rarer ping
-    /// cycle, so the polling bandwidth drops with it. Pull and hybrid
-    /// runs pass the base interval through untouched.
-    fn effective_ping_interval(&self, base: SimDuration) -> SimDuration {
-        if self.cfg.protocol.maintenance_mode == MaintenanceMode::Push {
-            base * self.cfg.protocol.push.ping_stretch
-        } else {
-            base
-        }
-    }
-
-    /// Records `watcher`'s interest in `subject` after an entry about
-    /// `subject` landed in `watcher`'s cache — via a pong, an
-    /// introduction, or newborn cache seeding. Registration piggybacks
-    /// on the exchange that carried the entry (no extra message); it is
-    /// skipped when the subject cannot serve pushes — dead, malicious,
-    /// or unreachable.
-    fn push_register(&mut self, watcher: PeerAddr, subject: PeerAddr) {
-        if self.cfg.protocol.maintenance_mode == MaintenanceMode::Pull {
-            return;
-        }
-        if !self.is_alive(subject)
-            || !self.peer(subject).is_good()
-            || !self.reachable(watcher, subject)
-        {
-            return;
-        }
-        let interest = Interest {
-            slot: self.slot_of(watcher),
-            addr: watcher,
-        };
-        self.push.register(self.slot_of(subject), interest);
-    }
-
-    /// Requests a refresh push of `addr`'s own entry (push mode only).
-    /// The first request in a window schedules the flush; later requests
-    /// coalesce into it.
-    fn maybe_request_refresh<T: TraceSink>(
-        &mut self,
-        slot: SlotId,
-        addr: PeerAddr,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        if self.cfg.protocol.maintenance_mode != MaintenanceMode::Push
-            || self.push.interest(slot).is_empty()
-        {
-            return;
-        }
-        if self.push.request_refresh(slot) {
-            let window = self.cfg.protocol.push.coalesce_window;
-            ctx.schedule(now + window, Event::PushFlush { slot, addr });
-        } else {
-            self.metrics.counters_mut().incr("push_coalesced");
-        }
-    }
-
-    /// The scheduled end of a coalesce window: push one refresh carrying
-    /// the subject's latest state. Refreshes are deliberately cheaper
-    /// than invalidations — each flush re-dates only the next `fanout`
-    /// watchers and rotates the registry, so successive flushes cover
-    /// every watcher round-robin without a relay tree. A subject that
-    /// died in the window pushes nothing (its death already disseminated
-    /// an invalidation), and a run flipped out of push mode stays quiet.
-    fn on_push_flush<T: TraceSink>(
-        &mut self,
-        slot: SlotId,
-        addr: PeerAddr,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        self.push.clear_refresh(slot);
-        if self.cfg.protocol.maintenance_mode != MaintenanceMode::Push
-            || !self.is_current(slot, addr)
-        {
-            return;
-        }
-        let list = self.push.interest(slot);
-        let k = self.cfg.protocol.push.fanout.min(list.len());
-        if k == 0 {
-            return;
-        }
-        let watchers = list[..k].to_vec();
-        self.push.rotate(slot, k);
-        self.disseminate(
-            UpdateKind::Refresh,
-            addr,
-            watchers,
-            self.cfg.protocol.push.ttl,
-            now,
-            ctx,
-        );
-    }
-
-    /// One relay hop fires: the parked subtree disseminates from here.
-    /// Updates in flight when the mode flips to pull are dropped.
-    fn on_push_step<T: TraceSink>(
-        &mut self,
-        id: u32,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        let Some(job) = self.push.take_job(id) else {
-            return;
-        };
-        if self.cfg.protocol.maintenance_mode == MaintenanceMode::Pull {
-            self.metrics
-                .counters_mut()
-                .add("push_dropped", job.share.len() as u64);
-            return;
-        }
-        self.disseminate(job.kind, job.subject, job.share, job.ttl, now, ctx);
-    }
-
-    /// One node of the CUP-style dissemination tree: deliver to the first
-    /// `fanout` watchers directly, then split the residue round-robin
-    /// among the watchers that accepted delivery — each forwards its
-    /// share one `probe_interval` later with the TTL decremented. Shares
-    /// whose relay failed (or whose TTL ran out) are lost, exactly like a
-    /// broken branch of a real dissemination tree.
-    fn disseminate<T: TraceSink>(
-        &mut self,
-        kind: UpdateKind,
-        subject: PeerAddr,
-        recipients: Vec<Interest>,
-        ttl: u32,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        let fanout = self.cfg.protocol.push.fanout;
-        let direct_n = recipients.len().min(fanout);
-        let mut relays = 0usize;
-        for &w in &recipients[..direct_n] {
-            if self.deliver_push(kind, subject, w, now, ctx) {
-                relays += 1;
-            }
-        }
-        let residue = &recipients[direct_n..];
-        if residue.is_empty() {
-            return;
-        }
-        if relays == 0 || ttl <= 1 {
-            self.metrics
-                .counters_mut()
-                .add("push_dropped", residue.len() as u64);
-            return;
-        }
-        let mut shares: Vec<Vec<Interest>> = vec![Vec::new(); relays];
-        for (i, &w) in residue.iter().enumerate() {
-            shares[i % relays].push(w);
-        }
-        let hop = self.cfg.protocol.probe_interval;
-        for share in shares {
-            if share.is_empty() {
-                continue;
-            }
-            let id = self.push.enqueue_job(PushJob {
-                kind,
-                subject,
-                ttl: ttl - 1,
-                share,
-            });
-            ctx.schedule(now + hop, Event::PushStep { id });
-        }
-    }
-
-    /// Delivers one pushed update to one watcher. Returns whether the
-    /// watcher accepted (and may therefore relay a share of the tree).
-    fn deliver_push<T: TraceSink>(
-        &mut self,
-        kind: UpdateKind,
-        subject: PeerAddr,
-        w: Interest,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) -> bool {
-        let (counter, trace_kind) = match kind {
-            UpdateKind::Invalidate => ("push_invalidations", ProbeKind::Invalidate),
-            UpdateKind::Refresh => ("push_refreshes", ProbeKind::Refresh),
-        };
-        self.metrics.counters_mut().incr(counter);
-        // `subject` may be freshly dead (invalidations), but its address
-        // record keeps its slot, so the partition check is well-defined.
-        let reply = self.contact(Some(subject), w.addr, now, Message::Push);
-        Self::trace_probe(ctx, NO_QUERY, w.addr, trace_kind, reply, now);
-        match reply {
-            ProbeReply::TimedOutDead => self.metrics.counters_mut().incr("push_dropped"),
-            ProbeReply::Refused => self.metrics.counters_mut().incr("push_refused"),
-            ProbeReply::Answered { .. } => {
-                let h = self.peer(w.addr).cache();
-                match kind {
-                    UpdateKind::Invalidate => {
-                        self.caches.remove(h, subject);
-                    }
-                    UpdateKind::Refresh => {
-                        self.caches.touch(h, subject, now);
-                    }
-                }
-            }
-        }
-        reply.is_answered()
     }
 
     // ------------------------------------------------------------------
@@ -1696,8 +1371,8 @@ mod tests {
         let mut cfg = tiny(54);
         cfg.system.lifespan_multiplier = 0.1;
         let off = run_kept(cfg.clone(), &simkit::scenario::Scenario::new());
-        assert!(off.reputations.is_empty());
-        assert!(off.accounts.is_empty());
+        assert_eq!(off.reputations.len(), 0);
+        assert_eq!(off.ledger.len(), 0);
 
         let params = crate::payments::PaymentParams::default();
         let cfg = cfg
@@ -1705,15 +1380,15 @@ mod tests {
             .with_probe_payments(Some(params));
         let mut sim = GuessSim::new(cfg).unwrap();
         assert_eq!(sim.reputations.len(), sim.peers.len());
-        assert_eq!(sim.accounts.len(), sim.peers.len());
+        assert_eq!(sim.ledger.len(), sim.peers.len());
         // Give slot 7's occupant a blacklist and an empty purse ...
         let slot = SlotId(7);
         let dead = sim.peers[slot.index()].addr();
-        let liar = teach_a_liar(&mut sim, dead);
-        assert!(sim.reputation_mut(dead).is_blacklisted(liar));
+        let liar = teach_a_liar(&mut sim, slot);
+        assert!(sim.reputations.tracker_mut(slot).is_blacklisted(liar));
         let t = SimTime::from_secs(3.0);
-        let account = sim.account_mut(dead).unwrap();
-        while account.pay_probe(t).is_ok() {}
+        let mut counters = simkit::stats::CounterSet::default();
+        while sim.ledger.pay(slot, t, &mut counters) {}
         // ... then kill it: the replacement starts with neither.
         let mut kernel = Kernel::new(
             KernelParams::new(sim.cfg.run.duration),
@@ -1722,22 +1397,23 @@ mod tests {
         sim.on_death(slot, dead, t, &mut kernel.ctx());
         let newborn = sim.peers[slot.index()].addr();
         assert_ne!(newborn, dead);
-        assert_eq!(sim.reputation_mut(newborn).blacklisted_count(), 0);
-        let opened = crate::payments::ProbeAccount::new(params, t).balance(t);
-        assert_eq!(sim.account_mut(newborn).unwrap().balance(t), opened);
+        assert_eq!(sim.reputations.tracker_mut(slot).blacklisted_count(), 0);
+        let opened = crate::payments::ProbeAccount::new(&params, t).balance(&params, t);
+        assert_eq!(sim.ledger.balance(slot, t), opened);
         assert_eq!(sim.reputations.len(), sim.peers.len());
-        assert_eq!(sim.accounts.len(), sim.peers.len());
+        assert_eq!(sim.ledger.len(), sim.peers.len());
     }
 
-    /// Makes `owner` blame eight dead pointers on one source, which
-    /// blacklists it, and returns that source.
-    fn teach_a_liar(sim: &mut GuessSim, owner: PeerAddr) -> PeerAddr {
+    /// Makes the occupant of `slot` blame eight dead pointers on one
+    /// source, which blacklists it, and returns that source.
+    fn teach_a_liar(sim: &mut GuessSim, slot: SlotId) -> PeerAddr {
         let mut alloc = AddrAllocator::new();
         let liar = alloc.allocate();
         for _ in 0..8 {
             let fake = alloc.allocate();
-            sim.reputation_mut(owner).note_shared(liar, fake);
-            sim.reputation_mut(owner).note_dead(fake);
+            let tracker = sim.reputations.tracker_mut(slot);
+            tracker.note_shared(liar, fake);
+            tracker.note_dead(fake);
         }
         liar
     }
@@ -1746,11 +1422,11 @@ mod tests {
     fn reputation_is_per_peer() {
         let cfg = tiny(55).with_distrust_pongs(true);
         let mut sim = GuessSim::new(cfg).unwrap();
-        let (a, b) = (sim.peers[0].addr(), sim.peers[1].addr());
+        let (a, b) = (SlotId(0), SlotId(1));
         let liar = teach_a_liar(&mut sim, a);
-        assert!(sim.reputation_mut(a).is_blacklisted(liar));
-        assert!(!sim.reputation_mut(b).is_blacklisted(liar));
-        assert_eq!(sim.reputation_mut(b).blacklisted_count(), 0);
+        assert!(sim.reputations.tracker_mut(a).is_blacklisted(liar));
+        assert!(!sim.reputations.tracker_mut(b).is_blacklisted(liar));
+        assert_eq!(sim.reputations.tracker_mut(b).blacklisted_count(), 0);
     }
 
     #[test]

@@ -362,6 +362,18 @@ mod tests {
     }
 
     #[test]
+    fn zero_probe_interval_is_an_error_not_a_panic() {
+        // The probe interval sizes the lookahead window; an empty window
+        // used to panic inside the lane kernel.
+        let mut cfg = Config::small_test(3).with_lanes(2);
+        cfg.protocol.probe_interval = SimDuration::ZERO;
+        assert_eq!(
+            run_lanes(cfg, 1).err(),
+            Some(ConfigError::ZeroProbeInterval)
+        );
+    }
+
+    #[test]
     fn queries_off_runs_lanes_independently() {
         let mut cfg = tiny(11, 4);
         cfg.run.simulate_queries = false;

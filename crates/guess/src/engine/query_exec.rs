@@ -1,9 +1,5 @@
 //! Query execution: the iterative (or k-parallel) probe loop.
 //!
-//! Split out of the main engine module so the event handlers and the
-//! probing algorithm can be read independently; this is still the same
-//! `GuessSim` — a child module sees the engine's private state.
-//!
 //! Most link-cache lookups of a query land on the querier's own block
 //! (each answer's `record_results`, then one `offer` per pong entry), so
 //! the loop pins that block in the arena ([`CacheArena::pin`]) and those
@@ -22,7 +18,6 @@ pub(super) struct QueryExec {
     /// What the query is looking for — the lane runner re-checks it
     /// against remote libraries.
     pub(super) target: QueryTarget,
-    pub(super) selfish: bool,
     pub(super) desired: u32,
     pub(super) results: u32,
     pub(super) good: u32,
@@ -79,10 +74,8 @@ impl GuessSim {
     }
 
     /// The probe loop proper: runs the local candidate pool dry (or to
-    /// satisfaction) and returns the accumulated counts *without*
-    /// emitting the `QueryEnd` record or recording metrics — that is
-    /// [`GuessSim::conclude_query`], deferred by the lane runner until
-    /// cross-lane spill probes have answered.
+    /// satisfaction) and returns the counts; [`GuessSim::conclude_query`]
+    /// records them, later if cross-lane spill probes are in flight.
     pub(super) fn execute_query_core<T: TraceSink>(
         &mut self,
         prober: PeerAddr,
@@ -102,17 +95,12 @@ impl GuessSim {
         }
         let want = self.qmodel.sample_target(&mut self.rng_query);
         let probe_gap = self.cfg.protocol.probe_interval;
-
-        // Selfish peers blast wide volleys regardless of the protocol's
-        // configured walk width (§3.3); honest peers start at the
-        // configured k and may widen it adaptively (§6.2 future work).
-        let selfish = self.peer(prober).is_selfish();
-        let mut k = if selfish {
-            self.cfg.system.selfish_parallelism
-        } else {
-            self.cfg.protocol.parallel_probes
-        };
-        let mut resultless_streak = 0u32;
+        let behavior = self.peer(prober).behavior();
+        if behavior == Behavior::Selfish && ctx.after_warmup(now) {
+            self.metrics.counters_mut().incr("selfish_queries");
+        }
+        let mut walk = self.cfg.walk(behavior);
+        let me = self.slot_of(prober);
 
         // The probe pool: link-cache entries first, then everything the
         // query cache accumulates from pongs. The engine-owned stamp
@@ -140,7 +128,6 @@ impl GuessSim {
         let mut ex = QueryExec {
             qid,
             target: want,
-            selfish,
             desired: self.cfg.system.num_desired_results,
             results: 0,
             good: 0,
@@ -158,16 +145,10 @@ impl GuessSim {
             // Serial probes go out one timeout apart; k-parallel walks
             // share each time slot.
             let t_probe = now + probe_gap * ex.rounds;
-            // Probe payments (accounts exist exactly when they are on): a
-            // peer that cannot afford the probe must stop searching until
-            // its allowance refills (§3.3).
-            if let Some(account) = self.account_mut(prober) {
-                if account.pay_probe(t_probe).is_err() {
-                    self.metrics.counters_mut().incr("probe_budget_exhausted");
-                    break;
-                }
+            if !self.ledger.pay(me, t_probe, self.metrics.counters_mut()) {
+                break;
             }
-            ex.rounds += 1.0 / k as f64;
+            ex.rounds += 1.0 / walk.k as f64;
 
             let reply = self.contact(Some(prober), dst, t_probe, Message::Query(want));
             Self::trace_probe(ctx, qid, dst, ProbeKind::Query, reply, t_probe);
@@ -187,22 +168,8 @@ impl GuessSim {
                 }
                 ProbeReply::Answered { results } => results,
             };
-            if self.cfg.protocol.distrust_pongs {
-                self.reputation_mut(prober).note_alive(dst);
-            }
-            if let Some(account) = self.account_mut(dst) {
-                account.earn_answer(t_probe);
-            }
-
-            // Adaptive walk widening: double k after a run of resultless
-            // probes (only honest, non-selfish queriers bother).
-            if let (Some(ak), false) = (self.cfg.protocol.adaptive_parallelism, selfish) {
-                resultless_streak = if res == 0 { resultless_streak + 1 } else { 0 };
-                if resultless_streak >= ak.escalate_after {
-                    k = (k * 2).min(ak.max_k);
-                    resultless_streak = 0;
-                }
-            }
+            self.ledger.earn(self.slot_of(dst), t_probe);
+            walk.answered(res);
 
             // Both sides record the interaction (§2.1): the prober resets
             // NumRes for the target; the target refreshes TS for the
@@ -217,7 +184,8 @@ impl GuessSim {
             // The reply's pong feeds both the query cache (the probe pool)
             // and, subject to replacement policy, the link cache. A
             // filtered source's pong is not even built.
-            if self.pong_filtered(prober, dst) {
+            let counters = self.metrics.counters_mut();
+            if self.reputations.filters(me, dst, counters) {
                 continue;
             }
             let pong = self.build_pong(dst, self.cfg.protocol.query_pong, now);
@@ -234,9 +202,7 @@ impl GuessSim {
 
     /// Concludes a query: emits the `QueryEnd` record at `now` and, when
     /// `measured` (the query *started* after warm-up), records the
-    /// outcome. On the serial path this runs in the same event as the
-    /// probe loop, byte-identical to the pre-split code; the lane
-    /// runner calls it from the final remote-pong event instead.
+    /// outcome. The lane runner calls it from the last remote pong.
     pub(super) fn conclude_query<T: TraceSink>(
         &mut self,
         ex: &QueryExec,
@@ -264,9 +230,6 @@ impl GuessSim {
                 satisfied: ex.results >= ex.desired,
                 response_secs,
             });
-            if ex.selfish {
-                self.metrics.counters_mut().incr("selfish_queries");
-            }
         }
     }
 }

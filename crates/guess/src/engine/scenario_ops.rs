@@ -58,6 +58,7 @@ impl<T: TraceSink> Intervenable<T> for GuessSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AdaptiveParallelism;
     use simkit::scenario::{Scenario, ScenarioError};
     use simkit::time::SimDuration;
     use simkit::trace::NullSink;
@@ -231,6 +232,24 @@ mod tests {
         flip(&mut sim, Param::QueryRate(-3.0)).unwrap_err();
         assert_eq!(sim.cfg.protocol.maintenance_mode, MaintenanceMode::Hybrid);
         assert_eq!(sim.cfg.system.query_rate, tiny(44).system.query_rate);
+    }
+
+    #[test]
+    fn parallel_probes_flip_past_adaptive_max_k_is_rejected() {
+        // Widening doubles the walk up to `max_k`; a walk already wider
+        // than that would be halved at its first escalation.
+        let cfg = tiny(46).with_adaptive_parallelism(Some(AdaptiveParallelism {
+            max_k: 4,
+            ..AdaptiveParallelism::default()
+        }));
+        let scenario = Scenario::new()
+            .at(100.0)
+            .param_flip(Param::ParallelProbes(8));
+        let err = GuessSim::new(cfg)
+            .unwrap()
+            .run_scenario(&scenario)
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::InvalidParam(_)), "{err:?}");
     }
 
     #[test]

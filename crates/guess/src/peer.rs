@@ -6,11 +6,9 @@
 //! link-cache entries — does not live here: `PeerState` holds arena
 //! *handles* ([`workload::content::LibraryHandle`],
 //! [`crate::link_cache::CacheHandle`]) into engine-owned arenas, freed at
-//! death and recycled by the replacement. Neither does the state of the
-//! optional extensions (the pong-source reputation tracker, the probe
-//! account): the engine keeps those in slot-indexed side tables that
-//! stay empty unless the extension is configured, so a `PeerState` is
-//! one 64-byte cache line.
+//! death and recycled by the replacement. Neither does extension state:
+//! reputation and payments keep slot-indexed tables of their own, so a
+//! `PeerState` is one 64-byte cache line.
 //!
 //! A dead address survives only as a pointer in other peers' caches
 //! (GUESS peers leave silently, §3.2), and all the engine ever asks of it
@@ -26,12 +24,17 @@ use crate::addr::{PeerAddr, SlotId};
 use crate::capacity::CapacityMeter;
 use crate::link_cache::CacheHandle;
 
-/// Whether a peer follows the protocol or attacks it.
+/// Whether a peer follows the protocol, games it, or attacks it; fixed
+/// at birth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Behavior {
     /// An honest peer: answers queries from its library, shares real cache
     /// entries in pongs.
     Good,
+    /// An honest peer that games the system with huge probe volleys
+    /// (§3.3): it answers and shares like a good peer, but its own
+    /// queries ignore the configured walk width.
+    Selfish,
     /// A malicious peer (§6.4): returns no results and poisons pongs with
     /// dead or colluding addresses, advertising inflated metadata.
     Malicious,
@@ -80,7 +83,6 @@ pub struct PeerState {
     cache: CacheHandle,
     capacity: CapacityMeter,
     probes_received: u64,
-    selfish: bool,
     ping_interval: SimDuration,
 }
 
@@ -103,7 +105,6 @@ impl PeerState {
             cache,
             capacity: CapacityMeter::with_limit(probe_limit),
             probes_received: 0,
-            selfish: false,
             ping_interval: SimDuration::from_secs(30.0),
         }
     }
@@ -114,16 +115,16 @@ impl PeerState {
         self.addr
     }
 
-    /// Honest or malicious.
+    /// Good, selfish or malicious.
     #[must_use]
     pub fn behavior(&self) -> Behavior {
         self.behavior
     }
 
-    /// True for peers that follow the protocol.
+    /// True for peers that answer honestly: all but the malicious.
     #[must_use]
     pub fn is_good(&self) -> bool {
-        self.behavior == Behavior::Good
+        self.behavior != Behavior::Malicious
     }
 
     /// The file count this peer advertises in introductions and pongs.
@@ -159,18 +160,6 @@ impl PeerState {
     /// Records an arriving probe for load accounting.
     pub fn note_probe_received(&mut self) {
         self.probes_received += 1;
-    }
-
-    /// Whether this (honest) peer games the system with huge probe
-    /// volleys (§3.3).
-    #[must_use]
-    pub fn is_selfish(&self) -> bool {
-        self.selfish
-    }
-
-    /// Flags the peer as selfish.
-    pub fn set_selfish(&mut self, selfish: bool) {
-        self.selfish = selfish;
     }
 
     /// The peer's current maintenance ping interval (adaptive pinging
@@ -229,10 +218,19 @@ mod tests {
 
     #[test]
     fn selfish_flag_and_ping_interval_round_trip() {
-        let mut p = peer();
-        assert!(!p.is_selfish());
-        p.set_selfish(true);
-        assert!(p.is_selfish());
+        // Selfishness is a behaviour fixed at birth; a selfish peer still
+        // answers honestly.
+        let mut alloc = AddrAllocator::new();
+        let mut p = PeerState::new(
+            alloc.allocate(),
+            Behavior::Selfish,
+            7,
+            LibraryHandle::EMPTY,
+            CacheHandle::NULL,
+            None,
+        );
+        assert_eq!(p.behavior(), Behavior::Selfish);
+        assert!(p.is_good());
         p.set_ping_interval(SimDuration::from_secs(12.0));
         assert_eq!(p.ping_interval(), SimDuration::from_secs(12.0));
     }

@@ -9,27 +9,23 @@
 //! dies or leaves, refreshes on its periodic maintenance cycle — along
 //! those interest edges.
 //!
-//! The plane itself is pure state; the engine drives it:
+//! The plane itself is pure state; the engine drives it (its
+//! `push_ops` module):
 //!
 //! * **Interest registry** — per-slot bounded lists of watchers. A watcher
 //!   is recorded as `(slot, addr)` so delivery can detect that the watcher
 //!   instance has since died and its slot was recycled. Lists are capped at
 //!   `interest_cap`; the oldest registration is evicted first, which keeps
 //!   per-subject push fan-in bounded no matter how widely a pong travels.
-//! * **Dissemination jobs** — in-flight update-tree nodes. An update is
-//!   pushed to the first `fanout` watchers directly; the residue is split
-//!   round-robin among the watchers that accepted delivery and forwarded
-//!   one relay hop later (TTL-bounded), mirroring CUP's tree dissemination.
-//!   Jobs live in a free-list slab so the scheduled [`engine`](crate::engine)
+//! * **Dissemination jobs** — in-flight nodes of CUP's TTL-bounded update
+//!   trees, in a free-list slab so the scheduled [`engine`](crate::engine)
 //!   event carries only a `u32` id.
 //! * **Coalescing flags** — at most one refresh flush is pending per slot;
 //!   further refresh requests inside the coalesce window merge into it.
 //!
-//! Nothing here touches an RNG or schedules events, so a run in
-//! [`MaintenanceMode::Pull`](crate::MaintenanceMode) — where the engine
-//! never calls into the plane — is byte-identical to a build without it.
-//! The per-slot tables are sized on the first registration or refresh
-//! request, so a pull run allocates none of them either.
+//! Nothing here draws randomness or schedules events, and the per-slot
+//! tables are sized on the first registration or refresh request, so a
+//! [`MaintenanceMode::Pull`](crate::MaintenanceMode) run is unaffected.
 
 use crate::addr::{PeerAddr, SlotId};
 

@@ -10,23 +10,16 @@
 //! are overwhelmingly dead. Entries offered by blacklisted sources are
 //! dropped on arrival.
 //!
-//! The tracker is deliberately cheap: bounded maps, O(1) per event.
+//! The tracker is deliberately cheap: bounded maps, O(1) per event. The
+//! engine keeps one per slot and calls the hooks of `Reputations`, each
+//! a no-op unless `distrust_pongs` is set.
 
 use simkit::hash::{FxHashMap, FxHashSet};
+use simkit::stats::CounterSet;
 
-use crate::addr::PeerAddr;
-
-/// Verdicts a tracker can reach about a pong source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceVerdict {
-    /// Not enough evidence either way.
-    Undecided,
-    /// Enough samples, dead ratio below the threshold.
-    Trusted,
-    /// Enough samples, dead ratio at or above the threshold: pongs from
-    /// this peer are ignored.
-    Blacklisted,
-}
+use crate::addr::{put_slot, PeerAddr, SlotId};
+use crate::config::Config;
+use crate::entry::CacheEntry;
 
 /// Tuning knobs for [`ReputationTracker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +54,7 @@ struct SourceScore {
 ///
 /// ```
 /// use guess::addr::AddrAllocator;
-/// use guess::reputation::{ReputationParams, ReputationTracker, SourceVerdict};
+/// use guess::reputation::{ReputationParams, ReputationTracker};
 ///
 /// let mut alloc = AddrAllocator::new();
 /// let (attacker, victim) = (alloc.allocate(), alloc.allocate());
@@ -71,8 +64,8 @@ struct SourceScore {
 ///     rep.note_shared(attacker, fake);
 ///     rep.note_dead(fake);
 /// }
-/// assert_eq!(rep.verdict(attacker), SourceVerdict::Blacklisted);
-/// assert_eq!(rep.verdict(victim), SourceVerdict::Undecided);
+/// assert!(rep.is_blacklisted(attacker));
+/// assert!(!rep.is_blacklisted(victim));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReputationTracker {
@@ -89,8 +82,7 @@ impl ReputationTracker {
     /// Creates an empty tracker.
     #[must_use]
     pub fn new(params: ReputationParams) -> Self {
-        // Maps start empty (not pre-sized): under `distrust_pongs` the
-        // engine keeps one tracker per slot and resets it at every birth.
+        // Maps start empty: the engine resets a slot's tracker at birth.
         ReputationTracker {
             params,
             provenance: FxHashMap::default(),
@@ -147,18 +139,6 @@ impl ReputationTracker {
         }
     }
 
-    /// The current verdict on `source`.
-    #[must_use]
-    pub fn verdict(&self, source: PeerAddr) -> SourceVerdict {
-        if self.blacklist.contains(&source) {
-            return SourceVerdict::Blacklisted;
-        }
-        match self.scores.get(&source) {
-            Some(s) if s.resolved >= self.params.min_samples => SourceVerdict::Trusted,
-            _ => SourceVerdict::Undecided,
-        }
-    }
-
     /// Whether pongs from `source` should be ignored.
     #[must_use]
     pub fn is_blacklisted(&self, source: PeerAddr) -> bool {
@@ -172,10 +152,119 @@ impl ReputationTracker {
     }
 }
 
+/// One tracker per slot, reset at birth; `None` (no table) unless the
+/// config sets `distrust_pongs`.
+#[derive(Debug)]
+pub(crate) struct Reputations(Option<Vec<ReputationTracker>>);
+
+impl Reputations {
+    /// The defense as `cfg` sets it: on, with default tuning, or off.
+    pub(crate) fn new(cfg: &Config) -> Self {
+        Reputations(cfg.protocol.distrust_pongs.then(Vec::new))
+    }
+
+    /// Birth: `slot`'s new occupant starts with no memory.
+    pub(crate) fn reset(&mut self, slot: SlotId) {
+        if let Some(t) = &mut self.0 {
+            let fresh = ReputationTracker::new(ReputationParams::default());
+            put_slot(t, slot, fresh);
+        }
+    }
+
+    /// Contact outcome: `slot`'s occupant found `subject` dead. Returns
+    /// the source this blame just blacklisted, for the caller to evict.
+    pub(crate) fn blame(
+        &mut self,
+        slot: SlotId,
+        subject: PeerAddr,
+        counters: &mut CounterSet,
+    ) -> Option<PeerAddr> {
+        let tracker = &mut self.0.as_mut()?[slot.index()];
+        let before = tracker.blacklisted_count();
+        let source = tracker.note_dead(subject)?;
+        if tracker.blacklisted_count() == before {
+            return None;
+        }
+        counters.incr("sources_blacklisted");
+        Some(source)
+    }
+
+    /// Contact outcome and pong source: `slot`'s occupant found `source`
+    /// alive, which credits whoever shared it. True (and counted) when
+    /// it then drops `source`'s pong unseen.
+    pub(crate) fn filters(
+        &mut self,
+        slot: SlotId,
+        source: PeerAddr,
+        counters: &mut CounterSet,
+    ) -> bool {
+        let Some(t) = &mut self.0 else {
+            return false;
+        };
+        let tracker = &mut t[slot.index()];
+        tracker.note_alive(source);
+        let filtered = tracker.is_blacklisted(source);
+        if filtered {
+            counters.incr("pongs_filtered");
+        }
+        filtered
+    }
+
+    /// Pong entry: a blacklisted address is never re-admitted; any other
+    /// is recorded as `source`'s to answer for.
+    pub(crate) fn admits(&mut self, slot: SlotId, source: PeerAddr, entry: &CacheEntry) -> bool {
+        let Some(t) = &mut self.0 else {
+            return true;
+        };
+        let tracker = &mut t[slot.index()];
+        if tracker.is_blacklisted(entry.addr()) {
+            return false;
+        }
+        tracker.note_shared(source, entry.addr());
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::AddrAllocator;
+
+    /// Verdicts a tracker can reach about a pong source.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum SourceVerdict {
+        /// Not enough evidence either way.
+        Undecided,
+        /// Enough samples, dead ratio below the threshold.
+        Trusted,
+        /// Enough samples, dead ratio at or above the threshold.
+        Blacklisted,
+    }
+
+    impl ReputationTracker {
+        /// The current verdict on `source`.
+        fn verdict(&self, source: PeerAddr) -> SourceVerdict {
+            if self.blacklist.contains(&source) {
+                return SourceVerdict::Blacklisted;
+            }
+            match self.scores.get(&source) {
+                Some(s) if s.resolved >= self.params.min_samples => SourceVerdict::Trusted,
+                _ => SourceVerdict::Undecided,
+            }
+        }
+    }
+
+    impl Reputations {
+        /// The number of slots with a tracker.
+        pub(crate) fn len(&self) -> usize {
+            self.0.as_ref().map_or(0, Vec::len)
+        }
+
+        /// `slot`'s tracker; panics when the defense is off.
+        pub(crate) fn tracker_mut(&mut self, slot: SlotId) -> &mut ReputationTracker {
+            &mut self.0.as_mut().unwrap()[slot.index()]
+        }
+    }
 
     fn tracker() -> (ReputationTracker, AddrAllocator) {
         (

@@ -9,6 +9,19 @@ cd "$(dirname "$0")/.."
 out=/tmp/repro-ci
 
 cargo fmt --all -- --check
+
+# Boundary gate: the GUESS core reads no extension config. Reputation,
+# payments, push maintenance and the walk/ping rules each live in their
+# own module; the non-test code of engine.rs and engine/query_exec.rs
+# (up to each file's first #[cfg(test)]) names none of their fields.
+for f in crates/guess/src/engine.rs crates/guess/src/engine/query_exec.rs; do
+    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" | grep -E \
+        'distrust_pongs|probe_payments|adaptive_ping|adaptive_parallelism|selfish_fraction|selfish_parallelism|maintenance_mode|protocol\.push'; then
+        echo "boundary gate: the GUESS core reads extension config (lines above)" >&2
+        exit 1
+    fi
+done
+
 cargo clippy --all-targets -- -D warnings
 # Intra-doc links stay resolvable and public docs link no private item.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
