@@ -18,9 +18,9 @@
 //! (structured blocks, see [`guess_bench::report::Report::render_json`]).
 //!
 //! `--jobs N` bounds how many simulations run at once — across
-//! experiments and across the sweep points inside each one. Every sweep
-//! point carries its own RNG seed, so the reports are byte-identical at
-//! any `--jobs` level; only wall-clock time changes.
+//! experiments (or scenarios) and across the sweep points inside each
+//! one. Every sweep point carries its own RNG seed, so the reports are
+//! byte-identical at any `--jobs` level; only wall-clock time changes.
 //!
 //! `--shard i/m` keeps only every `m`-th selected experiment starting
 //! at index `i` — the grid split into `m` independently runnable work
@@ -30,26 +30,35 @@
 //!
 //! `--trace <path>` runs one base-configuration simulation with the
 //! structured trace layer on, streaming every record to `<path>` as
-//! JSON Lines (schema in EXPERIMENTS.md), then reconciles the trace
-//! totals against the run's own report before exiting. `--engine`
-//! selects which simulator is traced: `guess` (default), `gossip` or
-//! `gnutella` (dynamic flooding).
+//! JSON Lines (schema in EXPERIMENTS.md), then checks the trace totals
+//! against the run's own report (the rows of
+//! [`guess_bench::tracefile::Reconcile`]) and exits 1 on a mismatch.
+//! `--engine` selects which simulator is traced: `guess` (default),
+//! `gossip` or `gnutella` (dynamic flooding).
 //!
-//! An argument starting with `--` that is not listed above is an error
-//! (exit 2), never silently dropped. Performance is measured by the
-//! repo benchmark, a package of its own: see `benchmark/README.md`.
+//! Each form takes only the flags listed for it above. A flag the
+//! chosen form has no use for — `--engine` without `--trace`; names,
+//! `--jobs`, `--shard`, `--out` or `--json` with `--trace`; `--shard`,
+//! `--trace` or `--engine` after `scenario` — is an error (exit 2 with
+//! the usage text), as is any unknown `--flag`; nothing is silently
+//! dropped. Performance is measured by the repo benchmark, a package of
+//! its own: see `benchmark/README.md`.
 
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use guess_bench::experiments;
+use gnutella::dynamic::GnutellaSim;
+use gossip::GossipSim;
+use guess::engine::GuessSim;
+use guess_bench::experiments::{self, gossip_tradeoff, Experiment};
 use guess_bench::report::Report;
 use guess_bench::runner::Ctx;
-use guess_bench::scale::Scale;
+use guess_bench::scale::{base_config, gnutella_config, Scale};
+use guess_bench::scenarios;
+use guess_bench::tracefile::{JsonlSink, Reconcile};
 use simkit::sim::Runnable;
 use simkit::time::SimDuration;
-use simkit::trace::CountingSink;
 
 /// The parsed command line: every flag `repro` knows, plus the
 /// positional experiment or scenario names.
@@ -66,9 +75,9 @@ struct Cli<'a> {
 
 /// Parses `args` in one walk. Flags that take a value consume the next
 /// argument, so `--out DIR`'s DIR is never taken for a name; an
-/// unrecognised `--flag` is an error rather than a silent no-op.
-/// `scenario` is the `repro scenario …` form, which has no shards and
-/// no traced run.
+/// unrecognised `--flag`, or a flag the chosen form does not take, is
+/// an error rather than a silent no-op. `scenario` is the
+/// `repro scenario …` form.
 fn parse_cli(args: &[String], scenario: bool) -> Result<Cli<'_>, String> {
     let mut cli = Cli {
         quick: false,
@@ -80,12 +89,11 @@ fn parse_cli(args: &[String], scenario: bool) -> Result<Cli<'_>, String> {
         engine: "guess",
         names: Vec::new(),
     };
+    let mut given = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        given.push(arg.as_str());
         match arg.as_str() {
-            "--shard" | "--trace" | "--engine" if scenario => {
-                return Err(format!("{arg} does not apply to `repro scenario`"));
-            }
             "--quick" => cli.quick = true,
             "--json" => cli.json = true,
             "--jobs" => {
@@ -122,6 +130,22 @@ fn parse_cli(args: &[String], scenario: bool) -> Result<Cli<'_>, String> {
             name => cli.names.push(name),
         }
     }
+    // The flags each form has no use for.
+    let (form, refused): (&str, &[&str]) = if scenario {
+        ("`repro scenario`", &["--shard", "--trace", "--engine"])
+    } else if cli.trace.is_some() {
+        ("`repro --trace`", &["--jobs", "--shard", "--out", "--json"])
+    } else {
+        ("an experiment run; it needs --trace", &["--engine"])
+    };
+    if let Some(flag) = given.iter().find(|flag| refused.contains(flag)) {
+        return Err(format!("{flag} does not apply to {form}"));
+    }
+    if let (Some(_), Some(name)) = (&cli.trace, cli.names.first()) {
+        return Err(format!(
+            "`repro --trace` takes no experiment name ('{name}')"
+        ));
+    }
     if cli.json && cli.out_dir.is_none() {
         return Err("--json needs --out <dir> to know where to write the files".to_string());
     }
@@ -146,7 +170,7 @@ fn main() {
             println!("  {:<14} {}", e.name, e.description);
         }
         println!("\nscenarios (repro scenario <name>):");
-        for s in guess_bench::scenarios::all() {
+        for s in scenarios::all() {
             println!("  {:<14} [{}] {}", s.name, s.engine, s.description);
         }
         return;
@@ -159,11 +183,7 @@ fn main() {
         parse_cli(&args[usize::from(scenario)..], scenario).unwrap_or_else(|msg| usage_error(&msg));
     let scale = if cli.quick { Scale::Quick } else { Scale::Full };
     if let Some(path) = &cli.trace {
-        match cli.engine {
-            "gossip" => run_traced_gossip(path, scale),
-            "gnutella" => run_traced_gnutella(path, scale),
-            _ => run_traced_guess(path, scale),
-        }
+        run_traced(path, cli.engine, scale);
         return;
     }
     if let Some(dir) = &cli.out_dir {
@@ -172,29 +192,30 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let ctx = Ctx::new(scale, cli.jobs);
-    if scenario {
-        run_scenarios(&cli, &ctx);
+    // A scenario runs like an experiment; one driver serves both catalogs.
+    let (kind, catalog) = if scenario {
+        let entries = scenarios::all().into_iter().map(|s| Experiment {
+            name: s.name,
+            description: s.description,
+            run: s.run,
+        });
+        ("scenario", entries.collect())
     } else {
-        run_experiments(&cli, &ctx);
-    }
+        ("experiment", experiments::all())
+    };
+    run_catalog(kind, catalog, &cli, &Ctx::new(scale, cli.jobs));
 }
 
-/// Resolves the positional `names` against one catalog: `all` selects
-/// everything, an unknown name or an empty selection exits 2.
-fn select<T>(
-    names: &[&str],
-    kind: &str,
-    all: fn() -> Vec<T>,
-    find: fn(&str) -> Option<T>,
-) -> Vec<T> {
+/// Resolves the positional `names` against a `kind` catalog: `all`
+/// selects everything, an unknown name or an empty selection exits 2.
+fn select(kind: &str, catalog: Vec<Experiment>, names: &[&str]) -> Vec<Experiment> {
     if names.contains(&"all") {
-        return all();
+        return catalog;
     }
-    let picked: Vec<T> = names
+    let picked: Vec<Experiment> = names
         .iter()
         .map(|name| {
-            find(name).unwrap_or_else(|| {
+            *catalog.iter().find(|e| e.name == *name).unwrap_or_else(|| {
                 eprintln!("unknown {kind} '{name}' (try --list)");
                 std::process::exit(2);
             })
@@ -206,39 +227,27 @@ fn select<T>(
     picked
 }
 
-/// `repro all|<experiment>... [--quick] [--jobs N] [--shard i/m] [--out DIR] [--json]`
-/// — runs the selected experiments, printing reports in selection order.
-fn run_experiments(cli: &Cli<'_>, ctx: &Ctx) {
-    let scale = ctx.scale();
-    let selected = select(
-        &cli.names,
-        "experiment",
-        experiments::all,
-        experiments::find,
-    );
-    // Shard by position in the selection: experiment `k` belongs to
-    // shard `k % m`. Every experiment seeds its own RNG streams, so each
-    // work unit is addressed by its own seeds and renders the same
-    // report inside any shard — the union of per-shard `--out` files is
-    // byte-identical to the unsharded run's.
-    let selected: Vec<experiments::Experiment> = match cli.shard {
-        Some((i, m)) => selected
-            .into_iter()
-            .enumerate()
-            .filter(|(k, _)| k % m == i)
-            .map(|(_, e)| e)
-            .collect(),
-        None => selected,
-    };
+/// `repro all|<name>... [--quick] [--jobs N] [--shard i/m] [--out DIR] [--json]`
+/// and `repro scenario …` — runs the selected `kind` entries of
+/// `catalog`, printing reports in selection order.
+fn run_catalog(kind: &str, catalog: Vec<Experiment>, cli: &Cli<'_>, ctx: &Ctx) {
+    let mut selected = select(kind, catalog, &cli.names);
+    // Shard by position in the selection: entry `k` belongs to shard
+    // `k % m`. Every entry seeds its own RNG streams, so each work unit
+    // is addressed by its own seeds and renders the same report inside
+    // any shard — the union of per-shard `--out` files is byte-identical
+    // to the unsharded run's.
     if let Some((i, m)) = cli.shard {
+        selected = (i..selected.len())
+            .step_by(m)
+            .map(|k| selected[k])
+            .collect();
+        let names: Vec<&str> = selected.iter().map(|e| e.name).collect();
         println!(
-            "shard {i}/{m}: {} experiment(s) [{}]",
+            "shard {i}/{m}: {} {}(s) [{}]",
             selected.len(),
-            selected
-                .iter()
-                .map(|e| e.name)
-                .collect::<Vec<_>>()
-                .join(", ")
+            kind,
+            names.join(", ")
         );
         if selected.is_empty() {
             return;
@@ -246,72 +255,48 @@ fn run_experiments(cli: &Cli<'_>, ctx: &Ctx) {
     }
 
     let overall = Instant::now();
+    let timed = |entry: &Experiment| {
+        let started = Instant::now();
+        let report = (entry.run)(ctx);
+        (report, started.elapsed().as_secs_f64())
+    };
     if ctx.jobs() == 1 {
-        // Serial: run and print each experiment in turn, as the original
-        // driver did, so per-experiment timings stay meaningful.
-        for e in &selected {
-            let started = Instant::now();
-            let report = (e.run)(ctx);
-            let secs = started.elapsed().as_secs_f64();
-            emit(e.name, e.description, &report, secs, cli, scale);
+        // Serial: run and print each entry in turn, so per-entry
+        // timings stay meaningful.
+        for entry in &selected {
+            let (report, secs) = timed(entry);
+            emit(entry, &report, secs, cli, ctx.scale());
         }
     } else {
-        // Parallel: one thread per experiment; each simulation inside
+        // Parallel: one thread per entry; each simulation inside
         // acquires a permit from the shared `--jobs` budget. Results are
         // printed in selection order as they become ready.
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|s| {
-            for (i, e) in selected.iter().enumerate() {
+            for (i, entry) in selected.iter().enumerate() {
                 let tx = tx.clone();
+                let timed = &timed;
                 s.spawn(move || {
-                    let started = Instant::now();
-                    let report = (e.run)(ctx);
                     // The receiver outlives the scope; send cannot fail.
-                    tx.send((i, report, started.elapsed().as_secs_f64()))
-                        .expect("main receiver");
+                    tx.send((i, timed(entry))).expect("main receiver");
                 });
             }
             drop(tx);
             let mut ready: Vec<Option<(Report, f64)>> = selected.iter().map(|_| None).collect();
             let mut next = 0;
-            for (i, report, secs) in rx {
-                ready[i] = Some((report, secs));
-                while next < ready.len() {
-                    let Some((report, secs)) = ready[next].take() else {
-                        break;
-                    };
-                    let e = &selected[next];
-                    emit(e.name, e.description, &report, secs, cli, scale);
+            for (i, done) in rx {
+                ready[i] = Some(done);
+                while let Some(Some((report, secs))) = ready.get_mut(next).map(Option::take) {
+                    emit(&selected[next], &report, secs, cli, ctx.scale());
                     next += 1;
                 }
             }
         });
     }
     println!(
-        "ran {} experiment(s) at {:?} scale in {:.1}s",
+        "ran {} {}(s) at {:?} scale in {:.1}s",
         selected.len(),
-        scale,
-        overall.elapsed().as_secs_f64()
-    );
-}
-
-/// `repro scenario <name>... [--quick] [--jobs N] [--out DIR] [--json]`
-/// — runs named scenarios from the catalog (see `--list`), each one a
-/// baseline-vs-intervened pair over the same seed.
-fn run_scenarios(cli: &Cli<'_>, ctx: &Ctx) {
-    use guess_bench::scenarios;
-
-    let selected = select(&cli.names, "scenario", scenarios::all, scenarios::find);
-    let overall = Instant::now();
-    for s in &selected {
-        let started = Instant::now();
-        let report = (s.run)(ctx);
-        let secs = started.elapsed().as_secs_f64();
-        emit(s.name, s.description, &report, secs, cli, ctx.scale());
-    }
-    println!(
-        "ran {} scenario(s) at {:?} scale in {:.1}s",
-        selected.len(),
+        kind,
         ctx.scale(),
         overall.elapsed().as_secs_f64()
     );
@@ -319,7 +304,8 @@ fn run_scenarios(cli: &Cli<'_>, ctx: &Ctx) {
 
 /// Prints one finished experiment or scenario in the standard frame and
 /// writes its `--out` artifacts.
-fn emit(name: &str, description: &str, report: &Report, secs: f64, cli: &Cli<'_>, scale: Scale) {
+fn emit(entry: &Experiment, report: &Report, secs: f64, cli: &Cli<'_>, scale: Scale) {
+    let (name, description) = (entry.name, entry.description);
     println!("==============================================================");
     println!("== {name} — {description}");
     println!("==============================================================");
@@ -341,18 +327,44 @@ fn emit(name: &str, description: &str, report: &Report, secs: f64, cli: &Cli<'_>
     }
 }
 
-/// Runs one simulation with tracing on, streaming its JSONL to `path`,
-/// and returns the run's report with the trace's tallies. `engine` names
-/// the simulator in the summary line. Exits 1 on an invalid config or an
-/// I/O failure.
-fn write_trace<S: Runnable, E: std::fmt::Display>(
-    sim: Result<S, E>,
-    path: &Path,
-    engine: &str,
-    scale: Scale,
-) -> (S::Report, CountingSink) {
-    use guess_bench::tracefile::JsonlSink;
+/// `repro --trace <path> [--engine E]` — traces one run of engine `E`
+/// with zero warm-up, so the report covers every query in the trace and
+/// each reconciliation row must hold exactly.
+fn run_traced(path: &Path, engine: &str, scale: Scale) {
+    const SEED: u64 = 0x7ACE;
+    match engine {
+        "gossip" => {
+            let cfg = gossip_tradeoff::traced_config(scale, SEED);
+            trace("gossip", GossipSim::new(cfg), path, scale);
+        }
+        "gnutella" => {
+            // A smaller overlay: every flooded message is one record.
+            let n = match scale {
+                Scale::Full => 500,
+                Scale::Quick => 200,
+            };
+            let cfg = gnutella_config(scale, SEED)
+                .with_network_size(n)
+                .with_warmup(SimDuration::ZERO);
+            trace("Gnutella", GnutellaSim::new(cfg), path, scale);
+        }
+        _ => {
+            let mut cfg = base_config(scale, SEED);
+            cfg.run.warmup = SimDuration::ZERO;
+            trace("GUESS", GuessSim::new(cfg), path, scale);
+        }
+    }
+}
 
+/// Runs `sim` with tracing on, streaming its JSONL to `path`, then
+/// prints the report's reconciliation rows. Exits 1 on an invalid
+/// config, an I/O failure or a row that does not hold.
+fn trace<S, E>(engine: &str, sim: Result<S, E>, path: &Path, scale: Scale)
+where
+    S: Runnable,
+    S::Report: Reconcile,
+    E: std::fmt::Display,
+{
     let sim = sim.unwrap_or_else(|e| {
         eprintln!("invalid trace config: {e}");
         std::process::exit(1);
@@ -362,8 +374,7 @@ fn write_trace<S: Runnable, E: std::fmt::Display>(
         std::process::exit(1);
     });
     let started = Instant::now();
-    let sink = JsonlSink::new(std::io::BufWriter::new(file));
-    let (report, sink) = sim.run_traced(sink);
+    let (report, sink) = sim.run_traced(JsonlSink::new(std::io::BufWriter::new(file)));
     let (_, counts, io_error) = sink.finish();
     if let Some(e) = io_error {
         eprintln!("trace write to {} failed: {e}", path.display());
@@ -375,175 +386,15 @@ fn write_trace<S: Runnable, E: std::fmt::Display>(
         started.elapsed().as_secs_f64()
     );
     println!("  records: {}", counts.total());
-    (report, counts)
-}
-
-/// Prints one line per `(what, report value, trace value)` check and
-/// exits 1 unless every pair is equal.
-fn reconcile(checks: &[(&str, u64, u64)]) {
-    let mut ok = true;
-    for &(what, in_report, in_trace) in checks {
-        let mark = if in_report == in_trace { "ok " } else { "FAIL" };
-        println!("  [{mark}] {what}: report={in_report} trace={in_trace}");
-        ok &= in_report == in_trace;
+    let rows = report.reconciliation(&counts);
+    for (what, report, trace) in &rows {
+        let mark = if report == trace { "ok " } else { "FAIL" };
+        println!("  [{mark}] {what}: report={report} trace={trace}");
     }
-    if !ok {
+    if rows.iter().any(|(_, report, trace)| report != trace) {
         eprintln!("trace does not reconcile with the run report");
         std::process::exit(1);
     }
-}
-
-/// Traces one base-configuration GUESS run to `path` and reconciles the
-/// trace totals against the run's report.
-fn run_traced_guess(path: &Path, scale: Scale) {
-    use guess::engine::GuessSim;
-    use guess_bench::scale::base_config;
-
-    let mut cfg = base_config(scale, 0x7ACE);
-    // Zero warm-up: the report then covers every query in the trace, so
-    // the reconciliation below must match exactly.
-    cfg.run.warmup = SimDuration::ZERO;
-    let (report, counts) = write_trace(GuessSim::new(cfg), path, "GUESS", scale);
-    // The report's probe total comes back through a Welford running
-    // mean, so round — `sum()` is `mean * count`, exact only up to f64
-    // rounding. The same holds for the other engines' message totals.
-    let probes = report.total_probes.sum().round() as u64;
-    reconcile(&[
-        (
-            "queries == query_end records",
-            report.queries,
-            counts.query_ends,
-        ),
-        (
-            "queries == query_start records",
-            report.queries,
-            counts.query_starts,
-        ),
-        (
-            "unsatisfied queries",
-            report.unsatisfied,
-            counts.query_ends - counts.satisfied,
-        ),
-        ("total probes == probe records", probes, counts.query_probes),
-        (
-            "total probes == query_end sums",
-            probes,
-            counts.query_end_probes,
-        ),
-        (
-            "births == join records",
-            report.counters.get("births"),
-            counts.joins,
-        ),
-        (
-            "deaths == death records",
-            report.counters.get("deaths"),
-            counts.deaths,
-        ),
-        (
-            "pings == ping probe records",
-            report.counters.get("pings_sent"),
-            counts.ping_probes,
-        ),
-    ]);
-}
-
-/// Traces one gossip run to `path` and reconciles it as above.
-fn run_traced_gossip(path: &Path, scale: Scale) {
-    use gossip::GossipSim;
-    use guess_bench::experiments::gossip_tradeoff;
-
-    // Zero warm-up is set inside `traced_config`.
-    let cfg = gossip_tradeoff::traced_config(scale, 0x7ACE);
-    let (report, counts) = write_trace(GossipSim::new(cfg), path, "gossip", scale);
-    let messages = report.messages.sum().round() as u64;
-    reconcile(&[
-        (
-            "queries == query_end records",
-            report.queries,
-            counts.query_ends,
-        ),
-        (
-            "queries == query_start records",
-            report.queries,
-            counts.query_starts,
-        ),
-        (
-            "unsatisfied queries",
-            report.unsatisfied,
-            counts.query_ends - counts.satisfied,
-        ),
-        (
-            "total messages == push+pull probe records",
-            messages,
-            counts.push_probes + counts.pull_probes,
-        ),
-        (
-            "total messages == query_end sums",
-            messages,
-            counts.query_end_probes,
-        ),
-        (
-            "births == join records",
-            report.counters.get("births"),
-            counts.joins,
-        ),
-        (
-            "deaths == death records",
-            report.counters.get("deaths"),
-            counts.deaths,
-        ),
-    ]);
-}
-
-/// Traces one dynamic Gnutella run to `path`, with zero warm-up, and
-/// reconciles it as above. Every flooded message is one probe record.
-fn run_traced_gnutella(path: &Path, scale: Scale) {
-    use gnutella::dynamic::GnutellaConfig;
-
-    let n = match scale {
-        Scale::Full => 500,
-        Scale::Quick => 200,
-    };
-    let cfg = GnutellaConfig::default()
-        .with_network_size(n)
-        .with_duration(scale.duration())
-        .with_warmup(SimDuration::ZERO)
-        .with_seed(0x7ACE);
-    let (report, counts) = write_trace(cfg.build(), path, "Gnutella", scale);
-    let messages = report.messages.sum().round() as u64;
-    reconcile(&[
-        (
-            "queries == query_end records",
-            report.queries,
-            counts.query_ends,
-        ),
-        (
-            "queries == query_start records",
-            report.queries,
-            counts.query_starts,
-        ),
-        (
-            "unsatisfied queries",
-            report.unsatisfied,
-            counts.query_ends - counts.satisfied,
-        ),
-        (
-            "total messages == flood probe records",
-            messages,
-            counts.flood_probes,
-        ),
-        (
-            "total messages == query_end sums",
-            messages,
-            counts.query_end_probes,
-        ),
-        (
-            "deaths == death records",
-            report.counters.get("deaths"),
-            counts.deaths,
-        ),
-    ]);
 }
 
 /// Parses a `--shard` spec of the form `i/m` with `0 <= i < m`.
@@ -570,4 +421,6 @@ const USAGE: &str = "repro — regenerate every table and figure of the ICDCS'04
      --engine  which simulator --trace runs: guess (default), gossip\n          \
      or gnutella\n\
      default   full paper grids (several minutes)\n\
+     \neach form takes only the flags shown for it: --engine needs --trace,\n\
+     and --trace takes no names, --jobs, --shard, --out or --json\n\
      \nperformance is measured by the repo benchmark: see benchmark/README.md";

@@ -10,7 +10,7 @@
 //!   degree-limited overlays (a single sequential work unit: the attack
 //!   grid draws from one shared RNG stream in a fixed order).
 
-use gnutella::dynamic::{GnutellaConfig, GnutellaReport};
+use gnutella::dynamic::{GnutellaConfig, GnutellaReport, GnutellaSim};
 use gnutella::fragmentation::{attack, AttackStrategy};
 use gnutella::Topology;
 use gossip::{Config as GossipConfig, GossipReport, GossipSim};
@@ -24,15 +24,8 @@ use simkit::time::SimDuration;
 
 use crate::report::{Cell, Report, TableBlock};
 use crate::runner::Ctx;
-use crate::scale::{base_config, Scale};
+use crate::scale::{base_config, gnutella_config, gossip_config, Scale};
 use simkit::sim::Runnable;
-
-fn network_for(scale: Scale) -> usize {
-    match scale {
-        Scale::Full => 1000,
-        Scale::Quick => 300,
-    }
-}
 
 /// Selfish-peer study: response time for the selfish, load for everyone.
 #[must_use]
@@ -47,7 +40,7 @@ pub fn run_selfish(ctx: &Ctx) -> Report {
         // MR concentrates probes on productive peers, so capacity limits
         // actually bind — the regime where selfish volleys hurt others.
         let cfg = base_config(scale, 0x5e1f + i as u64)
-            .with_network_size(network_for(scale))
+            .with_network_size(scale.default_network())
             .with_uniform_policy(SelectionPolicy::Mr)
             .with_max_probes_per_second(Some(5))
             .with_selfish(frac, 100);
@@ -87,7 +80,7 @@ pub fn run_selfish(ctx: &Ctx) -> Report {
 #[must_use]
 pub fn run_adaptive(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
 
     // Part 1: ping-interval adaptation under churn (queries off).
     let ping_modes: Vec<(&'static str, Option<AdaptivePing>, f64)> = vec![
@@ -172,7 +165,7 @@ pub fn run_adaptive(ctx: &Ctx) -> Report {
 #[must_use]
 pub fn run_defense(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let mut grid = Vec::new();
     for (pi, (pname, policy)) in [("MFS", SelectionPolicy::Mfs), ("MR", SelectionPolicy::Mr)]
         .into_iter()
@@ -276,7 +269,7 @@ pub fn run_fragmentation(ctx: &Ctx) -> Report {
 #[must_use]
 pub fn run_payments(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let mut grid = Vec::new();
     for (i, &selfish) in [0.0f64, 0.4].iter().enumerate() {
         for (j, payments) in [None, Some(PaymentParams::default())]
@@ -327,41 +320,70 @@ pub fn run_payments(ctx: &Ctx) -> Report {
         .table(table)
 }
 
-enum Side {
-    Guess(Box<RunReport>),
-    Gnutella(Box<GnutellaReport>),
-    Gossip(Box<GossipReport>),
+/// The engine comparisons' runs on one workload, one work unit per
+/// seed: GUESS with QueryPong=MFS, dynamic Gnutella (same content,
+/// churn and query models) and, given a third seed, gossip.
+fn mechanisms(ctx: &Ctx, seeds: &[u64]) -> (RunReport, GnutellaReport, Option<GossipReport>) {
+    enum Side {
+        Guess(Box<RunReport>),
+        Gnutella(Box<GnutellaReport>),
+        Gossip(Box<GossipReport>),
+    }
+    let scale = ctx.scale();
+    let work = seeds.iter().copied().enumerate().collect();
+    let sides = ctx.map(work, |(i, seed)| match i {
+        0 => {
+            let cfg = base_config(scale, seed)
+                .with_network_size(scale.default_network())
+                .with_query_pong(SelectionPolicy::Mfs);
+            Side::Guess(Box::new(GuessSim::new(cfg).expect("valid config").run()))
+        }
+        1 => {
+            let sim = GnutellaSim::new(gnutella_config(scale, seed)).expect("valid config");
+            Side::Gnutella(Box::new(sim.run()))
+        }
+        _ => {
+            let sim = GossipSim::new(gossip_config(scale, seed)).expect("valid config");
+            Side::Gossip(Box::new(sim.run()))
+        }
+    });
+    let mut sides = sides.into_iter();
+    let (Some(Side::Guess(guess)), Some(Side::Gnutella(gnutella))) = (sides.next(), sides.next())
+    else {
+        unreachable!("map preserves item order");
+    };
+    let gossip = sides.next().map(|side| {
+        let Side::Gossip(report) = side else {
+            unreachable!("map preserves item order");
+        };
+        *report
+    });
+    (*guess, *gnutella, gossip)
+}
+
+/// The rows both comparisons share: query cost, unsatisfaction and
+/// maintenance messages (a GUESS ping costs a ping and a pong).
+fn mechanism_rows(guess: &RunReport, gnutella: &GnutellaReport) -> [Vec<Cell>; 2] {
+    [
+        vec![
+            Cell::text("GUESS (QueryPong=MFS)"),
+            Cell::float(guess.probes_per_query(), 1),
+            Cell::float(guess.unsatisfaction(), 3),
+            Cell::uint(guess.counters.get("pings_sent") * 2),
+        ],
+        vec![
+            Cell::text("Gnutella flood ttl=7"),
+            Cell::float(gnutella.messages_per_query(), 1),
+            Cell::float(gnutella.unsatisfaction(), 3),
+            Cell::uint(gnutella.counters.get("connect_messages")),
+        ],
+    ]
 }
 
 /// GUESS vs a churn-aware Gnutella overlay on identical workloads.
 #[must_use]
 pub fn run_forwarding(ctx: &Ctx) -> Report {
-    let scale = ctx.scale();
-    let n = network_for(scale);
-    let mut sides = ctx.map(vec![0usize, 1], |i| {
-        if i == 0 {
-            // GUESS side.
-            let gcfg = base_config(scale, 0xf0d)
-                .with_network_size(n)
-                .with_query_pong(SelectionPolicy::Mfs);
-            Side::Guess(Box::new(GuessSim::new(gcfg).expect("valid config").run()))
-        } else {
-            // Gnutella side (same content model, same churn model, same rate).
-            let dyn_cfg = GnutellaConfig::default()
-                .with_network_size(n)
-                .with_duration(scale.duration())
-                .with_warmup(scale.warmup());
-            Side::Gnutella(Box::new(dyn_cfg.build().expect("valid config").run()))
-        }
-    });
-    let (Side::Guess(guess_report), Side::Gnutella(gnutella_report)) =
-        (sides.remove(0), sides.remove(0))
-    else {
-        unreachable!("map preserves item order");
-    };
-    let guess_maintenance = guess_report.counters.get("pings_sent") * 2; // ping + pong
-    let gnutella_maintenance = gnutella_report.counters.get("connect_messages");
-
+    let (guess, gnutella, _) = mechanisms(ctx, &[0xf0d, GnutellaConfig::default().seed]);
     let mut table = TableBlock::new(
         "forwarding",
         vec![
@@ -371,18 +393,9 @@ pub fn run_forwarding(ctx: &Ctx) -> Report {
             "maintenance msgs",
         ],
     );
-    table.row(vec![
-        Cell::text("GUESS (QueryPong=MFS)"),
-        Cell::float(guess_report.probes_per_query(), 1),
-        Cell::float(guess_report.unsatisfaction(), 3),
-        Cell::uint(guess_maintenance),
-    ]);
-    table.row(vec![
-        Cell::text("Gnutella flood ttl=7"),
-        Cell::float(gnutella_report.messages_per_query(), 1),
-        Cell::float(gnutella_report.unsatisfaction(), 3),
-        Cell::uint(gnutella_maintenance),
-    ]);
+    for row in mechanism_rows(&guess, &gnutella) {
+        table.row(row);
+    }
     Report::new()
         .text("EXTENSION — §3.2/§3.3 quantified: GUESS vs dynamic Gnutella on one workload\n\n")
         .table(table)
@@ -392,11 +405,11 @@ pub fn run_forwarding(ctx: &Ctx) -> Report {
              of §3.3. GUESS probes cost the attacker one message each (amplification 1),\n\
              but Gnutella's maintenance traffic is far lower ({} vs {} messages):\n\
              the paper's efficiency-vs-state tradeoff, quantified.\n",
-            gnutella_report.peers_reached.mean(),
-            gnutella_report.messages_per_query(),
+            gnutella.peers_reached.mean(),
+            gnutella.messages_per_query(),
             GnutellaConfig::default().target_degree,
-            gnutella_maintenance,
-            guess_maintenance,
+            gnutella.counters.get("connect_messages"),
+            guess.counters.get("pings_sent") * 2,
         ))
 }
 
@@ -406,44 +419,13 @@ pub fn run_forwarding(ctx: &Ctx) -> Report {
 /// seeds) so the two-way report stays byte-identical.
 #[must_use]
 pub fn run_forwarding3(ctx: &Ctx) -> Report {
-    let scale = ctx.scale();
-    let n = network_for(scale);
-    let mut sides = ctx.map(vec![0usize, 1, 2], |i| match i {
-        0 => {
-            let gcfg = base_config(scale, 0xf0d3)
-                .with_network_size(n)
-                .with_query_pong(SelectionPolicy::Mfs);
-            Side::Guess(Box::new(GuessSim::new(gcfg).expect("valid config").run()))
-        }
-        1 => {
-            let dyn_cfg = GnutellaConfig::default()
-                .with_network_size(n)
-                .with_duration(scale.duration())
-                .with_warmup(scale.warmup())
-                .with_seed(0xf0d3);
-            Side::Gnutella(Box::new(dyn_cfg.build().expect("valid config").run()))
-        }
-        _ => {
-            let gcfg = GossipConfig::default()
-                .with_network_size(n)
-                .with_duration(scale.duration())
-                .with_warmup(scale.warmup())
-                .with_seed(0xf0d3);
-            Side::Gossip(Box::new(GossipSim::new(gcfg).expect("valid config").run()))
-        }
-    });
-    let (Side::Guess(guess_report), Side::Gnutella(gnutella_report), Side::Gossip(gossip_report)) =
-        (sides.remove(0), sides.remove(0), sides.remove(0))
-    else {
-        unreachable!("map preserves item order");
-    };
-    let guess_maintenance = guess_report.counters.get("pings_sent") * 2; // ping + pong
-    let gnutella_maintenance = gnutella_report.counters.get("connect_messages");
+    let (guess, gnutella, gossip) = mechanisms(ctx, &[0xf0d3; 3]);
+    let gossip = gossip.expect("three seeds run gossip");
 
     // Per-query messages the *originator* itself sends: every GUESS
     // probe, one flood message per neighbor, one push per gossip fanout.
     // Query cost over that is the attack amplification of §3.3.
-    let guess_sent = guess_report.probes_per_query();
+    let guess_sent = guess.probes_per_query();
     let gnutella_sent = GnutellaConfig::default().target_degree as f64;
     let gossip_sent = GossipConfig::default().fanout as f64;
 
@@ -457,26 +439,20 @@ pub fn run_forwarding3(ctx: &Ctx) -> Report {
             "amplification",
         ],
     );
-    table.row(vec![
-        Cell::text("GUESS (QueryPong=MFS)"),
-        Cell::float(guess_report.probes_per_query(), 1),
-        Cell::float(guess_report.unsatisfaction(), 3),
-        Cell::uint(guess_maintenance),
-        Cell::float(1.0, 1),
-    ]);
-    table.row(vec![
-        Cell::text("Gnutella flood ttl=7"),
-        Cell::float(gnutella_report.messages_per_query(), 1),
-        Cell::float(gnutella_report.unsatisfaction(), 3),
-        Cell::uint(gnutella_maintenance),
-        Cell::float(gnutella_report.messages_per_query() / gnutella_sent, 1),
-    ]);
+    let [mut guess_row, mut gnutella_row] = mechanism_rows(&guess, &gnutella);
+    guess_row.push(Cell::float(1.0, 1));
+    gnutella_row.push(Cell::float(
+        gnutella.messages_per_query() / gnutella_sent,
+        1,
+    ));
+    table.row(guess_row);
+    table.row(gnutella_row);
     table.row(vec![
         Cell::text("Gossip push/pull"),
-        Cell::float(gossip_report.messages_per_query(), 1),
-        Cell::float(gossip_report.unsatisfaction(), 3),
+        Cell::float(gossip.messages_per_query(), 1),
+        Cell::float(gossip.unsatisfaction(), 3),
         Cell::uint(0u64),
-        Cell::float(gossip_report.messages_per_query() / gossip_sent, 1),
+        Cell::float(gossip.messages_per_query() / gossip_sent, 1),
     ]);
     Report::new()
         .text(
@@ -493,9 +469,9 @@ pub fn run_forwarding3(ctx: &Ctx) -> Report {
              epidemic ({:.0} messages), sitting between GUESS ({:.1}) and the\n\
              flood ({:.1}) on per-query cost.\n",
             guess_sent,
-            gossip_report.messages_per_query(),
-            guess_report.probes_per_query(),
-            gnutella_report.messages_per_query(),
+            gossip.messages_per_query(),
+            guess.probes_per_query(),
+            gnutella.messages_per_query(),
         ))
 }
 

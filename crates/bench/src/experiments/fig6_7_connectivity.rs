@@ -42,10 +42,7 @@ pub fn run_fig6(ctx: &Ctx) -> Report {
         Scale::Full => vec![10, 20, 50, 100, 200, 500],
         Scale::Quick => vec![10, 50, 200],
     };
-    let network = match scale {
-        Scale::Full => 1000,
-        Scale::Quick => 300,
-    };
+    let network = scale.default_network();
     let mut grid = Vec::new();
     for &cache in &caches {
         for &interval in &ping_intervals(scale) {

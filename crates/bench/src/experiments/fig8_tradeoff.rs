@@ -114,31 +114,29 @@ fn gnutella_piece(scale: Scale, n: usize, seed: u64) -> Piece {
     }
 }
 
+/// One GUESS point of Figure 8: the base protocol with `query_pong`.
+pub(super) fn guess_point(
+    scale: Scale,
+    n: usize,
+    seed: u64,
+    query_pong: SelectionPolicy,
+) -> RunReport {
+    let cfg = base_config(scale, seed)
+        .with_network_size(n)
+        .with_query_pong(query_pong);
+    GuessSim::new(cfg).expect("valid config").run()
+}
+
 /// Runs the Figure 8 reproduction.
 #[must_use]
 pub fn run(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = match scale {
-        Scale::Full => 1000,
-        Scale::Quick => 300,
-    };
+    let n = scale.default_network();
     let seed = 0xf18u64;
     let mut pieces = ctx.map(vec![0usize, 1, 2], |i| match i {
         0 => gnutella_piece(scale, n, seed),
-        1 => Piece::Guess(
-            GuessSim::new(base_config(scale, seed).with_network_size(n))
-                .expect("valid config")
-                .run(),
-        ),
-        _ => Piece::Guess(
-            GuessSim::new(
-                base_config(scale, seed)
-                    .with_network_size(n)
-                    .with_query_pong(SelectionPolicy::Mfs),
-            )
-            .expect("valid config")
-            .run(),
-        ),
+        1 => Piece::Guess(guess_point(scale, n, seed, SelectionPolicy::Random)),
+        _ => Piece::Guess(guess_point(scale, n, seed, SelectionPolicy::Mfs)),
     });
     let (
         Piece::Gnutella {

@@ -15,7 +15,6 @@
 //! curve and the two GUESS runs.
 
 use gossip::{Config as GossipConfig, GossipReport, GossipSim};
-use guess::engine::GuessSim;
 use guess::policy::SelectionPolicy;
 use guess::RunReport;
 use simkit::rng::derive_seed;
@@ -23,7 +22,7 @@ use simkit::time::SimDuration;
 
 use crate::report::{Cell, Report, TableBlock};
 use crate::runner::Ctx;
-use crate::scale::{base_config, Scale};
+use crate::scale::{gossip_config, Scale};
 use simkit::sim::Runnable;
 
 /// The Figure-8 master seed, reused so the flooding and GUESS baselines
@@ -32,8 +31,7 @@ const SEED: u64 = 0xf18;
 
 enum Work {
     Fixed,
-    GuessRandom,
-    GuessMfs,
+    Guess(SelectionPolicy),
     Gossip {
         idx: u64,
         fanout: usize,
@@ -72,15 +70,11 @@ fn gossip_points(scale: Scale) -> Vec<(usize, u32, f64)> {
     points
 }
 
-fn gossip_piece(scale: Scale, n: usize, idx: u64, fanout: usize, ttl: u32, pull: f64) -> Piece {
-    let cfg = GossipConfig::default()
-        .with_network_size(n)
+fn gossip_piece(scale: Scale, idx: u64, fanout: usize, ttl: u32, pull: f64) -> Piece {
+    let cfg = gossip_config(scale, derive_seed(SEED, "gossip-tradeoff", idx))
         .with_fanout(fanout)
         .with_round_ttl(ttl)
-        .with_pull_probability(pull)
-        .with_duration(scale.duration())
-        .with_warmup(scale.warmup())
-        .with_seed(derive_seed(SEED, "gossip-tradeoff", idx));
+        .with_pull_probability(pull);
     let report = GossipSim::new(cfg).expect("valid gossip config").run();
     Piece::Gossip {
         fanout,
@@ -94,11 +88,12 @@ fn gossip_piece(scale: Scale, n: usize, idx: u64, fanout: usize, ttl: u32, pull:
 #[must_use]
 pub fn run(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = match scale {
-        Scale::Full => 1000,
-        Scale::Quick => 300,
-    };
-    let mut work = vec![Work::Fixed, Work::GuessRandom, Work::GuessMfs];
+    let n = scale.default_network();
+    let mut work = vec![
+        Work::Fixed,
+        Work::Guess(SelectionPolicy::Random),
+        Work::Guess(SelectionPolicy::Mfs),
+    ];
     for (idx, (fanout, ttl, pull)) in gossip_points(scale).into_iter().enumerate() {
         work.push(Work::Gossip {
             idx: idx as u64,
@@ -109,26 +104,15 @@ pub fn run(ctx: &Ctx) -> Report {
     }
     let pieces = ctx.map(work, |w| match w {
         Work::Fixed => Piece::Fixed(super::fig8_tradeoff::fixed_extent(scale, n, SEED).0),
-        Work::GuessRandom => Piece::Guess(
-            GuessSim::new(base_config(scale, SEED).with_network_size(n))
-                .expect("valid config")
-                .run(),
-        ),
-        Work::GuessMfs => Piece::Guess(
-            GuessSim::new(
-                base_config(scale, SEED)
-                    .with_network_size(n)
-                    .with_query_pong(SelectionPolicy::Mfs),
-            )
-            .expect("valid config")
-            .run(),
-        ),
+        Work::Guess(query_pong) => Piece::Guess(super::fig8_tradeoff::guess_point(
+            scale, n, SEED, query_pong,
+        )),
         Work::Gossip {
             idx,
             fanout,
             ttl,
             pull,
-        } => gossip_piece(scale, n, idx, fanout, ttl, pull),
+        } => gossip_piece(scale, idx, fanout, ttl, pull),
     });
 
     let mut fixed_table = None;
@@ -210,16 +194,9 @@ pub fn run(ctx: &Ctx) -> Report {
 /// snapshots.
 #[must_use]
 pub fn traced_config(scale: Scale, seed: u64) -> GossipConfig {
-    let n = match scale {
-        Scale::Full => 1000,
-        Scale::Quick => 300,
-    };
-    GossipConfig::default()
-        .with_network_size(n)
-        .with_duration(scale.duration())
+    gossip_config(scale, seed)
         .with_warmup(SimDuration::ZERO)
         .with_sample_interval(Some(SimDuration::from_secs(60.0)))
-        .with_seed(seed)
 }
 
 #[cfg(test)]

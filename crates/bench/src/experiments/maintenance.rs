@@ -22,7 +22,7 @@ use simkit::sim::Runnable;
 
 use crate::report::{Cell, Report, TableBlock};
 use crate::runner::Ctx;
-use crate::scale::{base_config, Scale};
+use crate::scale::base_config;
 
 /// Churn regimes charted: label and `LifespanMultiplier`. The strained
 /// regime is §6.1's cache-maintenance setting; frantic pushes beyond it.
@@ -35,19 +35,11 @@ pub const MODES: [(&str, MaintenanceMode); 3] = [
     ("push", MaintenanceMode::Push),
 ];
 
-/// Network size for the comparison (matches the extension studies).
-fn network_for(scale: Scale) -> usize {
-    match scale {
-        Scale::Full => 1000,
-        Scale::Quick => 300,
-    }
-}
-
 /// One regime's configuration before the mode is applied. The seed is
 /// shared by all three modes of the regime — the mode column is the only
 /// thing that differs within a regime block.
 fn regime_config(ctx: &Ctx, multiplier: f64, seed: u64) -> Config {
-    let mut cfg = base_config(ctx.scale(), seed).with_network_size(network_for(ctx.scale()));
+    let mut cfg = base_config(ctx.scale(), seed).with_network_size(ctx.scale().default_network());
     cfg.system.lifespan_multiplier = multiplier;
     cfg
 }
@@ -62,7 +54,7 @@ fn maintenance_msgs(report: &RunReport) -> u64 {
 /// Runs the maintenance-mode comparison.
 #[must_use]
 pub fn run(ctx: &Ctx) -> Report {
-    let n = network_for(ctx.scale());
+    let n = ctx.scale().default_network();
     let points: Vec<(usize, usize)> = (0..REGIMES.len())
         .flat_map(|r| (0..MODES.len()).map(move |m| (r, m)))
         .collect();

@@ -5,6 +5,8 @@
 
 use simkit::time::SimDuration;
 
+use gnutella::dynamic::GnutellaConfig;
+use gossip::Config as GossipConfig;
 use guess::config::{Config, ProtocolParams, RunParams, SystemParams};
 use workload::content::CatalogParams;
 
@@ -55,6 +57,17 @@ impl Scale {
         }
     }
 
+    /// The paper's default network (N = 1000), shrunk at quick scale:
+    /// Figures 6 and 8, the extension studies, the engine comparisons
+    /// and the scenario catalog all run at this size.
+    #[must_use]
+    pub fn default_network(self) -> usize {
+        match self {
+            Scale::Full => 1000,
+            Scale::Quick => 300,
+        }
+    }
+
     /// Filters a cache-size grid down at quick scale.
     #[must_use]
     pub fn cache_sizes(self, full: &[usize]) -> Vec<usize> {
@@ -85,6 +98,29 @@ pub fn base_config(scale: Scale, seed: u64) -> Config {
     }
 }
 
+/// The dynamic Gnutella counterpart of `base_config(scale, seed)` at
+/// [`Scale::default_network`]: the same network size, run window and
+/// warm-up, so a Gnutella run faces the workload of the GUESS runs it
+/// is compared with.
+#[must_use]
+pub fn gnutella_config(scale: Scale, seed: u64) -> GnutellaConfig {
+    GnutellaConfig::default()
+        .with_network_size(scale.default_network())
+        .with_duration(scale.duration())
+        .with_warmup(scale.warmup())
+        .with_seed(seed)
+}
+
+/// The gossip counterpart of [`base_config`], as [`gnutella_config`].
+#[must_use]
+pub fn gossip_config(scale: Scale, seed: u64) -> GossipConfig {
+    GossipConfig::default()
+        .with_network_size(scale.default_network())
+        .with_duration(scale.duration())
+        .with_warmup(scale.warmup())
+        .with_seed(seed)
+}
+
 /// The "strained" configuration of the cache-maintenance experiments
 /// (§6.1): `LifespanMultiplier = 0.2`, given network and cache sizes.
 #[must_use]
@@ -103,8 +139,11 @@ mod tests {
 
     #[test]
     fn base_configs_validate() {
-        assert!(base_config(Scale::Full, 1).validate().is_ok());
-        assert!(base_config(Scale::Quick, 1).validate().is_ok());
+        for scale in [Scale::Full, Scale::Quick] {
+            assert!(base_config(scale, 1).validate().is_ok());
+            assert!(gnutella_config(scale, 1).validate().is_ok());
+            assert!(gossip_config(scale, 1).validate().is_ok());
+        }
     }
 
     #[test]

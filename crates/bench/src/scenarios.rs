@@ -13,8 +13,8 @@
 //! level. `tests/scenario_goldens.rs` pins each rendered report with an
 //! FNV-1a hash, exactly like the experiment goldens.
 
-use gnutella::dynamic::{GnutellaConfig, GnutellaReport};
-use gossip::{Config as GossipConfig, GossipReport, GossipSim};
+use gnutella::dynamic::{GnutellaReport, GnutellaSim};
+use gossip::{GossipReport, GossipSim};
 use guess::engine::GuessSim;
 use guess::RunReport;
 use simkit::scenario::{Param, Scenario};
@@ -22,7 +22,7 @@ use simkit::sim::Runnable;
 
 use crate::report::{Cell, Report, TableBlock};
 use crate::runner::Ctx;
-use crate::scale::{base_config, Scale};
+use crate::scale::{base_config, gnutella_config, gossip_config, Scale};
 
 /// A named, runnable scenario (the catalog counterpart of
 /// [`crate::experiments::Experiment`]).
@@ -101,15 +101,6 @@ pub fn find(name: &str) -> Option<ScenarioExperiment> {
     all().into_iter().find(|s| s.name == name)
 }
 
-/// Network size shared by every scenario at this scale (matches the
-/// extension studies).
-fn network_for(scale: Scale) -> usize {
-    match scale {
-        Scale::Full => 1000,
-        Scale::Quick => 300,
-    }
-}
-
 /// A timeline instant at `frac` of the post-warm-up window, in seconds.
 /// Warm-up-relative placement keeps Quick and Full timelines congruent.
 fn at(scale: Scale, frac: f64) -> f64 {
@@ -117,136 +108,84 @@ fn at(scale: Scale, frac: f64) -> f64 {
     warmup + frac * (scale.duration().as_secs() - warmup)
 }
 
-// ---- comparison tables -------------------------------------------------
+// ---- the pair runner and its comparison tables -------------------------
 
-fn guess_table(base: &RunReport, scen: &RunReport) -> TableBlock {
-    let mut t = TableBlock::new("comparison", vec!["metric", "baseline", "scenario"]);
-    t.row(vec![
-        Cell::text("queries"),
-        Cell::uint(base.queries),
-        Cell::uint(scen.queries),
-    ]);
-    t.row(vec![
-        Cell::text("probes/query"),
-        Cell::float(base.probes_per_query(), 1),
-        Cell::float(scen.probes_per_query(), 1),
-    ]);
-    t.row(vec![
-        Cell::text("unsatisfaction"),
-        Cell::float(base.unsatisfaction(), 3),
-        Cell::float(scen.unsatisfaction(), 3),
-    ]);
-    t.row(vec![
-        Cell::text("births"),
-        Cell::uint(base.counters.get("births")),
-        Cell::uint(scen.counters.get("births")),
-    ]);
-    t.row(vec![
-        Cell::text("deaths"),
-        Cell::uint(base.counters.get("deaths")),
-        Cell::uint(scen.counters.get("deaths")),
-    ]);
-    t.row(vec![
-        Cell::text("interventions"),
-        Cell::uint(base.counters.get("interventions")),
-        Cell::uint(scen.counters.get("interventions")),
-    ]);
-    t
-}
+/// One comparison-table row: its label and how to read it off a report.
+type Row<R> = (&'static str, fn(&R) -> Cell);
 
-fn gnutella_table(base: &GnutellaReport, scen: &GnutellaReport) -> TableBlock {
-    let mut t = TableBlock::new("comparison", vec!["metric", "baseline", "scenario"]);
-    t.row(vec![
-        Cell::text("queries"),
-        Cell::uint(base.queries),
-        Cell::uint(scen.queries),
-    ]);
-    t.row(vec![
-        Cell::text("msgs/query"),
-        Cell::float(base.messages_per_query(), 1),
-        Cell::float(scen.messages_per_query(), 1),
-    ]);
-    t.row(vec![
-        Cell::text("peers reached"),
-        Cell::float(base.peers_reached.mean(), 1),
-        Cell::float(scen.peers_reached.mean(), 1),
-    ]);
-    t.row(vec![
-        Cell::text("unsatisfaction"),
-        Cell::float(base.unsatisfaction(), 3),
-        Cell::float(scen.unsatisfaction(), 3),
-    ]);
-    t.row(vec![
-        Cell::text("repairs"),
-        Cell::uint(base.counters.get("repairs")),
-        Cell::uint(scen.counters.get("repairs")),
-    ]);
-    t.row(vec![
-        Cell::text("interventions"),
-        Cell::uint(base.counters.get("interventions")),
-        Cell::uint(scen.counters.get("interventions")),
-    ]);
-    t
-}
+const GUESS_ROWS: &[Row<RunReport>] = &[
+    ("queries", |r| Cell::uint(r.queries)),
+    ("probes/query", |r| Cell::float(r.probes_per_query(), 1)),
+    ("unsatisfaction", |r| Cell::float(r.unsatisfaction(), 3)),
+    ("births", |r| Cell::uint(r.counters.get("births"))),
+    ("deaths", |r| Cell::uint(r.counters.get("deaths"))),
+    ("interventions", |r| {
+        Cell::uint(r.counters.get("interventions"))
+    }),
+];
 
-fn gossip_table(base: &GossipReport, scen: &GossipReport) -> TableBlock {
-    let mut t = TableBlock::new("comparison", vec!["metric", "baseline", "scenario"]);
-    t.row(vec![
-        Cell::text("queries"),
-        Cell::uint(base.queries),
-        Cell::uint(scen.queries),
-    ]);
-    t.row(vec![
-        Cell::text("msgs/query"),
-        Cell::float(base.messages_per_query(), 1),
-        Cell::float(scen.messages_per_query(), 1),
-    ]);
-    t.row(vec![
-        Cell::text("peers reached"),
-        Cell::float(base.peers_reached.mean(), 1),
-        Cell::float(scen.peers_reached.mean(), 1),
-    ]);
-    t.row(vec![
-        Cell::text("unsatisfaction"),
-        Cell::float(base.unsatisfaction(), 3),
-        Cell::float(scen.unsatisfaction(), 3),
-    ]);
-    t.row(vec![
-        Cell::text("pushes"),
-        Cell::uint(base.counters.get("pushes")),
-        Cell::uint(scen.counters.get("pushes")),
-    ]);
-    t.row(vec![
-        Cell::text("interventions"),
-        Cell::uint(base.counters.get("interventions")),
-        Cell::uint(scen.counters.get("interventions")),
-    ]);
-    t
-}
+const GNUTELLA_ROWS: &[Row<GnutellaReport>] = &[
+    ("queries", |r| Cell::uint(r.queries)),
+    ("msgs/query", |r| Cell::float(r.messages_per_query(), 1)),
+    ("peers reached", |r| Cell::float(r.peers_reached.mean(), 1)),
+    ("unsatisfaction", |r| Cell::float(r.unsatisfaction(), 3)),
+    ("repairs", |r| Cell::uint(r.counters.get("repairs"))),
+    ("interventions", |r| {
+        Cell::uint(r.counters.get("interventions"))
+    }),
+];
 
-// ---- the scenarios -----------------------------------------------------
+const GOSSIP_ROWS: &[Row<GossipReport>] = &[
+    ("queries", |r| Cell::uint(r.queries)),
+    ("msgs/query", |r| Cell::float(r.messages_per_query(), 1)),
+    ("peers reached", |r| Cell::float(r.peers_reached.mean(), 1)),
+    ("unsatisfaction", |r| Cell::float(r.unsatisfaction(), 3)),
+    ("pushes", |r| Cell::uint(r.counters.get("pushes"))),
+    ("interventions", |r| {
+        Cell::uint(r.counters.get("interventions"))
+    }),
+];
 
-fn run_guess_pair(
+/// Runs the simulator `build(cfg)` twice over the same seed — plain,
+/// then under `scenario` — as two work units, and tabulates `rows` of
+/// the two reports side by side.
+fn compare<C, S, E>(
     ctx: &Ctx,
-    cfg: guess::config::Config,
+    build: fn(C) -> Result<S, E>,
+    cfg: &C,
     scenario: &Scenario,
-) -> (RunReport, RunReport) {
-    let mut reports = ctx.map(vec![false, true], |intervened| {
-        let sim = GuessSim::new(cfg.clone()).expect("valid config");
+    rows: &[Row<S::Report>],
+) -> TableBlock
+where
+    C: Clone + Sync,
+    S: Runnable,
+    S::Report: Send,
+    E: std::fmt::Debug,
+{
+    let reports = ctx.map(vec![false, true], |intervened| {
+        let sim = build(cfg.clone()).expect("valid config");
         if intervened {
             sim.run_scenario(scenario).expect("supported timeline")
         } else {
             sim.run()
         }
     });
-    let scen = reports.pop().expect("two runs");
-    let base = reports.pop().expect("two runs");
-    (base, scen)
+    let mut table = TableBlock::new("comparison", vec!["metric", "baseline", "scenario"]);
+    for &(label, cell) in rows {
+        table.row(vec![
+            Cell::text(label),
+            cell(&reports[0]),
+            cell(&reports[1]),
+        ]);
+    }
+    table
 }
+
+// ---- the scenarios -----------------------------------------------------
 
 fn run_flash_crowd(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let queries = match scale {
         Scale::Full => 2000,
         Scale::Quick => 400,
@@ -254,23 +193,21 @@ fn run_flash_crowd(ctx: &Ctx) -> Report {
     let t = at(scale, 0.3);
     let scenario = Scenario::new().at(t).flash_crowd(queries);
     let cfg = base_config(scale, 0x5c01).with_network_size(n);
-    let (base, scen) = run_guess_pair(ctx, cfg, &scenario);
     Report::new()
         .text(format!(
             "Scenario flash-crowd (guess, N={n}): {queries} simultaneous queries at t={t:.0}s.\n\
              The burst lands on warm caches, so probes/query should barely move while\n\
              the query count jumps by the injected volume.\n\n"
         ))
-        .table(guess_table(&base, &scen))
+        .table(compare(ctx, GuessSim::new, &cfg, &scenario, GUESS_ROWS))
 }
 
 fn run_mass_exodus(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let t = at(scale, 0.25);
     let scenario = Scenario::new().at(t).mass_leave(n / 2);
     let cfg = base_config(scale, 0x5c02).with_network_size(n);
-    let (base, scen) = run_guess_pair(ctx, cfg, &scenario);
     Report::new()
         .text(format!(
             "Scenario mass-exodus (guess, N={n}): {} peers die at t={t:.0}s and are\n\
@@ -278,12 +215,12 @@ fn run_mass_exodus(ctx: &Ctx) -> Report {
              spike, then pings recover the network — watch unsatisfaction vs baseline.\n\n",
             n / 2
         ))
-        .table(guess_table(&base, &scen))
+        .table(compare(ctx, GuessSim::new, &cfg, &scenario, GUESS_ROWS))
 }
 
 fn run_attack_onset(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let (t1, t2) = (at(scale, 0.25), at(scale, 0.6));
     let scenario = Scenario::new()
         .at(t1)
@@ -294,65 +231,42 @@ fn run_attack_onset(ctx: &Ctx) -> Report {
     // Strained churn so the flipped birth mix turns the population over
     // while the attack window is open.
     cfg.system.lifespan_multiplier = 0.2;
-    let (base, scen) = run_guess_pair(ctx, cfg, &scenario);
     Report::new()
         .text(format!(
             "Scenario attack-onset (guess, N={n}, strained churn): newborn peers turn\n\
              malicious with probability 0.4 from t={t1:.0}s, back to honest at t={t2:.0}s.\n\
              Cache poisoning rises through the window and washes out after recovery.\n\n"
         ))
-        .table(guess_table(&base, &scen))
+        .table(compare(ctx, GuessSim::new, &cfg, &scenario, GUESS_ROWS))
 }
 
 fn run_partition_heal(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let (t1, t2) = (at(scale, 0.25), at(scale, 0.6));
-    let mut reports = ctx.map(vec![false, true], |intervened| {
-        let cfg = GnutellaConfig::default()
-            .with_network_size(n)
-            .with_duration(scale.duration())
-            .with_warmup(scale.warmup())
-            .with_seed(0x5c04);
-        let sim = cfg.build().expect("valid config");
-        if intervened {
-            sim.run_scenario(&Scenario::new().at(t1).partition(2).at(t2).heal())
-                .expect("supported timeline")
-        } else {
-            sim.run()
-        }
-    });
-    let scen = reports.pop().expect("two runs");
-    let base = reports.pop().expect("two runs");
+    let scenario = Scenario::new().at(t1).partition(2).at(t2).heal();
+    let cfg = gnutella_config(scale, 0x5c04);
     Report::new()
         .text(format!(
             "Scenario partition-heal (gnutella, N={n}): cross-group edges go dark at\n\
              t={t1:.0}s (two halves by slot parity), links restored at t={t2:.0}s. Floods\n\
              reach only their own half while split; repairs re-wire within halves.\n\n"
         ))
-        .table(gnutella_table(&base, &scen))
+        .table(compare(
+            ctx,
+            GnutellaSim::new,
+            &cfg,
+            &scenario,
+            GNUTELLA_ROWS,
+        ))
 }
 
 fn run_join_wave(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let t = at(scale, 0.3);
-    let mut reports = ctx.map(vec![false, true], |intervened| {
-        let cfg = GnutellaConfig::default()
-            .with_network_size(n)
-            .with_duration(scale.duration())
-            .with_warmup(scale.warmup())
-            .with_seed(0x5c05);
-        let sim = cfg.build().expect("valid config");
-        if intervened {
-            sim.run_scenario(&Scenario::new().at(t).mass_join(n / 2))
-                .expect("supported timeline")
-        } else {
-            sim.run()
-        }
-    });
-    let scen = reports.pop().expect("two runs");
-    let base = reports.pop().expect("two runs");
+    let scenario = Scenario::new().at(t).mass_join(n / 2);
+    let cfg = gnutella_config(scale, 0x5c05);
     Report::new()
         .text(format!(
             "Scenario join-wave (gnutella, N={n}): {} newborn peers wire themselves\n\
@@ -360,49 +274,50 @@ fn run_join_wave(ctx: &Ctx) -> Report {
              peers and cost more messages per query.\n\n",
             n / 2
         ))
-        .table(gnutella_table(&base, &scen))
+        .table(compare(
+            ctx,
+            GnutellaSim::new,
+            &cfg,
+            &scenario,
+            GNUTELLA_ROWS,
+        ))
 }
 
 fn run_param_flip(ctx: &Ctx) -> Report {
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let (t1, t2) = (at(scale, 0.25), at(scale, 0.6));
-    let mut reports = ctx.map(vec![false, true], |intervened| {
-        let cfg = GossipConfig::default()
-            .with_network_size(n)
-            .with_duration(scale.duration())
-            .with_warmup(scale.warmup())
-            .with_seed(0x5c06);
-        let sim = GossipSim::new(cfg).expect("valid config");
-        if intervened {
-            sim.run_scenario(
-                &Scenario::new()
-                    .at(t1)
-                    .param_flip(Param::Fanout(1))
-                    .at(t2)
-                    .param_flip(Param::Fanout(3)),
-            )
-            .expect("supported timeline")
-        } else {
-            sim.run()
-        }
-    });
-    let scen = reports.pop().expect("two runs");
-    let base = reports.pop().expect("two runs");
+    let scenario = Scenario::new()
+        .at(t1)
+        .param_flip(Param::Fanout(1))
+        .at(t2)
+        .param_flip(Param::Fanout(3));
+    let cfg = gossip_config(scale, 0x5c06);
     Report::new()
         .text(format!(
             "Scenario param-flip (gossip, N={n}): fanout drops 3 -> 1 at t={t1:.0}s\n\
              (infect-and-die epidemics starve) and recovers to 3 at t={t2:.0}s. Both\n\
              flips re-validate through the config's own rules before taking effect.\n\n"
         ))
-        .table(gossip_table(&base, &scen))
+        .table(compare(ctx, GossipSim::new, &cfg, &scenario, GOSSIP_ROWS))
 }
 
 fn run_push_storm(ctx: &Ctx) -> Report {
     use guess::MaintenanceMode;
 
+    const PUSH_ROWS: &[Row<RunReport>] = &[
+        ("push invalidations", |r| {
+            Cell::uint(r.counters.get("push_invalidations"))
+        }),
+        ("push refreshes", |r| {
+            Cell::uint(r.counters.get("push_refreshes"))
+        }),
+        ("push refused", |r| {
+            Cell::uint(r.counters.get("push_refused"))
+        }),
+    ];
     let scale = ctx.scale();
-    let n = network_for(scale);
+    let n = scale.default_network();
     let t = at(scale, 0.3);
     let scenario = Scenario::new().at(t).mass_leave(n / 2);
     let mut cfg = base_config(scale, 0x5c07)
@@ -411,23 +326,7 @@ fn run_push_storm(ctx: &Ctx) -> Report {
     // Strained churn keeps the interest registry full of entries worth
     // invalidating when the wave hits.
     cfg.system.lifespan_multiplier = 0.2;
-    let (base, scen) = run_guess_pair(ctx, cfg, &scenario);
-    let mut table = guess_table(&base, &scen);
-    table.row(vec![
-        Cell::text("push invalidations"),
-        Cell::uint(base.counters.get("push_invalidations")),
-        Cell::uint(scen.counters.get("push_invalidations")),
-    ]);
-    table.row(vec![
-        Cell::text("push refreshes"),
-        Cell::uint(base.counters.get("push_refreshes")),
-        Cell::uint(scen.counters.get("push_refreshes")),
-    ]);
-    table.row(vec![
-        Cell::text("push refused"),
-        Cell::uint(base.counters.get("push_refused")),
-        Cell::uint(scen.counters.get("push_refused")),
-    ]);
+    let rows = [GUESS_ROWS, PUSH_ROWS].concat();
     Report::new()
         .text(format!(
             "Scenario push-storm (guess, N={n}, strained churn, push maintenance):\n\
@@ -437,7 +336,7 @@ fn run_push_storm(ctx: &Ctx) -> Report {
              pushed-invalidation and refused counts against the baseline.\n\n",
             n / 2
         ))
-        .table(table)
+        .table(compare(ctx, GuessSim::new, &cfg, &scenario, &rows))
 }
 
 #[cfg(test)]

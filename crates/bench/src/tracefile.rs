@@ -3,22 +3,119 @@
 //! [`JsonlSink`] implements [`TraceSink`] by writing one JSON object per
 //! record to any `Write` target while tallying the same totals a
 //! [`CountingSink`] would, so a traced run can be reconciled against its
-//! [`RunReport`](guess::metrics::RunReport) after the fact. The JSON is
-//! emitted by hand with the same escaping rules as the experiment
-//! reports (the build environment is offline, so no serde).
+//! report after the fact. The JSON is emitted by hand with the same
+//! escaping rules as the experiment reports (the build environment is
+//! offline, so no serde).
 //!
 //! One line per record — see EXPERIMENTS.md for the full schema:
 //!
 //! ```json
 //! {"t": 612.5, "type": "probe", "query": 41, "target": 900, "kind": "query", "outcome": "good"}
 //! ```
+//!
+//! [`Reconcile`] states, once per engine, which report totals a trace
+//! tally must reproduce; `repro --trace` prints these rows and the trace
+//! tests check them.
 
 use std::io::{self, Write};
 
+use gnutella::dynamic::GnutellaReport;
+use gossip::GossipReport;
+use guess::RunReport;
+use simkit::stats::{CounterSet, Summary};
 use simkit::time::SimTime;
 use simkit::trace::{CountingSink, TraceRecord, TraceSink, NO_QUERY};
 
 use crate::report::json_string;
+
+/// One reconciliation check: what is compared, the run-report total,
+/// and the trace tally that must equal it.
+pub type Row = (&'static str, u64, u64);
+
+/// An engine report whose totals a trace of the same run must reproduce.
+///
+/// The rows assume zero warm-up: the report then covers every query in
+/// the trace, so every row must hold exactly.
+pub trait Reconcile {
+    /// The checks, in print order, against the run's trace tally `c`.
+    fn reconciliation(&self, c: &CountingSink) -> Vec<Row>;
+}
+
+/// The rows every engine shares, with its two message rows in the
+/// middle and `extra` at the end.
+fn rows(
+    (queries, unsatisfied): (u64, u64),
+    messages: [Row; 2],
+    counters: &CounterSet,
+    extra: Option<Row>,
+    c: &CountingSink,
+) -> Vec<Row> {
+    let head = [
+        ("queries == query_end records", queries, c.query_ends),
+        ("queries == query_start records", queries, c.query_starts),
+        (
+            "unsatisfied queries",
+            unsatisfied,
+            c.query_ends - c.satisfied,
+        ),
+    ];
+    let churn = [
+        ("births == join records", counters.get("births"), c.joins),
+        ("deaths == death records", counters.get("deaths"), c.deaths),
+    ];
+    let all = head.into_iter().chain(messages).chain(churn).chain(extra);
+    all.collect()
+}
+
+/// A message total kept as a running mean. `sum()` is `mean * count`,
+/// exact only up to f64 rounding, so round.
+fn total(summary: &Summary) -> u64 {
+    summary.sum().round() as u64
+}
+
+impl Reconcile for RunReport {
+    fn reconciliation(&self, c: &CountingSink) -> Vec<Row> {
+        let probes = total(&self.total_probes);
+        let messages = [
+            ("total probes == probe records", probes, c.query_probes),
+            ("total probes == query_end sums", probes, c.query_end_probes),
+        ];
+        let pings = self.counters.get("pings_sent");
+        let pings = ("pings == ping probe records", pings, c.ping_probes);
+        let queries = (self.queries, self.unsatisfied);
+        rows(queries, messages, &self.counters, Some(pings), c)
+    }
+}
+
+impl Reconcile for GossipReport {
+    fn reconciliation(&self, c: &CountingSink) -> Vec<Row> {
+        let sent = total(&self.messages);
+        let probes = c.push_probes + c.pull_probes;
+        let messages = [
+            ("total messages == push+pull probe records", sent, probes),
+            ("total messages == query_end sums", sent, c.query_end_probes),
+        ];
+        let queries = (self.queries, self.unsatisfied);
+        rows(queries, messages, &self.counters, None, c)
+    }
+}
+
+/// Every flooded message is one probe record.
+impl Reconcile for GnutellaReport {
+    fn reconciliation(&self, c: &CountingSink) -> Vec<Row> {
+        let sent = total(&self.messages);
+        let messages = [
+            (
+                "total messages == flood probe records",
+                sent,
+                c.flood_probes,
+            ),
+            ("total messages == query_end sums", sent, c.query_end_probes),
+        ];
+        let queries = (self.queries, self.unsatisfied);
+        rows(queries, messages, &self.counters, None, c)
+    }
+}
 
 /// A trace sink that streams records as JSON Lines.
 ///

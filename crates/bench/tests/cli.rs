@@ -34,6 +34,30 @@ fn unknown_flags_are_rejected_not_swallowed() {
 }
 
 #[test]
+fn flags_the_chosen_form_does_not_take_are_rejected() {
+    // An unwritable trace path and an output directory nothing may
+    // create: a run that ignored the refused flag would fail on the
+    // trace file (exit 1) or leave the directory behind.
+    let trace = concat!(env!("CARGO_TARGET_TMPDIR"), "/no-such-dir/t.jsonl");
+    let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/refused-out");
+    for args in [
+        &["no-such", "--engine", "gossip"][..],
+        &["fig3", "--trace", trace, "--quick"],
+        &["--trace", trace, "--out", out],
+        &["--trace", trace, "--out", out, "--json"],
+        &["--trace", trace, "--shard", "0/2"],
+        &["--trace", trace, "--jobs", "2"],
+        &["scenario", "param-flip", "--engine", "gossip"],
+    ] {
+        let run = repro(args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&run).contains("usage:"), "{args:?}");
+        assert!(run.stdout.is_empty(), "{args:?} ran something");
+        assert!(!std::path::Path::new(out).exists(), "{args:?} made {out}");
+    }
+}
+
+#[test]
 fn bench_points_at_the_repo_benchmark() {
     let out = repro(&["bench", "--quick"]);
     assert_eq!(out.status.code(), Some(2));

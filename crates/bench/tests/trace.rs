@@ -8,7 +8,7 @@ use guess::{
     AdaptiveParallelism, AdaptivePing, BadPongBehavior, Config, GuessSim, MaintenanceMode,
     PaymentParams, PushParams, SelectionPolicy,
 };
-use guess_bench::tracefile::JsonlSink;
+use guess_bench::tracefile::{JsonlSink, Reconcile};
 use simkit::scenario::{Param, Scenario};
 use simkit::sim::Runnable;
 use simkit::time::{SimDuration, SimTime};
@@ -200,22 +200,77 @@ fn gnutella_trace_reconciles_with_run_report() {
     assert_eq!(floods, all_query_probes);
 }
 
+/// Runs `sim` traced and checks the engine's library reconciliation
+/// rows — the rows `repro --trace` prints. Every row must hold, and
+/// every row but the unsatisfied count must be non-zero, so none holds
+/// vacuously.
+fn assert_rows_hold<S>(sim: S, expected: &[&str]) -> CountingSink
+where
+    S: Runnable,
+    S::Report: Reconcile,
+{
+    let (report, counts) = sim.run_traced(CountingSink::new());
+    let rows = report.reconciliation(&counts);
+    let names: Vec<&str> = rows.iter().map(|row| row.0).collect();
+    assert_eq!(names, expected);
+    for (what, in_report, in_trace) in rows {
+        assert_eq!(in_report, in_trace, "{what}");
+        assert!(
+            in_report > 0 || what == "unsatisfied queries",
+            "{what} is zero"
+        );
+    }
+    counts
+}
+
+const QUERY_ROWS: [&str; 3] = [
+    "queries == query_end records",
+    "queries == query_start records",
+    "unsatisfied queries",
+];
+
+#[test]
+fn guess_reconciliation_rows_hold() {
+    let mut cfg = guess_cfg(12);
+    cfg.run.warmup = SimDuration::ZERO;
+    let mut expected = QUERY_ROWS.to_vec();
+    expected.extend([
+        "total probes == probe records",
+        "total probes == query_end sums",
+        "births == join records",
+        "deaths == death records",
+        "pings == ping probe records",
+    ]);
+    assert_rows_hold(GuessSim::new(cfg).unwrap(), &expected);
+}
+
+#[test]
+fn gnutella_reconciliation_rows_hold() {
+    let cfg = GnutellaConfig::small_test(13).with_warmup(SimDuration::ZERO);
+    let mut expected = QUERY_ROWS.to_vec();
+    expected.extend([
+        "total messages == flood probe records",
+        "total messages == query_end sums",
+        "births == join records",
+        "deaths == death records",
+    ]);
+    assert_rows_hold(GnutellaSim::new(cfg).unwrap(), &expected);
+}
+
 #[test]
 fn gossip_trace_reconciles_with_run_report() {
     // Zero warm-up: the report then covers every query, so the trace
     // totals must match exactly — including the horizon flush that ends
     // rumors still in flight.
     let cfg = GossipConfig::small_test(10).with_warmup(SimDuration::ZERO);
-    let (report, sink) = GossipSim::new(cfg).unwrap().run_traced(CountingSink::new());
-    assert!(report.queries > 0);
-    assert_eq!(report.queries, sink.query_starts);
-    assert_eq!(report.queries, sink.query_ends, "every rumor settles once");
-    assert_eq!(report.unsatisfied, sink.query_ends - sink.satisfied);
-    let messages = report.messages.sum().round() as u64;
-    assert_eq!(messages, sink.push_probes + sink.pull_probes);
-    assert_eq!(messages, sink.query_end_probes);
-    assert_eq!(report.counters.get("births"), sink.joins);
-    assert_eq!(report.counters.get("deaths"), sink.deaths);
+    let mut expected = QUERY_ROWS.to_vec();
+    expected.extend([
+        "total messages == push+pull probe records",
+        "total messages == query_end sums",
+        "births == join records",
+        "deaths == death records",
+    ]);
+    let sink = assert_rows_hold(GossipSim::new(cfg).unwrap(), &expected);
     // Gossip emits only push/pull probes — no flood, query, or ping kinds.
     assert_eq!(sink.flood_probes + sink.query_probes + sink.ping_probes, 0);
 }

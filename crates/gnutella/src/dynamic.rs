@@ -139,14 +139,15 @@ impl GnutellaSim {
         Ok(sim)
     }
 
-    /// Starts the clocks of `slot`'s current occupant (for the initial
-    /// peers, once the kernel exists).
+    /// Counts the birth of `slot`'s current occupant and starts its
+    /// clocks (for the initial peers, once the kernel exists).
     fn start_clocks<T: TraceSink>(
         &mut self,
         slot: usize,
         now: SimTime,
         ctx: &mut SimCtx<'_, Event, T>,
     ) {
+        self.counters.incr("births");
         let incarnation = self.pop.incarnation(slot);
         let slot = slot as u32;
         self.clocks.start(

@@ -264,7 +264,7 @@ pub struct GnutellaReport {
     pub messages: Summary,
     /// Per-query count of distinct peers reached.
     pub peers_reached: Summary,
-    /// Event counters (connections made, repairs, deaths, …).
+    /// Event counters (births, deaths, connection messages, repairs, …).
     pub counters: CounterSet,
     /// Kernel events processed over the whole run (including warm-up).
     /// The numerator of the benchmark's `events_per_s`

@@ -52,13 +52,21 @@ timeout 600 cargo test -q --release -p simkit --test properties -- --ignored
 cargo test -q --release -p guess-bench --test scenario_noop
 cargo test -q --release -p guess-bench --test scenario_goldens -- --ignored
 
-# Scenario CLI smoke: one catalog entry end to end through the repro
-# driver, with the text artifact present and the JSON parsing.
-rm -rf "$out/scenarios"
+# Scenario CLI smoke: two catalog entries end to end through the repro
+# driver, with the text artifacts present and the JSON parsing. The
+# driver runs scenarios side by side at --jobs > 1, so the text
+# artifacts must also be byte-identical at --jobs 1 and 4.
+rm -rf "$out/scenarios" "$out/scenarios-j4"
 cargo run --release -p guess-bench --bin repro -- \
-    scenario param-flip --quick --jobs 2 --json --out "$out/scenarios"
-[ -s "$out/scenarios/param-flip.txt" ] || { echo "missing $out/scenarios/param-flip.txt" >&2; exit 1; }
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out/scenarios/param-flip.json"
+    scenario param-flip join-wave --quick --jobs 1 --json --out "$out/scenarios"
+cargo run --release -p guess-bench --bin repro -- \
+    scenario param-flip join-wave --quick --jobs 4 --out "$out/scenarios-j4"
+for name in param-flip join-wave; do
+    [ -s "$out/scenarios/$name.txt" ] || { echo "missing $out/scenarios/$name.txt" >&2; exit 1; }
+    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out/scenarios/$name.json"
+    diff "$out/scenarios/$name.txt" "$out/scenarios-j4/$name.txt"
+done
+echo "scenario gate: param-flip and join-wave byte-identical at --jobs 1 and 4"
 
 # Maintenance-plane gate: the CUP-style experiment's quick golden is
 # pinned in quick.fnv1a.txt with the rest of the registry; here, the
