@@ -206,14 +206,13 @@ fn main() {
     run_catalog(kind, catalog, &cli, &Ctx::new(scale, cli.jobs));
 }
 
-/// Resolves the positional `names` against a `kind` catalog: `all`
-/// selects everything, an unknown name or an empty selection exits 2.
+/// Resolves the positional `names` against a `kind` catalog: an unknown
+/// name (beside `all` too) or an empty selection exits 2, then `all`
+/// selects everything.
 fn select(kind: &str, catalog: Vec<Experiment>, names: &[&str]) -> Vec<Experiment> {
-    if names.contains(&"all") {
-        return catalog;
-    }
     let picked: Vec<Experiment> = names
         .iter()
+        .filter(|name| **name != "all")
         .map(|name| {
             *catalog.iter().find(|e| e.name == *name).unwrap_or_else(|| {
                 eprintln!("unknown {kind} '{name}' (try --list)");
@@ -221,6 +220,9 @@ fn select(kind: &str, catalog: Vec<Experiment>, names: &[&str]) -> Vec<Experimen
             })
         })
         .collect();
+    if names.contains(&"all") {
+        return catalog;
+    }
     if picked.is_empty() {
         usage_error(&format!("no {kind} named"));
     }

@@ -58,6 +58,31 @@ fn flags_the_chosen_form_does_not_take_are_rejected() {
 }
 
 #[test]
+fn an_unknown_name_beside_all_is_rejected() {
+    // `all` used to select the catalog before the other names were
+    // looked up, so the typo was dropped and the shard ran (exit 0).
+    for (args, unknown) in [
+        (
+            &["all", "no-such", "--shard", "999/1000"][..],
+            "unknown experiment 'no-such'",
+        ),
+        (
+            &["no-such", "all", "--quick"],
+            "unknown experiment 'no-such'",
+        ),
+        (
+            &["scenario", "all", "no-such"],
+            "unknown scenario 'no-such'",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains(unknown), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+}
+
+#[test]
 fn bench_points_at_the_repo_benchmark() {
     let out = repro(&["bench", "--quick"]);
     assert_eq!(out.status.code(), Some(2));

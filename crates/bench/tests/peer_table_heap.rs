@@ -23,7 +23,9 @@ use simkit::time::SimDuration;
 /// The peer table before this gate read 1.90× without attackers and
 /// 1.78× with them. With per-slot peer state the growth left is the
 /// address records and the library arena's free lists. The runs read
-/// 4.46 -> 5.61 MiB (1.26×) and 5.33 -> 6.98 MiB (1.31×). When the event
+/// 4.46 -> 5.61 MiB (1.26×) and 5.33 -> 6.98 MiB (1.31×); with link-cache
+/// blocks that grow with their entries, 4.47 -> 5.62 MiB (1.26×) and
+/// 5.42 -> 7.07 MiB (1.31×). When the event
 /// queue's ring still kept each slot's peak buffer and the peer was 272
 /// bytes, they read 7.22 -> 8.66 MiB (1.20×) and 8.04 -> 9.96 MiB
 /// (1.24×): the growth shrank a little, but the base shrank more.

@@ -19,7 +19,10 @@ use simkit::time::SimDuration;
 
 /// Network sizes and their bounds on peak heap per peer, in bytes. With
 /// drained buckets released and the 64-byte peer line the runs read
-/// 4 214 and 3 173 B/peer; each bound is its reading plus 10 %. Ring
+/// 4 214 and 3 173 B/peer; each bound is its reading plus 10 %. Link-cache
+/// blocks that grow with their entries (to the full 100 slots over these
+/// 2 400 s) move them to 4 218 and 3 177 B/peer: the 48-byte block record replaced a 4-byte
+/// length, and the attacker slab of 40 bytes per slot is gone. Ring
 /// slots that keep their peak buffer, with the 272-byte peer, read
 /// 5 515 and 5 232 B/peer. The fixed costs (the file catalog, the
 /// ring's minimum share of 8 to 16 entries per slot) weigh more at the

@@ -30,7 +30,7 @@ impl PeerAddr {
         self.0 as usize
     }
 
-    /// Raw constructor for crate-internal plumbing (arena filler slots).
+    /// Raw constructor for crate-internal plumbing (arena tag rows).
     /// Never hand one of these out as a real peer identity — only
     /// [`AddrAllocator`] mints those.
     pub(crate) const fn from_raw(raw: u32) -> Self {

@@ -13,7 +13,9 @@
 //!
 //! [`BadRegistry`] keeps all three in one slab indexed by [`SlotId`], a
 //! perfect dense key; the occupying [`PeerAddr`] (never reused) is the
-//! generation stamp that detects stale slots.
+//! generation stamp that detects stale slots. The slab is allocated by
+//! the first [`insert`](BadRegistry::insert), so a run without attackers
+//! pays for none of it; reads treat a missing slot as vacant.
 //!
 //! Determinism: `sample_indices(len, k)` draws positions into the dense
 //! `members` list, so its order — [`insert`](BadRegistry::insert)
@@ -56,19 +58,24 @@ struct SlotEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BadRegistry {
-    /// One entry per network slot, indexed by `SlotId::index()`.
+    /// One entry per network slot, indexed by `SlotId::index()`; empty
+    /// until the first insert, then `network_size` long.
     slots: Vec<SlotEntry>,
+    /// Slots the network has, and the slab will cover once it exists.
+    network_size: usize,
     /// Dense list of live bad peers for O(1) uniform sampling; each
     /// element carries its slot so removal can back-patch `pos`.
     members: Vec<(PeerAddr, SlotId)>,
 }
 
 impl BadRegistry {
-    /// An empty registry for a network of `network_size` slots.
+    /// An empty registry for a network of `network_size` slots. It
+    /// allocates nothing until a bad peer is inserted.
     #[must_use]
     pub fn new(network_size: usize) -> Self {
         BadRegistry {
-            slots: vec![SlotEntry::default(); network_size],
+            slots: Vec::new(),
+            network_size,
             members: Vec::new(),
         }
     }
@@ -77,13 +84,17 @@ impl BadRegistry {
     /// already does). Mass-join interventions add slots past the
     /// construction-time population; the new slots start vacant.
     pub fn grow_to(&mut self, network_size: usize) {
-        if network_size > self.slots.len() {
-            self.slots.resize(network_size, SlotEntry::default());
+        self.network_size = self.network_size.max(network_size);
+        if !self.slots.is_empty() {
+            self.slots.resize(self.network_size, SlotEntry::default());
         }
     }
 
     /// Registers the newborn bad peer `addr` occupying `slot`.
     pub fn insert(&mut self, slot: SlotId, addr: PeerAddr) {
+        if self.slots.is_empty() {
+            self.slots = vec![SlotEntry::default(); self.network_size];
+        }
         let e = &mut self.slots[slot.index()];
         debug_assert!(e.occupant.is_none(), "slot already holds a live bad peer");
         debug_assert!(e.fabricated.is_empty(), "stale pool survived a removal");
@@ -96,7 +107,9 @@ impl BadRegistry {
     /// returns whether it was. Drops the slot's fabricated pool and
     /// keeps `members` dense by swap-removing.
     pub fn remove(&mut self, slot: SlotId, addr: PeerAddr) -> bool {
-        let e = &mut self.slots[slot.index()];
+        let Some(e) = self.slots.get_mut(slot.index()) else {
+            return false;
+        };
         if e.occupant != Some(addr) {
             return false;
         }
@@ -132,14 +145,20 @@ impl BadRegistry {
     /// The live bad peer occupying `slot`, if any.
     #[must_use]
     pub fn occupant(&self, slot: SlotId) -> Option<PeerAddr> {
-        self.slots[slot.index()].occupant
+        self.slots.get(slot.index())?.occupant
     }
 
     /// The fabricated dead-address pool of `slot`'s occupant (empty
     /// until [`set_pool`](Self::set_pool) fills it).
     #[must_use]
     pub fn pool(&self, slot: SlotId) -> &[PeerAddr] {
-        &self.slots[slot.index()].fabricated
+        self.slots.get(slot.index()).map_or(&[], |e| &e.fabricated)
+    }
+
+    /// Slots the slab has room for: 0 until the first insert.
+    #[cfg(test)]
+    pub(crate) fn table_capacity(&self) -> usize {
+        self.slots.capacity()
     }
 
     /// Installs the lazily allocated fabricated pool for `slot`.
@@ -216,9 +235,34 @@ mod tests {
 
     #[test]
     fn empty_registry_reports_empty() {
-        let reg = BadRegistry::new(4);
+        let mut reg = BadRegistry::new(4);
+        let a = addrs(1);
         assert!(reg.is_empty());
         assert_eq!(reg.len(), 0);
         assert_eq!(reg.occupant(SlotId(3)), None);
+        assert!(reg.pool(SlotId(3)).is_empty());
+        assert!(!reg.remove(SlotId(3), a[0]));
+        reg.grow_to(8);
+        assert_eq!(reg.occupant(SlotId(7)), None);
+        assert_eq!(reg.slots.capacity(), 0, "no slot table without a bad peer");
+    }
+
+    #[test]
+    fn insert_after_a_mass_join_covers_the_new_slots() {
+        let a = addrs(3);
+        // Grown before the table exists: the first insert sizes it.
+        let mut reg = BadRegistry::new(4);
+        reg.grow_to(10);
+        reg.insert(SlotId(9), a[0]);
+        assert_eq!(reg.occupant(SlotId(9)), Some(a[0]));
+        assert_eq!(reg.slots.len(), 10);
+        // Grown after: the table follows at once.
+        reg.grow_to(12);
+        reg.insert(SlotId(11), a[1]);
+        reg.set_pool(SlotId(11), vec![a[2]]);
+        assert_eq!(reg.pool(SlotId(11)), &[a[2]]);
+        assert_eq!(reg.len(), 2);
+        assert!(reg.remove(SlotId(9), a[0]));
+        assert_eq!(reg.member(0), a[1]);
     }
 }

@@ -352,6 +352,9 @@ pub enum ConfigError {
     EmptyNetwork,
     /// `cache_size` was zero.
     ZeroCacheSize,
+    /// `cache_size` exceeded [`MAX_CACHE_SIZE`](crate::link_cache::MAX_CACHE_SIZE),
+    /// the most entries a link-cache block can index.
+    CacheSizeTooLarge,
     /// `pong_size` was zero (pongs are the only gossip channel).
     ZeroPongSize,
     /// `intro_prob` outside `[0,1]`.
@@ -407,6 +410,7 @@ impl std::fmt::Display for ConfigError {
         let s = match self {
             ConfigError::EmptyNetwork => "network size must be positive",
             ConfigError::ZeroCacheSize => "cache size must be positive",
+            ConfigError::CacheSizeTooLarge => "cache size must fit a u32 block offset",
             ConfigError::ZeroPongSize => "pong size must be positive",
             ConfigError::BadIntroProb => "introduction probability must be within [0, 1]",
             ConfigError::BadBadPeerFraction => "bad-peer fraction must be within [0, 1)",
@@ -457,6 +461,9 @@ impl Config {
         }
         if self.protocol.cache_size == 0 {
             return Err(ConfigError::ZeroCacheSize);
+        }
+        if self.protocol.cache_size > crate::link_cache::MAX_CACHE_SIZE {
+            return Err(ConfigError::CacheSizeTooLarge);
         }
         if self.protocol.pong_size == 0 {
             return Err(ConfigError::ZeroPongSize);
@@ -852,6 +859,16 @@ mod tests {
         let mut c = Config::default();
         c.protocol.cache_size = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroCacheSize));
+
+        // Validated only: the arena is never built at these sizes.
+        let max = crate::link_cache::MAX_CACHE_SIZE;
+        let mut c = Config::default();
+        c.protocol.cache_size = max;
+        assert_eq!(c.validate(), Ok(()));
+        if let Some(over) = max.checked_add(1) {
+            c.protocol.cache_size = over;
+            assert_eq!(c.validate(), Err(ConfigError::CacheSizeTooLarge));
+        }
 
         let mut c = Config::default();
         c.protocol.pong_size = 0;

@@ -1404,6 +1404,22 @@ mod tests {
         assert_eq!(sim.ledger.len(), sim.peers.len());
     }
 
+    /// The attacker slab costs nothing in a run without attackers, even
+    /// through a mass join, and covers every slot once one is born.
+    #[test]
+    fn bad_registry_table_waits_for_an_attacker() {
+        use simkit::scenario::Scenario;
+        let joins = Scenario::new().at(60.0).mass_join(20);
+        let honest = run_kept(tiny(55), &joins);
+        assert!(honest.bad.is_empty());
+        assert_eq!(honest.bad.table_capacity(), 0);
+
+        let cfg = tiny(55).with_bad_peers(0.2, BadPongBehavior::Dead);
+        let hostile = run_kept(cfg, &joins);
+        assert!(!hostile.bad.is_empty());
+        assert!(hostile.bad.table_capacity() >= hostile.peers.len());
+    }
+
     /// Makes the occupant of `slot` blame eight dead pointers on one
     /// source, which blacklists it, and returns that source.
     fn teach_a_liar(sim: &mut GuessSim, slot: SlotId) -> PeerAddr {

@@ -233,23 +233,29 @@ impl CacheHandle {
     }
 }
 
-/// Arena of fixed-stride link caches, one block per live peer.
+/// Arena of link caches, one block per live peer.
 ///
 /// Every cache in a run shares the same capacity (`CacheSize` is not a
-/// scenario-flippable parameter), so blocks are uniform `stride`-slot
-/// windows into two parallel vectors: the 20-byte [`CacheEntry`]s and a
-/// **tag row** holding each slot's address as a bare `u32`. Allocation is
-/// a free-list pop, death returns the block for the replacement peer, and
-/// a million caches cost exactly `10^6 * stride * (20 + 4)` bytes with no
-/// per-peer heap blocks or hash indexes.
+/// scenario-flippable parameter), but a cache may hold far fewer entries
+/// (queries off at `CacheSize` 100, about 29 after 120 simulated
+/// seconds), so a block's storage follows its occupancy. Each block is a pair of vectors: the 20-byte
+/// [`CacheEntry`]s and a **tag row** holding each entry's address as a
+/// bare `u32`. A block starts at `min(32, stride)` slots and doubles,
+/// capped at `stride`, when an insert finds it full. Allocation is a
+/// free-list pop, and death returns the block, its capacity kept, for
+/// the replacement peer, so a birth allocates nothing once the arena has
+/// as many blocks as the population. A live block costs
+/// `capacity * (20 + 4)` bytes plus its 48-byte record; its capacity is
+/// the first step of `32, 64, 128, …, stride` that covers the most
+/// entries any occupant of its handle has held.
 ///
 /// Semantics are identical to [`LinkCache`] — same entry ordering
 /// (append / swap-remove), same RNG consumption, same [`InsertOutcome`]s
 /// — the only difference is that address lookups scan the block's tag row
 /// (contiguous `u32`s, compared sixteen at a time) instead of consulting
 /// a hash index. The tag row is a mirror, not an index: `tags[i]` is
-/// `entries[i].addr()` for every slot of the arena, because one private
-/// `set` is the only code that stores an entry.
+/// `entries[i].addr()` for every slot of every block, because one private
+/// `set` and one private `push` are the only code that stores an entry.
 ///
 /// One block at a time may be **pinned** ([`CacheArena::pin`]): lookups
 /// in it read a position index instead of scanning, so the block a
@@ -257,17 +263,17 @@ impl CacheHandle {
 /// so a run using the arena is bit-for-bit the run using per-peer
 /// [`LinkCache`]s (property-tested below). The index holds each pinned
 /// entry's offset in its block, indexed by `PeerAddr::index()` (4 B per
-/// minted address, grown lazily); `set` keeps it current. A read accepts
-/// an offset only if it lies in the block's live range and the tag there
-/// is the address looked up, so stale offsets — of a block pinned
-/// before, of an entry since removed — simply miss, and nothing is ever
-/// invalidated. An arena that never pins allocates no index.
+/// minted address, grown lazily); `set` and `push` keep it current, and
+/// a block that grows keeps its offsets. A read accepts an offset only
+/// if it lies in the block's live range and the tag there is the address
+/// looked up, so stale offsets — of a block pinned before, of an entry
+/// since removed — simply miss, and nothing is ever invalidated. An
+/// arena that never pins allocates no index.
 #[derive(Debug, Clone)]
 pub struct CacheArena {
     stride: usize,
-    entries: Vec<CacheEntry>,
-    tags: Vec<u32>,
-    lens: Vec<u32>,
+    /// One record per handle ever allocated, live or freed.
+    blocks: Vec<Block>,
     free: Vec<u32>,
     /// The block whose lookups go through `pos`, if any.
     pinned: Option<CacheHandle>,
@@ -275,6 +281,38 @@ pub struct CacheArena {
     /// `PeerAddr::index()`; verified against the tag row on every read.
     pos: Vec<u32>,
 }
+
+/// One cache's storage: its entries and their tag row, always of equal
+/// length. Both grow together, so their capacities stay equal too.
+#[derive(Debug, Clone)]
+struct Block {
+    entries: Vec<CacheEntry>,
+    tags: Vec<u32>,
+}
+
+const _: () = assert!(size_of::<Block>() == 48);
+
+impl Block {
+    /// Doubles a full block's capacity, capped at `stride`.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, stride: usize) {
+        let len = self.entries.len();
+        let more = (2 * len).min(stride) - len;
+        self.entries.reserve_exact(more);
+        self.tags.reserve_exact(more);
+    }
+}
+
+/// Slots a block starts with, when the stride allows that many. Blocks
+/// started at 16 reached the same peak heap on a queries-off run, but
+/// nearly every one of them grew mid-run.
+const FIRST_BLOCK: usize = 32;
+
+/// The largest `CacheSize` an arena takes: block offsets are stored as
+/// `u32`s in the position index, and a cache holds distinct `u32`
+/// addresses anyway.
+pub const MAX_CACHE_SIZE: usize = u32::MAX as usize;
 
 /// Width of one [`find`] comparison group.
 const TAG_CHUNK: usize = 16;
@@ -304,82 +342,110 @@ impl CacheArena {
     ///
     /// # Panics
     ///
-    /// Panics if `stride` is zero (same contract as [`LinkCache::new`]).
+    /// Panics if `stride` is zero (same contract as [`LinkCache::new`])
+    /// or above [`MAX_CACHE_SIZE`].
     #[must_use]
     pub fn new(stride: usize) -> Self {
         assert!(stride > 0, "link cache capacity must be positive");
+        assert!(
+            stride <= MAX_CACHE_SIZE,
+            "link cache capacity must be at most {MAX_CACHE_SIZE}"
+        );
         CacheArena {
             stride,
-            entries: Vec::new(),
-            tags: Vec::new(),
-            lens: Vec::new(),
+            blocks: Vec::new(),
             free: Vec::new(),
             pinned: None,
             pos: Vec::new(),
         }
     }
 
-    /// Creates an arena pre-sized for `peers` concurrent caches.
+    /// Creates an arena pre-sized for `peers` concurrent caches: their
+    /// records, not their slots, which each block allocates as it fills.
     #[must_use]
     pub fn with_peer_capacity(stride: usize, peers: usize) -> Self {
         let mut a = Self::new(stride);
-        a.entries.reserve(peers * stride);
-        a.tags.reserve(peers * stride);
-        a.lens.reserve(peers);
+        a.blocks.reserve(peers);
         a
     }
 
-    /// Allocates an empty cache block, recycling a freed one if possible.
+    /// Allocates an empty cache block, recycling a freed one (and its
+    /// capacity) if possible.
     pub fn alloc(&mut self) -> CacheHandle {
         if let Some(h) = self.free.pop() {
-            self.lens[h as usize] = 0;
             return CacheHandle(h);
         }
-        let h = u32::try_from(self.lens.len()).expect("cache arena handle space exhausted");
+        let h = u32::try_from(self.blocks.len()).expect("cache arena handle space exhausted");
         assert!(h != u32::MAX, "cache arena handle space exhausted");
-        self.lens.push(0);
-        let filler = CacheEntry::new(PeerAddr::from_raw(u32::MAX), SimTime::ZERO, 0);
-        let slots = self.entries.len() + self.stride;
-        self.entries.resize(slots, filler);
-        self.tags.resize(slots, filler.addr().raw());
+        let slots = self.stride.min(FIRST_BLOCK);
+        self.blocks.push(Block {
+            entries: Vec::with_capacity(slots),
+            tags: Vec::with_capacity(slots),
+        });
         CacheHandle(h)
     }
 
-    /// Returns a dead peer's block to the free list. The handle must not
-    /// be used afterwards; freeing [`CacheHandle::NULL`] is a no-op.
+    /// Returns a dead peer's block to the free list, emptied but with its
+    /// capacity kept. The handle must not be used afterwards; freeing
+    /// [`CacheHandle::NULL`] is a no-op.
     pub fn free(&mut self, h: CacheHandle) {
         if h.is_null() {
             return;
         }
-        self.lens[h.0 as usize] = 0;
+        let b = self.block_mut(h);
+        b.entries.clear();
+        b.tags.clear();
         self.free.push(h.0);
+    }
+
+    fn block(&self, h: CacheHandle) -> &Block {
+        &self.blocks[h.0 as usize]
+    }
+
+    fn block_mut(&mut self, h: CacheHandle) -> &mut Block {
+        &mut self.blocks[h.0 as usize]
     }
 
     /// Blocks ever allocated (live + freed).
     #[must_use]
     pub fn blocks(&self) -> usize {
-        self.lens.len()
+        self.blocks.len()
     }
 
-    /// The slot range cache `h` occupies: `(base, len)`.
-    fn span(&self, h: CacheHandle) -> (usize, usize) {
-        (h.0 as usize * self.stride, self.lens[h.0 as usize] as usize)
+    /// Overwrites the entry at `offset` of block `h`, its tag, and its
+    /// position-index offset when `h` is pinned.
+    #[inline]
+    fn set(&mut self, h: CacheHandle, offset: usize, entry: CacheEntry) {
+        let b = self.block_mut(h);
+        b.entries[offset] = entry;
+        b.tags[offset] = entry.addr().raw();
+        if self.pinned == Some(h) {
+            self.record_offset(entry.addr().raw(), offset);
+        }
     }
 
-    /// Writes `entry` and its tag into arena slot `slot`, and its
-    /// offset into the position index when `slot` is in the pinned block.
-    fn set(&mut self, slot: usize, entry: CacheEntry) {
-        self.entries[slot] = entry;
-        self.tags[slot] = entry.addr().raw();
-        if let Some(p) = self.pinned {
-            let base = p.0 as usize * self.stride;
-            if (base..base + self.stride).contains(&slot) {
-                self.record_offset(entry.addr().raw(), slot - base);
-            }
+    /// Appends `entry` to block `h` (below `stride`), doubling the
+    /// block's capacity, up to `stride`, if it is full.
+    #[inline]
+    fn push(&mut self, h: CacheHandle, entry: CacheEntry) {
+        let stride = self.stride;
+        let b = self.block_mut(h);
+        let len = b.entries.len();
+        debug_assert!(len < stride);
+        if len == b.entries.capacity() {
+            b.grow(stride);
+        }
+        b.entries.push(entry);
+        b.tags.push(entry.addr().raw());
+        if self.pinned == Some(h) {
+            self.record_offset(entry.addr().raw(), len);
         }
     }
 
     /// Records `offset` as the pinned-block position of address `raw`.
+    /// Kept out of line, so that `set` and `push` stay small enough to
+    /// inline into `offer` and `remove`.
+    #[inline(never)]
     fn record_offset(&mut self, raw: u32, offset: usize) {
         let i = raw as usize;
         if i >= self.pos.len() {
@@ -399,19 +465,15 @@ impl CacheArena {
             return;
         }
         self.pinned = Some(h);
-        let (base, len) = self.span(h);
-        for offset in 0..len {
-            self.record_offset(self.tags[base + offset], offset);
+        for offset in 0..self.len(h) {
+            self.record_offset(self.block(h).tags[offset], offset);
         }
     }
 
     /// Current number of entries in cache `h` (≤ stride).
     #[must_use]
     pub fn len(&self, h: CacheHandle) -> usize {
-        if h.is_null() {
-            return 0;
-        }
-        self.lens[h.0 as usize] as usize
+        self.entries(h).len()
     }
 
     /// Returns true if cache `h` holds no entries.
@@ -433,29 +495,38 @@ impl CacheArena {
         if h.is_null() {
             return &[];
         }
-        let (base, len) = self.span(h);
-        &self.entries[base..base + len]
+        &self.block(h).entries
     }
 
     /// The tag row of cache `h`, for the mirror invariant's tests.
     #[cfg(test)]
     fn tags(&self, h: CacheHandle) -> &[u32] {
-        let (base, len) = self.span(h);
-        &self.tags[base..base + len]
+        &self.block(h).tags
     }
 
-    /// Arena slot of the entry for `addr` in cache `h`, if cached.
+    /// Slots block `h` holds storage for, for the growth tests.
+    #[cfg(test)]
+    fn slots(&self, h: CacheHandle) -> usize {
+        let b = self.block(h);
+        assert_eq!(
+            b.tags.capacity(),
+            b.entries.capacity(),
+            "rows grow together"
+        );
+        b.entries.capacity()
+    }
+
+    /// Offset of the entry for `addr` in cache `h`, if cached.
     fn position(&self, h: CacheHandle, addr: PeerAddr) -> Option<usize> {
         if h.is_null() {
             return None;
         }
-        let (base, len) = self.span(h);
+        let tags = &self.block(h).tags;
         if self.pinned == Some(h) {
             let offset = *self.pos.get(addr.index())? as usize;
-            return (offset < len && self.tags[base + offset] == addr.raw())
-                .then_some(base + offset);
+            return (tags.get(offset) == Some(&addr.raw())).then_some(offset);
         }
-        find(&self.tags[base..base + len], addr.raw()).map(|i| base + i)
+        find(tags, addr.raw())
     }
 
     /// Membership test by address.
@@ -467,16 +538,17 @@ impl CacheArena {
     /// Borrows the entry for `addr` in cache `h`, if cached.
     #[must_use]
     pub fn get(&self, h: CacheHandle, addr: PeerAddr) -> Option<&CacheEntry> {
-        self.position(h, addr).map(|slot| &self.entries[slot])
+        self.position(h, addr)
+            .map(|offset| &self.block(h).entries[offset])
     }
 
     /// Refreshes the `TS` of the entry for `addr`, if cached. Returns
     /// true if an entry was touched.
     pub fn touch(&mut self, h: CacheHandle, addr: PeerAddr, now: SimTime) -> bool {
-        let Some(slot) = self.position(h, addr) else {
+        let Some(offset) = self.position(h, addr) else {
             return false;
         };
-        self.entries[slot].touch(now);
+        self.block_mut(h).entries[offset].touch(now);
         true
     }
 
@@ -489,10 +561,10 @@ impl CacheArena {
         now: SimTime,
         results: u32,
     ) -> bool {
-        let Some(slot) = self.position(h, addr) else {
+        let Some(offset) = self.position(h, addr) else {
             return false;
         };
-        self.entries[slot].record_results(now, results);
+        self.block_mut(h).entries[offset].record_results(now, results);
         true
     }
 
@@ -500,11 +572,13 @@ impl CacheArena {
     /// cache `h`. Returns the removed entry, if any. Same swap-remove
     /// reordering as [`LinkCache::remove`].
     pub fn remove(&mut self, h: CacheHandle, addr: PeerAddr) -> Option<CacheEntry> {
-        let slot = self.position(h, addr)?;
-        let (base, len) = self.span(h);
-        let removed = self.entries[slot];
-        self.set(slot, self.entries[base + len - 1]);
-        self.lens[h.0 as usize] -= 1;
+        let offset = self.position(h, addr)?;
+        let b = self.block(h);
+        let (removed, last) = (b.entries[offset], b.entries[b.entries.len() - 1]);
+        self.set(h, offset, last);
+        let b = self.block_mut(h);
+        b.entries.pop();
+        b.tags.pop();
         Some(removed)
     }
 
@@ -521,13 +595,14 @@ impl CacheArena {
         if self.contains(h, entry.addr()) {
             return InsertOutcome::AlreadyPresent;
         }
-        let (base, len) = self.span(h);
+        let len = self.len(h);
         if len < self.stride {
-            self.set(base + len, entry);
-            self.lens[h.0 as usize] += 1;
+            self.push(h, entry);
             return InsertOutcome::Inserted;
         }
-        let last = base + len - 1;
+        let b = self.block(h);
+        let last = len - 1;
+        let tail = b.entries[last];
         if policy == ReplacementPolicy::Random {
             let r = rng.below(len + 1);
             if r == len {
@@ -535,15 +610,16 @@ impl CacheArena {
             }
             // The victim's address comes from the tag row, so the entry
             // about to be overwritten is never loaded.
-            let victim_addr = PeerAddr::from_raw(self.tags[base + r]);
+            let victim_addr = PeerAddr::from_raw(b.tags[r]);
             // swap_remove(r) followed by push(entry), fused: the last
             // entry drops into slot r and the newcomer takes the tail.
-            self.set(base + r, self.entries[last]);
-            self.set(last, entry);
+            self.set(h, r, tail);
+            self.set(h, last, entry);
             return InsertOutcome::Replaced(victim_addr);
         }
         let new_key = retention_key(policy, &entry, rng);
-        let weakest = self.entries[base..base + len]
+        let weakest = b
+            .entries
             .iter()
             .enumerate()
             .map(|(i, e)| (retention_key(policy, e, rng), i))
@@ -552,10 +628,10 @@ impl CacheArena {
         if new_key <= weakest.0 {
             return InsertOutcome::Rejected;
         }
-        let victim = base + weakest.1;
-        let victim_addr = self.entries[victim].addr();
-        self.set(victim, self.entries[last]);
-        self.set(last, entry);
+        let victim = weakest.1;
+        let victim_addr = b.entries[victim].addr();
+        self.set(h, victim, tail);
+        self.set(h, last, entry);
         InsertOutcome::Replaced(victim_addr)
     }
 }
@@ -703,97 +779,166 @@ mod tests {
     /// place, the pinned block is freed and re-allocated, and an address
     /// minted beyond the position index is looked up — the pinned
     /// lookups must answer exactly as the scan and the hash index do.
+    ///
+    /// Stride 6 never grows a block; at 40 and 100 both blocks grow, in
+    /// turn, through every capacity step, pinned and unpinned, and a
+    /// grown block is freed and handed back with its capacity.
     #[test]
     fn arena_block_is_bit_identical_to_link_cache() {
-        for (seed, policy) in [
-            (1u64, ReplacementPolicy::Random),
-            (2, ReplacementPolicy::Lfs),
-            (3, ReplacementPolicy::Lru),
-            (4, ReplacementPolicy::Lr),
-            (5, ReplacementPolicy::Mru),
-        ] {
-            let mut alloc = AddrAllocator::new();
-            let mut drv = RngStream::from_seed(seed, "arena-driver");
-            let mut r_cache = RngStream::from_seed(seed, "arena-ops");
-            let mut r_arena = RngStream::from_seed(seed, "arena-ops");
-            let mut r_other = RngStream::from_seed(seed, "arena-other");
-            let mut cache = LinkCache::new(6);
-            let mut arena = CacheArena::new(6);
-            let other = arena.alloc();
-            let h = arena.alloc();
-            let mut known: Vec<PeerAddr> = Vec::new();
-            for step in 0..2000 {
-                let now = SimTime::from_secs(step as f64);
-                let op = if known.is_empty() { 0 } else { drv.below(14) };
-                match op {
-                    // Offer (most common): fresh or already-seen address.
-                    0..=5 => {
-                        let addr = if !known.is_empty() && drv.chance(0.3) {
-                            known[drv.below(known.len())]
-                        } else {
-                            let a = alloc.allocate();
-                            known.push(a);
-                            a
-                        };
-                        let e = CacheEntry::from_pong(
-                            addr,
-                            now,
-                            drv.below(1000) as u32,
-                            drv.below(5) as u32,
-                        );
-                        let a = cache.offer(e, policy, &mut r_cache);
-                        let b = arena.offer(h, e, policy, &mut r_arena);
-                        assert_eq!(a, b, "offer diverged at step {step}");
+        for (stride, steps, reset_chance) in [(6, 2000, 1.0), (40, 4000, 0.1), (100, 6000, 0.04)] {
+            for (seed, policy) in [
+                (1u64, ReplacementPolicy::Random),
+                (2, ReplacementPolicy::Lfs),
+                (3, ReplacementPolicy::Lru),
+                (4, ReplacementPolicy::Lr),
+                (5, ReplacementPolicy::Mru),
+            ] {
+                lock_step(stride, steps, reset_chance, seed, policy);
+            }
+        }
+    }
+
+    /// The capacity steps a block of `stride` may hold storage for.
+    fn capacity_steps(stride: usize) -> Vec<usize> {
+        let mut steps = vec![stride.min(FIRST_BLOCK)];
+        while *steps.last().unwrap() < stride {
+            steps.push((2 * steps.last().unwrap()).min(stride));
+        }
+        steps
+    }
+
+    fn lock_step(
+        stride: usize,
+        steps: usize,
+        reset_chance: f64,
+        seed: u64,
+        policy: ReplacementPolicy,
+    ) {
+        let mut alloc = AddrAllocator::new();
+        let mut drv = RngStream::from_seed(seed, "arena-driver");
+        let mut r_cache = RngStream::from_seed(seed, "arena-ops");
+        let mut r_arena = RngStream::from_seed(seed, "arena-ops");
+        let mut r_other = RngStream::from_seed(seed, "arena-other");
+        let mut cache = LinkCache::new(stride);
+        let mut arena = CacheArena::new(stride);
+        let other = arena.alloc();
+        let mut h = arena.alloc();
+        let allowed = capacity_steps(stride);
+        let (mut grew_pinned, mut grew_unpinned, mut pinned_grown) = (0, 0, 0);
+        let (mut grown_recycled, mut other_grew, mut widest) = (0, false, 0);
+        let mut known: Vec<PeerAddr> = Vec::new();
+        for step in 0..steps {
+            let now = SimTime::from_secs(step as f64);
+            let slots_before = arena.slots(h);
+            let other_before = arena.slots(other);
+            let pinned_before = arena.pinned == Some(h);
+            let op = if known.is_empty() { 0 } else { drv.below(14) };
+            match op {
+                // Offer (most common): fresh or already-seen address.
+                0..=5 => {
+                    let addr = if !known.is_empty() && drv.chance(0.3) {
+                        known[drv.below(known.len())]
+                    } else {
+                        let a = alloc.allocate();
+                        known.push(a);
+                        a
+                    };
+                    let e = CacheEntry::from_pong(
+                        addr,
+                        now,
+                        drv.below(1000) as u32,
+                        drv.below(5) as u32,
+                    );
+                    let a = cache.offer(e, policy, &mut r_cache);
+                    let b = arena.offer(h, e, policy, &mut r_arena);
+                    assert_eq!(a, b, "offer diverged at step {step}");
+                }
+                6 => {
+                    let addr = known[drv.below(known.len())];
+                    assert_eq!(cache.remove(addr), arena.remove(h, addr));
+                }
+                7 => {
+                    let addr = known[drv.below(known.len())];
+                    assert_eq!(cache.touch(addr, now), arena.touch(h, addr, now));
+                }
+                8 => {
+                    let addr = known[drv.below(known.len())];
+                    assert_eq!(
+                        cache.record_results(addr, now, 1),
+                        arena.record_results(h, addr, now, 1)
+                    );
+                }
+                9 => {
+                    let addr = known[drv.below(known.len())];
+                    assert_eq!(cache.contains(addr), arena.contains(h, addr));
+                    assert_eq!(cache.get(addr), arena.get(h, addr));
+                }
+                10 => {
+                    if arena.pinned != Some(h) && slots_before > FIRST_BLOCK {
+                        pinned_grown += 1;
                     }
-                    6 => {
-                        let addr = known[drv.below(known.len())];
-                        assert_eq!(cache.remove(addr), arena.remove(h, addr));
-                    }
-                    7 => {
-                        let addr = known[drv.below(known.len())];
-                        assert_eq!(cache.touch(addr, now), arena.touch(h, addr, now));
-                    }
-                    8 => {
-                        let addr = known[drv.below(known.len())];
-                        assert_eq!(
-                            cache.record_results(addr, now, 1),
-                            arena.record_results(h, addr, now, 1)
-                        );
-                    }
-                    9 => {
-                        let addr = known[drv.below(known.len())];
-                        assert_eq!(cache.contains(addr), arena.contains(h, addr));
-                        assert_eq!(cache.get(addr), arena.get(h, addr));
-                    }
-                    10 => arena.pin(h),
-                    // The second block takes the pin and some of the
-                    // block under test's addresses, at other offsets.
-                    11 => {
-                        arena.pin(other);
-                        let addr = known[drv.below(known.len())];
-                        let e = CacheEntry::new(addr, now, 1);
-                        arena.offer(other, e, ReplacementPolicy::Random, &mut r_other);
-                    }
-                    12 => {
+                    arena.pin(h);
+                }
+                // The second block takes the pin and some of the
+                // block under test's addresses, at other offsets.
+                11 => {
+                    arena.pin(other);
+                    let addr = known[drv.below(known.len())];
+                    let e = CacheEntry::new(addr, now, 1);
+                    arena.offer(other, e, ReplacementPolicy::Random, &mut r_other);
+                }
+                12 if drv.chance(reset_chance) => {
+                    if drv.chance(0.5) {
                         arena.pin(h);
                         arena.free(h);
                         assert_eq!(arena.alloc(), h, "the pinned block is recycled");
-                        cache = LinkCache::new(6);
+                        assert_eq!(arena.slots(h), slots_before, "capacity is kept");
+                        assert!(arena.is_empty(h), "contents are gone");
+                        if slots_before > allowed[0] {
+                            grown_recycled += 1;
+                        }
+                    } else {
+                        // Move to a block never used before, which
+                        // starts small and unpinned (the old one stays
+                        // allocated, so the free list stays empty).
+                        h = arena.alloc();
+                        assert_eq!(arena.slots(h), allowed[0]);
                     }
-                    _ => {
-                        let addr = alloc.allocate();
-                        assert!(addr.index() >= arena.pos.len(), "minted beyond the index");
-                        assert_eq!(cache.contains(addr), arena.contains(h, addr));
-                        assert_eq!(cache.touch(addr, now), arena.touch(h, addr, now));
-                        assert_eq!(cache.remove(addr), arena.remove(h, addr));
-                        known.push(addr);
-                    }
+                    cache = LinkCache::new(stride);
                 }
-                assert_eq!(cache.entries(), arena.entries(h), "order diverged");
-                let addrs: Vec<u32> = arena.entries(h).iter().map(|e| e.addr().raw()).collect();
-                assert_eq!(arena.tags(h), addrs, "tag row diverged at step {step}");
-                assert_eq!(cache.len(), arena.len(h));
-                assert_eq!(cache.is_full(), arena.is_full(h));
+                12 => {}
+                _ => {
+                    let addr = alloc.allocate();
+                    assert!(addr.index() >= arena.pos.len(), "minted beyond the index");
+                    assert_eq!(cache.contains(addr), arena.contains(h, addr));
+                    assert_eq!(cache.touch(addr, now), arena.touch(h, addr, now));
+                    assert_eq!(cache.remove(addr), arena.remove(h, addr));
+                    known.push(addr);
+                }
+            }
+            let slots = arena.slots(h);
+            assert!(
+                allowed.contains(&slots) && slots >= arena.len(h),
+                "block holds {slots} slots for {} entries at step {step}",
+                arena.len(h)
+            );
+            if slots > slots_before && op != 12 {
+                if pinned_before {
+                    grew_pinned += 1;
+                } else {
+                    grew_unpinned += 1;
+                }
+            }
+            other_grew |= arena.slots(other) > other_before;
+            widest = widest.max(slots);
+            assert_eq!(cache.entries(), arena.entries(h), "order diverged");
+            let addrs: Vec<u32> = arena.entries(h).iter().map(|e| e.addr().raw()).collect();
+            assert_eq!(arena.tags(h), addrs, "tag row diverged at step {step}");
+            assert_eq!(cache.len(), arena.len(h));
+            assert_eq!(cache.is_full(), arena.is_full(h));
+            // Every address ever seen, at every step of the short run
+            // and every eighth step of the long ones.
+            if stride <= FIRST_BLOCK || step % 8 == 0 {
                 for &addr in &known {
                     assert_eq!(
                         cache.get(addr),
@@ -802,11 +947,55 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(
-                r_cache.next_u64(),
-                r_arena.next_u64(),
-                "RNG streams stayed in lockstep"
+        }
+        assert_eq!(
+            r_cache.next_u64(),
+            r_arena.next_u64(),
+            "RNG streams stayed in lockstep"
+        );
+        if stride > FIRST_BLOCK {
+            let seen = [grew_pinned, grew_unpinned, pinned_grown, grown_recycled];
+            assert!(
+                seen.iter().all(|&n| n > 0) && other_grew,
+                "stride {stride} {policy:?}: growths pinned/unpinned, pins of a grown \
+                 block, grown blocks recycled: {seen:?}; second block grew: {other_grew}"
             );
+            assert_eq!(widest, stride, "a block reached the stride");
+        }
+    }
+
+    #[test]
+    fn block_capacity_doubles_up_to_the_stride() {
+        let mut alloc = AddrAllocator::new();
+        let mut r = rng();
+        for (stride, want) in [
+            (6, vec![6]),
+            (32, vec![32]),
+            (40, vec![32, 40]),
+            (100, vec![32, 64, 100]),
+        ] {
+            assert_eq!(capacity_steps(stride), want);
+            let mut arena = CacheArena::with_peer_capacity(stride, 2);
+            let h = arena.alloc();
+            let mut seen = vec![arena.slots(h)];
+            for i in 0..stride {
+                arena.offer(h, entry(&mut alloc, 1, 0.0), ReplacementPolicy::Lfs, &mut r);
+                assert_eq!(arena.len(h), i + 1);
+                if arena.slots(h) != *seen.last().unwrap() {
+                    seen.push(arena.slots(h));
+                }
+            }
+            assert_eq!(seen, want, "stride {stride}");
+            // Full: an offer evicts or rejects, and storage stays put.
+            arena.offer(h, entry(&mut alloc, 9, 0.0), ReplacementPolicy::Lfs, &mut r);
+            assert_eq!(arena.slots(h), stride);
+            // A fresh block starts small; the freed one comes back whole.
+            let fresh = arena.alloc();
+            assert_eq!(arena.slots(fresh), want[0]);
+            arena.free(h);
+            assert_eq!(arena.alloc(), h);
+            assert_eq!(arena.slots(h), stride);
+            assert!(arena.is_empty(h));
         }
     }
 

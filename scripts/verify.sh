@@ -38,8 +38,9 @@ cargo test -q --release -p guess-bench --test quick_goldens -- --ignored
 # Gossip rumor state on optimised code: peak heap per peer stays flat
 # from 2 000 to 16 000 peers, and untraced runs equal traced ones. The
 # queue heap gate bounds peak heap per peer of a queries-off GUESS run
-# past two ring wraps of the event queue.
-cargo test -q --release -p guess-bench --test gossip_heap --test queue_heap --test trace
+# past two ring wraps of the event queue; the cache heap gate bounds it
+# for link-cache blocks that grow with their entries.
+cargo test -q --release -p guess-bench --test gossip_heap --test queue_heap --test cache_heap --test trace
 
 # Event-queue scale oracle: ~200k pending on GUESS's timer shape, every
 # pop checked against a BinaryHeap.
