@@ -19,8 +19,6 @@
 //!   which case the entry is retained but skipped for the rest of the
 //!   query.
 
-use std::cmp::Reverse;
-
 use simkit::rng::RngStream;
 use simkit::scenario::{MaintenanceMode, Partition};
 use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
@@ -189,9 +187,10 @@ pub struct GuessSim {
     /// Reused pong buffer: [`GuessSim::build_pong`] takes it, the pong's
     /// consumer hands it back, so answering a probe allocates nothing.
     pong_scratch: Vec<CacheEntry>,
-    /// Reused key buffer of the ranked selection policies, so MRU, LRU,
-    /// MFS and MR pongs and ping picks allocate nothing either.
-    rank_scratch: Vec<Reverse<((u64, u64), usize)>>,
+    /// Reused `(key, index)` buffer of the ranked selection policies
+    /// ([`crate::policy::top_k`]), so MRU, LRU, MFS and MR pongs and ping
+    /// picks allocate nothing either.
+    rank_scratch: Vec<(u128, usize)>,
     /// Reused query probe pool: each query resets it, so its heap stops
     /// growing once it has held the largest pool of the run.
     probe_pool: ProbeQueue,

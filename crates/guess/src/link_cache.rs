@@ -13,7 +13,7 @@ use simkit::time::SimTime;
 
 use crate::addr::PeerAddr;
 use crate::entry::CacheEntry;
-use crate::policy::{retention_key, ReplacementPolicy};
+use crate::policy::{retention_key, weakest, ReplacementPolicy};
 
 /// What happened when an entry was offered to the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,6 +189,8 @@ impl LinkCache {
             return InsertOutcome::Replaced(victim_addr);
         }
         // Eviction contest: does the newcomer beat the weakest incumbent?
+        // Written out per entry, not through `policy::weakest`, so the
+        // arena's lock-step tests check that kernel against this form.
         let new_key = retention_key(policy, &entry, rng);
         let weakest = self
             .entries
@@ -583,7 +585,9 @@ impl CacheArena {
     }
 
     /// Offers a new entry to cache `h` under the replacement policy.
-    /// Mirrors [`LinkCache::offer`] exactly, including RNG draw order.
+    /// Mirrors [`LinkCache::offer`] exactly, including RNG draw order; a
+    /// full cache under a ranked policy holds its contest through
+    /// `policy::weakest`.
     pub fn offer(
         &mut self,
         h: CacheHandle,
@@ -617,18 +621,9 @@ impl CacheArena {
             self.set(h, last, entry);
             return InsertOutcome::Replaced(victim_addr);
         }
-        let new_key = retention_key(policy, &entry, rng);
-        let weakest = b
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (retention_key(policy, e, rng), i))
-            .min()
-            .expect("cache is full, therefore non-empty");
-        if new_key <= weakest.0 {
+        let Some(victim) = weakest(policy, Some(&entry), &b.entries, rng) else {
             return InsertOutcome::Rejected;
-        }
-        let victim = weakest.1;
+        };
         let victim_addr = b.entries[victim].addr();
         self.set(h, victim, tail);
         self.set(h, last, entry);

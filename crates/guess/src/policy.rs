@@ -15,9 +15,6 @@
 //! with the `ResetNumResults` protocol flag, which zeroes third-party
 //! `NumRes` claims at insertion time.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use simkit::rng::RngStream;
 use simkit::time::SimTime;
 
@@ -102,9 +99,64 @@ impl SelectionPolicy {
     }
 }
 
+impl ReplacementPolicy {
+    /// The selection policy whose preference this eviction keeps: the
+    /// cache evicts what that policy would pick last. The inverse of
+    /// [`SelectionPolicy::mirror_replacement`], so a retention key is a
+    /// selection key under `goal()`.
+    #[must_use]
+    pub(crate) fn goal(self) -> SelectionPolicy {
+        match self {
+            ReplacementPolicy::Random => SelectionPolicy::Random,
+            ReplacementPolicy::Lru => SelectionPolicy::Mru,
+            ReplacementPolicy::Mru => SelectionPolicy::Lru,
+            ReplacementPolicy::Lfs => SelectionPolicy::Mfs,
+            ReplacementPolicy::Lr => SelectionPolicy::Mr,
+        }
+    }
+}
+
 /// Scales a timestamp to an orderable integer (microsecond resolution).
 fn ts_key(ts: SimTime) -> u64 {
     (ts.as_secs() * 1e6) as u64
+}
+
+/// Evaluates `$body` with `$primary` bound to the primary-key function of
+/// the selection policy `$policy` (larger is preferred). This is the one
+/// statement of the five orders; the match runs once, outside whatever
+/// loop `$body` holds, and each arm compiles that loop for its own key.
+macro_rules! with_primary {
+    ($policy:expr, |$primary:ident| $body:expr) => {
+        match $policy {
+            SelectionPolicy::Random => {
+                let $primary = |_: &CacheEntry| 0;
+                $body
+            }
+            SelectionPolicy::Mru => {
+                let $primary = |e: &CacheEntry| ts_key(e.ts());
+                $body
+            }
+            SelectionPolicy::Lru => {
+                let $primary = |e: &CacheEntry| u64::MAX - ts_key(e.ts());
+                $body
+            }
+            SelectionPolicy::Mfs => {
+                let $primary = |e: &CacheEntry| u64::from(e.num_files());
+                $body
+            }
+            SelectionPolicy::Mr => {
+                let $primary = |e: &CacheEntry| u64::from(e.num_res());
+                $body
+            }
+        }
+    };
+}
+
+/// A primary key and its tie-break draw as one integer: packed keys order
+/// exactly as the `(primary, tie)` pairs do.
+#[inline]
+fn pack(primary: u64, tie: u64) -> u128 {
+    (u128::from(primary) << 64) | u128::from(tie)
 }
 
 /// Preference key for `entry` under `policy`: **larger keys are preferred**
@@ -117,14 +169,7 @@ pub fn selection_key(
     rng: &mut RngStream,
 ) -> (u64, u64) {
     let tie = rng.next_u64();
-    let primary = match policy {
-        SelectionPolicy::Random => 0,
-        SelectionPolicy::Mru => ts_key(entry.ts()),
-        SelectionPolicy::Lru => u64::MAX - ts_key(entry.ts()),
-        SelectionPolicy::Mfs => u64::from(entry.num_files()),
-        SelectionPolicy::Mr => u64::from(entry.num_res()),
-    };
-    (primary, tie)
+    (with_primary!(policy, |primary| primary(entry)), tie)
 }
 
 /// Retention key for `entry` under an eviction policy: the entry with the
@@ -135,24 +180,129 @@ pub fn retention_key(
     entry: &CacheEntry,
     rng: &mut RngStream,
 ) -> (u64, u64) {
-    let tie = rng.next_u64();
-    let primary = match policy {
-        ReplacementPolicy::Random => 0,
-        // Evicting the LRU entry means retaining by freshness.
-        ReplacementPolicy::Lru => ts_key(entry.ts()),
-        // Evicting the MRU entry means retaining by staleness.
-        ReplacementPolicy::Mru => u64::MAX - ts_key(entry.ts()),
-        ReplacementPolicy::Lfs => u64::from(entry.num_files()),
-        ReplacementPolicy::Lr => u64::from(entry.num_res()),
-    };
-    (primary, tie)
+    selection_key(policy.goal(), entry, rng)
+}
+
+/// The ranked pick: the (at most) `k` entries of `entries` with the
+/// largest keys under `policy`, as `(packed key, index)` pairs in
+/// preference order, written to `ranked` (cleared first).
+///
+/// Every entry draws its tie-break, in slice order, whether or not it can
+/// still win: the draw sequence is the goldens' contract. An entry is kept
+/// if it beats the k-th pair kept so far; since it comes later in the
+/// slice, an exact key tie goes to it, as `(key, index)` ordering says.
+/// `k = 1` is a plain argmax. Otherwise the kept pairs stay sorted, so a
+/// rejection costs one compare and an admission an insertion-sort step
+/// over at most `k` pairs: O(n) draws and compares plus O(k) per
+/// admission, so O(n·k) at worst (keys ascending in slice order) and
+/// about k·(1 + ln(n/k)) admissions for keys in random order.
+pub(crate) fn top_k(
+    policy: SelectionPolicy,
+    entries: &[CacheEntry],
+    k: usize,
+    rng: &mut RngStream,
+    ranked: &mut Vec<(u128, usize)>,
+) {
+    ranked.clear();
+    let k = k.min(entries.len());
+    if k == 0 {
+        return;
+    }
+    with_primary!(policy, |primary| top_k_by(primary, entries, k, rng, ranked));
+}
+
+#[inline(always)]
+fn top_k_by(
+    primary: impl Fn(&CacheEntry) -> u64,
+    entries: &[CacheEntry],
+    k: usize,
+    rng: &mut RngStream,
+    ranked: &mut Vec<(u128, usize)>,
+) {
+    if k == 1 {
+        let mut best = (0, 0);
+        for (i, e) in entries.iter().enumerate() {
+            let key = pack(primary(e), rng.next_u64());
+            if key >= best.0 {
+                best = (key, i);
+            }
+        }
+        ranked.push(best);
+        return;
+    }
+    ranked.reserve(k);
+    // The k-th kept key once k are kept; until then every entry is kept.
+    let mut bar = 0;
+    for (i, e) in entries.iter().enumerate() {
+        let key = pack(primary(e), rng.next_u64());
+        if key < bar {
+            continue;
+        }
+        if ranked.len() == k {
+            ranked.pop();
+        }
+        // Insertion sort, from the weak end: the newcomer passes every
+        // kept pair whose key is not above its own.
+        let mut at = ranked.len();
+        ranked.push((key, i));
+        while at > 0 && ranked[at - 1].0 <= key {
+            ranked[at] = ranked[at - 1];
+            at -= 1;
+        }
+        ranked[at] = (key, i);
+        if ranked.len() == k {
+            bar = ranked[k - 1].0;
+        }
+    }
+}
+
+/// The eviction contest under `policy`: the index of the entry with the
+/// smallest retention key (the first such, on an exact tie), or `None`
+/// when `entries` is empty or `newcomer`'s key is not above that minimum.
+///
+/// The newcomer draws its tie-break first, then every entry in slice
+/// order, so a full-cache offer and a bare victim pick (`newcomer` is
+/// `None`) consume randomness exactly as the per-entry
+/// [`retention_key`] minimum does.
+#[must_use]
+pub(crate) fn weakest(
+    policy: ReplacementPolicy,
+    newcomer: Option<&CacheEntry>,
+    entries: &[CacheEntry],
+    rng: &mut RngStream,
+) -> Option<usize> {
+    with_primary!(policy.goal(), |primary| weakest_by(
+        primary, newcomer, entries, rng
+    ))
+}
+
+#[inline(always)]
+fn weakest_by(
+    primary: impl Fn(&CacheEntry) -> u64,
+    newcomer: Option<&CacheEntry>,
+    entries: &[CacheEntry],
+    rng: &mut RngStream,
+) -> Option<usize> {
+    let bar = newcomer.map(|e| pack(primary(e), rng.next_u64()));
+    let (first, rest) = entries.split_first()?;
+    let mut min = (pack(primary(first), rng.next_u64()), 0);
+    for (i, e) in rest.iter().enumerate() {
+        let key = pack(primary(e), rng.next_u64());
+        if key < min.0 {
+            min = (key, i + 1);
+        }
+    }
+    match bar {
+        Some(bar) if bar <= min.0 => None,
+        _ => Some(min.1),
+    }
 }
 
 /// Selects up to `k` entries from `entries` in preference order under
 /// `policy` — this is how pongs are built.
 ///
-/// Runs in O(k) expected for a sparse `Random` pick, O(n) for a dense
-/// one, and O(n log k) at worst otherwise.
+/// A `Random` pick costs O(k) expected when sparse and O(n) when dense;
+/// a ranked one is one pass over the slice (`top_k`).
 #[must_use]
 pub fn select_top_k(
     policy: SelectionPolicy,
@@ -166,14 +316,14 @@ pub fn select_top_k(
 }
 
 /// [`select_top_k`] into caller-owned buffers: `out` is cleared and
-/// refilled, and the ranked policies rank in `keys`, so buffers that have
-/// once held a pong and ranked a cache are never reallocated.
+/// refilled, and the ranked policies rank in `ranked`, so buffers that
+/// have once held a pong and ranked a cache are never reallocated.
 pub fn select_top_k_into(
     policy: SelectionPolicy,
     entries: &[CacheEntry],
     k: usize,
     rng: &mut RngStream,
-    keys: &mut Vec<Reverse<((u64, u64), usize)>>,
+    ranked: &mut Vec<(u128, usize)>,
     out: &mut Vec<CacheEntry>,
 ) {
     out.clear();
@@ -211,29 +361,13 @@ pub fn select_top_k_into(
         }
         return;
     }
-    // Keep the k best seen so far in a small min-heap (by key), built in
-    // the caller's buffer. Every entry draws its tie-break in slice
-    // order; only one that beats the heap's weakest is stored.
-    keys.clear();
-    let mut heap = BinaryHeap::from(std::mem::take(keys));
-    heap.reserve(k);
-    for (i, e) in entries.iter().enumerate() {
-        let cand = Reverse((selection_key(policy, e, rng), i));
-        if heap.len() < k {
-            heap.push(cand);
-        } else if let Some(mut weakest) = heap.peek_mut() {
-            if cand < *weakest {
-                *weakest = cand;
-            }
-        }
-    }
-    // Ascending `Reverse` is preference order: highest key first.
-    *keys = heap.into_sorted_vec();
-    out.extend(keys.iter().map(|&Reverse((_, i))| entries[i]));
+    top_k(policy, entries, k, rng, ranked);
+    out.extend(ranked.iter().map(|&(_, i)| entries[i]));
 }
 
 /// Picks the index of the eviction victim under `policy` from a non-empty
-/// slice, i.e. the entry with the smallest retention key.
+/// slice: a uniform draw for `Random`, else the eviction contest's
+/// weakest entry (`weakest`, with no newcomer).
 ///
 /// Returns `None` on an empty slice.
 #[must_use]
@@ -242,18 +376,10 @@ pub fn eviction_victim(
     entries: &[CacheEntry],
     rng: &mut RngStream,
 ) -> Option<usize> {
-    if entries.is_empty() {
-        return None;
-    }
     if policy == ReplacementPolicy::Random {
-        return Some(rng.below(entries.len()));
+        return (!entries.is_empty()).then(|| rng.below(entries.len()));
     }
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (retention_key(policy, e, rng), i))
-        .min()
-        .map(|(_, i)| i)
+    weakest(policy, None, entries, rng)
 }
 
 /// A probe-ordering queue: candidates are pushed as they are discovered
@@ -602,6 +728,49 @@ mod tests {
         }
     }
 
+    const RANKED_REPLACEMENTS: [ReplacementPolicy; 4] = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Mru,
+        ReplacementPolicy::Lfs,
+        ReplacementPolicy::Lr,
+    ];
+
+    /// `selection_key` as it stood before the kernels: one match per call,
+    /// the tie drawn first. The references below rank with it and with
+    /// [`old_retention_key`], so they share no key code with the kernels.
+    fn old_selection_key(
+        policy: SelectionPolicy,
+        entry: &CacheEntry,
+        rng: &mut RngStream,
+    ) -> (u64, u64) {
+        let tie = rng.next_u64();
+        let primary = match policy {
+            SelectionPolicy::Random => 0,
+            SelectionPolicy::Mru => ts_key(entry.ts()),
+            SelectionPolicy::Lru => u64::MAX - ts_key(entry.ts()),
+            SelectionPolicy::Mfs => u64::from(entry.num_files()),
+            SelectionPolicy::Mr => u64::from(entry.num_res()),
+        };
+        (primary, tie)
+    }
+
+    /// `retention_key` as it stood before the kernels.
+    fn old_retention_key(
+        policy: ReplacementPolicy,
+        entry: &CacheEntry,
+        rng: &mut RngStream,
+    ) -> (u64, u64) {
+        let tie = rng.next_u64();
+        let primary = match policy {
+            ReplacementPolicy::Random => 0,
+            ReplacementPolicy::Lru => ts_key(entry.ts()),
+            ReplacementPolicy::Mru => u64::MAX - ts_key(entry.ts()),
+            ReplacementPolicy::Lfs => u64::from(entry.num_files()),
+            ReplacementPolicy::Lr => u64::from(entry.num_res()),
+        };
+        (primary, tie)
+    }
+
     /// `select_top_k` as it stood before `select_top_k_into`: the oracle
     /// for picks, their order and the RNG draws.
     fn old_select_top_k(
@@ -623,7 +792,7 @@ mod tests {
         }
         let mut heap = std::collections::BinaryHeap::with_capacity(k + 1);
         for (i, e) in entries.iter().enumerate() {
-            heap.push(Reverse((selection_key(policy, e, rng), i)));
+            heap.push(Reverse((old_selection_key(policy, e, rng), i)));
             if heap.len() > k {
                 heap.pop();
             }
@@ -633,32 +802,233 @@ mod tests {
         picked.into_iter().map(|(_, i)| entries[i]).collect()
     }
 
+    /// The eviction contest as `LinkCache::offer` states it: the
+    /// newcomer's key first, then the `(key, index)` minimum of the
+    /// incumbents. `None` is an empty slice or a rejected newcomer.
+    fn old_contest(
+        policy: ReplacementPolicy,
+        newcomer: Option<&CacheEntry>,
+        entries: &[CacheEntry],
+        rng: &mut RngStream,
+    ) -> Option<usize> {
+        let bar = newcomer.map(|e| old_retention_key(policy, e, rng));
+        let (key, i) = entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (old_retention_key(policy, e, rng), i))
+            .min()?;
+        match bar {
+            Some(bar) if bar <= key => None,
+            _ => Some(i),
+        }
+    }
+
+    /// The input orders the kernels must rank alike: keys ascending in
+    /// slice order (every entry beats the kept ones), descending (none
+    /// does), shuffled, and all primaries equal (the tie-breaks decide).
+    fn shapes(n: usize) -> Vec<(&'static str, Vec<CacheEntry>)> {
+        let (ascending, mut alloc) = entries(n);
+        let descending = ascending.iter().rev().copied().collect();
+        let mut shuffled = ascending.clone();
+        let mut r = RngStream::from_seed(n as u64, "policy-shuffle");
+        for i in (1..n).rev() {
+            shuffled.swap(i, r.below(i + 1));
+        }
+        let equal = (0..n)
+            .map(|_| CacheEntry::from_pong(alloc.allocate(), SimTime::from_secs(5.0), 50, 2))
+            .collect();
+        vec![
+            ("ascending", ascending),
+            ("descending", descending),
+            ("shuffled", shuffled),
+            ("equal", equal),
+        ]
+    }
+
     #[test]
     fn select_top_k_into_matches_the_old_select_top_k() {
         for policy in SELECTION_POLICIES {
             for n in [0usize, 1, 7, 40, 100] {
-                let (es, _) = entries(n);
-                // n=40: k=5 is the sparse `sample_indices` regime
-                // (k*8 <= n), k=n and k=n+3 the dense one.
-                for k in [0, 1, 5, n, n + 3] {
-                    let mut r_old = rng();
-                    let mut r_new = rng();
-                    let mut r_dirty = rng();
-                    let want = old_select_top_k(policy, &es, k, &mut r_old);
-                    let (mut keys, mut out) = (Vec::new(), Vec::new());
-                    select_top_k_into(policy, &es, k, &mut r_new, &mut keys, &mut out);
-                    assert_eq!(out, want, "{policy} n={n} k={k}");
-                    assert_eq!(
-                        r_new.next_u64(),
-                        r_old.next_u64(),
-                        "{policy} n={n} k={k}: RNG draws"
-                    );
-                    // Dirty, over-long buffers change nothing.
-                    let (mut dirty, _) = entries(n + k + 9);
-                    let mut dirty_keys = vec![Reverse(((7, 7), 7)); n + 9];
-                    select_top_k_into(policy, &es, k, &mut r_dirty, &mut dirty_keys, &mut dirty);
-                    assert_eq!(dirty, want, "{policy} n={n} k={k}: dirty out");
+                for (shape, es) in shapes(n) {
+                    // n=40: k=5 is the sparse `sample_indices` regime
+                    // (k*8 <= n), k=n and k=n+3 the dense one.
+                    for k in [0, 1, 5, n, n + 3] {
+                        let case = format!("{policy} {shape} n={n} k={k}");
+                        let mut r_old = rng();
+                        let mut r_new = rng();
+                        let mut r_dirty = rng();
+                        let want = old_select_top_k(policy, &es, k, &mut r_old);
+                        let (mut ranked, mut out) = (Vec::new(), Vec::new());
+                        select_top_k_into(policy, &es, k, &mut r_new, &mut ranked, &mut out);
+                        assert_eq!(out, want, "{case}");
+                        let next = r_old.next_u64();
+                        assert_eq!(r_new.next_u64(), next, "{case}: RNG draws");
+                        // Dirty, over-long buffers change nothing.
+                        let (mut dirty, _) = entries(n + k + 9);
+                        let mut dirty_ranked = vec![(7, 7); n + 9];
+                        select_top_k_into(
+                            policy,
+                            &es,
+                            k,
+                            &mut r_dirty,
+                            &mut dirty_ranked,
+                            &mut dirty,
+                        );
+                        assert_eq!(dirty, want, "{case}: dirty out");
+                        assert_eq!(r_dirty.next_u64(), next, "{case}: dirty draws");
+                    }
                 }
+            }
+        }
+    }
+
+    /// Every ranked full-cache contest — the kernel itself, a bare victim
+    /// pick, and both caches' `offer` — decides as [`old_contest`] does,
+    /// with the same draws, for newcomers above, below and level with the
+    /// incumbents.
+    #[test]
+    fn eviction_contests_match_the_old_contest() {
+        use crate::link_cache::{CacheArena, InsertOutcome, LinkCache};
+        for policy in RANKED_REPLACEMENTS {
+            for n in [0usize, 1, 7, 40, 100] {
+                for (shape, es) in shapes(n) {
+                    // Addresses far above those `shapes` mints.
+                    let at = |i: u32| PeerAddr::from_raw(1_000_000 + i);
+                    let mut newcomers = vec![
+                        CacheEntry::from_pong(at(0), SimTime::from_secs(1e6), 1 << 20, 99),
+                        CacheEntry::new(at(1), SimTime::ZERO, 0),
+                    ];
+                    if let Some(mid) = es.get(n / 2) {
+                        newcomers.push(CacheEntry::from_pong(
+                            at(2),
+                            mid.ts(),
+                            mid.num_files(),
+                            mid.num_res(),
+                        ));
+                    }
+                    let case = format!("{policy} {shape} n={n}");
+                    let (mut r_old, mut r_new) = (rng(), rng());
+                    let want = old_contest(policy, None, &es, &mut r_old);
+                    assert_eq!(
+                        eviction_victim(policy, &es, &mut r_new),
+                        want,
+                        "{case}: victim"
+                    );
+                    assert_eq!(r_new.next_u64(), r_old.next_u64(), "{case}: victim draws");
+                    for new in newcomers {
+                        let case = format!("{case} newcomer {new:?}");
+                        let (mut r_old, mut r_new) = (rng(), rng());
+                        let want = old_contest(policy, Some(&new), &es, &mut r_old);
+                        let got = weakest(policy, Some(&new), &es, &mut r_new);
+                        assert_eq!(got, want, "{case}: weakest");
+                        assert_eq!(r_new.next_u64(), r_old.next_u64(), "{case}: draws");
+                        if n == 0 {
+                            continue;
+                        }
+                        let outcome = match want {
+                            None => InsertOutcome::Rejected,
+                            Some(i) => InsertOutcome::Replaced(es[i].addr()),
+                        };
+                        let (mut r_cache, mut r_arena) = (rng(), rng());
+                        let mut cache = LinkCache::new(n);
+                        let mut arena = CacheArena::new(n);
+                        let h = arena.alloc();
+                        for &e in &es {
+                            cache.offer(e, policy, &mut r_cache);
+                            arena.offer(h, e, policy, &mut r_arena);
+                        }
+                        assert_eq!(cache.offer(new, policy, &mut r_cache), outcome, "{case}");
+                        assert_eq!(arena.offer(h, new, policy, &mut r_arena), outcome, "{case}");
+                        let mut r_want = rng();
+                        old_contest(policy, Some(&new), &es, &mut r_want);
+                        let next = r_want.next_u64();
+                        assert_eq!(r_cache.next_u64(), next, "{case}: cache draws");
+                        assert_eq!(r_arena.next_u64(), next, "{case}: arena draws");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Release-scale oracle for the two kernels: per selection policy,
+    /// 100 000 random caches of 1–600 entries, every pick against
+    /// [`old_select_top_k`]; per ranked replacement policy, as many
+    /// contests (with and without a newcomer) against [`old_contest`].
+    /// Half the caches draw their fields from tiny ranges, so primary
+    /// keys tie often. Every case compares the next RNG draw too.
+    /// `cargo test --release -p guess --lib -- --ignored policy_kernels`.
+    #[test]
+    #[ignore = "release scale"]
+    fn policy_kernels_at_scale_match_the_references() {
+        const CACHES: usize = 100_000;
+        let mut gen = RngStream::from_seed(0x70_4B, "policy-scale");
+        let mut es = Vec::new();
+        // A random cache of 1–600 entries, its fields from tiny ranges
+        // (primary keys tie often) or wide ones, its timestamps whole
+        // seconds (ties on MRU/LRU keys too) or not.
+        let fill = |gen: &mut RngStream, es: &mut Vec<CacheEntry>| {
+            let n = 1 + gen.below(600);
+            let (ts, files, res) = if gen.chance(0.5) {
+                (8, 8, 4)
+            } else {
+                (100_000, 100_000, 1_000)
+            };
+            let whole = gen.chance(0.5);
+            es.clear();
+            for i in 0..n {
+                let secs = gen.below(ts) as f64 + if whole { 0.0 } else { gen.f64() };
+                es.push(CacheEntry::from_pong(
+                    PeerAddr::from_raw(i as u32),
+                    SimTime::from_secs(secs),
+                    gen.below(files) as u32,
+                    gen.below(res) as u32,
+                ));
+            }
+            n
+        };
+        let (mut ranked, mut out) = (Vec::new(), Vec::new());
+        for policy in SELECTION_POLICIES {
+            for c in 0..CACHES {
+                let n = fill(&mut gen, &mut es);
+                let k = [1, 5, gen.below(n + 4)][c % 3];
+                let seed = gen.next_u64();
+                let mut r_old = RngStream::from_seed(seed, "old");
+                let mut r_new = RngStream::from_seed(seed, "old");
+                let want = old_select_top_k(policy, &es, k, &mut r_old);
+                select_top_k_into(policy, &es, k, &mut r_new, &mut ranked, &mut out);
+                assert_eq!(out, want, "{policy} cache {c} n={n} k={k}");
+                assert_eq!(
+                    r_new.next_u64(),
+                    r_old.next_u64(),
+                    "{policy} cache {c}: draws"
+                );
+            }
+        }
+        for policy in RANKED_REPLACEMENTS {
+            for c in 0..CACHES {
+                let n = fill(&mut gen, &mut es);
+                let new = es[gen.below(n)];
+                let new = CacheEntry::from_pong(
+                    PeerAddr::from_raw(u32::MAX - 1),
+                    new.ts(),
+                    new.num_files() + u32::from(gen.chance(0.5)),
+                    new.num_res(),
+                );
+                let newcomer = (c % 2 == 0).then_some(&new);
+                let seed = gen.next_u64();
+                let mut r_old = RngStream::from_seed(seed, "old");
+                let mut r_new = RngStream::from_seed(seed, "old");
+                let want = old_contest(policy, newcomer, &es, &mut r_old);
+                let got = match newcomer {
+                    Some(_) => weakest(policy, newcomer, &es, &mut r_new),
+                    None => eviction_victim(policy, &es, &mut r_new),
+                };
+                assert_eq!(got, want, "{policy} cache {c} n={n}");
+                assert_eq!(
+                    r_new.next_u64(),
+                    r_old.next_u64(),
+                    "{policy} cache {c}: draws"
+                );
             }
         }
     }

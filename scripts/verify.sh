@@ -46,6 +46,11 @@ cargo test -q --release -p guess-bench --test gossip_heap --test queue_heap --te
 # pop checked against a BinaryHeap.
 timeout 600 cargo test -q --release -p simkit --test properties -- --ignored
 
+# Policy-kernel scale oracle: per policy, 100 000 random caches of 1-600
+# entries; every ranked pick and eviction contest, and the RNG draw after
+# it, checked against the per-entry reference forms.
+timeout 600 cargo test -q --release -p guess --lib -- --ignored policy_kernels
+
 # Scenario gates: an empty timeline is byte-identical to a plain run on
 # every engine, the seven-entry catalog (push-storm included) matches
 # its own committed manifest (tests/golden/scenarios.fnv1a.txt), and a
