@@ -10,9 +10,8 @@
 //! repro --list
 //! ```
 //!
-//! Experiments: `table3`, `fig3` … `fig21`, `response`, plus the
-//! extension studies `selfish`, `adaptive`, `defense`, `fragmentation`,
-//! `payments`, `forwarding`, and `gossip`.
+//! `repro --list` prints every experiment and scenario name, from
+//! [`guess_bench::experiments::all`] and [`guess_bench::scenarios::all`].
 //! With `--out <dir>`, each report is additionally written to
 //! `<dir>/<name>.txt`; adding `--json` also writes `<dir>/<name>.json`
 //! (structured blocks, see [`guess_bench::report::Report::render_json`]).

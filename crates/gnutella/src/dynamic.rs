@@ -17,6 +17,16 @@
 //! report aggregates are identical to the per-message formulation; only
 //! the event count and the wall-clock cost per message change.
 //!
+//! Three invariants keep that true. Each in-flight flood owns its
+//! visit table: bursts start several floods at one instant and their
+//! hops interleave, so a shared table would let one flood's stamps
+//! re-admit another's visited peers. Completed floods settle through a
+//! FIFO in start order, because `Summary`'s Welford updates are
+//! order-sensitive and a flood whose frontier dies early must not record
+//! before an older one. And an untraced flood may stop counting results
+//! at `desired_results`, since the report reads only whether a flood
+//! reached it.
+//!
 //! The content/query/lifetime models are shared with the GUESS simulator
 //! so the two mechanisms face identical workloads.
 

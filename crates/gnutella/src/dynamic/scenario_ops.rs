@@ -1,4 +1,10 @@
 //! The scenario hooks of `GnutellaSim`; see [`Intervenable`].
+//!
+//! A partition filters overlay edges: cross-group links go dark and
+//! degree repair re-wires within groups. A join can land between the
+//! hops of an in-flight flood, so every visit table in the flood slab,
+//! in flight or free, covers every slot from the moment the slot exists
+//! and no hop pays a size check.
 
 use simkit::scenario::{Intervenable, Param, Partition};
 use workload::query::QueryWorkload;

@@ -128,13 +128,6 @@ impl GnutellaConfig {
         self
     }
 
-    /// Sets the content-universe parameters.
-    #[must_use]
-    pub fn with_catalog(mut self, catalog: CatalogParams) -> Self {
-        self.catalog = catalog;
-        self
-    }
-
     /// Sets the simulated duration.
     #[must_use]
     pub fn with_duration(mut self, duration: SimDuration) -> Self {

@@ -114,21 +114,6 @@ pub fn attack(
     }
 }
 
-/// Sweeps an attack over increasing victim counts, returning one outcome
-/// per count.
-#[must_use]
-pub fn attack_sweep(
-    topo: &Topology,
-    strategy: AttackStrategy,
-    counts: &[usize],
-    rng: &mut RngStream,
-) -> Vec<AttackOutcome> {
-    counts
-        .iter()
-        .map(|&c| attack(topo, strategy, c, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +180,10 @@ mod tests {
     fn sweep_is_monotone_in_removed_count() {
         let mut r = rng();
         let t = Topology::preferential_attachment(800, 2, &mut r);
-        let outs = attack_sweep(&t, AttackStrategy::HighestDegree, &[0, 40, 80, 160], &mut r);
+        let outs: Vec<AttackOutcome> = [0, 40, 80, 160]
+            .iter()
+            .map(|&c| attack(&t, AttackStrategy::HighestDegree, c, &mut r))
+            .collect();
         for w in outs.windows(2) {
             assert!(w[1].largest_component <= w[0].largest_component);
         }

@@ -13,7 +13,18 @@
 //! Churn interacts with rumors through incarnations: the infected set
 //! remembers *which incarnation* of a slot heard the rumor, so a reborn
 //! peer is a fresh target (it never heard the rumor) and a dead
-//! spreader's knowledge dies with it.
+//! spreader's knowledge dies with it. Rumors still in flight at the
+//! horizon settle in an explicit flush, so every trace has one
+//! `query_end` per `query_start`.
+//!
+//! A round costs O(pushes it sends), independent of N. A rumor's
+//! infection state maps only the slots it reached, because a rumor
+//! reaches a small share of the network while the rumors in flight grow
+//! with N: a per-slot table per rumor made heap per peer grow with N.
+//! Per-message counters are tallied in locals and folded once per round.
+//! An untraced round stops checking libraries once the rumor has
+//! `num_desired_results`, as Gnutella floods do; the outcome is decided
+//! in the same handler, so the saturated count cannot change it.
 
 use std::collections::hash_map::Entry;
 

@@ -1,4 +1,8 @@
 //! The scenario hooks of `GossipSim`; see [`Intervenable`].
+//!
+//! A partition drops a cross-group push after counting the send: the
+//! message is spent but eaten in transit, surfaced as the
+//! `partition_drops` counter and `Refused` trace records.
 
 use simkit::scenario::{Intervenable, Param, Partition};
 use workload::query::QueryWorkload;

@@ -607,20 +607,6 @@ impl Config {
         self
     }
 
-    /// Sets `CacheSize` (Table 2).
-    #[must_use]
-    pub fn with_cache_size(mut self, n: usize) -> Self {
-        self.protocol.cache_size = n;
-        self
-    }
-
-    /// Sets `CacheSeedSize` (entries pre-seeded per initial peer).
-    #[must_use]
-    pub fn with_cache_seed_size(mut self, n: usize) -> Self {
-        self.run.cache_seed_size = n;
-        self
-    }
-
     /// Sets `LifespanMultiplier` (Table 1).
     #[must_use]
     pub fn with_lifespan_multiplier(mut self, m: f64) -> Self {
@@ -1039,8 +1025,6 @@ mod tests {
         let c = Config::default()
             .with_seed(0xbeef)
             .with_network_size(500)
-            .with_cache_size(30)
-            .with_cache_seed_size(5)
             .with_lifespan_multiplier(0.2)
             .with_max_probes_per_second(None)
             .with_query_pong(SelectionPolicy::Mfs)
@@ -1058,8 +1042,6 @@ mod tests {
             });
         assert_eq!(c.run.seed, 0xbeef);
         assert_eq!(c.system.network_size, 500);
-        assert_eq!(c.protocol.cache_size, 30);
-        assert_eq!(c.run.cache_seed_size, 5);
         assert!((c.system.lifespan_multiplier - 0.2).abs() < 1e-12);
         assert_eq!(c.system.max_probes_per_second, None);
         assert_eq!(c.protocol.query_pong, SelectionPolicy::Mfs);

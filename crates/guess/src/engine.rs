@@ -7,9 +7,27 @@
 //! GUESS is non-forwarding: every message is one direct contact, and
 //! every contact — ping, query probe, spill probe, pushed update — goes
 //! through the private `GuessSim::contact`, which classifies it and
-//! charges the receiver what its `Message` kind calls for.
+//! charges the receiver what its `Message` kind calls for. The caller's
+//! kind fixes the charge; no setting can. Around it sit one of each:
+//! `trace_probe`, the only `Probe` record emitter; `drop_dead_entry`,
+//! the only eviction of a timed-out entry; `admit`, the only way an
+//! entry reaches a link cache once the run is under way; `absorb_pong`;
+//! and `seed_from_friend`, the newborn bootstrap.
 //!
-//! ## Fidelity notes (see DESIGN.md §5)
+//! A pong's entries go to the caller's hook (the query loop's probe
+//! pool) before each is offered to the cache, and both draw from the
+//! policy stream, so that order is part of every golden. For the same
+//! reason the pong-source filter stays with the callers: a query
+//! consults it before the responder builds the pong, a ping after, and
+//! building draws.
+//!
+//! The core here and in `query_exec` reads no extension config. Each
+//! extension's rule lives in its module (`reputation`, `payments`,
+//! `push_ops`, `Config::walk`), and the core makes one call per hook
+//! point: birth, probe gate, contact outcome, pong source, pong entry,
+//! ping tick, entry admitted and death.
+//!
+//! ## Fidelity notes
 //!
 //! * A query executes *atomically* at its start time, but its probes carry
 //!   timestamps spaced `probe_interval / parallel_probes` apart, so

@@ -18,6 +18,15 @@
 //! in lane order — so the report is a pure function of `(seed, lanes)`,
 //! byte-identical for any worker-thread count. `lanes = 1` routes to
 //! the ordinary serial [`Runnable::run`], untouched.
+//!
+//! A spill probe carries no sender: its victim is a resident of the
+//! remote lane, always alive, so it is refused or answered, never timed
+//! out, and its reply is tallied like a local one. Gnutella has no lane
+//! mode because a flood crosses one shared overlay, which no lane split
+//! gives a useful lookahead; gossip has none because no experiment,
+//! scenario or benchmark workload needs one, and a laned epidemic (rumor
+//! state cannot follow a push across lanes) is not the process its
+//! fixed-point test checks.
 
 use simkit::lanes::{LaneCtx, LaneKernel, LaneSimulation};
 use simkit::rng::derive_seed;

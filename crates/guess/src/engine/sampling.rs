@@ -10,7 +10,11 @@
 //! so at `stride == 1` the sampled path reproduces the exhaustive
 //! numbers bit for bit. Runs at or below the threshold never draw from
 //! the metrics stream at all, which keeps small-N reports byte-identical
-//! whether or not sampling is configured.
+//! whether or not sampling is configured. Per-peer means need no
+//! correction; the largest-component estimate counts component mass
+//! over the visited slots and scales by `n / visited`, an unbiased
+//! estimate of the giant component's mass fraction. At `sample_size`
+//! 10 000 a proportion's standard error is at most 0.5 % absolute.
 
 use super::*;
 

@@ -1,4 +1,10 @@
 //! The scenario hooks of `GuessSim`; see [`Intervenable`].
+//!
+//! Victims are drawn from `rng_churn` and flash-crowd sources from
+//! `rng_query`, as in the organic death and query paths. A partition is
+//! checked at every direct contact: to the sender a cross-group contact
+//! looks like a dead peer (it times out), and no introduction, newborn
+//! seeding or push interest crosses.
 
 use simkit::scenario::{Intervenable, Param, Partition};
 

@@ -6,6 +6,17 @@
 //! entry only by evicting a victim chosen by the `CacheReplacement` policy
 //! — the incoming entry itself competes as a candidate, so an entry "worse"
 //! than everything already cached is simply not admitted.
+//!
+//! [`LinkCache`] is the reference form; the engine stores every cache in
+//! a [`CacheArena`], whose lock-step test against it pins the same
+//! outcomes and draws. Lookups dominate a query's cost, so the arena
+//! scans a tag row of bare addresses and pins the querier's block behind
+//! a position index. Rejected: a per-block hash index costs about as
+//! much memory as the entries it indexes; 16-bit fingerprint tags still
+//! load the entry on every hit, which lost on cold blocks; pinning for
+//! pings, whose handful of lookups costs less than a pin's index writes;
+//! and a shared slab with size classes, which strands the regions a
+//! growing block leaves, since births recycle whole blocks.
 
 use simkit::hash::{self, FxHashMap};
 use simkit::rng::RngStream;

@@ -23,6 +23,17 @@
 //! * **Coalescing flags** — at most one refresh flush is pending per slot;
 //!   further refresh requests inside the coalesce window merge into it.
 //!
+//! On death a subject's interest list drains into a tree: `fanout`
+//! direct deliveries, the rest split among them as relay lists for up to
+//! `ttl` hops. In push mode a subject's stretched ping cycle doubles as
+//! its refresh cycle, delivering to at most `fanout` watchers in
+//! round-robin order, and pings audit the stalest entry first (LRU):
+//! refreshes keep re-dating live entries, so the rarer pings converge on
+//! the entries nothing vouches for — the dead ones, whose removal is the
+//! one job pushes cannot do. The defaults' reasons are on
+//! [`PushParams`](crate::config::PushParams); the staleness measure is
+//! `RunReport::mean_staleness`.
+//!
 //! Nothing here draws randomness or schedules events, and the per-slot
 //! tables are sized on the first registration or refresh request, so a
 //! [`MaintenanceMode::Pull`](crate::MaintenanceMode) run is unaffected.

@@ -32,7 +32,12 @@
 //!   twice its share of capacity (twice the mean bucket occupancy, at
 //!   least 8 entries), the bucket shrinks to its share. The ring's
 //!   capacity then follows the pending count instead of the largest
-//!   bucket each slot ever held.
+//!   bucket each slot ever held. The factor of two spares a bucket
+//!   that refills to about its share on every pass the reallocation;
+//!   the release runs on the scan's bucket-change path, out of line, so
+//!   `pop` and `schedule` pay nothing per event; and the bucket gets a
+//!   fresh buffer rather than `shrink_to`, whose in-place shrink of a
+//!   large buffer made the allocator unmap its tail at every drain.
 //!
 //! Costs: `schedule` is O(1) (O(bucket) into the bucket being drained,
 //! O(log n) into the overflow). `pop` is O(1) plus its share of one

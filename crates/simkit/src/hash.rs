@@ -104,12 +104,6 @@ pub fn map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
-/// An empty [`FxHashSet`] with room for `cap` entries.
-#[must_use]
-pub fn set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +144,7 @@ mod tests {
         assert_eq!(m.remove(&2), Some("two"));
         assert!(m.remove(&2).is_none());
 
-        let mut s: FxHashSet<u64> = set_with_capacity(8);
+        let mut s: FxHashSet<u64> = FxHashSet::default();
         assert!(s.insert(7));
         assert!(!s.insert(7));
         assert!(s.contains(&7));

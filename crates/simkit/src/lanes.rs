@@ -240,12 +240,6 @@ impl<E, T: TraceSink> LaneKernel<E, T> {
         self.lanes.iter().map(|l| l.queue.events_processed()).sum()
     }
 
-    /// Consumes the kernel, returning each lane's sink in lane order.
-    #[must_use]
-    pub fn into_sinks(self) -> Vec<T> {
-        self.lanes.into_iter().map(|l| l.sink).collect()
-    }
-
     /// Drives every lane to the horizon in lockstep windows, using up
     /// to `threads` threads (clamped to the lane count), the calling
     /// thread included. `sims[i]` is lane `i`'s engine. Output is

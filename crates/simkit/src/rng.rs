@@ -100,14 +100,6 @@ impl RngStream {
         RngStream { s }
     }
 
-    /// Derives a child stream labelled `label` from this stream's current
-    /// state. Useful for giving every simulated peer its own stream.
-    #[must_use]
-    pub fn fork(&mut self, label: &str) -> RngStream {
-        let seed = self.next_u64();
-        RngStream::from_seed(seed, label)
-    }
-
     /// Next raw 64-bit output (xoshiro256++).
     #[allow(clippy::should_implement_trait)]
     #[must_use = "discarding the draw still advances the stream"]
@@ -130,14 +122,6 @@ impl RngStream {
     #[must_use = "discarding the draw still advances the stream"]
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
     }
 
     /// Uniform integer in `[0, bound)` without modulo bias
@@ -373,29 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn fork_produces_independent_children() {
-        let mut parent = RngStream::from_seed(9, "p");
-        let mut c1 = parent.fork("child");
-        let mut c2 = parent.fork("child");
-        // Two forks from different parent states differ even with equal labels.
-        assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
     fn choose_empty_is_none() {
         let mut r = RngStream::from_seed(10, "ch");
         let empty: [u8; 0] = [];
         assert!(r.choose(&empty).is_none());
         assert_eq!(r.choose(&[5]), Some(&5));
-    }
-
-    #[test]
-    fn fill_bytes_handles_odd_lengths() {
-        let mut r = RngStream::from_seed(14, "fb");
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        // 13 random bytes are all-zero with probability 2^-104.
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

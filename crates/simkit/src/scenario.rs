@@ -1,10 +1,8 @@
 //! Scenario timelines: scripted mid-run interventions.
 //!
-//! Every experiment in the workspace used to measure a *static*
-//! configuration run to completion, but the interesting failure modes of
-//! the protocols under study — cache staleness, malicious takeover,
-//! churn recovery — are *dynamic* phenomena. This module adds the
-//! missing axis: a [`Scenario`] is a timeline of [`Intervention`]s
+//! The interesting failure modes of the protocols under study — cache
+//! staleness, malicious takeover, churn recovery — are *dynamic*
+//! phenomena. A [`Scenario`] is a timeline of [`Intervention`]s
 //! (join/leave waves, query flash crowds, parameter flips, network
 //! partitions) that the kernel delivers to the engine at scripted
 //! simulation instants, through the [`Intervenable`] trait.
@@ -16,10 +14,13 @@
 //! ([`crate::sim::Kernel::run_scenario`]) schedules one control event
 //! per generation **before** popping anything, so control events
 //! interleave with engine events purely by `(time, seq)` order and the
-//! run stays deterministic. An empty timeline schedules nothing, which
-//! is what makes the no-op-scenario invariance guarantee hold: running
-//! through the scenario path with an empty timeline is byte-identical
-//! to a plain run.
+//! run stays deterministic. Carrying the earliest sequence numbers, a
+//! control fires before every engine event at its instant, including
+//! those an earlier control at that instant scheduled: a flash crowd's
+//! flood hops pop after a join wave right behind it on the timeline, so
+//! a control can land between the hops of a flood. An empty timeline
+//! schedules nothing, so running through the scenario path with it is
+//! byte-identical to a plain run.
 //!
 //! # The `Intervenable` contract
 //!
@@ -38,7 +39,9 @@
 //! Partition validity is a property of the timeline, not of the engine:
 //! [`crate::sim::Kernel::run_scenario`] rejects a partition into fewer
 //! than two groups over the compiled timeline, before the run starts,
-//! through the same [`Partition::new`] rule engines install with.
+//! through the same [`Partition::new`] rule engines install with. What a
+//! partition means, and which [`Param`]s an engine flips, is each
+//! engine's own: see its `scenario_ops` module.
 //!
 //! # Example
 //!

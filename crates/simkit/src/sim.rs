@@ -1,10 +1,10 @@
 //! The shared simulation kernel.
 //!
-//! Every discrete-event engine in the workspace used to hand-roll the
-//! same four pieces on top of [`EventQueue`]: the pop-dispatch loop with
-//! an end-of-run guard, churn (sample a lifetime, schedule a death,
-//! spawn a replacement), warm-up gating, and periodic metric sampling.
-//! This module owns all four:
+//! Every discrete-event engine in the workspace needs the same four
+//! pieces on top of [`EventQueue`]: the pop-dispatch loop with an
+//! end-of-run guard, churn (sample a lifetime, schedule a death, spawn a
+//! replacement), warm-up gating, and periodic metric sampling. This
+//! module owns all four:
 //!
 //! * [`Simulation`] — the engine-side trait: an event type plus a
 //!   `handle` method that receives each popped event and a [`SimCtx`]
@@ -21,6 +21,18 @@
 //! no randomness of its own, schedules in a fixed order (engine init
 //! first, then the first sample tick), and inherits the event queue's
 //! no-time-travel invariant — scheduling into the past panics.
+//! [`ChurnDriver`] draws each lifetime from the engine's own stream.
+//!
+//! # Adding an engine
+//!
+//! Define an `Event` enum; hold a [`ChurnDriver`] if the population
+//! churns; implement [`Simulation`] for every `T: TraceSink` through
+//! per-method generic helpers, so the engine struct stays non-generic;
+//! and implement [`Runnable`]'s one required method,
+//! `run_scenario_traced`, which builds [`KernelParams`], seeds the
+//! initial events through `kernel.ctx()` and calls
+//! [`Kernel::run_scenario`]. `run`, `run_traced` and `run_scenario` are
+//! provided; a plain run is the empty timeline.
 //!
 //! # Example: a counting engine on the kernel
 //!

@@ -84,33 +84,6 @@ impl Histogram {
         }
     }
 
-    /// Buckets the observations into `bins` equal-width bins spanning
-    /// `[min, max]`; returns `(bin_lower_edge, count)` pairs.
-    ///
-    /// Returns an empty vector when there are no samples or `bins == 0`.
-    pub fn binned(&mut self, bins: usize) -> Vec<(f64, usize)> {
-        if self.samples.is_empty() || bins == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        let lo = self.samples[0];
-        let hi = self.samples[self.samples.len() - 1];
-        let width = if hi > lo {
-            (hi - lo) / bins as f64
-        } else {
-            1.0
-        };
-        let mut out: Vec<(f64, usize)> = (0..bins).map(|i| (lo + width * i as f64, 0)).collect();
-        for &x in &self.samples {
-            let mut idx = ((x - lo) / width) as usize;
-            if idx >= bins {
-                idx = bins - 1;
-            }
-            out[idx].1 += 1;
-        }
-        out
-    }
-
     /// Absorbs another histogram's observations. Quantiles afterwards
     /// equal those of recording both sample streams into one histogram
     /// (order is irrelevant: queries sort first).
@@ -120,13 +93,6 @@ impl Histogram {
         }
         self.samples.extend_from_slice(&other.samples);
         self.sorted = false;
-    }
-
-    /// Consumes the histogram and returns the raw samples in sorted order.
-    #[must_use]
-    pub fn into_sorted_samples(mut self) -> Vec<f64> {
-        self.ensure_sorted();
-        self.samples
     }
 }
 
@@ -140,7 +106,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.percentile(50.0), None);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.binned(4).is_empty());
     }
 
     #[test]
@@ -153,37 +118,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), Some(5.0));
         assert_eq!(h.percentile(100.0), Some(10.0));
         assert_eq!(h.percentile(0.0), Some(1.0));
-    }
-
-    #[test]
-    fn binning_covers_all_samples() {
-        let mut h = Histogram::new();
-        for x in 0..100 {
-            h.record(f64::from(x));
-        }
-        let bins = h.binned(10);
-        assert_eq!(bins.len(), 10);
-        assert_eq!(bins.iter().map(|(_, c)| c).sum::<usize>(), 100);
-        assert_eq!(bins[0].1, 10);
-    }
-
-    #[test]
-    fn constant_samples_bin_safely() {
-        let mut h = Histogram::new();
-        for _ in 0..5 {
-            h.record(7.0);
-        }
-        let bins = h.binned(3);
-        assert_eq!(bins.iter().map(|(_, c)| c).sum::<usize>(), 5);
-    }
-
-    #[test]
-    fn into_sorted_samples_sorts() {
-        let mut h = Histogram::new();
-        h.record(3.0);
-        h.record(1.0);
-        h.record(2.0);
-        assert_eq!(h.into_sorted_samples(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -60,28 +60,6 @@ impl LifetimeModel {
         }
     }
 
-    /// Builds a model from a caller-provided sample of session lengths in
-    /// seconds, scaled by `multiplier`. Use this to plug in a real trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sample is empty or contains non-finite
-    /// values.
-    pub fn from_trace(
-        sample: Vec<f64>,
-        multiplier: f64,
-    ) -> Result<Self, simkit::dist::BuildEmpiricalError> {
-        assert!(
-            multiplier.is_finite() && multiplier > 0.0,
-            "LifespanMultiplier must be positive"
-        );
-        let dist = EmpiricalDist::from_sample(sample)?;
-        Ok(LifetimeModel {
-            dist: dist.scaled(multiplier),
-            multiplier,
-        })
-    }
-
     /// The configured `LifespanMultiplier`.
     #[must_use]
     pub fn multiplier(&self) -> f64 {
@@ -191,13 +169,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(m.sample_lifetime(&mut rng).as_secs() >= 1.0);
         }
-    }
-
-    #[test]
-    fn custom_trace_round_trips() {
-        let m = LifetimeModel::from_trace(vec![100.0, 200.0, 300.0], 2.0).unwrap();
-        assert_eq!(m.median().as_secs(), 400.0);
-        assert!(LifetimeModel::from_trace(vec![], 1.0).is_err());
     }
 
     #[test]

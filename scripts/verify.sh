@@ -23,8 +23,9 @@ for f in crates/guess/src/engine.rs crates/guess/src/engine/query_exec.rs; do
 done
 
 cargo clippy --all-targets -- -D warnings
-# Intra-doc links stay resolvable and public docs link no private item.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+# Intra-doc links stay resolvable, in the private modules' docs that
+# DESIGN.md points at too, and public docs link no private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items
 cargo build --release --workspace
 # Under `timeout`, like the traced runs at the end: a run that never
 # advances its clock fails verify instead of blocking it.
