@@ -45,7 +45,7 @@ fn gnutella_cases() -> [(&'static str, GnutellaConfig, Scenario); 5] {
         ("small", cfg(71), Scenario::new()),
         (
             "desired-3",
-            cfg(72).with_desired_results(3),
+            cfg(72).with_num_desired_results(3),
             Scenario::new(),
         ),
         (

@@ -2,14 +2,14 @@
 //! dynamic simulator, split out so overlay maintenance and search can be
 //! read independently (a child module sees the engine's private state).
 //!
-//! A flood is not executed inline: [`GnutellaSim::flood_query`] stamps
+//! A flood is not executed inline: [`Flood::flood_query`] stamps
 //! the origin into the flood's own [`VisitTable`], parks the query's
-//! state in a slab slot, and schedules one [`Event::FloodHop`] at the
+//! state in a slab slot, and schedules one hop ([`Event::Step`]) at the
 //! current instant. Each hop event advances the frontier one TTL step
 //! with a single [`crate::wavefront::advance_filtered`] call, whose hook
 //! only records probes when a trace sink is attached. The hop's new
 //! frontier is then checked against the query in one pass — untraced,
-//! that pass stops as soon as the flood holds `desired_results`
+//! that pass stops as soon as the flood holds `num_desired_results`
 //! results, so a flood's `results` saturates there; the report reads it
 //! only as `results >= desired` and cannot tell. A traced flood counts
 //! every result for its `QueryEnd` record. The hop reschedules itself
@@ -19,7 +19,7 @@
 //! flood completes before the next burst or death — exactly the inline
 //! semantics, with one kernel event per hop.
 
-use workload::query::QueryTarget;
+use workload::population::Event;
 
 use super::*;
 use crate::wavefront;
@@ -43,7 +43,7 @@ pub(super) struct FloodState {
     hops_left: u32,
     messages: u64,
     /// Peers reached that answer the query. Exact when traced; untraced,
-    /// counting stops at `desired_results`.
+    /// counting stops at `num_desired_results`.
     results: u32,
     /// Distinct peers reached, origin excluded: the sum of the hops'
     /// frontier sizes.
@@ -54,30 +54,20 @@ pub(super) struct FloodState {
     next: Vec<u32>,
 }
 
-impl GnutellaSim {
-    /// Starts one flood from `src` with the configured TTL: draws the
-    /// query target (same RNG position as the old inline flood), stamps
-    /// the origin, and schedules the first hop at `now`.
+impl Flood {
+    /// Starts flood `qid` for `target` from `src` with the configured
+    /// TTL: stamps the origin and schedules the first hop at `now`.
     pub(super) fn flood_query<T: TraceSink>(
         &mut self,
+        peers: &Peers<Self>,
         src: usize,
+        qid: u64,
+        target: QueryTarget,
         now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
+        ctx: &mut Ctx<'_, Self, T>,
     ) {
-        let qid = self.next_query;
-        self.next_query += 1;
-        if ctx.tracing() {
-            ctx.emit(
-                now,
-                TraceRecord::QueryStart {
-                    query: qid,
-                    origin: self.pop.incarnation(src),
-                },
-            );
-        }
-        let target = self.pop.sample_target(&mut self.rng);
-        let ttl = self.cfg.ttl as u32;
-        let n = self.pop.len();
+        let ttl = peers.cfg.ttl as u32;
+        let n = peers.pop.len();
         let flood = if let Some(slot) = self.free_floods.pop() {
             let st = &mut self.floods[slot as usize];
             st.qid = qid;
@@ -114,7 +104,7 @@ impl GnutellaSim {
             slot
         };
         self.settle_queue.push_back(flood);
-        ctx.schedule(now, Event::FloodHop { flood });
+        ctx.schedule(now, Event::Step(flood));
     }
 
     /// Advances one hop of flood `flood`: every frontier peer forwards
@@ -123,27 +113,28 @@ impl GnutellaSim {
     /// itself while TTL and frontier remain, otherwise settles the query.
     pub(super) fn on_flood_hop<T: TraceSink>(
         &mut self,
+        peers: &mut Peers<Self>,
         flood: u32,
         now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
+        ctx: &mut Ctx<'_, Self, T>,
     ) {
         let idx = flood as usize;
         let tracing = ctx.tracing();
-        // Untraced, the report only asks whether `desired_results` were
+        // Untraced, the report only asks whether `num_desired_results` were
         // found; `QueryEnd.results` needs the exact count.
         let wanted = if tracing {
             u32::MAX
         } else {
-            u32::try_from(self.cfg.desired_results).unwrap_or(u32::MAX)
+            peers.cfg.num_desired_results
         };
         {
             // Disjoint field borrows: the hop reads adjacency, peer
             // libraries, and the query model while mutating this
             // flood's visit table and frontier buffers.
-            let partition = self.partition;
-            let GnutellaSim {
+            let partition = peers.partition;
+            let pop = &peers.pop;
+            let Flood {
                 ref adj,
-                ref pop,
                 ref mut floods,
                 ref mut probe_scratch,
                 ..
@@ -186,7 +177,7 @@ impl GnutellaSim {
         st.hops_left -= 1;
         std::mem::swap(&mut st.frontier, &mut st.next);
         if st.hops_left > 0 && !st.frontier.is_empty() {
-            ctx.schedule(now, Event::FloodHop { flood });
+            ctx.schedule(now, Event::Step(flood));
             return;
         }
         st.done = true;
@@ -200,17 +191,16 @@ impl GnutellaSim {
                 break;
             }
             self.settle_queue.pop_front();
-            self.finish_flood(front, now, ctx);
+            self.finish_flood(peers, front, now, ctx);
         }
     }
 
-    /// Grows every slab visit table, in flight or free, to the current
-    /// population. A join can land between the hops of a flood — a
+    /// Grows every slab visit table, in flight or free, to the
+    /// population's `n` slots. A join can land between the hops of a flood — a
     /// control at the same instant pops before the hops an earlier
     /// control scheduled — so every table must cover every slot the
     /// moment the slot exists, not only when a flood starts.
-    pub(super) fn grow_visit_tables(&mut self) {
-        let n = self.pop.len();
+    pub(super) fn grow_visit_tables(&mut self, n: usize) {
         for st in &mut self.floods {
             st.visits.grow_to(n);
         }
@@ -220,32 +210,28 @@ impl GnutellaSim {
     /// the post-warm-up metrics, and recycles the slab slot.
     fn finish_flood<T: TraceSink>(
         &mut self,
+        peers: &mut Peers<Self>,
         flood: u32,
         now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
+        ctx: &mut Ctx<'_, Self, T>,
     ) {
         let st = &self.floods[flood as usize];
         let (qid, messages, results, reached) = (st.qid, st.messages, st.results, st.reached);
         self.free_floods.push(flood);
-        let desired = self.cfg.desired_results;
+        let satisfied = results >= peers.cfg.num_desired_results;
         if ctx.tracing() {
             ctx.emit(
                 now,
                 TraceRecord::QueryEnd {
                     query: qid,
-                    satisfied: results as usize >= desired,
+                    satisfied,
                     probes: u32::try_from(messages).unwrap_or(u32::MAX),
                     results,
                 },
             );
         }
         if ctx.after_warmup(now) {
-            self.queries += 1;
-            if (results as usize) < desired {
-                self.unsatisfied += 1;
-            }
-            self.messages.record(messages as f64);
-            self.peers_reached.record(reached as f64);
+            peers.tallies.record(satisfied, messages, reached);
         }
     }
 }

@@ -1,4 +1,6 @@
-//! The scenario hooks of `GnutellaSim`; see [`Intervenable`].
+//! What scenario interventions mean to the flood. The hooks themselves
+//! are the shared ones of [`workload::population::ForwardingSim`]; the
+//! engine adds two knobs, `FloodTtl` and `TargetDegree`.
 //!
 //! A partition filters overlay edges: cross-group links go dark and
 //! degree repair re-wires within groups. A join can land between the
@@ -6,64 +8,12 @@
 //! in flight or free, covers every slot from the moment the slot exists
 //! and no hop pays a size check.
 
-use simkit::scenario::{Intervenable, Param, Partition};
-use workload::query::QueryWorkload;
-
-use super::*;
-
-impl<T: TraceSink> Intervenable<T> for GnutellaSim {
-    const ENGINE: &'static str = "gnutella";
-    type Config = GnutellaConfig;
-
-    /// Floods may still be in flight: their visit tables grow first.
-    fn join_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
-        let slot = self.pop.join(&mut self.rng);
-        self.adj.push(Vec::new());
-        self.grow_visit_tables();
-        self.top_up_connections(slot);
-        self.start_clocks(slot, now, ctx);
-    }
-    fn kill_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
-        let slot = self.rng.below(self.pop.len());
-        self.on_death(slot, self.pop.incarnation(slot), now, ctx);
-    }
-    fn query_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
-        let src = self.rng.below(self.pop.len());
-        self.flood_query(src, now, ctx);
-    }
-
-    fn config(&self) -> &GnutellaConfig {
-        &self.cfg
-    }
-    fn set_param(cfg: &mut GnutellaConfig, param: Param) -> bool {
-        match param {
-            Param::QueryRate(r) => cfg.query_rate = r,
-            Param::FloodTtl(t) => cfg.ttl = t,
-            Param::TargetDegree(d) => cfg.target_degree = d,
-            _ => return false,
-        }
-        true
-    }
-    fn install(&mut self, cfg: GnutellaConfig) -> Result<(), String> {
-        cfg.validate().map_err(|e| e.to_string())?;
-        self.clocks.workload =
-            QueryWorkload::with_rate(cfg.query_rate).map_err(|e| e.to_string())?;
-        self.cfg = cfg;
-        Ok(())
-    }
-
-    fn partition_mut(&mut self) -> &mut Option<Partition> {
-        &mut self.partition
-    }
-    fn counters_mut(&mut self) -> &mut CounterSet {
-        &mut self.counters
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::*;
     use simkit::scenario::{MaintenanceMode, Scenario, ScenarioError};
+    use simkit::sim::Runnable;
+    use simkit::time::SimDuration;
 
     fn small() -> GnutellaConfig {
         GnutellaConfig::small_test(0x67)

@@ -10,6 +10,11 @@
 //! epidemics alive. A rumor settles when it has enough results, its
 //! round TTL expires, or no spreaders remain.
 //!
+//! The peer lifecycle (churn, query bursts, scenario hooks, the run) is
+//! the one [`workload::population::ForwardingSim`] that the Gnutella
+//! flood runs on too; this module supplies only the [`Epidemic`]
+//! mechanism: a rumor's start, its rounds, and the horizon flush.
+//!
 //! Churn interacts with rumors through incarnations: the infected set
 //! remembers *which incarnation* of a slot heard the rumor, so a reborn
 //! peer is a fresh target (it never heard the rumor) and a dead
@@ -29,32 +34,17 @@
 use std::collections::hash_map::Entry;
 
 use simkit::hash::{self, FxHashMap};
-use simkit::rng::RngStream;
-use simkit::scenario::Partition;
-use simkit::sim::{Kernel, KernelParams, Runnable, SimCtx, SimReport, Simulation};
+use simkit::scenario::Param;
 use simkit::stats::{CounterSet, Summary};
 use simkit::time::SimTime;
 use simkit::trace::{ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
-use workload::population::{Clocks, Population};
+use workload::population::{Ctx, Event, ForwardingSim, Peers, Search};
 use workload::query::QueryTarget;
 
 use crate::config::{Config, GossipConfigError};
 use crate::report::GossipReport;
 
 mod scenario_ops;
-
-/// The engine's event alphabet (public because it is the
-/// [`Simulation::Event`] associated type).
-#[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
-pub enum Event {
-    /// A peer's bursty query-generation clock fires.
-    Burst { slot: u32, incarnation: u64 },
-    /// A peer's sampled lifetime expires.
-    Death { slot: u32, incarnation: u64 },
-    /// One gossip round of a live rumor.
-    Round { query: u64 },
-}
 
 /// Initial capacity of a rumor's infection map. A rumor reaches a few
 /// hundred peers at the defaults whatever the network size, so the map
@@ -126,156 +116,78 @@ struct Rumor {
 /// println!("unsatisfaction: {:.3}", report.unsatisfaction());
 /// # Ok::<(), gossip::GossipConfigError>(())
 /// ```
-pub struct GossipSim {
-    /// The validated configuration. Scenario parameter flips install a
-    /// re-validated copy, so every read sees the current value.
-    cfg: Config,
-    /// Active partition: slots in different groups cannot exchange
-    /// pushes. `None` means fully connected.
-    partition: Option<Partition>,
-    pop: Population,
-    clocks: Clocks,
-    rng: RngStream,
+pub type GossipSim = ForwardingSim<Epidemic>;
+
+/// The push/pull epidemic mechanism: the rumors in flight.
+pub struct Epidemic {
     rumors: FxHashMap<u64, Rumor>,
-    queries: u64,
-    unsatisfied: u64,
-    messages: Summary,
-    peers_reached: Summary,
     response_time: Summary,
-    counters: CounterSet,
-    next_query: u64,
     /// Round-scoped dedup stamps for `next_active` (one entry per slot),
     /// replacing a linear `Vec::contains` scan per push.
     active_stamp: Vec<u64>,
     active_token: u64,
 }
 
-impl GossipSim {
-    /// Builds and seeds the simulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GossipConfigError`] for inconsistent parameters.
-    pub fn new(cfg: Config) -> Result<Self, GossipConfigError> {
-        cfg.validate()?;
-        let mut rng = RngStream::from_seed(cfg.seed, "gossip");
-        let pop = Population::generate_from(cfg.network_size, cfg.catalog, &mut rng)
-            .map_err(|_| GossipConfigError::BadCatalog)?;
-        let clocks = Clocks::new(cfg.lifespan_multiplier, cfg.query_rate)
-            .map_err(|_| GossipConfigError::BadQueryRate)?;
-        // Pre-size the rumor map for the expected number of in-flight
-        // rumors: network-wide arrival rate times the longest a rumor
-        // can live (its full round TTL).
+impl Search for Epidemic {
+    const ENGINE: &'static str = "gossip";
+    type Config = Config;
+    type Error = GossipConfigError;
+    /// The query id of the rumor whose next round is due.
+    type Step = u64;
+    type Report = GossipReport;
+
+    fn validate(cfg: &Config) -> Result<(), GossipConfigError> {
+        cfg.validate()
+    }
+
+    fn set_param(cfg: &mut Config, param: Param) -> bool {
+        match param {
+            Param::Fanout(f) => cfg.fanout = f,
+            Param::RoundTtl(t) => cfg.round_ttl = t,
+            Param::PullProbability(p) => cfg.pull_probability = p,
+            _ => return false,
+        }
+        true
+    }
+
+    /// Pre-sizes the rumor map for the expected number of in-flight
+    /// rumors: network-wide arrival rate times the longest a rumor can
+    /// live (its full round TTL).
+    fn new(peers: &mut Peers<Self>) -> Self {
+        let cfg = &peers.cfg;
         let max_rumor_secs = cfg.round_interval.as_secs() * f64::from(cfg.round_ttl);
         let inflight = (cfg.query_rate * cfg.network_size as f64 * max_rumor_secs).ceil() as usize;
-        let network_size = cfg.network_size;
-        Ok(GossipSim {
-            rng,
-            cfg,
-            partition: None,
-            pop,
-            clocks,
+        Epidemic {
             rumors: hash::map_with_capacity(inflight.clamp(16, 4096)),
-            queries: 0,
-            unsatisfied: 0,
-            messages: Summary::new(),
-            peers_reached: Summary::new(),
             response_time: Summary::new(),
-            counters: CounterSet::new(),
-            next_query: 0,
-            active_stamp: vec![0; network_size],
+            active_stamp: vec![0; cfg.network_size],
             active_token: 0,
-        })
+        }
     }
 
-    /// Counts the birth of `slot`'s current occupant and starts its
-    /// clocks (for the initial peers, once the kernel exists).
-    fn start_clocks<T: TraceSink>(
-        &mut self,
-        slot: usize,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        self.counters.incr("births");
-        let incarnation = self.pop.incarnation(slot);
-        let slot = slot as u32;
-        self.clocks.start(
-            ctx,
-            &mut self.rng,
-            now,
-            incarnation,
-            Event::Death { slot, incarnation },
-            Event::Burst { slot, incarnation },
-        );
-    }
-
-    fn on_death<T: TraceSink>(
-        &mut self,
-        slot: usize,
-        incarnation: u64,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        if !self.pop.is_current(slot, incarnation) {
-            return;
-        }
-        self.clocks.churn.died(ctx, now, incarnation);
-        self.counters.incr("deaths");
-        // Rebirth in place, as in the GUESS and Gnutella simulators:
-        // constant population. Rumor knowledge is *not* carried over —
-        // infected maps hold the old incarnation, which no longer
-        // matches.
-        self.pop.rebirth(slot, &mut self.rng);
-        self.start_clocks(slot, now, ctx);
-    }
-
-    fn on_burst<T: TraceSink>(
-        &mut self,
-        slot: usize,
-        incarnation: u64,
-        now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
-    ) {
-        if !self.pop.is_current(slot, incarnation) {
-            return;
-        }
-        let burst = self.clocks.workload.sample_burst_size(&mut self.rng);
-        for _ in 0..burst {
-            self.start_query(slot, now, ctx);
-        }
-        let gap = self.clocks.workload.sample_burst_gap(&mut self.rng);
-        ctx.schedule(
-            now + gap,
-            Event::Burst {
-                slot: slot as u32,
-                incarnation,
-            },
-        );
+    /// Rumor knowledge is not carried over a rebirth: infected maps hold
+    /// the old incarnation, which no longer matches. In-flight rumors
+    /// need no update on a join either: the newcomer is absent from
+    /// their infection maps, which reads as never having heard them.
+    /// Only the round stamps grow to cover a joined slot.
+    fn born(&mut self, peers: &mut Peers<Self>, _slot: usize) {
+        self.active_stamp.resize(peers.pop.len(), 0);
     }
 
     /// Starts one rumor at `src` and schedules its first round. The
     /// originator's own library does not count toward results (as in
     /// flooding: you gossip for what you don't have).
-    fn start_query<T: TraceSink>(
+    fn start<T: TraceSink>(
         &mut self,
+        peers: &mut Peers<Self>,
         src: usize,
+        qid: u64,
+        target: QueryTarget,
         now: SimTime,
-        ctx: &mut SimCtx<'_, Event, T>,
+        ctx: &mut Ctx<'_, Self, T>,
     ) {
-        let qid = self.next_query;
-        self.next_query += 1;
-        if ctx.tracing() {
-            ctx.emit(
-                now,
-                TraceRecord::QueryStart {
-                    query: qid,
-                    origin: self.pop.incarnation(src),
-                },
-            );
-        }
-        let target = self.pop.sample_target(&mut self.rng);
         let mut infected = hash::map_with_capacity(INFECTED_CAPACITY);
-        infected.insert(src as u32, self.pop.incarnation(src));
+        infected.insert(src as u32, peers.pop.incarnation(src));
         let rumor = Rumor {
             target,
             started: now,
@@ -287,24 +199,78 @@ impl GossipSim {
             measured: ctx.after_warmup(now),
         };
         self.rumors.insert(qid, rumor);
-        ctx.schedule(now + self.cfg.round_interval, Event::Round { query: qid });
+        ctx.schedule(now + peers.cfg.round_interval, Event::Step(qid));
     }
 
+    fn step<T: TraceSink>(
+        &mut self,
+        peers: &mut Peers<Self>,
+        qid: u64,
+        now: SimTime,
+        ctx: &mut Ctx<'_, Self, T>,
+    ) {
+        self.on_round(peers, qid, now, ctx);
+    }
+
+    /// Rumors still in flight at the horizon are settled (and their
+    /// `QueryEnd` records emitted) at the end instant, in query order,
+    /// so a trace always contains exactly one `query_end` per
+    /// `query_start`.
+    fn finish<T: TraceSink>(
+        mut self,
+        mut peers: Peers<Self>,
+        end: SimTime,
+        events_processed: u64,
+        sink: &mut T,
+    ) -> GossipReport {
+        let mut pending: Vec<u64> = self.rumors.keys().copied().collect();
+        pending.sort_unstable();
+        for qid in pending {
+            let rumor = self.rumors.remove(&qid).expect("pending rumor exists");
+            peers.tallies.counters.incr("horizon_flushed");
+            let satisfied = self.settle(&mut peers, &rumor, end);
+            if sink.enabled() {
+                sink.record(
+                    end,
+                    TraceRecord::QueryEnd {
+                        query: qid,
+                        satisfied,
+                        probes: u32::try_from(rumor.messages).unwrap_or(u32::MAX),
+                        results: rumor.results,
+                    },
+                );
+            }
+        }
+        GossipReport {
+            tallies: peers.tallies,
+            response_time: self.response_time,
+            events_processed,
+        }
+    }
+}
+
+impl Epidemic {
     /// Runs one gossip round of rumor `qid`, then either settles the
     /// rumor or schedules its next round.
-    fn on_round<T: TraceSink>(&mut self, qid: u64, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
+    fn on_round<T: TraceSink>(
+        &mut self,
+        peers: &mut Peers<Self>,
+        qid: u64,
+        now: SimTime,
+        ctx: &mut Ctx<'_, Self, T>,
+    ) {
         let Some(mut rumor) = self.rumors.remove(&qid) else {
             return;
         };
-        self.counters.incr("rounds");
-        let n = self.pop.len();
+        peers.tallies.counters.incr("rounds");
+        let n = peers.pop.len();
         let tracing = ctx.tracing();
         // Untraced, the report only asks whether the rumor found
         // `num_desired_results`; `QueryEnd.results` needs the exact count.
         let wanted = if tracing {
             u32::MAX
         } else {
-            self.cfg.num_desired_results
+            peers.cfg.num_desired_results
         };
         let spreaders = std::mem::take(&mut rumor.active);
         let mut next_active: Vec<u32> = Vec::new();
@@ -313,8 +279,8 @@ impl GossipSim {
         // preserved by the Vec itself).
         self.active_token += 1;
         let token = self.active_token;
-        let partition = self.partition;
-        // Per-message tallies, folded into `self.counters` once per round.
+        let partition = peers.partition;
+        // Per-message tallies, folded into the counters once per round.
         let mut tally = RoundTally::default();
         for s in spreaders {
             // A spreader that died (and was replaced) since it was
@@ -322,17 +288,17 @@ impl GossipSim {
             let still_informed = rumor
                 .infected
                 .get(&s)
-                .is_some_and(|&heard_by| self.pop.is_current(s as usize, heard_by));
+                .is_some_and(|&heard_by| peers.pop.is_current(s as usize, heard_by));
             let s = s as usize;
             if !still_informed {
                 tally.spreaders_lost += 1;
                 continue;
             }
-            for _ in 0..self.cfg.fanout {
+            for _ in 0..peers.cfg.fanout {
                 // Uniform random contact, excluding the spreader itself.
-                let mut t = self.rng.below(n);
+                let mut t = peers.rng.below(n);
                 while t == s {
-                    t = self.rng.below(n);
+                    t = peers.rng.below(n);
                 }
                 rumor.messages += 1;
                 tally.pushes += 1;
@@ -347,7 +313,7 @@ impl GossipSim {
                                 now,
                                 TraceRecord::Probe {
                                     query: qid,
-                                    target: self.pop.incarnation(t),
+                                    target: peers.pop.incarnation(t),
                                     kind: ProbeKind::Push,
                                     outcome: ProbeOutcome::Refused,
                                 },
@@ -356,7 +322,7 @@ impl GossipSim {
                         continue;
                     }
                 }
-                let t_inc = self.pop.incarnation(t);
+                let t_inc = peers.pop.incarnation(t);
                 let first_contact = match rumor.infected.entry(t as u32) {
                     Entry::Occupied(mut heard) if *heard.get() != t_inc => {
                         // Reborn since infection: the stored incarnation
@@ -376,7 +342,7 @@ impl GossipSim {
                         self.active_stamp[t] = token;
                         next_active.push(t as u32);
                     }
-                    if rumor.results < wanted && self.pop.answers(t, rumor.target) {
+                    if rumor.results < wanted && peers.pop.answers(t, rumor.target) {
                         rumor.results += 1;
                     }
                     if tracing {
@@ -405,7 +371,7 @@ impl GossipSim {
                             },
                         );
                     }
-                    if self.rng.chance(self.cfg.pull_probability) {
+                    if peers.rng.chance(peers.cfg.pull_probability) {
                         rumor.messages += 1;
                         tally.pulls += 1;
                         if self.active_stamp[t] != token {
@@ -427,23 +393,24 @@ impl GossipSim {
                 }
             }
         }
-        tally.fold_into(&mut self.counters);
+        let counters = &mut peers.tallies.counters;
+        tally.fold_into(counters);
         rumor.round += 1;
         rumor.active = next_active;
-        let done = if rumor.results >= self.cfg.num_desired_results {
-            self.counters.incr("satisfied_early");
+        let done = if rumor.results >= peers.cfg.num_desired_results {
+            counters.incr("satisfied_early");
             true
-        } else if rumor.round >= self.cfg.round_ttl {
-            self.counters.incr("ttl_exhausted");
+        } else if rumor.round >= peers.cfg.round_ttl {
+            counters.incr("ttl_exhausted");
             true
         } else if rumor.active.is_empty() {
-            self.counters.incr("died_out");
+            counters.incr("died_out");
             true
         } else {
             false
         };
         if done {
-            let satisfied = self.settle(&rumor, now);
+            let satisfied = self.settle(peers, &rumor, now);
             if tracing {
                 ctx.emit(
                     now,
@@ -457,21 +424,17 @@ impl GossipSim {
             }
         } else {
             self.rumors.insert(qid, rumor);
-            ctx.schedule(now + self.cfg.round_interval, Event::Round { query: qid });
+            ctx.schedule(now + peers.cfg.round_interval, Event::Step(qid));
         }
     }
 
     /// Folds a settling rumor into the run metrics (if measured) and
     /// returns whether it was satisfied.
-    fn settle(&mut self, rumor: &Rumor, at: SimTime) -> bool {
-        let satisfied = rumor.results >= self.cfg.num_desired_results;
+    fn settle(&mut self, peers: &mut Peers<Self>, rumor: &Rumor, at: SimTime) -> bool {
+        let satisfied = rumor.results >= peers.cfg.num_desired_results;
         if rumor.measured {
-            self.queries += 1;
-            if !satisfied {
-                self.unsatisfied += 1;
-            }
-            self.messages.record(rumor.messages as f64);
-            self.peers_reached.record(rumor.infected.len() as f64 - 1.0);
+            let reached = rumor.infected.len() as u64 - 1;
+            peers.tallies.record(satisfied, rumor.messages, reached);
             if satisfied {
                 self.response_time.record((at - rumor.started).as_secs());
             }
@@ -480,93 +443,10 @@ impl GossipSim {
     }
 }
 
-impl<T: TraceSink> Simulation<T> for GossipSim {
-    type Event = Event;
-
-    fn handle(&mut self, now: SimTime, event: Event, ctx: &mut SimCtx<'_, Event, T>) {
-        match event {
-            Event::Death { slot, incarnation } => {
-                self.on_death(slot as usize, incarnation, now, ctx);
-            }
-            Event::Burst { slot, incarnation } => {
-                self.on_burst(slot as usize, incarnation, now, ctx);
-            }
-            Event::Round { query } => self.on_round(query, now, ctx),
-        }
-    }
-
-    fn live_peers(&self) -> u64 {
-        // Rebirth is in place and immediate, so every slot always holds
-        // a live peer — the constant-population invariant.
-        self.pop.len() as u64
-    }
-}
-
-impl Runnable for GossipSim {
-    type Report = GossipReport;
-
-    /// Rumors still in flight at the horizon are settled (and their
-    /// `QueryEnd` records emitted) at the end instant, so a trace always
-    /// contains exactly one `query_end` per `query_start`.
-    fn run_scenario_traced<T: TraceSink>(
-        mut self,
-        scenario: &simkit::scenario::Scenario,
-        sink: T,
-    ) -> Result<(GossipReport, T), simkit::scenario::ScenarioError> {
-        let mut params = KernelParams::new(self.cfg.duration).with_warmup(self.cfg.warmup);
-        if let Some(interval) = self.cfg.sample_interval {
-            params = params.with_sampling(interval);
-        }
-        let mut kernel = Kernel::new(params, sink);
-        let mut ctx = kernel.ctx();
-        for slot in 0..self.pop.len() {
-            self.start_clocks(slot, SimTime::ZERO, &mut ctx);
-        }
-        kernel.run_scenario(&mut self, scenario)?;
-        let events_processed = kernel.events_processed();
-        let mut sink = kernel.into_sink();
-        // Flush in-flight rumors at the horizon, in query order.
-        let mut pending: Vec<u64> = self.rumors.keys().copied().collect();
-        pending.sort_unstable();
-        let end = SimTime::ZERO + self.cfg.duration;
-        for qid in pending {
-            let rumor = self.rumors.remove(&qid).expect("pending rumor exists");
-            self.counters.incr("horizon_flushed");
-            let satisfied = self.settle(&rumor, end);
-            if sink.enabled() {
-                sink.record(
-                    end,
-                    TraceRecord::QueryEnd {
-                        query: qid,
-                        satisfied,
-                        probes: u32::try_from(rumor.messages).unwrap_or(u32::MAX),
-                        results: rumor.results,
-                    },
-                );
-            }
-        }
-        let report = GossipReport {
-            queries: self.queries,
-            unsatisfied: self.unsatisfied,
-            messages: self.messages,
-            peers_reached: self.peers_reached,
-            response_time: self.response_time,
-            counters: self.counters,
-            events_processed,
-        };
-        Ok((report, sink))
-    }
-}
-
-impl SimReport for GossipReport {
-    fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::sim::Runnable;
     use simkit::trace::{CountingSink, RecordingSink};
 
     fn small() -> Config {

@@ -1,67 +1,17 @@
-//! The scenario hooks of `GossipSim`; see [`Intervenable`].
+//! What scenario interventions mean to the epidemic. The hooks
+//! themselves are the shared ones of
+//! [`workload::population::ForwardingSim`]; the engine adds three
+//! knobs, `Fanout`, `RoundTtl` and `PullProbability`.
 //!
 //! A partition drops a cross-group push after counting the send: the
 //! message is spent but eaten in transit, surfaced as the
 //! `partition_drops` counter and `Refused` trace records.
 
-use simkit::scenario::{Intervenable, Param, Partition};
-use workload::query::QueryWorkload;
-
-use super::*;
-
-impl<T: TraceSink> Intervenable<T> for GossipSim {
-    const ENGINE: &'static str = "gossip";
-    type Config = Config;
-
-    /// In-flight rumors need no update: the newcomer is absent from
-    /// their infection maps, which reads as never having heard them.
-    fn join_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
-        let slot = self.pop.join(&mut self.rng);
-        self.active_stamp.push(0);
-        self.start_clocks(slot, now, ctx);
-    }
-    fn kill_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
-        let slot = self.rng.below(self.pop.len());
-        self.on_death(slot, self.pop.incarnation(slot), now, ctx);
-    }
-    fn query_one(&mut self, now: SimTime, ctx: &mut SimCtx<'_, Event, T>) {
-        let src = self.rng.below(self.pop.len());
-        self.start_query(src, now, ctx);
-    }
-
-    fn config(&self) -> &Config {
-        &self.cfg
-    }
-    fn set_param(cfg: &mut Config, param: Param) -> bool {
-        match param {
-            Param::QueryRate(r) => cfg.query_rate = r,
-            Param::Fanout(f) => cfg.fanout = f,
-            Param::RoundTtl(t) => cfg.round_ttl = t,
-            Param::PullProbability(p) => cfg.pull_probability = p,
-            _ => return false,
-        }
-        true
-    }
-    fn install(&mut self, cfg: Config) -> Result<(), String> {
-        cfg.validate().map_err(|e| e.to_string())?;
-        self.clocks.workload =
-            QueryWorkload::with_rate(cfg.query_rate).map_err(|e| e.to_string())?;
-        self.cfg = cfg;
-        Ok(())
-    }
-
-    fn partition_mut(&mut self) -> &mut Option<Partition> {
-        &mut self.partition
-    }
-    fn counters_mut(&mut self) -> &mut CounterSet {
-        &mut self.counters
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::*;
     use simkit::scenario::{MaintenanceMode, Scenario, ScenarioError};
+    use simkit::sim::Runnable;
     use simkit::time::SimDuration;
 
     fn small() -> Config {

@@ -16,12 +16,12 @@
 //!   push re-enters dissemination for one more round (the push/pull
 //!   hybrid; `0` is the pure infect-and-die push epidemic).
 //!
-//! The engine runs on the shared simulation kernel
-//! ([`simkit::sim::Simulation`]) and faces exactly the workloads of the
-//! GUESS and Gnutella simulators: the same content catalog and peer
-//! libraries, the same bursty query process, and the same Saroiu-like
-//! lifetime model driven through [`simkit::sim::ChurnDriver`] — so
-//! three-way cost/quality comparisons are apples-to-apples.
+//! The engine is a [`workload::population::ForwardingSim`], the peer
+//! lifecycle the Gnutella flood runs on too, and faces exactly the
+//! workloads of the GUESS and Gnutella simulators: the same content
+//! catalog and peer libraries, the same bursty query process, and the
+//! same Saroiu-like lifetime model — so three-way cost/quality
+//! comparisons are apples-to-apples.
 //!
 //! # Quick start
 //!
@@ -41,6 +41,6 @@ pub mod engine;
 pub mod report;
 
 pub use config::{Config, GossipConfigError};
-pub use engine::{Event, GossipSim};
+pub use engine::GossipSim;
 pub use report::GossipReport;
 pub use simkit::sim::{Runnable, SimReport};

@@ -1,55 +1,51 @@
 //! Aggregated results of a gossip run.
 
-use simkit::stats::{CounterSet, Summary};
+use std::fmt;
+use std::ops::Deref;
+
+use simkit::sim::SimReport;
+use simkit::stats::Summary;
+use workload::population::Tallies;
 
 /// Aggregated results of one gossip simulation run.
 ///
-/// Mirrors the GUESS and Gnutella reports so the three engines can sit
-/// side by side in a cost/quality table: the same success-rate,
-/// messages-per-query, and coverage metrics, plus the response-time
-/// distribution that gossip's round structure makes meaningful (a
-/// satisfied query's latency is the number of rounds it took times the
-/// round interval).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The [`Tallies`] every forwarding engine keeps, read through `Deref`,
+/// so the three engines sit side by side in a cost/quality table with
+/// the same success-rate, messages-per-query, and coverage metrics;
+/// plus the response-time distribution that gossip's round structure
+/// makes meaningful (a satisfied query's latency is the number of
+/// rounds it took times the round interval). Per-query messages are
+/// pushes plus pull re-activations; the counters add the pushes, pulls,
+/// dedup drops and rounds to births and deaths.
+#[derive(Clone, Default, PartialEq)]
 pub struct GossipReport {
-    /// Queries started after warm-up (each settles exactly once).
-    pub queries: u64,
-    /// Queries that found fewer than the desired results.
-    pub unsatisfied: u64,
-    /// Per-query messages transmitted (pushes plus pull re-activations).
-    pub messages: Summary,
-    /// Per-query count of distinct peers the rumor reached (excluding
-    /// the originator).
-    pub peers_reached: Summary,
+    /// Queries, messages, reach and counters.
+    pub tallies: Tallies,
     /// Seconds from query start to satisfaction, over satisfied queries
     /// only.
     pub response_time: Summary,
-    /// Event counters (pushes, pulls, dedup drops, rounds, deaths, …).
-    pub counters: CounterSet,
     /// Kernel events processed over the whole run (including warm-up).
     /// The numerator of the benchmark's `events_per_s`
     /// (`benchmark/README.md`); not part of any rendered report.
     pub events_processed: u64,
 }
 
+impl Deref for GossipReport {
+    type Target = Tallies;
+    fn deref(&self) -> &Tallies {
+        &self.tallies
+    }
+}
+
+impl fmt::Debug for GossipReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let own: [(&str, &dyn fmt::Debug); 1] = [("response_time", &self.response_time)];
+        self.tallies
+            .fmt_report(f, "GossipReport", &own, self.events_processed)
+    }
+}
+
 impl GossipReport {
-    /// Fraction of queries that went unsatisfied.
-    #[must_use]
-    pub fn unsatisfaction(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.unsatisfied as f64 / self.queries as f64
-        }
-    }
-
-    /// Mean messages per query — the gossip cost that corresponds to
-    /// GUESS's probes/query and flooding's messages/query.
-    #[must_use]
-    pub fn messages_per_query(&self) -> f64 {
-        self.messages.mean()
-    }
-
     /// Mean seconds to satisfaction, over satisfied queries.
     #[must_use]
     pub fn mean_response_secs(&self) -> f64 {
@@ -69,6 +65,12 @@ impl GossipReport {
     }
 }
 
+impl SimReport for GossipReport {
+    fn events_processed(&self) -> u64 {
+        self.events_processed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,15 +84,14 @@ mod tests {
 
     #[test]
     fn ratios_divide_as_documented() {
-        let mut r = GossipReport {
-            queries: 4,
-            unsatisfied: 1,
-            ..GossipReport::default()
-        };
-        r.messages.record(10.0);
-        r.messages.record(30.0);
-        r.counters.add("pushes", 8);
-        r.counters.add("dedup_drops", 2);
+        let mut r = GossipReport::default();
+        let t = &mut r.tallies;
+        t.queries = 4;
+        t.unsatisfied = 1;
+        t.messages.record(10.0);
+        t.messages.record(30.0);
+        t.counters.add("pushes", 8);
+        t.counters.add("dedup_drops", 2);
         assert!((r.unsatisfaction() - 0.25).abs() < 1e-12);
         assert!((r.messages_per_query() - 20.0).abs() < 1e-12);
         assert!((r.dedup_fraction() - 0.25).abs() < 1e-12);

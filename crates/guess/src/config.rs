@@ -4,7 +4,7 @@
 use simkit::rng::RngStream;
 use simkit::scenario::MaintenanceMode;
 use simkit::time::SimDuration;
-use workload::content::CatalogParams;
+use workload::content::{CatalogParams, InvalidCatalogError};
 
 use crate::peer::Behavior;
 use crate::policy::{ReplacementPolicy, SelectionPolicy};
@@ -441,7 +441,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroPingInterval => "ping interval must be positive",
             ConfigError::ZeroProbeInterval => "probe interval must be positive",
             ConfigError::ZeroSampleInterval => "sample interval must be positive",
-            ConfigError::BadCatalog => "catalog needs items > 0 and finite non-negative exponents",
+            ConfigError::BadCatalog => return InvalidCatalogError.fmt(f),
         };
         f.write_str(s)
     }
@@ -498,14 +498,7 @@ impl Config {
         if self.run.sample_interval.is_zero() {
             return Err(ConfigError::ZeroSampleInterval);
         }
-        // The conditions `Catalog::new` checks, without building its tables.
-        let exponents = [
-            self.catalog.replication_exponent,
-            self.catalog.query_exponent,
-        ];
-        if self.catalog.items == 0 || exponents.iter().any(|e| !e.is_finite() || *e < 0.0) {
-            return Err(ConfigError::BadCatalog);
-        }
+        self.catalog.check().map_err(|_| ConfigError::BadCatalog)?;
         if self.run.warmup >= self.run.duration {
             return Err(ConfigError::WarmupTooLong);
         }

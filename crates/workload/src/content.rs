@@ -33,6 +33,23 @@ pub struct CatalogParams {
     pub query_exponent: f64,
 }
 
+impl CatalogParams {
+    /// The one rule a catalog's parameters obey: at least one item and
+    /// finite, non-negative exponents. [`Catalog::new`] and every engine
+    /// config's `validate` apply it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidCatalogError`] if the rule is broken.
+    pub fn check(&self) -> Result<(), InvalidCatalogError> {
+        let exponents = [self.replication_exponent, self.query_exponent];
+        if self.items == 0 || exponents.iter().any(|e| !e.is_finite() || *e < 0.0) {
+            return Err(InvalidCatalogError);
+        }
+        Ok(())
+    }
+}
+
 impl Default for CatalogParams {
     /// Calibrated so that with 1000 peers under the default file-count
     /// model, roughly 5–6 % of queries cannot be satisfied even by probing
@@ -88,17 +105,14 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidCatalogError`] if there are zero items or an
-    /// exponent is negative/non-finite.
+    /// Returns [`InvalidCatalogError`] if [`CatalogParams::check`] does.
     pub fn new(params: CatalogParams) -> Result<Self, InvalidCatalogError> {
-        let replication = Zipf::new(params.items, params.replication_exponent)
-            .map_err(|_| InvalidCatalogError)?;
-        let query_pop =
-            Zipf::new(params.items, params.query_exponent).map_err(|_| InvalidCatalogError)?;
+        params.check()?;
+        let zipf = |exponent| Zipf::new(params.items, exponent).expect("checked parameters");
         Ok(Catalog {
             params,
-            replication,
-            query_pop,
+            replication: zipf(params.replication_exponent),
+            query_pop: zipf(params.query_exponent),
         })
     }
 

@@ -1,29 +1,45 @@
-//! The churning content population the forwarding baselines share.
+//! The churning content population the forwarding baselines share, and
+//! the engine around it.
 //!
 //! Figure 8 holds the *content* fixed and varies only the search
 //! mechanism, so fixed extent, iterative deepening, the per-hop flooding
 //! engine and rumor spreading all search one definition of "n peers,
 //! each an incarnation plus a file-count-sampled library drawn from a
 //! catalog, reborn in place with a fresh library": [`Population`]. The
-//! static evaluators use it as generated; the engines churn it through
-//! [`Population::rebirth`] and [`Population::join`] and run each peer on
-//! [`Clocks`], the lifetime + query-burst pair.
+//! static evaluators use it as generated. The two dynamic engines, the
+//! Gnutella flood and gossip, are one [`ForwardingSim`] each: it runs
+//! every peer on [`Clocks`] (the lifetime + query-burst pair), churns
+//! the population, starts each burst's queries, applies scenario
+//! interventions and drives the run, and the engine supplies only its
+//! [`Search`] mechanism. Both engines also share their config's common
+//! part ([`ForwardingConfig`], with its rules) and their report's
+//! tallies ([`Tallies`]).
 //!
 //! Draw order is part of the contract (runs are byte-identical under a
-//! seed): a newborn draws its file count, then its library;
-//! [`Clocks::start`] draws the lifetime, then the first burst gap.
-//! `rebirth` and `start` are two calls so an engine can put draws of
-//! its own (overlay wiring) between them.
+//! seed), and every draw of a run comes from the engine's one stream.
+//! Construction draws the population, then the mechanism's own state
+//! (Gnutella's initial wiring); the run starts every peer's clocks in
+//! slot order. A newborn draws its file count, then its library; [`Clocks::start`]
+//! draws the lifetime, then the first burst gap. A birth (a rebirth on
+//! a death, or a scenario join) draws the newborn, then whatever the
+//! mechanism's [`Search::born`] draws (Gnutella's overlay wiring and
+//! repairs), then the clocks. A burst draws its size, then each query's
+//! target and the mechanism's own draws, then the next gap.
 //!
 //! GUESS is not a user: its peers also carry a link cache, a capacity
 //! meter and reputation state, and are born from a friend's cache.
 
-use simkit::rng::RngStream;
-use simkit::sim::{ChurnDriver, SimCtx};
-use simkit::time::SimTime;
-use simkit::trace::TraceSink;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
-use crate::content::{Catalog, CatalogParams, LibraryArena, LibraryHandle};
+use simkit::rng::RngStream;
+use simkit::scenario::{Intervenable, Param, Partition, Scenario, ScenarioError};
+use simkit::sim::{ChurnDriver, Kernel, KernelParams, Runnable, SimCtx, Simulation};
+use simkit::stats::{CounterSet, Summary};
+use simkit::time::{SimDuration, SimTime};
+use simkit::trace::{TraceRecord, TraceSink};
+
+use crate::content::{Catalog, CatalogParams, InvalidCatalogError, LibraryArena, LibraryHandle};
 use crate::files::FileCountModel;
 use crate::lifetime::LifetimeModel;
 use crate::query::{InvalidQueryRateError, QueryModel, QueryTarget, QueryWorkload};
@@ -247,6 +263,576 @@ impl Clocks {
         self.churn.spawn(ctx, rng, now, incarnation, death);
         let gap = self.workload.sample_burst_gap(rng);
         ctx.schedule(now + gap, burst);
+    }
+}
+
+/// The settings every forwarding engine shares. An engine config keeps
+/// one as `common` and derefs to it; [`forwarding_config!`](crate::forwarding_config)
+/// gives it `small_test` and a `with_*` setter per field.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ForwardingConfig {
+    /// Peers at the start; churn keeps the count, scenario joins add more.
+    pub network_size: usize,
+    /// Results needed to satisfy a query (`NumDesiredResults`).
+    pub num_desired_results: u32,
+    /// Per-user query rate (queries/second), bursty as in the paper.
+    pub query_rate: f64,
+    /// Lifespan multiplier for the shared lifetime model.
+    pub lifespan_multiplier: f64,
+    /// Content universe parameters (shared with GUESS).
+    pub catalog: CatalogParams,
+    /// Simulated duration.
+    pub duration: SimDuration,
+    /// Warm-up excluded from query metrics.
+    pub warmup: SimDuration,
+    /// Master seed; everything stochastic derives from it.
+    pub seed: u64,
+    /// Cadence of the kernel's sample tick (live-peer snapshots in the
+    /// trace); `None`, the default, schedules no tick events at all.
+    pub sample_interval: Option<SimDuration>,
+}
+
+impl ForwardingConfig {
+    /// Paper-scale settings under `seed`: 1000 peers, one desired
+    /// result, a 2400 s run with a 600 s warm-up.
+    #[must_use]
+    pub fn paper(seed: u64) -> Self {
+        ForwardingConfig {
+            network_size: 1000,
+            num_desired_results: 1,
+            query_rate: 9.26e-3,
+            lifespan_multiplier: 1.0,
+            catalog: CatalogParams::default(),
+            duration: SimDuration::from_secs(2400.0),
+            warmup: SimDuration::from_secs(600.0),
+            seed,
+            sample_interval: None,
+        }
+    }
+
+    /// A downsized configuration for tests: 150 peers, a 400 s run with
+    /// a 100 s warm-up, and a 4000-item catalog.
+    #[must_use]
+    pub fn small_test(seed: u64) -> Self {
+        ForwardingConfig {
+            network_size: 150,
+            duration: SimDuration::from_secs(400.0),
+            warmup: SimDuration::from_secs(100.0),
+            catalog: CatalogParams {
+                items: 4000,
+                ..CatalogParams::default()
+            },
+            ..ForwardingConfig::paper(seed)
+        }
+    }
+
+    /// Checks the shared rules, which every engine config checks first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ForwardingConfigError`] found.
+    pub fn validate(&self) -> Result<(), ForwardingConfigError> {
+        use ForwardingConfigError as E;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let broken = if self.network_size < 2 {
+            E::NetworkTooSmall
+        } else if self.num_desired_results == 0 {
+            E::ZeroDesiredResults
+        } else if !positive(self.query_rate) {
+            E::BadQueryRate
+        } else if !positive(self.lifespan_multiplier) {
+            E::BadLifespanMultiplier
+        } else if self.catalog.check().is_err() {
+            E::BadCatalog
+        } else if self.warmup >= self.duration {
+            E::WarmupTooLong
+        } else if self.sample_interval.is_some_and(SimDuration::is_zero) {
+            E::ZeroSampleInterval
+        } else {
+            return Ok(());
+        };
+        Err(broken)
+    }
+}
+
+/// A shared rule of [`ForwardingConfig`] that a config breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForwardingConfigError {
+    /// Fewer than two peers: no one to search.
+    NetworkTooSmall,
+    /// Zero desired results satisfies every query vacuously.
+    ZeroDesiredResults,
+    /// Query rate not finite and positive.
+    BadQueryRate,
+    /// Lifespan multiplier not finite and positive.
+    BadLifespanMultiplier,
+    /// Catalog parameters fail [`CatalogParams::check`].
+    BadCatalog,
+    /// Warm-up does not end before the run does.
+    WarmupTooLong,
+    /// `sample_interval` was `Some(0)`: the tick would never advance.
+    ZeroSampleInterval,
+}
+
+impl fmt::Display for ForwardingConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ForwardingConfigError as E;
+        f.write_str(match self {
+            E::NetworkTooSmall => "network_size must be at least 2",
+            E::ZeroDesiredResults => "num_desired_results must be at least 1",
+            E::BadQueryRate => "query_rate must be finite and positive",
+            E::BadLifespanMultiplier => "lifespan_multiplier must be finite and positive",
+            E::BadCatalog => return InvalidCatalogError.fmt(f),
+            E::WarmupTooLong => "warmup must end before duration",
+            E::ZeroSampleInterval => "sample_interval must be positive",
+        })
+    }
+}
+
+impl std::error::Error for ForwardingConfigError {}
+
+/// Gives an engine config (with a `Default`) that keeps its
+/// [`ForwardingConfig`] as `common` what every forwarding config has:
+/// `Deref`/`DerefMut` to it, `small_test`, and the shared setters.
+#[macro_export]
+macro_rules! forwarding_config {
+    ($config:ident) => {
+        impl ::std::ops::Deref for $config {
+            type Target = $crate::population::ForwardingConfig;
+            fn deref(&self) -> &Self::Target {
+                &self.common
+            }
+        }
+
+        impl ::std::ops::DerefMut for $config {
+            fn deref_mut(&mut self) -> &mut Self::Target {
+                &mut self.common
+            }
+        }
+
+        impl $config {
+            /// The shared test-sized settings, the engine's own at their
+            /// defaults.
+            #[must_use]
+            pub fn small_test(seed: u64) -> Self {
+                let common = $crate::population::ForwardingConfig::small_test(seed);
+                $config { common, ..Self::default() }
+            }
+        }
+
+        $crate::forwarding_config!(@setters $config;
+            /// Sets the number of peers at the start.
+            with_network_size network_size: usize,
+            /// Sets the number of results that satisfies a query.
+            with_num_desired_results num_desired_results: u32,
+            /// Sets the per-user query rate (queries/second).
+            with_query_rate query_rate: f64,
+            /// Sets the lifespan multiplier of the shared lifetime model.
+            with_lifespan_multiplier lifespan_multiplier: f64,
+            /// Sets the simulated duration.
+            with_duration duration: ::simkit::time::SimDuration,
+            /// Sets the warm-up span excluded from query metrics.
+            with_warmup warmup: ::simkit::time::SimDuration,
+            /// Sets the master seed.
+            with_seed seed: u64,
+            /// Sets the kernel sample-tick cadence (`None` disables ticks).
+            with_sample_interval sample_interval: Option<::simkit::time::SimDuration>,
+        );
+    };
+    (@setters $config:ident; $($(#[$doc:meta])* $setter:ident $field:ident: $ty:ty,)*) => {
+        impl $config {
+            $(
+                $(#[$doc])*
+                #[must_use]
+                pub fn $setter(mut self, $field: $ty) -> Self {
+                    self.common.$field = $field;
+                    self
+                }
+            )*
+        }
+    };
+}
+
+/// The query tallies behind every forwarding engine's report, which
+/// keeps them as `tallies` and derefs to them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tallies {
+    /// Queries started after warm-up (each settles exactly once).
+    pub queries: u64,
+    /// Queries that found fewer than the desired results.
+    pub unsatisfied: u64,
+    /// Per-query messages transmitted.
+    pub messages: Summary,
+    /// Per-query count of distinct peers reached, originator excluded.
+    pub peers_reached: Summary,
+    /// Event counters: births, deaths, interventions, the mechanism's.
+    pub counters: CounterSet,
+}
+
+impl Default for Tallies {
+    fn default() -> Self {
+        Tallies {
+            queries: 0,
+            unsatisfied: 0,
+            messages: Summary::new(),
+            peers_reached: Summary::new(),
+            counters: CounterSet::new(),
+        }
+    }
+}
+
+impl Tallies {
+    /// Records one measured query.
+    pub fn record(&mut self, satisfied: bool, messages: u64, reached: u64) {
+        self.queries += 1;
+        self.unsatisfied += u64::from(!satisfied);
+        self.messages.record(messages as f64);
+        self.peers_reached.record(reached as f64);
+    }
+
+    /// Fraction of queries that went unsatisfied.
+    #[must_use]
+    pub fn unsatisfaction(&self) -> f64 {
+        if self.queries == 0 {
+            0.0
+        } else {
+            self.unsatisfied as f64 / self.queries as f64
+        }
+    }
+
+    /// Mean messages per query — the search cost that corresponds to
+    /// GUESS's probes/query.
+    #[must_use]
+    pub fn messages_per_query(&self) -> f64 {
+        self.messages.mean()
+    }
+
+    /// Writes a report holding these tallies as one flat struct,
+    /// `name { queries, unsatisfied, messages, peers_reached, <own>,
+    /// counters, events_processed }`: the benchmark digests that text.
+    ///
+    /// # Errors
+    ///
+    /// As the formatter.
+    pub fn fmt_report(
+        &self,
+        f: &mut fmt::Formatter<'_>,
+        name: &str,
+        own: &[(&str, &dyn fmt::Debug)],
+        events_processed: u64,
+    ) -> fmt::Result {
+        let mut report = f.debug_struct(name);
+        report
+            .field("queries", &self.queries)
+            .field("unsatisfied", &self.unsatisfied)
+            .field("messages", &self.messages)
+            .field("peers_reached", &self.peers_reached);
+        for (field, value) in own {
+            report.field(field, value);
+        }
+        report
+            .field("counters", &self.counters)
+            .field("events_processed", &events_processed)
+            .finish()
+    }
+}
+
+/// The events of a [`ForwardingSim`]: a peer's two clocks, and one step
+/// of an in-flight search (a flood hop, a gossip round).
+#[derive(Debug, Clone, Copy)]
+#[allow(missing_docs)]
+pub enum Event<E> {
+    Burst { slot: u32, incarnation: u64 },
+    Death { slot: u32, incarnation: u64 },
+    Step(E),
+}
+
+/// The kernel context a [`Search`] schedules and traces through.
+pub type Ctx<'a, S, T> = SimCtx<'a, Event<<S as Search>::Step>, T>;
+
+/// A forwarding engine's search mechanism: all that flooding and rumor
+/// spreading do differently. Each hook borrows the shared [`Peers`]
+/// beside the mechanism's own state.
+pub trait Search: Sized {
+    /// The engine's RNG stream label and scenario-error name.
+    const ENGINE: &'static str;
+    /// The engine's config: a [`ForwardingConfig`] plus its own knobs.
+    type Config: Clone + Deref<Target = ForwardingConfig> + DerefMut;
+    /// The engine's config error.
+    type Error: fmt::Display;
+    /// What [`Event::Step`] carries.
+    type Step;
+    /// The engine's run report.
+    type Report;
+
+    /// The engine config's `validate`: the shared rules, then its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule broken.
+    fn validate(cfg: &Self::Config) -> Result<(), Self::Error>;
+
+    /// Writes an engine knob into `cfg`; `false` when there is no such
+    /// knob. The shared [`Param::QueryRate`] never gets here.
+    fn set_param(cfg: &mut Self::Config, param: Param) -> bool;
+
+    /// Builds the mechanism over the generated population.
+    fn new(peers: &mut Peers<Self>) -> Self;
+
+    /// A newborn occupies `slot`, in place of a dead peer or in the slot
+    /// a join just appended; its clocks start next.
+    fn born(&mut self, peers: &mut Peers<Self>, slot: usize);
+
+    /// Starts query `query` for `target` from `src`; its `QueryStart`
+    /// record is already out.
+    fn start<T: TraceSink>(
+        &mut self,
+        peers: &mut Peers<Self>,
+        src: usize,
+        query: u64,
+        target: QueryTarget,
+        now: SimTime,
+        ctx: &mut Ctx<'_, Self, T>,
+    );
+
+    /// Runs one step of an in-flight search.
+    fn step<T: TraceSink>(
+        &mut self,
+        peers: &mut Peers<Self>,
+        step: Self::Step,
+        now: SimTime,
+        ctx: &mut Ctx<'_, Self, T>,
+    );
+
+    /// Builds the report once the kernel has stopped at `end`; `sink`
+    /// still takes records.
+    fn finish<T: TraceSink>(
+        self,
+        peers: Peers<Self>,
+        end: SimTime,
+        events_processed: u64,
+        sink: &mut T,
+    ) -> Self::Report;
+}
+
+/// Everything a forwarding engine runs on besides its search mechanism.
+pub struct Peers<S: Search> {
+    /// The validated configuration; a scenario flip installs a
+    /// re-validated copy.
+    pub cfg: S::Config,
+    /// Active partition: slots in different groups cannot reach each
+    /// other. `None` means fully connected.
+    pub partition: Option<Partition>,
+    /// The peers and their content.
+    pub pop: Population,
+    /// Every peer's lifetime and query-burst clocks.
+    pub clocks: Clocks,
+    /// The run's one stream.
+    pub rng: RngStream,
+    /// The report's shared tallies.
+    pub tallies: Tallies,
+}
+
+/// A forwarding engine: the peer lifecycle both forwarding baselines
+/// share, searching with mechanism `S`. Rebirth is in place and
+/// immediate, so only scenario joins change the live-peer count.
+pub struct ForwardingSim<S: Search> {
+    peers: Peers<S>,
+    search: S,
+    next_query: u64,
+}
+
+impl<S: Search> ForwardingSim<S> {
+    /// Validates `cfg` and builds the simulator: the population, then
+    /// the mechanism.
+    ///
+    /// # Errors
+    ///
+    /// Returns the engine's error for inconsistent parameters.
+    pub fn new(cfg: S::Config) -> Result<Self, S::Error> {
+        S::validate(&cfg)?;
+        let mut rng = RngStream::from_seed(cfg.seed, S::ENGINE);
+        let pop = Population::generate_from(cfg.network_size, cfg.catalog, &mut rng)
+            .expect("validate checked the size and the catalog");
+        let clocks = Clocks::new(cfg.lifespan_multiplier, cfg.query_rate)
+            .expect("validate checked the query rate");
+        let mut peers = Peers {
+            cfg,
+            partition: None,
+            pop,
+            clocks,
+            rng,
+            tallies: Tallies::default(),
+        };
+        let search = S::new(&mut peers);
+        Ok(ForwardingSim {
+            peers,
+            search,
+            next_query: 0,
+        })
+    }
+
+    /// Counts the birth of `slot`'s occupant and starts its clocks.
+    fn start_clocks<T: TraceSink>(&mut self, slot: usize, now: SimTime, ctx: &mut Ctx<'_, S, T>) {
+        let peers = &mut self.peers;
+        peers.tallies.counters.incr("births");
+        let incarnation = peers.pop.incarnation(slot);
+        let slot = slot as u32;
+        let death = Event::Death { slot, incarnation };
+        let burst = Event::Burst { slot, incarnation };
+        let rng = &mut peers.rng;
+        peers.clocks.start(ctx, rng, now, incarnation, death, burst);
+    }
+
+    /// Kills `slot`'s `incarnation` unless it is already gone; the slot
+    /// is reborn in place with a fresh library, wired in by the
+    /// mechanism, and started.
+    fn on_death<T: TraceSink>(
+        &mut self,
+        slot: usize,
+        incarnation: u64,
+        now: SimTime,
+        ctx: &mut Ctx<'_, S, T>,
+    ) {
+        if !self.peers.pop.is_current(slot, incarnation) {
+            return;
+        }
+        self.peers.clocks.churn.died(ctx, now, incarnation);
+        self.peers.tallies.counters.incr("deaths");
+        self.peers.pop.rebirth(slot, &mut self.peers.rng);
+        self.search.born(&mut self.peers, slot);
+        self.start_clocks(slot, now, ctx);
+    }
+
+    /// Runs a burst of queries from `slot`'s `incarnation` unless it is
+    /// already gone, and schedules its next burst.
+    fn on_burst<T: TraceSink>(
+        &mut self,
+        slot: usize,
+        incarnation: u64,
+        now: SimTime,
+        ctx: &mut Ctx<'_, S, T>,
+    ) {
+        if !self.peers.pop.is_current(slot, incarnation) {
+            return;
+        }
+        let peers = &mut self.peers;
+        let burst = peers.clocks.workload.sample_burst_size(&mut peers.rng);
+        for _ in 0..burst {
+            self.start_query(slot, now, ctx);
+        }
+        let peers = &mut self.peers;
+        let gap = peers.clocks.workload.sample_burst_gap(&mut peers.rng);
+        let slot = slot as u32;
+        ctx.schedule(now + gap, Event::Burst { slot, incarnation });
+    }
+
+    /// Numbers and traces one query from `src`, draws its target, and
+    /// hands it to the mechanism.
+    fn start_query<T: TraceSink>(&mut self, src: usize, now: SimTime, ctx: &mut Ctx<'_, S, T>) {
+        let query = self.next_query;
+        self.next_query += 1;
+        if ctx.tracing() {
+            let origin = self.peers.pop.incarnation(src);
+            ctx.emit(now, TraceRecord::QueryStart { query, origin });
+        }
+        let target = self.peers.pop.sample_target(&mut self.peers.rng);
+        let peers = &mut self.peers;
+        self.search.start(peers, src, query, target, now, ctx);
+    }
+}
+
+impl<S: Search, T: TraceSink> Simulation<T> for ForwardingSim<S> {
+    type Event = Event<S::Step>;
+
+    fn handle(&mut self, now: SimTime, event: Self::Event, ctx: &mut Ctx<'_, S, T>) {
+        match event {
+            Event::Death { slot, incarnation } => {
+                self.on_death(slot as usize, incarnation, now, ctx);
+            }
+            Event::Burst { slot, incarnation } => {
+                self.on_burst(slot as usize, incarnation, now, ctx);
+            }
+            Event::Step(step) => self.search.step(&mut self.peers, step, now, ctx),
+        }
+    }
+
+    fn live_peers(&self) -> u64 {
+        self.peers.pop.len() as u64
+    }
+}
+
+impl<S: Search> Runnable for ForwardingSim<S> {
+    type Report = S::Report;
+
+    fn run_scenario_traced<T: TraceSink>(
+        mut self,
+        scenario: &Scenario,
+        sink: T,
+    ) -> Result<(S::Report, T), ScenarioError> {
+        let cfg = &self.peers.cfg;
+        let end = SimTime::ZERO + cfg.duration;
+        let mut params = KernelParams::new(cfg.duration).with_warmup(cfg.warmup);
+        if let Some(interval) = cfg.sample_interval {
+            params = params.with_sampling(interval);
+        }
+        let mut kernel = Kernel::new(params, sink);
+        let mut ctx = kernel.ctx();
+        for slot in 0..self.peers.pop.len() {
+            self.start_clocks(slot, SimTime::ZERO, &mut ctx);
+        }
+        kernel.run_scenario(&mut self, scenario)?;
+        let events = kernel.events_processed();
+        let mut sink = kernel.into_sink();
+        let report = self.search.finish(self.peers, end, events, &mut sink);
+        Ok((report, sink))
+    }
+}
+
+/// The scenario hooks reuse the engine's own paths: a join is a birth
+/// in a new slot, a kill a death (and rebirth) of a drawn victim, a
+/// flash-crowd query a burst's query from a drawn source.
+impl<S: Search, T: TraceSink> Intervenable<T> for ForwardingSim<S> {
+    const ENGINE: &'static str = S::ENGINE;
+    type Config = S::Config;
+
+    fn join_one(&mut self, now: SimTime, ctx: &mut Ctx<'_, S, T>) {
+        let slot = self.peers.pop.join(&mut self.peers.rng);
+        self.search.born(&mut self.peers, slot);
+        self.start_clocks(slot, now, ctx);
+    }
+    fn kill_one(&mut self, now: SimTime, ctx: &mut Ctx<'_, S, T>) {
+        let slot = self.peers.rng.below(self.peers.pop.len());
+        self.on_death(slot, self.peers.pop.incarnation(slot), now, ctx);
+    }
+    fn query_one(&mut self, now: SimTime, ctx: &mut Ctx<'_, S, T>) {
+        let src = self.peers.rng.below(self.peers.pop.len());
+        self.start_query(src, now, ctx);
+    }
+
+    fn config(&self) -> &S::Config {
+        &self.peers.cfg
+    }
+    fn set_param(cfg: &mut S::Config, param: Param) -> bool {
+        match param {
+            Param::QueryRate(rate) => cfg.query_rate = rate,
+            _ => return S::set_param(cfg, param),
+        }
+        true
+    }
+    fn install(&mut self, cfg: S::Config) -> Result<(), String> {
+        S::validate(&cfg).map_err(|e| e.to_string())?;
+        self.peers.clocks.workload =
+            QueryWorkload::with_rate(cfg.query_rate).map_err(|e| e.to_string())?;
+        self.peers.cfg = cfg;
+        Ok(())
+    }
+
+    fn partition_mut(&mut self) -> &mut Option<Partition> {
+        &mut self.peers.partition
+    }
+    fn counters_mut(&mut self) -> &mut CounterSet {
+        &mut self.peers.tallies.counters
     }
 }
 

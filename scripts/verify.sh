@@ -22,6 +22,20 @@ for f in crates/guess/src/engine.rs crates/guess/src/engine/query_exec.rs; do
     fi
 done
 
+# Boundary gate: the forwarding engines keep only their search
+# mechanism. Churn, query bursts, scenario hooks and the run itself are
+# workload::population::ForwardingSim's, so the non-test code of
+# crates/gnutella/src and crates/gossip/src (up to each file's first
+# #[cfg(test)]) starts no clock, rebirths or joins no peer, draws no
+# burst and builds no kernel.
+for f in $(find crates/gnutella/src crates/gossip/src -name '*.rs' | sort); do
+    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" | grep -E \
+        'Clocks::start|clocks\.start\(|\.rebirth\(|\.join\([^")]*rng|sample_burst_(size|gap)|KernelParams::new'; then
+        echo "boundary gate: a forwarding engine runs the peer lifecycle itself (lines above)" >&2
+        exit 1
+    fi
+done
+
 cargo clippy --all-targets -- -D warnings
 # Intra-doc links stay resolvable, in the private modules' docs that
 # DESIGN.md points at too, and public docs link no private item.

@@ -39,16 +39,17 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Runnable walk-throughs live in `examples/`:
-//!
-//! * `quickstart` — one default simulation, explained line by line;
-//! * `policy_showdown` — every policy combination head-to-head;
-//! * `churn_and_maintenance` — cache size / ping interval health;
-//! * `cache_poisoning` — malicious peers vs MFS/MR/MR*;
-//! * `guess_vs_gnutella` — the Figure 8 tradeoff at small scale.
+//! Runnable walk-throughs live in `examples/`; README.md lists each
+//! one with its `cargo run` line.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+/// README.md's Rust snippets, compiled as doctests so that its
+/// quickstart keeps building against the API it shows.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 pub use gnutella;
 pub use gossip;
