@@ -23,6 +23,9 @@ const REPRO_DOCS: [&str; 3] = ["DESIGN.md", "EXPERIMENTS.md", "README.md"];
 
 /// File names a run writes, which no checkout contains: the benchmark's
 /// results and trace, and the two results files its `compare` form reads.
+/// They are matched by file name, whatever directory a document writes
+/// them under (`benchmark/out/results.json`), because `benchmark/out/` is
+/// git-ignored and holds them only after a run.
 const RUN_OUTPUTS: [&str; 4] = ["results.json", "trace.json", "A.json", "B.json"];
 
 const FILE_EXTENSIONS: [&str; 6] = ["rs", "sh", "txt", "toml", "json", "md"];
@@ -312,7 +315,8 @@ fn doc_file_paths_resolve() {
                 let token = token
                     .trim_start_matches(['(', '['])
                     .trim_end_matches([',', ';', ':', ')', ']']);
-                if !looks_like_file(token) || RUN_OUTPUTS.contains(&token) {
+                let file_name = token.rsplit_once('/').map_or(token, |(_, name)| name);
+                if !looks_like_file(token) || RUN_OUTPUTS.contains(&file_name) {
                     continue;
                 }
                 let local = root.join(doc_dir).join(token).is_file();
