@@ -88,11 +88,19 @@ impl GuessLane {
         if !self.sim.is_current(slot, addr) {
             return;
         }
-        let burst = self.sim.workload.sample_burst_size(&mut self.sim.rng_query);
+        let burst = self
+            .sim
+            .clocks
+            .workload
+            .sample_burst_size(&mut self.sim.rng_query);
         for _ in 0..burst {
             self.run_query(addr, now, lctx);
         }
-        let gap = self.sim.workload.sample_burst_gap(&mut self.sim.rng_query);
+        let gap = self
+            .sim
+            .clocks
+            .workload
+            .sample_burst_gap(&mut self.sim.rng_query);
         lctx.inner()
             .schedule(now + gap, Event::Burst { slot, addr });
     }

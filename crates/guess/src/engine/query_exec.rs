@@ -93,7 +93,7 @@ impl GuessSim {
                 },
             );
         }
-        let want = self.qmodel.sample_target(&mut self.rng_query);
+        let want = self.pop.sample_target(&mut self.rng_query);
         let probe_gap = self.cfg.protocol.probe_interval;
         let behavior = self.peer(prober).behavior();
         if behavior == Behavior::Selfish && ctx.after_warmup(now) {

@@ -2,13 +2,14 @@
 //!
 //! The engine keeps one [`PeerState`] per network slot, describing the
 //! slot's live occupant, and overwrites it in place when a death births
-//! the replacement. Bulk storage — the library item ids and the
-//! link-cache entries — does not live here: `PeerState` holds arena
-//! *handles* ([`workload::content::LibraryHandle`],
-//! [`crate::link_cache::CacheHandle`]) into engine-owned arenas, freed at
-//! death and recycled by the replacement. Neither does extension state:
-//! reputation and payments keep slot-indexed tables of their own, so a
-//! `PeerState` is one 64-byte cache line.
+//! the replacement. Bulk storage does not live here: the link-cache
+//! entries sit in the engine's arena behind the one handle `PeerState`
+//! holds ([`crate::link_cache::CacheHandle`]), freed at death and
+//! recycled by the replacement, and the library item ids in the
+//! engine's `workload::population::Population`, under the same slot.
+//! Neither does extension state: reputation and payments keep
+//! slot-indexed tables of their own, so a `PeerState` is one 64-byte
+//! cache line.
 //!
 //! A dead address survives only as a pointer in other peers' caches
 //! (GUESS peers leave silently, §3.2), and all the engine ever asks of it
@@ -18,7 +19,6 @@
 //! `PeerState` is ever built for a dead or fabricated address.
 
 use simkit::time::{SimDuration, SimTime};
-use workload::content::LibraryHandle;
 
 use crate::addr::{PeerAddr, SlotId};
 use crate::capacity::CapacityMeter;
@@ -79,7 +79,6 @@ pub struct PeerState {
     /// Advertised shared-file count. Honest peers advertise the truth;
     /// malicious peers inflate it to game metadata-trusting policies.
     advertised_files: u32,
-    library: LibraryHandle,
     cache: CacheHandle,
     capacity: CapacityMeter,
     probes_received: u64,
@@ -87,13 +86,12 @@ pub struct PeerState {
 }
 
 impl PeerState {
-    /// Creates a newborn peer owning the given arena blocks.
+    /// Creates a newborn peer owning the given link-cache block.
     #[must_use]
     pub fn new(
         addr: PeerAddr,
         behavior: Behavior,
         advertised_files: u32,
-        library: LibraryHandle,
         cache: CacheHandle,
         probe_limit: Option<u32>,
     ) -> Self {
@@ -101,7 +99,6 @@ impl PeerState {
             addr,
             behavior,
             advertised_files,
-            library,
             cache,
             capacity: CapacityMeter::with_limit(probe_limit),
             probes_received: 0,
@@ -131,12 +128,6 @@ impl PeerState {
     #[must_use]
     pub fn advertised_files(&self) -> u32 {
         self.advertised_files
-    }
-
-    /// Handle to the peer's content library in the engine's library arena.
-    #[must_use]
-    pub fn library(&self) -> LibraryHandle {
-        self.library
     }
 
     /// Handle to the peer's link cache in the engine's cache arena.
@@ -187,7 +178,6 @@ mod tests {
             alloc.allocate(),
             Behavior::Good,
             42,
-            LibraryHandle::EMPTY,
             arena.alloc(),
             Some(100),
         )
@@ -225,7 +215,6 @@ mod tests {
             alloc.allocate(),
             Behavior::Selfish,
             7,
-            LibraryHandle::EMPTY,
             CacheHandle::NULL,
             None,
         );
@@ -242,7 +231,6 @@ mod tests {
             alloc.allocate(),
             Behavior::Malicious,
             5000,
-            LibraryHandle::EMPTY,
             CacheHandle::NULL,
             None,
         );

@@ -15,8 +15,8 @@
 //!   tables, exponential, log-normal, bounded Pareto, empirical resampling);
 //! * [`stats`] — online statistics (summaries, histograms, counters);
 //! * [`sim`] — the shared simulation kernel: the [`sim::Simulation`]
-//!   trait, the kernel-owned event-loop driver, churn, warm-up gating
-//!   and periodic sampling;
+//!   trait, the kernel-owned event-loop driver, warm-up gating and
+//!   periodic sampling;
 //! * [`scenario`] — scripted mid-run intervention timelines
 //!   ([`Scenario`]) delivered through the [`scenario::Intervenable`]
 //!   trait;
@@ -68,6 +68,6 @@ pub use event::EventQueue;
 pub use lanes::{LaneCtx, LaneKernel, LaneSimulation};
 pub use rng::RngStream;
 pub use scenario::{Intervenable, Intervention, Param, Scenario, ScenarioError};
-pub use sim::{ChurnDriver, Kernel, KernelParams, SimCtx, Simulation};
+pub use sim::{Kernel, KernelParams, SimCtx, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use trace::{NullSink, TraceRecord, TraceSink};

@@ -1,34 +1,33 @@
 //! The shared simulation kernel.
 //!
-//! Every discrete-event engine in the workspace needs the same four
+//! Every discrete-event engine in the workspace needs the same three
 //! pieces on top of [`EventQueue`]: the pop-dispatch loop with an
-//! end-of-run guard, churn (sample a lifetime, schedule a death, spawn a
-//! replacement), warm-up gating, and periodic metric sampling. This
-//! module owns all four:
+//! end-of-run guard, warm-up gating, and periodic metric sampling. This
+//! module owns all three:
 //!
 //! * [`Simulation`] — the engine-side trait: an event type plus a
 //!   `handle` method that receives each popped event and a [`SimCtx`]
 //!   for scheduling follow-ups and emitting trace records;
 //! * [`Kernel`] — the driver that owns the queue, the clock horizon,
 //!   the warm-up boundary, and the periodic sample tick;
-//! * [`ChurnDriver`] — reusable lifetime-sampling/death-scheduling for
-//!   constant-population churn, generic over any [`Lifetimes`] model;
 //! * the trace layer ([`crate::trace`]) threaded through [`SimCtx`], so
 //!   every engine gets structured observability without touching its
 //!   hot path (the default [`NullSink`] monomorphizes to nothing).
+//!
+//! Peer churn is not the kernel's: the engines' peers live and die on
+//! the `workload` crate's shared clocks, which schedule through
+//! [`SimCtx`] like any other engine event.
 //!
 //! The kernel preserves the workspace's determinism contract: it draws
 //! no randomness of its own, schedules in a fixed order (engine init
 //! first, then the first sample tick), and inherits the event queue's
 //! no-time-travel invariant — scheduling into the past panics.
-//! [`ChurnDriver`] draws each lifetime from the engine's own stream.
 //!
 //! # Adding an engine
 //!
-//! Define an `Event` enum; hold a [`ChurnDriver`] if the population
-//! churns; implement [`Simulation`] for every `T: TraceSink` through
-//! per-method generic helpers, so the engine struct stays non-generic;
-//! and implement [`Runnable`]'s one required method,
+//! Define an `Event` enum; implement [`Simulation`] for every
+//! `T: TraceSink` through per-method generic helpers, so the engine
+//! struct stays non-generic; and implement [`Runnable`]'s one required method,
 //! `run_scenario_traced`, which builds [`KernelParams`], seeds the
 //! initial events through `kernel.ctx()` and calls
 //! [`Kernel::run_scenario`]. `run`, `run_traced` and `run_scenario` are
@@ -62,7 +61,6 @@
 //! ```
 
 use crate::event::{EventHandle, EventQueue};
-use crate::rng::RngStream;
 use crate::scenario::{Intervenable, Intervention, Partition, Scenario, ScenarioError};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{NullSink, ProbeKind, ProbeOutcome, TraceRecord, TraceSink};
@@ -131,76 +129,6 @@ pub trait SimReport {
     /// the numerator of the benchmark's `events_per_s`
     /// (`benchmark/README.md`).
     fn events_processed(&self) -> u64;
-}
-
-/// A peer-lifetime distribution, as the kernel's churn driver sees it.
-///
-/// The concrete models live in the `workload` crate (which depends on
-/// `simkit`, not the other way around); they implement this hook so
-/// [`ChurnDriver`] can sample them without a dependency cycle.
-pub trait Lifetimes {
-    /// Draws one session length from the model.
-    fn sample_lifetime(&self, rng: &mut RngStream) -> SimDuration;
-}
-
-impl<L: Lifetimes + ?Sized> Lifetimes for &L {
-    fn sample_lifetime(&self, rng: &mut RngStream) -> SimDuration {
-        (**self).sample_lifetime(rng)
-    }
-}
-
-/// Reusable constant-population churn: sample a lifetime from the
-/// model, schedule the peer's death event, and trace the join.
-///
-/// Engines call [`ChurnDriver::spawn`] once per peer instance — at
-/// initial population and again for every replacement born on a death
-/// — instead of hand-rolling the draw-and-schedule pair. The RNG is
-/// passed in at the call site so the engine's established stream and
-/// draw order stay exactly as they were (byte-identical runs).
-#[derive(Debug, Clone)]
-pub struct ChurnDriver<L> {
-    lifetimes: L,
-}
-
-impl<L: Lifetimes> ChurnDriver<L> {
-    /// Wraps a lifetime model.
-    #[must_use]
-    pub fn new(lifetimes: L) -> Self {
-        ChurnDriver { lifetimes }
-    }
-
-    /// Borrows the underlying lifetime model.
-    #[must_use]
-    pub fn lifetimes(&self) -> &L {
-        &self.lifetimes
-    }
-
-    /// Registers a newborn peer: draws its lifetime from the model
-    /// (one draw from `rng`, at this exact point in the stream),
-    /// schedules `death` at `now + lifetime`, and emits a
-    /// [`TraceRecord::PeerJoin`]. Returns the death event's handle.
-    pub fn spawn<E, T: TraceSink>(
-        &self,
-        ctx: &mut SimCtx<'_, E, T>,
-        rng: &mut RngStream,
-        now: SimTime,
-        peer: u64,
-        death: E,
-    ) -> EventHandle {
-        let life = self.lifetimes.sample_lifetime(rng);
-        if ctx.tracing() {
-            ctx.emit(now, TraceRecord::PeerJoin { peer });
-        }
-        ctx.schedule(now + life, death)
-    }
-
-    /// Records the (traced) death of a peer instance. The engine calls
-    /// this from its death handler before spawning the replacement.
-    pub fn died<E, T: TraceSink>(&self, ctx: &mut SimCtx<'_, E, T>, now: SimTime, peer: u64) {
-        if ctx.tracing() {
-            ctx.emit(now, TraceRecord::PeerDeath { peer });
-        }
-    }
 }
 
 /// The kernel's own event wrapper: engine events, the periodic sample
@@ -662,45 +590,6 @@ mod tests {
         kernel.run(&mut sim);
         assert_eq!(sim.sampled, 0);
         assert_eq!(kernel.into_sink().samples, 0);
-    }
-
-    #[test]
-    fn churn_driver_schedules_death_at_sampled_lifetime() {
-        struct Fixed(f64);
-        impl Lifetimes for Fixed {
-            fn sample_lifetime(&self, _rng: &mut RngStream) -> SimDuration {
-                SimDuration::from_secs(self.0)
-            }
-        }
-
-        struct OneDeath {
-            died_at: Option<SimTime>,
-        }
-        impl<T: TraceSink> Simulation<T> for OneDeath {
-            type Event = &'static str;
-            fn handle(
-                &mut self,
-                now: SimTime,
-                ev: &'static str,
-                _ctx: &mut SimCtx<'_, &'static str, T>,
-            ) {
-                assert_eq!(ev, "death");
-                self.died_at = Some(now);
-            }
-        }
-
-        let churn = ChurnDriver::new(Fixed(7.5));
-        let mut rng = RngStream::from_seed(1, "churn-test");
-        let mut kernel = Kernel::new(
-            KernelParams::new(SimDuration::from_secs(100.0)),
-            CountingSink::new(),
-        );
-        churn.spawn(&mut kernel.ctx(), &mut rng, SimTime::ZERO, 3, "death");
-        let mut sim = OneDeath { died_at: None };
-        kernel.run(&mut sim);
-        assert_eq!(sim.died_at, Some(SimTime::from_secs(7.5)));
-        let sink = kernel.into_sink();
-        assert_eq!(sink.joins, 1);
     }
 
     /// Echo has no peers and no knobs: a query is one extra engine

@@ -87,15 +87,6 @@ impl LifetimeModel {
     }
 }
 
-/// The churn hook of the shared simulation kernel: a
-/// [`simkit::sim::ChurnDriver`] can drive any engine's churn straight
-/// off this model.
-impl simkit::sim::Lifetimes for LifetimeModel {
-    fn sample_lifetime(&self, rng: &mut RngStream) -> SimDuration {
-        LifetimeModel::sample_lifetime(self, rng)
-    }
-}
-
 /// Synthesizes the fixed session-length trace: a 50/35/15 mixture of
 /// log-normals producing a median near 3600 s, a thick mass of sub-10-minute
 /// sessions, and a tail beyond 24 h, matching the published Gnutella

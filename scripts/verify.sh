@@ -36,6 +36,18 @@ for f in $(find crates/gnutella/src crates/gossip/src -name '*.rs' | sort); do
     fi
 done
 
+# Boundary gate: GUESS takes its peers' content and clocks from
+# workload::population. The non-test code of the GUESS engine (up to
+# each file's first #[cfg(test)]) builds no library, draws no file count
+# or lifetime, and holds none of the models behind them.
+for f in crates/guess/src/engine.rs crates/guess/src/engine/*.rs; do
+    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" | grep -E \
+        'build_library_in|sample_file_count|LibraryArena|FileCountModel|QueryModel|ChurnDriver|sample_lifetime'; then
+        echo "boundary gate: the GUESS engine builds peer content or clocks itself (lines above)" >&2
+        exit 1
+    fi
+done
+
 cargo clippy --all-targets -- -D warnings
 # Intra-doc links stay resolvable, in the private modules' docs that
 # DESIGN.md points at too, and public docs link no private item.
