@@ -16,7 +16,7 @@ use std::fmt;
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.count(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -124,6 +124,15 @@ impl Summary {
     }
 }
 
+/// The empty summary, as [`Summary::new`]: a derived `Default` would start
+/// `min` and `max` at 0.0, and the first observation above (below) it
+/// would never become the minimum (maximum).
+impl Default for Summary {
+    fn default() -> Self {
+        Summary::new()
+    }
+}
+
 impl fmt::Display for Summary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.count == 0 {
@@ -155,6 +164,15 @@ mod tests {
         assert!(s.min().is_none());
         assert!(s.max().is_none());
         assert_eq!(s.to_string(), "n=0");
+    }
+
+    #[test]
+    fn default_is_the_empty_summary() {
+        let mut s = Summary::default();
+        assert_eq!(s, Summary::new());
+        s.record(5.0);
+        assert_eq!(s.min(), Some(5.0));
+        assert_eq!(s.max(), Some(5.0));
     }
 
     #[test]
