@@ -47,13 +47,13 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use gnutella::dynamic::GnutellaSim;
+use gnutella::dynamic::{GnutellaConfig, GnutellaSim};
 use gossip::GossipSim;
 use guess::engine::GuessSim;
 use guess_bench::experiments::{self, gossip_tradeoff, Experiment};
 use guess_bench::report::Report;
 use guess_bench::runner::Ctx;
-use guess_bench::scale::{base_config, gnutella_config, Scale};
+use guess_bench::scale::{base_config, forwarding_config, Scale};
 use guess_bench::scenarios;
 use guess_bench::tracefile::{JsonlSink, Reconcile};
 use simkit::sim::Runnable;
@@ -344,7 +344,7 @@ fn run_traced(path: &Path, engine: &str, scale: Scale) {
                 Scale::Full => 500,
                 Scale::Quick => 200,
             };
-            let cfg = gnutella_config(scale, SEED)
+            let cfg = forwarding_config::<GnutellaConfig>(scale, SEED)
                 .with_network_size(n)
                 .with_warmup(SimDuration::ZERO);
             trace("Gnutella", GnutellaSim::new(cfg), path, scale);

@@ -22,7 +22,7 @@ use simkit::time::SimDuration;
 
 use crate::report::{Cell, Report, TableBlock};
 use crate::runner::Ctx;
-use crate::scale::{gossip_config, Scale};
+use crate::scale::{forwarding_config, Scale};
 use simkit::sim::Runnable;
 
 /// The Figure-8 master seed, reused so the flooding and GUESS baselines
@@ -71,7 +71,7 @@ fn gossip_points(scale: Scale) -> Vec<(usize, u32, f64)> {
 }
 
 fn gossip_piece(scale: Scale, idx: u64, fanout: usize, ttl: u32, pull: f64) -> Piece {
-    let cfg = gossip_config(scale, derive_seed(SEED, "gossip-tradeoff", idx))
+    let cfg = forwarding_config::<GossipConfig>(scale, derive_seed(SEED, "gossip-tradeoff", idx))
         .with_fanout(fanout)
         .with_round_ttl(ttl)
         .with_pull_probability(pull);
@@ -194,7 +194,7 @@ pub fn run(ctx: &Ctx) -> Report {
 /// snapshots.
 #[must_use]
 pub fn traced_config(scale: Scale, seed: u64) -> GossipConfig {
-    gossip_config(scale, seed)
+    forwarding_config::<GossipConfig>(scale, seed)
         .with_warmup(SimDuration::ZERO)
         .with_sample_interval(Some(SimDuration::from_secs(60.0)))
 }

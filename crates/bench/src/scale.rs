@@ -3,12 +3,13 @@
 //! Every experiment can run at `Full` scale (the paper's parameter grids)
 //! or `Quick` scale (shrunk grids and durations for CI and the goldens).
 
+use std::ops::DerefMut;
+
 use simkit::time::SimDuration;
 
-use gnutella::dynamic::GnutellaConfig;
-use gossip::Config as GossipConfig;
 use guess::config::{Config, ProtocolParams, RunParams, SystemParams};
 use workload::content::CatalogParams;
+use workload::population::ForwardingConfig;
 
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -98,27 +99,22 @@ pub fn base_config(scale: Scale, seed: u64) -> Config {
     }
 }
 
-/// The dynamic Gnutella counterpart of `base_config(scale, seed)` at
-/// [`Scale::default_network`]: the same network size, run window and
-/// warm-up, so a Gnutella run faces the workload of the GUESS runs it
-/// is compared with.
+/// A forwarding engine's counterpart (dynamic Gnutella's or gossip's
+/// config) of `base_config(scale, seed)` at [`Scale::default_network`]:
+/// the same network size, run window and warm-up, so a forwarding run
+/// faces the workload of the GUESS runs it is compared with. The
+/// engine's own knobs keep their defaults.
 #[must_use]
-pub fn gnutella_config(scale: Scale, seed: u64) -> GnutellaConfig {
-    GnutellaConfig::default()
-        .with_network_size(scale.default_network())
-        .with_duration(scale.duration())
-        .with_warmup(scale.warmup())
-        .with_seed(seed)
-}
-
-/// The gossip counterpart of [`base_config`], as [`gnutella_config`].
-#[must_use]
-pub fn gossip_config(scale: Scale, seed: u64) -> GossipConfig {
-    GossipConfig::default()
-        .with_network_size(scale.default_network())
-        .with_duration(scale.duration())
-        .with_warmup(scale.warmup())
-        .with_seed(seed)
+pub fn forwarding_config<C>(scale: Scale, seed: u64) -> C
+where
+    C: Default + DerefMut<Target = ForwardingConfig>,
+{
+    let mut cfg = C::default();
+    cfg.network_size = scale.default_network();
+    cfg.duration = scale.duration();
+    cfg.warmup = scale.warmup();
+    cfg.seed = seed;
+    cfg
 }
 
 /// The "strained" configuration of the cache-maintenance experiments
@@ -141,8 +137,11 @@ mod tests {
     fn base_configs_validate() {
         for scale in [Scale::Full, Scale::Quick] {
             assert!(base_config(scale, 1).validate().is_ok());
-            assert!(gnutella_config(scale, 1).validate().is_ok());
-            assert!(gossip_config(scale, 1).validate().is_ok());
+            let gnutella: gnutella::dynamic::GnutellaConfig = forwarding_config(scale, 1);
+            assert!(gnutella.validate().is_ok());
+            assert!(forwarding_config::<gossip::Config>(scale, 1)
+                .validate()
+                .is_ok());
         }
     }
 

@@ -13,8 +13,8 @@
 //! level. `tests/scenario_goldens.rs` pins each rendered report with an
 //! FNV-1a hash, exactly like the experiment goldens.
 
-use gnutella::dynamic::{GnutellaReport, GnutellaSim};
-use gossip::{GossipReport, GossipSim};
+use gnutella::dynamic::{GnutellaConfig, GnutellaReport, GnutellaSim};
+use gossip::{Config as GossipConfig, GossipReport, GossipSim};
 use guess::engine::GuessSim;
 use guess::RunReport;
 use simkit::scenario::{Param, Scenario};
@@ -22,7 +22,7 @@ use simkit::sim::Runnable;
 
 use crate::report::{Cell, Report, TableBlock};
 use crate::runner::Ctx;
-use crate::scale::{base_config, gnutella_config, gossip_config, Scale};
+use crate::scale::{base_config, forwarding_config, Scale};
 
 /// A named, runnable scenario (the catalog counterpart of
 /// [`crate::experiments::Experiment`]).
@@ -245,7 +245,7 @@ fn run_partition_heal(ctx: &Ctx) -> Report {
     let n = scale.default_network();
     let (t1, t2) = (at(scale, 0.25), at(scale, 0.6));
     let scenario = Scenario::new().at(t1).partition(2).at(t2).heal();
-    let cfg = gnutella_config(scale, 0x5c04);
+    let cfg: GnutellaConfig = forwarding_config(scale, 0x5c04);
     Report::new()
         .text(format!(
             "Scenario partition-heal (gnutella, N={n}): cross-group edges go dark at\n\
@@ -266,7 +266,7 @@ fn run_join_wave(ctx: &Ctx) -> Report {
     let n = scale.default_network();
     let t = at(scale, 0.3);
     let scenario = Scenario::new().at(t).mass_join(n / 2);
-    let cfg = gnutella_config(scale, 0x5c05);
+    let cfg: GnutellaConfig = forwarding_config(scale, 0x5c05);
     Report::new()
         .text(format!(
             "Scenario join-wave (gnutella, N={n}): {} newborn peers wire themselves\n\
@@ -292,7 +292,7 @@ fn run_param_flip(ctx: &Ctx) -> Report {
         .param_flip(Param::Fanout(1))
         .at(t2)
         .param_flip(Param::Fanout(3));
-    let cfg = gossip_config(scale, 0x5c06);
+    let cfg: GossipConfig = forwarding_config(scale, 0x5c06);
     Report::new()
         .text(format!(
             "Scenario param-flip (gossip, N={n}): fanout drops 3 -> 1 at t={t1:.0}s\n\
