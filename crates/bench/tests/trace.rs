@@ -5,8 +5,7 @@
 use gnutella::dynamic::{GnutellaConfig, GnutellaSim};
 use gossip::{Config as GossipConfig, GossipSim};
 use guess::{
-    AdaptiveParallelism, AdaptivePing, BadPongBehavior, Config, GuessSim, MaintenanceMode,
-    PaymentParams, PushParams, SelectionPolicy,
+    BadPongBehavior, Config, GuessSim, MaintenanceMode, PaymentParams, PushParams, SelectionPolicy,
 };
 use guess_bench::tracefile::{JsonlSink, Reconcile};
 use simkit::scenario::{Param, Scenario};
@@ -420,7 +419,7 @@ fn guess_cases() -> [(&'static str, Config, Scenario); 11] {
             "payments-adaptive-selfish",
             churny(68)
                 .with_selfish(0.3, 40)
-                .with_adaptive_parallelism(Some(AdaptiveParallelism::default()))
+                .with_adaptive_parallelism(true)
                 .with_probe_payments(Some(PaymentParams {
                     initial_balance: 20.0,
                     allowance_per_sec: 0.3,
@@ -455,11 +454,7 @@ fn guess_cases() -> [(&'static str, Config, Scenario); 11] {
                 .at(160.0)
                 .heal(),
         ),
-        (
-            "adaptive-ping",
-            churny(70).with_adaptive_ping(Some(AdaptivePing::default())),
-            plain,
-        ),
+        ("adaptive-ping", churny(70).with_adaptive_ping(true), plain),
         (
             "flip-push-and-ping-interval",
             short_coalesce(churny(60)),

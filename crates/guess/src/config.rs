@@ -77,72 +77,36 @@ impl Default for SystemParams {
     }
 }
 
-/// Parameters of the adaptive ping-interval controller (an extension the
-/// paper's §6.1 sketches: "a peer should adjust its PingInterval to
-/// maintain a certain threshold of live entries in its cache").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptivePing {
-    /// Fastest allowed pinging.
-    pub min_interval: SimDuration,
-    /// Slowest allowed pinging.
-    pub max_interval: SimDuration,
-    /// Multiplier applied when a ping finds a dead neighbor (< 1).
-    pub on_dead: f64,
-    /// Multiplier applied when a ping finds a live neighbor (> 1).
-    pub on_alive: f64,
-}
+/// Adaptive parallelism (the paper's §6.2 future work: "adaptively
+/// increase k if successive sets of parallel probes are
+/// unsuccessful"): consecutive resultless probes before the walk width
+/// doubles.
+pub const ESCALATE_AFTER: u32 = 10;
 
-impl Default for AdaptivePing {
-    fn default() -> Self {
-        AdaptivePing {
-            min_interval: SimDuration::from_secs(5.0),
-            max_interval: SimDuration::from_secs(300.0),
-            on_dead: 0.5,
-            on_alive: 1.15,
-        }
-    }
-}
-
-/// Parameters of adaptive query parallelism (the paper's §6.2 future
-/// work: "adaptively increase k if successive sets of parallel probes
-/// are unsuccessful").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveParallelism {
-    /// Consecutive resultless probes before the walk width doubles.
-    pub escalate_after: u32,
-    /// Upper bound on the walk width.
-    pub max_k: usize,
-}
-
-impl Default for AdaptiveParallelism {
-    fn default() -> Self {
-        AdaptiveParallelism {
-            escalate_after: 10,
-            max_k: 32,
-        }
-    }
-}
+/// Adaptive parallelism's upper bound on the walk width; a config that
+/// widens walks must not start them wider.
+pub const MAX_K: usize = 32;
 
 /// One query's walk: `k` probes share each round. A selfish querier
 /// fires `selfish_parallelism` whatever the protocol says (§3.3); an
 /// honest one starts at `parallel_probes` and, under adaptive
-/// parallelism, doubles `k` up to `max_k` after `escalate_after`
+/// parallelism, doubles `k` up to [`MAX_K`] after [`ESCALATE_AFTER`]
 /// resultless answers in a row (§6.2).
 pub(crate) struct Walk {
     pub(crate) k: usize,
     resultless: u32,
-    widen: Option<AdaptiveParallelism>,
+    widen: bool,
 }
 
 impl Walk {
     /// Books the results of one answered probe.
     pub(crate) fn answered(&mut self, results: u32) {
-        let Some(ak) = self.widen else {
+        if !self.widen {
             return;
-        };
+        }
         self.resultless = if results == 0 { self.resultless + 1 } else { 0 };
-        if self.resultless >= ak.escalate_after {
-            self.k = (self.k * 2).min(ak.max_k);
+        if self.resultless >= ESCALATE_AFTER {
+            self.k = (self.k * 2).min(MAX_K);
             self.resultless = 0;
         }
     }
@@ -225,12 +189,15 @@ pub struct ProtocolParams {
     /// Gap between successive probe (rounds) of one query; the GUESS
     /// specification uses 0.2 s.
     pub probe_interval: SimDuration,
-    /// Per-peer adaptive ping-interval controller; `None` pings at the
-    /// fixed `ping_interval` (the paper's protocol).
-    pub adaptive_ping: Option<AdaptivePing>,
-    /// Adaptive walk widening during a query; `None` keeps the fixed
-    /// `parallel_probes` (the paper's protocol).
-    pub adaptive_parallelism: Option<AdaptiveParallelism>,
+    /// Per-peer adaptive ping interval (§6.1's sketch: "a peer should
+    /// adjust its PingInterval to maintain a certain threshold of live
+    /// entries in its cache"); `false` pings at the fixed
+    /// `ping_interval` (the paper's protocol).
+    pub adaptive_ping: bool,
+    /// Adaptive walk widening during a query ([`ESCALATE_AFTER`],
+    /// [`MAX_K`]); `false` keeps the fixed `parallel_probes` (the
+    /// paper's protocol).
+    pub adaptive_parallelism: bool,
     /// Pong-source reputation filter: distrust (and eventually blacklist)
     /// peers whose shared cache entries keep turning out dead — the
     /// poisoning defense direction of Daswani & Garcia-Molina \[9\].
@@ -262,8 +229,8 @@ impl Default for ProtocolParams {
             intro_prob: 0.1,
             parallel_probes: 1,
             probe_interval: SimDuration::from_secs(0.2),
-            adaptive_ping: None,
-            adaptive_parallelism: None,
+            adaptive_ping: false,
+            adaptive_parallelism: false,
             distrust_pongs: false,
             probe_payments: None,
             maintenance_mode: MaintenanceMode::Pull,
@@ -378,11 +345,8 @@ pub enum ConfigError {
     SeedTooLarge,
     /// `selfish_fraction` outside `[0,1)` or zero `selfish_parallelism`.
     BadSelfishParams,
-    /// Adaptive ping bounds inverted, a zero `min_interval`, or factors
-    /// on the wrong side of 1.
-    BadAdaptivePing,
-    /// Adaptive parallelism with a zero window, or a `max_k` below
-    /// `parallel_probes` (widening would narrow the walk).
+    /// Adaptive parallelism with `parallel_probes` above [`MAX_K`]
+    /// (widening would narrow the walk).
     BadAdaptiveParallelism,
     /// Payment parameters non-finite, negative, or initial > max.
     BadPaymentParams,
@@ -424,11 +388,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadSelfishParams => {
                 "selfish fraction must be within [0, 1) with positive parallelism"
             }
-            ConfigError::BadAdaptivePing => {
-                "adaptive ping needs 0 < min <= max, on_dead in (0,1], on_alive >= 1"
-            }
             ConfigError::BadAdaptiveParallelism => {
-                "adaptive parallelism needs a positive window and max_k >= parallel probes"
+                return write!(
+                    f,
+                    "adaptive parallelism needs at most {MAX_K} parallel probes"
+                );
             }
             ConfigError::BadPaymentParams => {
                 "payment parameters must be finite, non-negative, with initial <= max"
@@ -518,16 +482,8 @@ impl Config {
         {
             return Err(ConfigError::BadSelfishParams);
         }
-        if let Some(ap) = self.protocol.adaptive_ping {
-            let factors_ok = ap.on_dead > 0.0 && ap.on_dead <= 1.0 && ap.on_alive >= 1.0;
-            if ap.min_interval.is_zero() || ap.min_interval > ap.max_interval || !factors_ok {
-                return Err(ConfigError::BadAdaptivePing);
-            }
-        }
-        if let Some(ak) = self.protocol.adaptive_parallelism {
-            if ak.escalate_after == 0 || ak.max_k < self.protocol.parallel_probes {
-                return Err(ConfigError::BadAdaptiveParallelism);
-            }
+        if self.protocol.adaptive_parallelism && self.protocol.parallel_probes > MAX_K {
+            return Err(ConfigError::BadAdaptiveParallelism);
         }
         let push = &self.protocol.push;
         if push.fanout == 0
@@ -567,7 +523,7 @@ impl Config {
     /// The walk a query by a peer of `behavior` starts with.
     pub(crate) fn walk(&self, behavior: Behavior) -> Walk {
         let (k, widen) = match behavior {
-            Behavior::Selfish => (self.system.selfish_parallelism, None),
+            Behavior::Selfish => (self.system.selfish_parallelism, false),
             _ => (
                 self.protocol.parallel_probes,
                 self.protocol.adaptive_parallelism,
@@ -690,17 +646,17 @@ impl Config {
         self
     }
 
-    /// Installs (or removes) the adaptive ping-interval controller.
+    /// Turns the adaptive ping interval on or off.
     #[must_use]
-    pub fn with_adaptive_ping(mut self, ap: Option<AdaptivePing>) -> Self {
-        self.protocol.adaptive_ping = ap;
+    pub fn with_adaptive_ping(mut self, on: bool) -> Self {
+        self.protocol.adaptive_ping = on;
         self
     }
 
-    /// Installs (or removes) adaptive walk widening.
+    /// Turns adaptive walk widening on or off.
     #[must_use]
-    pub fn with_adaptive_parallelism(mut self, ak: Option<AdaptiveParallelism>) -> Self {
-        self.protocol.adaptive_parallelism = ak;
+    pub fn with_adaptive_parallelism(mut self, on: bool) -> Self {
+        self.protocol.adaptive_parallelism = on;
         self
     }
 
@@ -904,35 +860,11 @@ mod tests {
         c.system.selfish_parallelism = 0;
         assert_eq!(c.validate(), Err(ConfigError::BadSelfishParams));
 
-        let mut c = Config::default();
-        c.protocol.adaptive_ping = Some(AdaptivePing {
-            min_interval: SimDuration::from_secs(100.0),
-            max_interval: SimDuration::from_secs(10.0),
-            ..AdaptivePing::default()
-        });
-        assert_eq!(c.validate(), Err(ConfigError::BadAdaptivePing));
-
-        let mut c = Config::default();
-        c.protocol.adaptive_ping = Some(AdaptivePing {
-            on_alive: 0.5,
-            ..AdaptivePing::default()
-        });
-        assert_eq!(c.validate(), Err(ConfigError::BadAdaptivePing));
-
-        let mut c = Config::default();
-        c.protocol.adaptive_parallelism = Some(AdaptiveParallelism {
-            escalate_after: 0,
-            ..AdaptiveParallelism::default()
-        });
-        assert_eq!(c.validate(), Err(ConfigError::BadAdaptiveParallelism));
-
         let c = Config::default()
-            .with_parallel_probes(5)
-            .with_adaptive_parallelism(Some(AdaptiveParallelism {
-                max_k: 2,
-                ..AdaptiveParallelism::default()
-            }));
+            .with_parallel_probes(MAX_K + 1)
+            .with_adaptive_parallelism(true);
         assert_eq!(c.validate(), Err(ConfigError::BadAdaptiveParallelism));
+        assert!(c.with_adaptive_parallelism(false).validate().is_ok());
 
         let mut c = Config::default();
         c.protocol.probe_interval = SimDuration::ZERO;
@@ -964,12 +896,6 @@ mod tests {
         let mut c = Config::small_test(1);
         c.run.sample_interval = SimDuration::ZERO;
         assert_eq!(c.validate(), Err(ConfigError::ZeroSampleInterval));
-
-        let c = Config::small_test(1).with_adaptive_ping(Some(AdaptivePing {
-            min_interval: SimDuration::ZERO,
-            ..AdaptivePing::default()
-        }));
-        assert_eq!(c.validate(), Err(ConfigError::BadAdaptivePing));
     }
 
     #[test]
@@ -997,13 +923,13 @@ mod tests {
     fn extension_defaults_are_off() {
         let c = Config::default();
         assert_eq!(c.system.selfish_fraction, 0.0);
-        assert!(c.protocol.adaptive_ping.is_none());
-        assert!(c.protocol.adaptive_parallelism.is_none());
+        assert!(!c.protocol.adaptive_ping);
+        assert!(!c.protocol.adaptive_parallelism);
         assert!(!c.protocol.distrust_pongs);
         assert_eq!(c.protocol.maintenance_mode, MaintenanceMode::Pull);
         let mut with_ext = c;
-        with_ext.protocol.adaptive_ping = Some(AdaptivePing::default());
-        with_ext.protocol.adaptive_parallelism = Some(AdaptiveParallelism::default());
+        with_ext.protocol.adaptive_ping = true;
+        with_ext.protocol.adaptive_parallelism = true;
         with_ext.system.selfish_fraction = 0.1;
         assert!(with_ext.validate().is_ok());
     }

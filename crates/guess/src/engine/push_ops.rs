@@ -7,6 +7,14 @@
 
 use super::*;
 
+/// §6.1's adaptive ping interval: the factor a peer's interval takes
+/// after a ping finds its neighbor dead, and after one finds it alive.
+const ON_DEAD: f64 = 0.5;
+const ON_ALIVE: f64 = 1.15;
+
+/// The bounds, in seconds, of an adaptive ping interval.
+const PING_RANGE_SECS: (f64, f64) = (5.0, 300.0);
+
 /// The push plane of `cfg`'s initial slots.
 pub(super) fn plane(cfg: &Config) -> PushPlane {
     PushPlane::new(cfg.protocol.push.interest_cap, cfg.system.network_size)
@@ -26,10 +34,10 @@ impl GuessSim {
             _ => 1.0,
         };
         let peer = self.peer_mut(addr);
-        if let (Some(ap), Some(alive)) = (adaptive, alive) {
-            let factor = if alive { ap.on_alive } else { ap.on_dead };
-            let next = (peer.ping_interval().as_secs() * factor)
-                .clamp(ap.min_interval.as_secs(), ap.max_interval.as_secs());
+        if let (true, Some(alive)) = (adaptive, alive) {
+            let factor = if alive { ON_ALIVE } else { ON_DEAD };
+            let (min, max) = PING_RANGE_SECS;
+            let next = (peer.ping_interval().as_secs() * factor).clamp(min, max);
             peer.set_ping_interval(SimDuration::from_secs(next));
         }
         peer.ping_interval() * stretch

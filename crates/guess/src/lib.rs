@@ -65,8 +65,7 @@ pub mod push;
 pub mod reputation;
 
 pub use config::{
-    AdaptiveParallelism, AdaptivePing, BadPongBehavior, Config, ConfigError, ProtocolParams,
-    PushParams, RunParams, SystemParams,
+    BadPongBehavior, Config, ConfigError, ProtocolParams, PushParams, RunParams, SystemParams,
 };
 pub use engine::{run_lanes, GuessSim};
 pub use metrics::{MetricsCollector, QueryOutcome, RunReport};

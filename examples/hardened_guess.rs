@@ -10,7 +10,7 @@
 //! cargo run --release --example hardened_guess
 //! ```
 
-use guess_suite::guess::config::{AdaptiveParallelism, AdaptivePing, BadPongBehavior, Config};
+use guess_suite::guess::config::{BadPongBehavior, Config};
 use guess_suite::guess::engine::GuessSim;
 use guess_suite::guess::policy::SelectionPolicy;
 use guess_suite::prelude::Runnable;
@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut hard_cfg = hostile(3);
     hard_cfg.protocol.reset_num_results = true;
     hard_cfg.protocol.distrust_pongs = true;
-    hard_cfg.protocol.adaptive_ping = Some(AdaptivePing::default());
-    hard_cfg.protocol.adaptive_parallelism = Some(AdaptiveParallelism::default());
+    hard_cfg.protocol.adaptive_ping = true;
+    hard_cfg.protocol.adaptive_parallelism = true;
     let hard = GuessSim::new(hard_cfg)?.run();
     print_row("MR* + filter + adaptive", &hard);
 
