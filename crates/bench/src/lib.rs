@@ -27,5 +27,4 @@ pub mod report;
 pub mod runner;
 pub mod scale;
 pub mod scenarios;
-pub mod table;
 pub mod tracefile;

@@ -4,11 +4,10 @@
 //! [`Report`]: an ordered list of [`Block`]s, where a block is either a
 //! verbatim prose paragraph or a named table of typed [`Cell`]s. The text
 //! renderer ([`Report::render_text`]) reproduces the legacy output
-//! byte-for-byte (tables go through the same alignment rules as
-//! [`crate::table::Table`]); the JSON emitter ([`Report::render_json`])
-//! is hand-rolled — the build environment is offline, so no serde.
-
-use crate::table::{fnum, Table};
+//! byte-for-byte (tables right-align every column under a rule, as
+//! [`TableBlock::render`] does); the JSON emitter
+//! ([`Report::render_json`]) is hand-rolled — the build environment is
+//! offline, so no serde.
 
 /// One typed table cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +18,8 @@ pub enum Cell {
     Uint(u64),
     /// A signed integer.
     Int(i64),
-    /// A float rendered with a fixed number of decimals, exactly like
-    /// [`fnum`] did in the string-based reports.
+    /// A float rendered with a fixed number of decimals, exactly as the
+    /// string-based reports did.
     Float {
         /// The value.
         value: f64,
@@ -61,7 +60,7 @@ impl Cell {
             Cell::Text(s) => s.clone(),
             Cell::Uint(v) => v.to_string(),
             Cell::Int(v) => v.to_string(),
-            Cell::Float { value, prec } => fnum(*value, *prec),
+            Cell::Float { value, prec } => format!("{value:.prec$}"),
         }
     }
 
@@ -73,7 +72,7 @@ impl Cell {
             Cell::Int(v) => out.push_str(&v.to_string()),
             Cell::Float { value, prec } => {
                 if value.is_finite() {
-                    out.push_str(&fnum(*value, *prec));
+                    out.push_str(&format!("{value:.prec$}"));
                 } else {
                     // NaN/Inf are not JSON numbers.
                     out.push_str("null");
@@ -84,6 +83,16 @@ impl Cell {
 }
 
 /// A named table: columns plus typed rows.
+///
+/// # Examples
+///
+/// ```
+/// use guess_bench::report::{Cell, TableBlock};
+///
+/// let mut t = TableBlock::new("demo", vec!["x", "y"]);
+/// t.row(vec![Cell::uint(1u64), Cell::float(2.5, 1)]);
+/// assert_eq!(t.render(), "x    y\n------\n1  2.5\n");
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableBlock {
     /// Machine-readable series/table name (used in the JSON output).
@@ -135,14 +144,37 @@ impl TableBlock {
         self.rows.push(cells);
     }
 
-    /// Renders the table exactly as [`crate::table::Table`] does.
+    /// Renders the table as text: every column right-aligned to its
+    /// widest cell, two spaces apart, with a rule of dashes under the
+    /// header.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut t = Table::new(self.columns.iter().map(String::as_str).collect());
-        for row in &self.rows {
-            t.row(row.iter().map(Cell::render).collect());
+        let rows: Vec<Vec<String>> = (self.rows.iter())
+            .map(|row| row.iter().map(Cell::render).collect())
+            .collect();
+        let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
+        for row in &rows {
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
+            }
         }
-        t.render()
+        let mut out = String::new();
+        let mut line = |cells: &[String]| {
+            for (i, cell) in cells.iter().enumerate() {
+                if i > 0 {
+                    out.push_str("  ");
+                }
+                out.push_str(&format!("{cell:>width$}", width = widths[i]));
+            }
+            out.push('\n');
+        };
+        line(&self.columns);
+        let rule = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+        line(&["-".repeat(rule)]);
+        for row in &rows {
+            line(row);
+        }
+        out
     }
 }
 
@@ -330,11 +362,33 @@ mod tests {
 
     #[test]
     fn text_render_matches_legacy_table() {
-        let mut legacy = Table::new(vec!["policy", "count", "mean"]);
-        legacy.row(vec!["Ran".into(), "12".into(), fnum(3.456, 1)]);
-        legacy.row(vec!["MFS".into(), "3".into(), fnum(f64::NAN, 1)]);
-        let expected = format!("Header line\n\n{}", legacy.render());
+        let expected = "Header line\n\n\
+                        policy  count  mean\n\
+                        -------------------\n\
+                        \x20  Ran     12   3.5\n\
+                        \x20  MFS      3   NaN\n";
         assert_eq!(sample().render_text(), expected);
+    }
+
+    #[test]
+    fn renders_aligned_columns() {
+        let mut t = TableBlock::new("t", vec!["name", "value"]);
+        t.row(vec![Cell::text("a"), Cell::uint(1u64)]);
+        t.row(vec![Cell::text("long-name"), Cell::float(2.5, 2)]);
+        let s = t.render();
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[1].chars().all(|c| c == '-'));
+        // All rows have equal width.
+        assert_eq!(lines[0].len(), lines[2].len());
+        assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    fn empty_table_renders_header_and_rule() {
+        let t = TableBlock::new("t", vec!["a", "bb"]);
+        assert!(t.rows.is_empty());
+        assert_eq!(t.render(), "a  bb\n-----\n");
     }
 
     #[test]
