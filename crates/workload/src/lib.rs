@@ -19,9 +19,8 @@
 //! * [`query::QueryModel`] / [`query::QueryWorkload`] — query targets and
 //!   the bursty Poisson arrival process;
 //! * [`population::Population`] / [`population::Clocks`] — the churning
-//!   content population the forwarding baselines share (slots,
-//!   arena-backed libraries, incarnations) and its lifetime + burst
-//!   clocks.
+//!   content population every engine searches (slots, arena-backed
+//!   libraries, incarnations) and its lifetime + burst clocks.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
